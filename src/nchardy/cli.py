@@ -193,7 +193,8 @@ def factor(series_path, pairs_path, samples, degree, seed, tol, threads,
         kwargs = {}
         if tol is not None:
             kwargs["threshold"] = tol
-        res = bso_factor(H, N=degree, pairs=pairs, rng=rng, **kwargs)
+        res = bso_factor(H, N=degree, pairs=pairs, rng=rng,
+                         num_samples=samples, **kwargs)
         report = {
             "command": "factor",
             "inputs": {"series": to_json_dict(H),
@@ -304,7 +305,7 @@ def classify(series_path, pairs_path, samples, degree, seed, tol, threads,
         if tol is not None:
             kwargs["threshold"] = tol
         sp = blaschke_singular_split(theta, pairs, N=degree, rng=rng,
-                                    **kwargs)
+                                    num_samples=samples, **kwargs)
         defect = sp.defects.get("blaschke_defect")
         report = {
             "command": "classify",

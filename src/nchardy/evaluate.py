@@ -23,6 +23,10 @@ from .ncseries import h2_norm
 # ball, but close enough to the boundary that truncation tails decay slowly.
 ADMISSIBLE_WARN = 0.99
 
+# Points per batched evaluation step: bounds the word-product cache, which
+# holds one n x n matrix per point for every suffix of a support word.
+EVAL_CHUNK = 256
+
 
 class MatrixPoint:
     """A tuple of d square matrices of a common size n."""
@@ -93,46 +97,81 @@ def random_point(rng, d, n, row_norm):
     return Z.scale(row_norm / current)
 
 
-def _word_powers(Z, words):
-    """Products Z^w for a collection of words, sharing suffix work."""
-    cache = {(): np.eye(Z.n, dtype=complex)}
+def _word_powers(Zs, words):
+    """Stacked products Z^w over a batch Zs of shape (B, d, n, n), one
+    (B, n, n) array per word, sharing suffix work across words."""
+    B, _, n, _ = Zs.shape
+    cache = {(): np.broadcast_to(np.eye(n, dtype=complex), (B, n, n))}
 
     def power(w):
         P = cache.get(w)
         if P is None:
-            P = Z[w[0] - 1] @ power(w[1:])
+            P = Zs[:, w[0] - 1] @ power(w[1:])
             cache[w] = P
         return P
 
-    return {w: power(w) for w in words}
+    return [power(w) for w in words]
+
+
+def _check_row_norms(Zs):
+    """Batched admissibility gate over a stack of points."""
+    S = np.einsum("bkij,bklj->bil", Zs, Zs.conj())
+    rn = np.sqrt(np.maximum(np.linalg.eigvalsh(S)[:, -1], 0.0))
+    bad = np.flatnonzero(rn >= 1.0)
+    if bad.size:
+        r = float(rn[bad[0]])
+        raise InadmissiblePointError(
+            f"row norm {r:.6f} is not below 1", row_norm=r)
+    if rn.max() > ADMISSIBLE_WARN:
+        warnings.warn(
+            f"row norm {rn.max():.6f} close to the boundary; truncation "
+            f"tails decay slowly", AdmissibilityWarning)
+
+
+def evaluate_batch(f, points, check_admissible=True):
+    """f(Z) = sum_w fhat_w (x) Z^w at many points at once.
+
+    Points are grouped by size n.  Returns one (indices, values) pair per
+    size, in increasing n: indices into ``points`` in their given order,
+    and values of shape (len(indices), rows*n, cols*n).  Each group is
+    evaluated EVAL_CHUNK points at a time; a chunk shares one cache of
+    word products built with batched matmuls, and one einsum contracts it
+    with the coefficients.
+
+    With check_admissible, raises InadmissiblePointError if any point lies
+    outside the open unit row ball and warns when a row norm exceeds
+    ADMISSIBLE_WARN.
+    """
+    points = [Z if isinstance(Z, MatrixPoint) else MatrixPoint(Z)
+              for Z in points]
+    for Z in points:
+        if Z.d != f.d:
+            raise ShapeMismatchError(
+                f"point has d={Z.d}, series has d={f.d}")
+    sizes = np.array([Z.n for Z in points], dtype=int)
+    words = list(f.coeffs)
+    C = np.array([f.coeffs[w] for w in words], dtype=complex).reshape(
+        len(words), f.rows, f.cols)
+    groups = []
+    for n in np.unique(sizes):
+        idx = np.flatnonzero(sizes == n)
+        Zs = np.array([points[i].mats for i in idx])
+        if check_admissible:
+            _check_row_norms(Zs)
+        vals = np.zeros((idx.size, f.rows, n, f.cols, n), dtype=complex)
+        for lo in range(0, idx.size if words else 0, EVAL_CHUNK):
+            powers = _word_powers(Zs[lo:lo + EVAL_CHUNK], words)
+            vals[lo:lo + EVAL_CHUNK] = np.einsum("wij,wbkl->bikjl", C,
+                                                 np.array(powers))
+        groups.append((idx, vals.reshape(idx.size, f.rows * n, f.cols * n)))
+    return groups
 
 
 def evaluate(f, Z, check_admissible=True):
-    """f(Z) = sum_w fhat_w (x) Z^w as a (rows*n) x (cols*n) matrix.
-
-    Raises InadmissiblePointError outside the closed unit row ball and
-    warns when the row norm exceeds ADMISSIBLE_WARN.
-    """
-    if not isinstance(Z, MatrixPoint):
-        Z = MatrixPoint(Z)
-    if Z.d != f.d:
-        raise ShapeMismatchError(
-            f"point has d={Z.d}, series has d={f.d}")
-    if check_admissible:
-        rn = Z.row_norm()
-        if rn >= 1.0:
-            raise InadmissiblePointError(
-                f"row norm {rn:.6f} is not below 1", row_norm=rn)
-        if rn > ADMISSIBLE_WARN:
-            warnings.warn(
-                f"row norm {rn:.6f} close to the boundary; truncation "
-                f"tails decay slowly", AdmissibilityWarning)
-    n = Z.n
-    out = np.zeros((f.rows * n, f.cols * n), dtype=complex)
-    powers = _word_powers(Z, list(f.coeffs))
-    for w, m in f.coeffs.items():
-        out += np.kron(m, powers[w])
-    return out
+    """f(Z) = sum_w fhat_w (x) Z^w as a (rows*n) x (cols*n) matrix: the
+    one-point case of evaluate_batch, with the same admissibility gate."""
+    (_, vals), = evaluate_batch(f, [Z], check_admissible)
+    return vals[0]
 
 
 def tail_bound(f, s):

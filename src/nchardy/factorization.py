@@ -524,7 +524,7 @@ def singular_test(S, samples=None, rng=None, num_samples=200,
     verdict "singular" means every minimum stayed above tol; it is sampling
     evidence, not a proof.
     """
-    from .evaluate import evaluate
+    from .evaluate import evaluate_batch
 
     check_inner(S, tol=inner_tol)
     report = {"tol": tol, "r_grid": {}, "num_samples": 0}
@@ -539,10 +539,9 @@ def singular_test(S, samples=None, rng=None, num_samples=200,
             n = levels[i % len(levels)]
             samples.append(random_point(rng, S.d, n, row_norm))
     min_sigma = np.inf
-    for Z in samples:
-        A = evaluate(S, Z)
+    for _, A in evaluate_batch(S, samples):
         sv = np.linalg.svd(A, compute_uv=False)
-        min_sigma = min(min_sigma, float(sv[-1]))
+        min_sigma = min(min_sigma, float(sv[:, -1].min()))
     report["num_samples"] = len(samples)
     report["min_sample_sigma"] = float(min_sigma)
     basis = FockBasis(S.d, S.max_degree)
@@ -580,7 +579,7 @@ class SplitResult:
 def blaschke_singular_split(theta, pairs, N=None, probes=None,
                             extra_frame=None, threshold=BLASCHKE_THRESHOLD,
                             col_degree=None, window=None, wander_tol=1e-6,
-                            rng=None, inner_tol=None):
+                            rng=None, inner_tol=None, num_samples=200):
     """Split an inner into Blaschke and singular parts, evidence-based.
 
     With no singularity data at all the split cannot be better than the
@@ -601,7 +600,8 @@ def blaschke_singular_split(theta, pairs, N=None, probes=None,
     has_data = bool(pairs) or (extra_frame is not None
                                and np.asarray(extra_frame).size > 0)
     if not has_data:
-        st = singular_test(theta, rng=rng, inner_tol=inner_tol)
+        st = singular_test(theta, rng=rng, num_samples=num_samples,
+                           inner_tol=inner_tol)
         flags = ["no-pairs"]
         if st["singular"]:
             flags.append("consistent-with-singular")
@@ -668,7 +668,8 @@ class BsoResult:
 
 
 def bso_factor(H, N=None, pairs=(), probes=None, extra_frame=None,
-               threshold=BLASCHKE_THRESHOLD, rng=None, inner_tol=None):
+               threshold=BLASCHKE_THRESHOLD, rng=None, inner_tol=None,
+               num_samples=200):
     """Full Blaschke - singular - outer factorization pipeline.
 
     inner_outer first, then the Blaschke/singular split of the inner part.
@@ -689,7 +690,7 @@ def bso_factor(H, N=None, pairs=(), probes=None, extra_frame=None,
     split = blaschke_singular_split(
         io.inner, pairs, N=io.inner.max_degree, probes=probes,
         extra_frame=extra_frame, threshold=threshold, rng=rng,
-        inner_tol=inner_tol)
+        inner_tol=inner_tol, num_samples=num_samples)
     defects = dict(io.defects)
     for key, val in split.defects.items():
         defects[f"split_{key}"] = val

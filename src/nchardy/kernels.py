@@ -21,7 +21,13 @@ from .errors import (
     NotInnerError,
     ShapeMismatchError,
 )
-from .evaluate import MatrixPoint, direct_sum_points, evaluate, random_point
+from .evaluate import (
+    MatrixPoint,
+    direct_sum_points,
+    evaluate,
+    evaluate_batch,
+    random_point,
+)
 from .fockspace import FockBasis, RANK_REL, isometry_defect, mult_operator
 from .ncseries import NcSeries, series_mul
 
@@ -346,9 +352,9 @@ def _det_poly_roots(H, Z, degree_bound):
     """Roots of t -> det(H(tZ)) via DFT interpolation on the unit circle."""
     K = degree_bound + 1
     ts = np.exp(2j * np.pi * np.arange(K) / K)
-    vals = np.array([np.linalg.det(evaluate(H, Z.scale(t),
-                                            check_admissible=False))
-                     for t in ts])
+    (_, A), = evaluate_batch(H, [Z.scale(t) for t in ts],
+                             check_admissible=False)
+    vals = np.linalg.det(A)
     # vals[j] = p(omega^j) with omega = exp(2 pi i / K); the forward FFT
     # against exp(-2 pi i j m / K) inverts that evaluation map
     coeffs = np.fft.fft(vals) / K

@@ -9,15 +9,14 @@ projection degree by degree.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DiagnosticError,
     NotIdempotentError,
     ShapeMismatchError,
 )
-from .evaluate import evaluate, random_point
-from .fockspace import FockBasis, mult_operator, vec_to_series
+from .evaluate import evaluate_batch, random_point
+from .fockspace import FockBasis, mult_operator
 from .ncseries import (
     NcSeries,
     max_coeff_diff,
@@ -152,20 +151,23 @@ def herglotz_min_real(H, samples=None, rng=None, num_samples=50,
         samples = [random_point(rng, H.d, levels[i % len(levels)], row_norm)
                    for i in range(num_samples)]
     worst = np.inf
-    for Z in samples:
-        A = evaluate(H, Z)
-        vals = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
-        worst = min(worst, float(vals[0]))
+    for _, A in evaluate_batch(H, samples):
+        vals = np.linalg.eigvalsh(0.5 * (A + A.conj().swapaxes(-1, -2)))
+        worst = min(worst, float(vals[:, 0].min()))
     return worst
 
 
 def semigroup_inner(B, t, N=None):
     """exp(-t H_B) as a series: the singular-inner semigroup through B.
 
-    Computed as the vacuum column of the matrix exponential of the
-    multiplication operator of -t H_B.  That operator is block lower
-    triangular in the degree grading, so the truncated vacuum column
-    agrees with the exact coefficients through degree N.
+    With h0 the scalar constant term of H = H_B, the series G = H - h0 has
+    no constant term, so G^k starts at degree k and vanishes at order N
+    once k > N.  Since h0 commutes with G,
+
+        exp(-t H) = e^{-t h0} sum_{k <= N} (-t G)^k / k!
+
+    holds exactly through degree N, and the sum stops early once a term
+    truncates to zero.
     """
     if not B.is_scalar():
         raise ShapeMismatchError("semigroup construction expects a scalar "
@@ -175,10 +177,16 @@ def semigroup_inner(B, t, N=None):
     if N is None:
         N = B.max_degree
     H = cayley_herglotz(B, N)
-    basis = FockBasis(B.d, N)
-    G = mult_operator(H, basis).mat
-    E = scipy.linalg.expm(-t * G)
-    return vec_to_series(E[:, 0], basis)
+    h0 = H.scalar_coeff(())
+    G = H - h0
+    term = NcSeries.constant(1.0, B.d, N)
+    total = term
+    for k in range(1, N + 1):
+        term = series_mul(term, G, N).scale(-t / k)
+        if not any(np.any(m) for m in term.coeffs.values()):
+            break
+        total = total + term
+    return total.scale(np.exp(-t * h0))
 
 
 class IdempotentSplit:

@@ -123,6 +123,21 @@ def test_classify_singular_without_pairs_exits_0(runner, tmp_path):
     assert doc["outputs"]["singular_report"]["singular"] is True
 
 
+@pytest.mark.parametrize("command, key", [
+    ("classify", "singular_report"),
+    ("factor", "split_singular_report"),
+])
+def test_samples_option_reaches_singular_test(tmp_path, command, key):
+    sig = semigroup_inner(z1_series(4), 0.7, 4)
+    p = write_json(tmp_path / "sig.json", to_json_dict(sig))
+    res, doc = run_json(CliRunner(), [command, "--series", p,
+                                      "--samples", "7"])
+    assert res.exit_code == 0
+    assert doc["parameters"]["samples"] == 7
+    section = "outputs" if command == "classify" else "defects"
+    assert doc[section][key]["num_samples"] == 7
+
+
 def test_classify_with_thin_pairs_is_diagnostic(runner, tmp_path):
     # kernel pairs at commuting points carry no directional information,
     # so the split must refuse a verdict rather than guess

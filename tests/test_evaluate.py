@@ -13,6 +13,7 @@ from nchardy.evaluate import (
     MatrixPoint,
     direct_sum_points,
     evaluate,
+    evaluate_batch,
     pair_from_json_dict,
     pair_to_json_dict,
     point_from_json_dict,
@@ -118,6 +119,57 @@ def test_nilpotent_evaluation_ignores_truncation():
     f_long = series_invert(one_minus, 8)
     f_short = series_invert(one_minus.with_max_degree(3), 3)
     assert np.allclose(evaluate(f_long, Z), evaluate(f_short, Z))
+
+
+def kron_reference(f, Z):
+    """Per-point evaluation sum_w kron(f_w, Z^w), one word at a time."""
+    out = np.zeros((f.rows * Z.n, f.cols * Z.n), dtype=complex)
+    for w, m in f.coeffs.items():
+        out += np.kron(m, Z.word_product(w))
+    return out
+
+
+def _cmat(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (1, 2)])
+def test_evaluate_batch_matches_kron_reference(rows, cols):
+    rng = np.random.default_rng(17)
+    words = [(), (1,), (2, 1), (1, 1, 2), (2, 2, 1, 2)]
+    f = NcSeries(2, rows, cols, 4,
+                 {w: _cmat(rng, (rows, cols)) for w in words})
+    points = [random_point(rng, 2, n, 0.8) for n in (3, 1, 2, 2, 1, 3, 3)]
+    groups = evaluate_batch(f, points)
+    assert [vals.shape[1:] for _, vals in groups] == [
+        (rows * n, cols * n) for n in (1, 2, 3)]
+    seen = []
+    for idx, vals in groups:
+        for i, val in zip(idx, vals):
+            ref = kron_reference(f, points[i])
+            assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
+            seen.append(i)
+    assert sorted(seen) == list(range(len(points)))
+
+
+def test_evaluate_batch_zero_series_and_empty_list():
+    rng = np.random.default_rng(18)
+    points = [random_point(rng, 2, n, 0.5) for n in (1, 2)]
+    groups = evaluate_batch(NcSeries.zero(2, 2, 3, 2), points)
+    assert [vals.shape for _, vals in groups] == [(1, 2, 3), (1, 4, 6)]
+    assert not any(np.any(vals) for _, vals in groups)
+    assert evaluate_batch(NcSeries.monomial((1,), 2), []) == []
+
+
+def test_evaluate_batch_admissibility_gate():
+    rng = np.random.default_rng(19)
+    f = NcSeries.monomial((1, 2), 2)
+    points = [random_point(rng, 2, 2, 0.5) for _ in range(3)]
+    with pytest.raises(InadmissiblePointError) as info:
+        evaluate_batch(f, points + [random_point(rng, 2, 2, 1.01)])
+    assert info.value.row_norm >= 1.0
+    with pytest.warns(AdmissibilityWarning):
+        evaluate_batch(f, points + [random_point(rng, 2, 1, 0.995)])
 
 
 def test_tail_bound_dominates_true_tail():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nchardy.errors import (
     DiagnosticError,
@@ -10,7 +12,7 @@ from nchardy.errors import (
     ShapeMismatchError,
 )
 from nchardy.evaluate import evaluate, random_point
-from nchardy.fockspace import FockBasis, mult_operator
+from nchardy.fockspace import FockBasis, mult_operator, vec_to_series
 from nchardy.kernels import model_gram, szego_gram
 from nchardy.ncseries import (
     NcSeries,
@@ -210,6 +212,68 @@ def test_semigroup_identity_at_zero_and_domain():
     assert max_coeff_diff(B0, NcSeries.constant(1.0, 2, 5), 5) < 1e-15
     with pytest.raises(ValueError):
         semigroup_inner(z1, -0.1, 5)
+
+
+def expm_semigroup(B, t, N):
+    """Vacuum column of the dense exponential of the multiplication
+    operator of -t H_B on the order-N Fock space."""
+    basis = FockBasis(B.d, N)
+    G = mult_operator(cayley_herglotz(B, N), basis).mat
+    return vec_to_series(scipy.linalg.expm(-t * G)[:, 0], basis)
+
+
+@pytest.mark.parametrize("B", [
+    NcSeries.monomial((1,), 2, 8),
+    NcSeries.monomial((1, 2), 2, 8),
+    commutator_inner(max_degree=8),
+    NcSeries.monomial((1,), 1, 8),
+], ids=["z1", "z1z2", "V", "d1_z"])
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 1.5])
+@pytest.mark.parametrize("N", [3, 8])
+def test_semigroup_matches_dense_expm(B, t, N):
+    got = semigroup_inner(B.truncate(N), t, N)
+    assert max_coeff_diff(got, expm_semigroup(B.truncate(N), t, N), N) \
+        <= 1e-13
+
+
+@st.composite
+def generators(draw):
+    """Monomial inners z^w and the commutator V, at an order N <= 6."""
+    if draw(st.booleans()):
+        N = draw(st.integers(2, 6))
+        return commutator_inner(max_degree=N), N
+    d = draw(st.integers(1, 3))
+    word = tuple(draw(st.lists(st.integers(1, d), min_size=1, max_size=3)))
+    N = draw(st.integers(len(word), 6))
+    return NcSeries.monomial(word, d, N), N
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators(), unit, unit)
+def test_semigroup_law_property(gen, t, s):
+    B, N = gen
+    lhs = semigroup_inner(B, t + s, N)
+    rhs = series_mul(semigroup_inner(B, t, N), semigroup_inner(B, s, N), N)
+    assert max_coeff_diff(lhs, rhs, N) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(generators())
+def test_semigroup_at_zero_is_exactly_one(gen):
+    B, N = gen
+    S0 = semigroup_inner(B, 0.0, N)
+    assert set(S0.coeffs) == {()}
+    assert S0.scalar_coeff(()) == 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), unit)
+def test_semigroup_d1_constant_is_exp_minus_t(N, t):
+    S = semigroup_inner(NcSeries.monomial((1,), 1, N), t, N)
+    assert abs(S.scalar_coeff(()) - np.exp(-t)) <= 1e-12
 
 
 def test_semigroup_h2_mass_stays_below_one():

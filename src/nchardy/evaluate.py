@@ -198,6 +198,8 @@ def _matrix_from_json(obj, path):
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise SchemaError(
             f"matrix must have shape n x n x 2, got {arr.shape}", path)
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError("matrix entries must be finite", path)
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -240,6 +242,8 @@ def vector_from_json(obj, n, path):
     if arr.ndim != 2 or arr.shape != (n, 2):
         raise SchemaError(
             f"vector must have shape {n} x 2, got {arr.shape}", path)
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError("vector entries must be finite", path)
     return arr[:, 0] + 1j * arr[:, 1]
 
 

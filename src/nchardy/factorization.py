@@ -1,15 +1,15 @@
 """Inner-outer factorization and Blaschke/singular classification.
 
-The range of multiplication by H, closed under the right shifts, has a
-wandering part whose orthonormal basis generates the inner factor.  On
-truncations the wandering dimension is computed robustly as a rank
-difference, but the wandering eigenvectors themselves inherit too much
-truncation noise to deliver coefficient-accurate factors.  The factors are
-therefore produced by spectral factorization of the autocorrelation data
-t_s(H) = sum_m conj(H_m) H_{ms}, which depend only on the outer part; a
-damped least-squares solve recovers the outer factor to machine precision
-and the inner factor follows by division.  The subspace route remains
-available and is what the classification tests are built on.
+Everything inner-outer reads is one layer of autocorrelation data
+t_s(H) = sum_m conj(H_m) H_{ms}, gathered over the index triples of
+fockspace.word_triples.  The data depend only on the outer part, so a
+Levenberg-Marquardt solve with an exact Jacobian recovers the outer factor
+to machine precision and the inner factor follows by division.  The same
+data give the NC Toeplitz Gram of the columns H z^v, on which the
+wandering dimension, the outer defect and the inner defect are certified
+without a dense multiplication operator.  Range closures and wandering
+subspaces on the truncated Fock space remain for the Blaschke/singular
+split.
 
 Classification (Blaschke vs singular) is evidence-based: kernel vectors at
 sampled singularity pairs span part of the range orthocomplement, and the
@@ -24,21 +24,21 @@ from .errors import DiagnosticError, ShapeMismatchError, ValidityWindowError
 from .evaluate import random_point
 from .fockspace import (
     FockBasis,
-    RANK_REL,
     WANDER_EIG_TOL,
+    autocorrelation_stack,
+    coeff_stack,
     mult_operator,
     orthonormal_frame,
-    right_shift_matrix,
     smallest_singular_value,
+    toeplitz_gram,
     vec_to_series,
-    wandering_dimension,
     wandering_projection,
     wandering_vectors,
+    word_triples,
 )
 from .kernels import check_inner, inner_defect, sing_space_complement
 from .ncseries import (
     NcSeries,
-    h2_norm,
     max_coeff_diff,
     phase_normalize,
     rescale,
@@ -52,6 +52,10 @@ BLASCHKE_THRESHOLD = 0.25
 
 # sigma_min floor for "pointwise invertible" verdicts.
 SINGULAR_SIGMA_TOL = 1e-8
+
+# Gram eigenvalue ratio above which the columns H z^v count as
+# independent: sigma_min / sigma_max > 1e-6, far above RANK_REL.
+GRAM_COND_MIN = 1e-12
 
 
 class Subspace:
@@ -145,71 +149,89 @@ def autocorrelation(H, m=None):
     """
     if m is None:
         m = H.degree()
-    words = _words_through(H.d, m)
-    out = {}
-    for s in words:
-        acc = np.zeros((H.cols, H.cols), dtype=complex)
-        for mu, Hm in H.coeffs.items():
-            if len(mu) + len(s) > m:
-                continue
-            Hms = H.coeffs.get(mu + s)
-            if Hms is not None:
-                acc += Hm.conj().T @ Hms
-        out[s] = acc
-    return out
+    basis = FockBasis(H.d, m)
+    t = autocorrelation_stack(coeff_stack(H, basis), H.d, m)
+    return dict(zip(basis.words, t))
 
 
-def _words_through(d, m):
-    words = [()]
-    level = [()]
-    for _ in range(m):
-        level = [w + (k,) for w in level for k in range(1, d + 1)]
-        words.extend(level)
-    return words
+class _OuterProblem:
+    """t_s(F) = t_s(H) for |s| <= m, in real parameters, with its exact
+    Jacobian.
 
+    F is an n x n series of degree m.  Its vacuum coefficient is gauged
+    Hermitian: the diagonal, then real and imaginary parts above it in
+    row-major order.  Every other coefficient is free: real parts, then
+    imaginary parts, word by word.  The residual lists the real and then
+    the imaginary part of t_s(F) - t_s(H), word by word.  Parameter p
+    writes weight pc[p] into flat coefficient entry pe[p]; the off-vacuum-
+    diagonal parameters mp also write mc into the mirror entries me.
+    """
 
-def _pack(Fdict, words, n):
-    """Real parameter vector: vacuum coefficient Hermitian, rest free."""
-    parts = []
-    F0 = Fdict[()]
-    for i in range(n):
-        parts.append(F0[i, i].real)
-    for i in range(n):
-        for j in range(i + 1, n):
-            parts.append(F0[i, j].real)
-            parts.append(F0[i, j].imag)
-    for w in words:
-        if w == ():
-            continue
-        M = Fdict[w]
-        parts.append(M.real.reshape(-1))
-        parts.append(M.imag.reshape(-1))
-    return np.concatenate([np.atleast_1d(p) for p in parts])
+    def __init__(self, H, m):
+        n = self.n = H.rows
+        self.d, self.m = H.d, m
+        self.basis = FockBasis(H.d, m)
+        D, nn = self.basis.dim, n * n
+        self.target = autocorrelation_stack(
+            coeff_stack(H, self.basis), H.d, m)
+        iu, ju = np.triu_indices(n, 1)
+        upper, lower = iu * n + ju, ju * n + iu
+        free = (nn + np.arange((D - 1) * nn)).reshape(D - 1, 1, nn)
+        self.pe = np.concatenate([
+            np.arange(n) * (n + 1), np.repeat(upper, 2),
+            np.broadcast_to(free, (D - 1, 2, nn)).reshape(-1)])
+        self.pc = np.concatenate([
+            np.ones(n), np.tile([1.0, 1j], upper.size),
+            np.broadcast_to(np.array([1.0, 1j])[:, None],
+                            (D - 1, 2, nn)).reshape(-1)])
+        self.mp = n + np.arange(2 * upper.size)
+        self.me = np.repeat(lower, 2)
+        self.mc = np.tile([1.0, -1j], upper.size)
 
+    def encode(self, F):
+        """Parameters of a (dim, n, n) stack whose vacuum is Hermitian."""
+        return (self.pc.conj() * F.reshape(-1)[self.pe]).real
 
-def _unpack(x, words, n):
-    Fdict = {}
-    F0 = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for i in range(n):
-        F0[i, i] = x[pos]
-        pos += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            F0[i, j] = x[pos] + 1j * x[pos + 1]
-            F0[j, i] = x[pos] - 1j * x[pos + 1]
-            pos += 2
-    Fdict[()] = F0
-    nn = n * n
-    for w in words:
-        if w == ():
-            continue
-        re = x[pos:pos + nn].reshape(n, n)
-        pos += nn
-        im = x[pos:pos + nn].reshape(n, n)
-        pos += nn
-        Fdict[w] = re + 1j * im
-    return Fdict
+    def decode(self, x):
+        F = np.zeros(self.basis.dim * self.n * self.n, dtype=complex)
+        np.add.at(F, self.pe, self.pc * x)
+        np.add.at(F, self.me, self.mc * x[self.mp])
+        return F.reshape(self.basis.dim, self.n, self.n)
+
+    def residual(self, x):
+        r = autocorrelation_stack(self.decode(x), self.d, self.m) - \
+            self.target
+        r = r.reshape(r.shape[0], -1)
+        return np.stack([r.real, r.imag], axis=1).reshape(-1)
+
+    def jacobian(self, x):
+        """t_s(F) is sesquilinear: dt_s = sum dF_mu^H F_{mu s} over triples
+        with mu = word(k), plus sum F_mu^H dF_{mu s} over triples with
+        mu s = word(k).  lin holds the coefficients of dF, anti those of
+        conj(dF), over flat (word, row, col) entries."""
+        F = self.decode(x)
+        n = self.n
+        s, mu, cat = word_triples(self.d, self.m)
+        E = F.size
+        a = np.arange(n)[:, None, None]
+        i = np.arange(n)[None, :, None]
+        b = np.arange(n)[None, None, :]
+        lin = np.zeros((E, E), dtype=complex)
+        anti = np.zeros((E, E), dtype=complex)
+        # (F_mu^H dF)[i, b] = sum_a conj(F_mu[a, i]) dF[a, b]
+        np.add.at(lin, ((s[:, None, None, None] * n + i) * n + b,
+                        (cat[:, None, None, None] * n + a) * n + b),
+                  np.broadcast_to(F[mu].conj()[..., None],
+                                  (s.size, n, n, n)))
+        # (dF^H F_{mu s})[b, i] = sum_a conj(dF[a, b]) F_{mu s}[a, i]
+        np.add.at(anti, ((s[:, None, None, None] * n + b) * n + i,
+                         (mu[:, None, None, None] * n + a) * n + b),
+                  np.broadcast_to(F[cat][..., None], (s.size, n, n, n)))
+        J = lin[:, self.pe] * self.pc + anti[:, self.pe] * self.pc.conj()
+        J[:, self.mp] += lin[:, self.me] * self.mc + \
+            anti[:, self.me] * self.mc.conj()
+        J = J.reshape(self.basis.dim, n * n, -1)
+        return np.stack([J.real, J.imag], axis=1).reshape(-1, J.shape[-1])
 
 
 def spectral_outer(H, degree=None, max_retries=4, seed=0):
@@ -226,55 +248,36 @@ def spectral_outer(H, degree=None, max_retries=4, seed=0):
                                  "coefficients")
     n = H.rows
     m = H.degree() if degree is None else int(degree)
-    words = _words_through(H.d, m)
-    target = autocorrelation(H, m)
-    t0 = target[()]
+    prob = _OuterProblem(H, m)
+    t0 = prob.target[0]
     scale = max(1.0, float(np.linalg.norm(t0)))
-
-    def residual(x):
-        Fd = _unpack(x, words, n)
-        out = []
-        for s in words:
-            acc = -target[s]
-            ls = len(s)
-            for mu, Fm in Fd.items():
-                if len(mu) + ls > m:
-                    continue
-                Fms = Fd.get(mu + s)
-                if Fms is not None:
-                    acc = acc + Fm.conj().T @ Fms
-            out.append(acc.real.reshape(-1))
-            out.append(acc.imag.reshape(-1))
-        return np.concatenate(out)
-
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
     sqrt0 = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    init = {w: np.zeros((n, n), dtype=complex) for w in words}
-    init[()] = sqrt0
-    x0 = _pack(init, words, n)
+    init = np.zeros((prob.basis.dim, n, n), dtype=complex)
+    init[0] = sqrt0
+    x0 = x_init = prob.encode(init)
     rng = np.random.default_rng(seed)
     best = None
     for attempt in range(max_retries):
         res = scipy.optimize.least_squares(
-            residual, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            prob.residual, x0, jac=prob.jacobian, method="lm", xtol=1e-15,
+            ftol=1e-15, gtol=1e-15)
         err = float(np.max(np.abs(res.fun))) if res.fun.size else 0.0
         if best is None or err < best[0]:
             best = (err, res.x)
         if err <= 1e-11 * scale:
             break
-        x0 = _pack(init, words, n) + 0.1 * np.sqrt(scale) * \
-            rng.standard_normal(x0.size)
+        x0 = x_init + 0.1 * np.sqrt(scale) * rng.standard_normal(x0.size)
     err, xbest = best
     if err > 1e-11 * scale:
         raise DiagnosticError(
             f"autocorrelation factorization did not converge "
             f"(residual {err:.3e} after {max_retries} attempts)")
-    Fd = _unpack(xbest, words, n)
-    if n == 1 and Fd[()][0, 0].real < 0:
-        Fd = {w: -M for w, M in Fd.items()}
-    coeffs = {w: M for w, M in Fd.items() if np.any(np.abs(M) > 1e-14)}
-    if n == 1:
-        return NcSeries(H.d, 1, 1, m, coeffs)
+    F = prob.decode(xbest)
+    if n == 1 and F[0, 0, 0].real < 0:
+        F = -F
+    coeffs = {w: M for w, M in zip(prob.basis.words, F)
+              if np.any(np.abs(M) > 1e-14)}
     return NcSeries(H.d, n, n, m, coeffs)
 
 
@@ -308,10 +311,14 @@ def shift_adjoint_apply(omega, H, out_degree=None):
 def inner_outer(H, N=None):
     """Factor H into an inner times an outer part.
 
-    Scalar H with wandering dimension 1 (and square matrix H) go through
-    the autocorrelation engine; scalar H with a larger wandering dimension
-    falls back to the wandering-frame construction, whose defects are
-    honestly truncation-limited.  Defects and the wandering dimension are
+    The outer factor F comes from the autocorrelation data t_s(H), which
+    cannot see the inner factor; the inner factor is B = H F^{-1}.  The
+    wandering dimension is certified, not computed from dense ranks: a
+    nonzero scalar H generates a wandering space of dimension 1 (the NC
+    Beurling theorem of Arias-Popescu and Popescu), and the truncated
+    certificate is that the NC Toeplitz Gram of t(H) over the validity
+    window N - deg(H) is well conditioned, so the columns H z^v are
+    independent there.  Square matrix H reports its size.  Defects are
     always reported.
     """
     Hp = H.prune()
@@ -334,18 +341,7 @@ def inner_outer(H, N=None):
                    "reconstruction_error": 0.0}
         return FactorizationResult(inner, HN.copy(), H.rows, defects, N)
 
-    scalar = HN.is_scalar()
-    if scalar:
-        basis = FockBasis(H.d, N)
-        op = mult_operator(HN, basis)
-        col = op.valid_degree
-        wdim = wandering_dimension(op, col_degree=col) if col >= 0 else 1
-    else:
-        wdim = H.rows
-
-    if scalar and wdim != 1:
-        return _inner_outer_frames(HN, N)
-
+    wdim = _scalar_wandering_dim(HN, N - m) if HN.is_scalar() else H.rows
     F = spectral_outer(HN, degree=m)
     B = series_mul(HN, series_invert(F.with_max_degree(N), N), N).prune()
     B, u = phase_normalize(B)
@@ -359,65 +355,52 @@ def inner_outer(H, N=None):
     return FactorizationResult(B, outer, wdim, defects, N - m)
 
 
-def _inner_outer_frames(H, N):
-    """Wandering-frame construction for wandering dimension > 1."""
-    RC = range_closure(H, N)
-    W = wandering_subspace(RC)
-    mdim = W.dim
-    if mdim == 0:
+def _scalar_wandering_dim(H, window):
+    """1, certified by the Gram of the columns H z^v, |v| <= window.
+
+    lambda_min / lambda_max > GRAM_COND_MIN means sigma_min / sigma_max >
+    1e-6 for the columns, far above RANK_REL, so the columns over all words
+    and over the nonempty words have full numerical rank and their ranks
+    differ by exactly 1 (interlacing).
+    """
+    vals = np.linalg.eigvalsh(toeplitz_gram(H, window))
+    ratio = vals[0] / vals[-1]
+    if not ratio > GRAM_COND_MIN:
         raise DiagnosticError(
-            "wandering rank collapse: no eigenvalue near 1 at this "
-            "truncation")
-    cols = []
-    for i in range(mdim):
-        cols.append(vec_to_series(W.frame[:, i], W.basis))
-    inner_coeffs = {}
-    for i, s in enumerate(cols):
-        for w, mcoef in s.coeffs.items():
-            block = inner_coeffs.setdefault(
-                w, np.zeros((1, mdim), dtype=complex))
-            block[0, i] = mcoef[0, 0]
-    inner = NcSeries(H.d, 1, mdim, N, inner_coeffs)
-    outer_cols = [shift_adjoint_apply(s, H, N) for s in cols]
-    outer_coeffs = {}
-    for i, s in enumerate(outer_cols):
-        for w, mcoef in s.coeffs.items():
-            block = outer_coeffs.setdefault(
-                w, np.zeros((mdim, 1), dtype=complex))
-            block[i, 0] = mcoef[0, 0]
-    outer = NcSeries(H.d, mdim, 1, N, outer_coeffs)
-    window = max(0, W.valid_degree)
-    recon = max_coeff_diff(series_mul(inner, outer, N), H, window)
-    defects = {
-        "inner_defect": float("nan"),
-        "outer_defect": float("nan"),
-        "reconstruction_error": recon,
-    }
-    return FactorizationResult(inner, outer, mdim, defects, window)
+            f"wandering dimension not certified: Gram eigenvalue ratio "
+            f"{ratio:.3e} on the window |v| <= {window}")
+    return 1
 
 
 def outer_defect(h, N=None):
     """Distance from the vacuum to the span of right translates of h.
 
     Zero means the constants are reachable: the cyclicity that defines
-    outer elements, tested at truncation order N.  Column-valued h reports
-    the best vacuum direction; square h has to reach every one, so the
-    worst direction is reported instead.
+    outer elements, tested at truncation order N.  The columns h z^v, |v|
+    within the validity window, have the NC Toeplitz Gram G, and the
+    vacuum sees only their constant terms, so the residual Gram of the
+    vacuum directions is I - h_0 (G^{-1})_{00} h_0^H.  Column-valued h
+    reports the best vacuum direction; square h has to reach every one, so
+    the worst direction is reported instead.
     """
     if N is None:
         N = h.max_degree
     if h.cols != 1 and h.rows != h.cols:
         raise ShapeMismatchError(
             "outer defect expects scalar, column, or square h")
-    basis = FockBasis(h.d, N)
-    op = mult_operator(h.truncate(N), basis)
-    col = max(op.valid_degree, 0)
-    Q = orthonormal_frame(op.restricted(col))
-    p = h.rows
-    E0 = np.zeros((basis.dim * p, p), dtype=complex)
-    E0[0:p, 0:p] = np.eye(p)
-    Rm = E0 - Q @ (Q.conj().T @ E0)
-    G = Rm.conj().T @ Rm
+    hN = h.truncate(N)
+    window = max(N - hN.degree(), 0)
+    try:
+        L = np.linalg.cholesky(toeplitz_gram(hN, window))
+    except np.linalg.LinAlgError:
+        raise DiagnosticError(
+            f"outer defect: the columns h z^v are dependent on the window "
+            f"|v| <= {window}")
+    q = h.cols
+    E = np.eye(L.shape[0], q, dtype=complex)
+    X = scipy.linalg.solve_triangular(L, E, lower=True)
+    h0 = hN.coeff(())
+    G = np.eye(h.rows) - h0 @ (X.conj().T @ X) @ h0.conj().T
     vals = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
     pick = vals[-1] if h.cols == h.rows and h.rows > 1 else vals[0]
     return float(np.sqrt(max(pick, 0.0)))

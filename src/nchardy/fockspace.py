@@ -8,7 +8,15 @@ creation tuple; the resulting matrix is exact on columns whose degree stays
 within the validity window N - deg(f), and meaningless beyond it.  Every
 defect-style question therefore carries an explicit degree limit, checked
 against that window.
+
+Where only the Gram matrix of a multiplication operator matters, no dense
+operator is needed: the cached index triples of word concatenations give
+the autocorrelations t_s of a symbol as one gather, and the Gram matrix is
+the NC Toeplitz matrix built from them.
 """
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -133,6 +141,74 @@ def vec_to_series(v, basis, rows=1, cols=None):
     return NcSeries(basis.d, rows, cols, basis.max_degree, coeffs)
 
 
+def coeff_stack(f, basis):
+    """Coefficients of f over the basis words as a (dim, rows, cols) stack;
+    words past the basis degree are dropped."""
+    v = series_to_vec(f.truncate(basis.max_degree), basis)
+    return v.reshape(basis.dim, f.rows, f.cols)
+
+
+@functools.lru_cache(maxsize=None)
+def word_triples(d, m):
+    """Index triples (s, mu, mu s) over FockBasis(d, m) words, |mu s| <= m.
+
+    Every concatenation of two words that stays within degree m appears
+    once, as three read-only intp arrays of basis indices.  The index of
+    mu s is rank arithmetic: lex order inside a degree is base-d order.
+    """
+    starts = [0] + list(itertools.accumulate(d ** j for j in range(m + 1)))
+    s_idx, mu_idx, cat_idx = [], [], []
+    for ls in range(m + 1):
+        rs = np.arange(d ** ls)
+        for lm in range(m + 1 - ls):
+            rm = np.arange(d ** lm)
+            s_idx.append(np.tile(starts[ls] + rs, rm.size))
+            mu_idx.append(np.repeat(starts[lm] + rm, rs.size))
+            cat_idx.append(starts[lm + ls]
+                           + (rm[:, None] * rs.size + rs).reshape(-1))
+    out = tuple(np.concatenate(parts).astype(np.intp)
+                for parts in (s_idx, mu_idx, cat_idx))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def autocorrelation_stack(A, d, m):
+    """t_s = sum_mu A_mu^H A_{mu s} for every word s of length <= m.
+
+    A is a (dim, p, q) stack of coefficients over FockBasis(d, m) words;
+    the result is the (dim, q, q) stack of the t_s in the same order.
+    """
+    s, mu, cat = word_triples(d, m)
+    t = np.zeros((A.shape[0], A.shape[2], A.shape[2]), dtype=complex)
+    np.add.at(t, s, A[mu].conj().transpose(0, 2, 1) @ A[cat])
+    return t
+
+
+def toeplitz_gram(f, k):
+    """Gram matrix of the columns f z^v, |v| <= k, from autocorrelations.
+
+    Block (mu s, s) is t_mu(f) and block (s, mu s) its adjoint, with
+    q x q blocks for q = cols(f) in word-major layout.  This is the NC
+    Toeplitz structure of the Gram matrix (McCullough, NC Fejer-Riesz);
+    no multiplication operator is built.  It is the untruncated Gram, so
+    it equals C^H C of mult_operator(f) restricted to degree <= k exactly
+    when k <= max_degree(f) - deg(f).
+    """
+    m = max(k, f.degree())
+    basis = FockBasis(f.d, m)
+    t = autocorrelation_stack(coeff_stack(f, basis), f.d, m)
+    # an exactly Hermitian t_empty makes the Gram exactly Hermitian
+    t[0] = 0.5 * (t[0] + t[0].conj().T)
+    s, mu, cat = word_triples(f.d, k)
+    Dk, q = basis.degree_start(k + 1), f.cols
+    G = np.zeros((Dk, Dk, q, q), dtype=complex)
+    G[cat, s] = t[mu]
+    off = mu > 0
+    G[s[off], cat[off]] = t[mu[off]].conj().transpose(0, 2, 1)
+    return G.transpose(0, 2, 1, 3).reshape(Dk * q, Dk * q)
+
+
 class OperatorMatrix:
     """A dense matrix on truncated Fock space with bookkeeping.
 
@@ -154,9 +230,8 @@ class OperatorMatrix:
 
     def column_indices(self, degree_limit):
         """Flat column indices belonging to words of length <= degree_limit."""
-        word_idx = self.basis.indices_through_degree(degree_limit)
-        q = self.cols
-        return (word_idx[:, None] * q + np.arange(q)[None, :]).reshape(-1)
+        return _expand(self.basis.indices_through_degree(degree_limit),
+                       self.cols)
 
     def restricted(self, degree_limit):
         """Columns for words of length <= degree_limit."""
@@ -268,42 +343,33 @@ def orthonormal_frame(columns, rel=RANK_REL):
     return U[:, :r]
 
 
-def principal_cosines(A, B):
-    """Cosines of the principal angles between the column spans of two
-    orthonormal frames, padded with zeros when dimensions differ."""
-    m = max(A.shape[1], B.shape[1])
-    if m == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(A.conj().T @ B, compute_uv=False)
-    out = np.zeros(m)
-    out[:s.size] = np.clip(s, 0.0, 1.0)
-    return out
-
-
-def invariant_projection(frame):
-    """Orthogonal projection onto the span of an orthonormal frame."""
-    return frame @ frame.conj().T
-
-
 def wandering_projection(Q, basis, channels=1):
     """Q - sum_k R_k Q R_k^* for a right-shift invariant projection Q.
 
     On an invariant subspace this is the projection onto the generating
     (wandering) part: what remains after removing every right translate.
-    channels is the number of vector components per basis word.
+    channels is the number of vector components per basis word.  R_k maps
+    each word w below the top degree to w k, the triples (k, w, w k) of
+    word_triples, so each product R_k Q R_k^* is a block of Q moved by a
+    gather.
     """
     p = channels
     if Q.shape != (basis.dim * p, basis.dim * p):
         raise ShapeMismatchError(
             f"projection shape {Q.shape} incompatible with basis dim "
             f"{basis.dim} x {p} channels")
+    s, mu, cat = word_triples(basis.d, basis.max_degree)
     P = Q.copy()
-    Ip = np.eye(p)
     for k in range(1, basis.d + 1):
-        R = right_shift_matrix(basis, k)
-        Rp = np.kron(R, Ip) if p > 1 else R
-        P -= Rp @ Q @ Rp.conj().T
+        # the one-letter word (k,) sits at basis index k
+        src, dst = (_expand(idx[s == k], p) for idx in (mu, cat))
+        P[np.ix_(dst, dst)] -= Q[np.ix_(src, src)]
     return P
+
+
+def _expand(word_idx, p):
+    """Flat indices of every channel of the given words."""
+    return (word_idx[:, None] * p + np.arange(p)[None, :]).reshape(-1)
 
 
 def wandering_vectors(P, tol=WANDER_EIG_TOL):

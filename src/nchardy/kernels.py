@@ -20,6 +20,7 @@ from .errors import (
     InadmissiblePointError,
     NotInnerError,
     ShapeMismatchError,
+    ValidityWindowError,
 )
 from .evaluate import (
     MatrixPoint,
@@ -28,7 +29,7 @@ from .evaluate import (
     evaluate_batch,
     random_point,
 )
-from .fockspace import FockBasis, RANK_REL, isometry_defect, mult_operator
+from .fockspace import FockBasis, RANK_REL, toeplitz_gram
 from .ncseries import NcSeries, series_mul
 
 # Default residual tolerance for singularity membership.
@@ -43,13 +44,27 @@ INNER_TOL = 1e-8
 INNER_TOL_WINDOW0 = 0.25
 
 
+def _validity_window(theta):
+    N = theta.max_degree
+    return N - min(theta.degree(), N)
+
+
 def inner_defect(theta, degree_limit=None):
     """Isometry defect of multiplication by theta, at the largest column
-    degree its truncation supports (or a smaller requested one)."""
-    op = mult_operator(theta)
+    degree its truncation supports (or a smaller requested one).
+
+    The spectral norm of G - I for the NC Toeplitz Gram G of the columns
+    theta z^v, |v| <= degree_limit, which is exact on the validity window.
+    """
+    valid = _validity_window(theta)
     if degree_limit is None:
-        degree_limit = op.valid_degree
-    return isometry_defect(op, degree_limit)
+        degree_limit = valid
+    if degree_limit > valid:
+        raise ValidityWindowError(
+            f"degree limit {degree_limit} exceeds validity window {valid}")
+    G = toeplitz_gram(theta, degree_limit)
+    vals = np.linalg.eigvalsh(G - np.eye(G.shape[0]))
+    return float(np.max(np.abs(vals)))
 
 
 def check_inner(theta, tol=None):
@@ -60,14 +75,14 @@ def check_inner(theta, tol=None):
     test, which cannot separate truncation error from a genuine defect, so
     the gate widens to INNER_TOL_WINDOW0 there.
     """
-    op = mult_operator(theta)
+    valid = _validity_window(theta)
     if tol is None:
-        tol = INNER_TOL if op.valid_degree >= 1 else INNER_TOL_WINDOW0
-    defect = isometry_defect(op, op.valid_degree)
+        tol = INNER_TOL if valid >= 1 else INNER_TOL_WINDOW0
+    defect = inner_defect(theta, valid)
     if defect > tol:
         raise NotInnerError(
             f"isometry defect {defect:.3e} exceeds {tol:.1e} at column "
-            f"degree {op.valid_degree}", defect=defect)
+            f"degree {valid}", defect=defect)
     return defect
 
 

@@ -488,6 +488,8 @@ def _matrix_from_json(obj, path):
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise SchemaError(
             f"matrix must have shape rows x cols x 2, got {arr.shape}", path)
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError("matrix entries must be finite", path)
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 

@@ -1,0 +1,407 @@
+"""The autocorrelation layer against the dense Fock-space code it replaced.
+
+Index triples, the NC Toeplitz Gram, the exact-Jacobian spectral solve and
+the Gram certificates are each checked against a reference built the old
+way: dense multiplication operators, SVD frames, right-shift matrices and a
+finite-difference least-squares solve.  The references live here, not in
+the package.
+"""
+
+import numpy as np
+import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nchardy.factorization as factorization
+import nchardy.fockspace as fockspace
+from nchardy.errors import DiagnosticError, NotInnerError, ValidityWindowError
+from nchardy.factorization import (
+    _OuterProblem,
+    autocorrelation,
+    inner_outer,
+    outer_defect,
+    spectral_outer,
+)
+from nchardy.fockspace import (
+    FockBasis,
+    isometry_defect,
+    mult_operator,
+    orthonormal_frame,
+    right_shift_matrix,
+    toeplitz_gram,
+    wandering_projection,
+    word_triples,
+)
+from nchardy.kernels import check_inner, inner_defect
+from nchardy.ncseries import (
+    NcSeries,
+    commutator_inner,
+    max_coeff_diff,
+    phase_normalize,
+    series_mul,
+)
+from nchardy.transforms import frostman, semigroup_inner
+
+
+def random_series(rng, d, deg, N, rows=1, cols=1, density=0.7):
+    """Complex Gaussian coefficients on a random support that always
+    includes the vacuum and one word of the top degree."""
+    words = FockBasis(d, deg).words
+    top = [w for w in words if len(w) == deg]
+    keep = {(), top[rng.integers(len(top))]}
+    keep |= {w for w in words if rng.random() < density}
+    return NcSeries(d, rows, cols, N, {
+        w: rng.standard_normal((rows, cols))
+        + 1j * rng.standard_normal((rows, cols)) for w in keep})
+
+
+def dense_gram(f, k):
+    C = mult_operator(f).restricted(k)
+    return C.conj().T @ C
+
+
+# -- seed references ----------------------------------------------------
+
+
+def reference_spectral_outer(H, degree=None, max_retries=4, seed=0):
+    """The finite-difference Levenberg-Marquardt solve over tuple-keyed
+    dicts that spectral_outer used before the index-triple rewrite."""
+    n = H.rows
+    m = H.degree() if degree is None else int(degree)
+    words = FockBasis(H.d, m).words
+    target = autocorrelation(H, m)
+
+    def pack(Fd):
+        parts = []
+        F0 = Fd[()]
+        for i in range(n):
+            parts.append(F0[i, i].real)
+        for i in range(n):
+            for j in range(i + 1, n):
+                parts.append(F0[i, j].real)
+                parts.append(F0[i, j].imag)
+        for w in words[1:]:
+            parts.append(Fd[w].real.reshape(-1))
+            parts.append(Fd[w].imag.reshape(-1))
+        return np.concatenate([np.atleast_1d(p) for p in parts])
+
+    def unpack(x):
+        F0 = np.zeros((n, n), dtype=complex)
+        pos = 0
+        for i in range(n):
+            F0[i, i] = x[pos]
+            pos += 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                F0[i, j] = x[pos] + 1j * x[pos + 1]
+                F0[j, i] = x[pos] - 1j * x[pos + 1]
+                pos += 2
+        Fd = {(): F0}
+        nn = n * n
+        for w in words[1:]:
+            re = x[pos:pos + nn].reshape(n, n)
+            im = x[pos + nn:pos + 2 * nn].reshape(n, n)
+            pos += 2 * nn
+            Fd[w] = re + 1j * im
+        return Fd
+
+    def residual(x):
+        Fd = unpack(x)
+        out = []
+        for s in words:
+            acc = -target[s]
+            for mu, Fm in Fd.items():
+                if len(mu) + len(s) > m:
+                    continue
+                Fms = Fd.get(mu + s)
+                if Fms is not None:
+                    acc = acc + Fm.conj().T @ Fms
+            out.append(acc.real.reshape(-1))
+            out.append(acc.imag.reshape(-1))
+        return np.concatenate(out)
+
+    t0 = target[()]
+    scale = max(1.0, float(np.linalg.norm(t0)))
+    vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
+    init = {w: np.zeros((n, n), dtype=complex) for w in words}
+    init[()] = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) \
+        @ vecs.conj().T
+    x0 = pack(init)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(max_retries):
+        res = scipy.optimize.least_squares(
+            residual, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        err = float(np.max(np.abs(res.fun)))
+        if best is None or err < best[0]:
+            best = (err, res.x)
+        if err <= 1e-11 * scale:
+            break
+        x0 = pack(init) + 0.1 * np.sqrt(scale) * rng.standard_normal(x0.size)
+    assert best[0] <= 1e-11 * scale
+    Fd = unpack(best[1])
+    if n == 1 and Fd[()][0, 0].real < 0:
+        Fd = {w: -M for w, M in Fd.items()}
+    return NcSeries(H.d, n, n, m, {w: M for w, M in Fd.items()
+                                   if np.any(np.abs(M) > 1e-14)})
+
+
+def reference_outer_defect(h, N):
+    """Vacuum residual against an SVD frame of the dense operator columns."""
+    basis = FockBasis(h.d, N)
+    op = mult_operator(h.truncate(N), basis)
+    Q = orthonormal_frame(op.restricted(max(op.valid_degree, 0)))
+    p = h.rows
+    E0 = np.zeros((basis.dim * p, p), dtype=complex)
+    E0[:p, :p] = np.eye(p)
+    R = E0 - Q @ (Q.conj().T @ E0)
+    vals = np.linalg.eigvalsh(R.conj().T @ R)
+    pick = vals[-1] if h.cols == h.rows and h.rows > 1 else vals[0]
+    return float(np.sqrt(max(pick, 0.0)))
+
+
+# -- index triples and autocorrelation ---------------------------------
+
+
+@pytest.mark.parametrize("d, m", [(1, 4), (2, 3), (3, 2)])
+def test_word_triples_enumerate_every_concatenation(d, m):
+    basis = FockBasis(d, m)
+    s, mu, cat = word_triples(d, m)
+    got = {(basis.words[a], basis.words[b]) for a, b in zip(mu, s)}
+    want = {(x, y) for x in basis.words for y in basis.words
+            if len(x) + len(y) <= m}
+    assert got == want and len(s) == len(want)
+    assert all(basis.words[c] == basis.words[a] + basis.words[b]
+               for a, b, c in zip(mu, s, cat))
+    assert s.dtype == np.intp and not s.flags.writeable
+    assert word_triples(d, m)[0] is s
+
+
+def test_autocorrelation_matches_word_loop_on_blocks():
+    rng = np.random.default_rng(3)
+    H = random_series(rng, 2, 2, 4, rows=3, cols=2)
+    t = autocorrelation(H, 3)
+    for s in FockBasis(2, 3).words:
+        want = np.zeros((2, 2), dtype=complex)
+        for mu, Hm in H.coeffs.items():
+            if len(mu) + len(s) <= 3 and mu + s in H.coeffs:
+                want += Hm.conj().T @ H.coeffs[mu + s]
+        assert np.abs(t[s] - want).max() <= 1e-14
+
+
+# -- NC Toeplitz Gram ---------------------------------------------------
+
+
+@pytest.mark.parametrize("d, rows, cols, deg, N", [
+    (1, 1, 1, 3, 7), (2, 1, 1, 2, 6), (3, 1, 1, 2, 4),
+    (2, 2, 2, 1, 4), (2, 2, 1, 2, 5), (2, 1, 2, 1, 4),
+])
+def test_toeplitz_gram_matches_dense_gram(d, rows, cols, deg, N):
+    rng = np.random.default_rng(10 * d + deg)
+    f = random_series(rng, d, deg, N, rows, cols)
+    for k in range(N - deg + 1):
+        assert np.abs(toeplitz_gram(f, k) - dense_gram(f, k)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_toeplitz_gram_full_support_at_window_zero(rows):
+    rng = np.random.default_rng(rows)
+    f = random_series(rng, 2, 4, 4, rows, rows, density=1.0)
+    assert np.abs(toeplitz_gram(f, 0) - dense_gram(f, 0)).max() <= 1e-13
+
+
+def test_toeplitz_gram_of_inner_is_identity():
+    V = commutator_inner(max_degree=8)
+    G = toeplitz_gram(V, 6)
+    assert np.abs(G - np.eye(G.shape[0])).max() <= 1e-15
+
+
+@st.composite
+def polynomials(draw, d=None, max_deg=3):
+    if d is None:
+        d = draw(st.integers(1, 3))
+    deg = draw(st.integers(0, max_deg))
+    words = FockBasis(d, deg).words
+    part = st.floats(-2.0, 2.0, allow_nan=False)
+    coeffs = {}
+    for w in draw(st.lists(st.sampled_from(words), min_size=1,
+                           unique=True)):
+        coeffs[w] = complex(draw(part), draw(part))
+    return NcSeries(d, 1, 1, max(deg, 1), coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(), st.integers(0, 3))
+def test_toeplitz_gram_is_hermitian(f, k):
+    G = toeplitz_gram(f, k)
+    assert np.array_equal(G, G.conj().T)
+
+
+@st.composite
+def inners(draw):
+    """Monomials z^w and the commutator V."""
+    if draw(st.booleans()):
+        return commutator_inner()
+    d = draw(st.integers(1, 3))
+    return NcSeries.monomial(
+        draw(st.lists(st.integers(1, d), min_size=1, max_size=3)), d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inners(), st.data())
+def test_autocorrelation_blind_to_inner_factor(B, data):
+    F = data.draw(polynomials(d=B.d, max_deg=2))
+    m = B.degree() + F.degree()
+    BF = series_mul(B.with_max_degree(m), F.with_max_degree(m), m)
+    tBF = autocorrelation(BF, m)
+    tF = autocorrelation(F.with_max_degree(m), m)
+    assert max(np.abs(tBF[s] - tF[s]).max() for s in tF) <= 1e-12
+
+
+# -- wandering projection by gathers ------------------------------------
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("d, N", [(1, 4), (2, 3), (3, 2)])
+def test_wandering_projection_matches_shift_matrices(d, N, channels):
+    basis = FockBasis(d, N)
+    rng = np.random.default_rng(d + N + channels)
+    n = basis.dim * channels
+    Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = Q.copy()
+    for k in range(1, d + 1):
+        R = np.kron(right_shift_matrix(basis, k), np.eye(channels))
+        want -= R @ Q @ R.conj().T
+    assert np.array_equal(wandering_projection(Q, basis, channels), want)
+
+
+# -- spectral factorization ---------------------------------------------
+
+
+def spectral_corpus():
+    rng = np.random.default_rng(2024)
+    out = []
+    for d, deg in ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        out.append(random_series(rng, d, deg, deg))
+    for deg in (1, 2):
+        H = random_series(rng, 2, deg, deg, 2, 2, density=0.5)
+        H.coeffs[()] = H.coeffs[()] + 3.0 * np.eye(2)
+        out.append(H)
+    out.append(frostman(commutator_inner(max_degree=5), 0.3 - 0.2j, 5))
+    return out
+
+
+@pytest.mark.parametrize("H", spectral_corpus())
+def test_spectral_outer_matches_finite_difference_solver(H):
+    got, _ = phase_normalize(spectral_outer(H))
+    want, _ = phase_normalize(reference_spectral_outer(H))
+    assert max_coeff_diff(got, want, H.degree()) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, d, deg", [(1, 2, 2), (1, 3, 1), (2, 2, 1),
+                                          (3, 1, 2)])
+def test_outer_jacobian_matches_finite_differences(rows, d, deg):
+    rng = np.random.default_rng(rows + d + deg)
+    prob = _OuterProblem(random_series(rng, d, deg, deg, rows, rows), deg)
+    x = rng.standard_normal(prob.pe.size)
+    J = prob.jacobian(x)
+    h = 1e-6
+    fd = np.column_stack([
+        (prob.residual(x + h * e) - prob.residual(x - h * e)) / (2 * h)
+        for e in np.eye(x.size)])
+    assert J.shape == fd.shape
+    assert np.abs(J - fd).max() <= 1e-7 * max(1.0, np.abs(J).max())
+
+
+def test_outer_problem_round_trips_hermitian_vacuum():
+    rng = np.random.default_rng(5)
+    prob = _OuterProblem(random_series(rng, 2, 1, 1, 2, 2), 1)
+    x = rng.standard_normal(prob.pe.size)
+    F = prob.decode(x)
+    assert np.array_equal(F[0], F[0].conj().T)
+    assert np.array_equal(prob.encode(F), x)
+
+
+# -- Gram certificates --------------------------------------------------
+
+
+def test_outer_defect_matches_svd_frame():
+    rng = np.random.default_rng(8)
+    cases = [NcSeries(2, 1, 1, 8, {(): 1.0, (1,): -0.5}),
+             NcSeries.monomial((1,), 2, 8),
+             commutator_inner(max_degree=6) + 2.0]
+    for d, deg, N in ((2, 2, 5), (3, 1, 3), (1, 2, 6)):
+        cases.append(random_series(rng, d, deg, N))
+    H = random_series(rng, 2, 1, 4, 2, 2)
+    H.coeffs[()] = H.coeffs[()] + 3.0 * np.eye(2)
+    cases.append(H)
+    cases.append(random_series(rng, 2, 1, 4, 2, 1))
+    for h in cases:
+        N = h.max_degree
+        assert abs(outer_defect(h, N) - reference_outer_defect(h, N)) <= 1e-10
+    assert outer_defect(cases[0]) == pytest.approx(0.003383, abs=1e-6)
+    assert outer_defect(cases[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_outer_defect_refuses_dependent_columns():
+    with pytest.raises(DiagnosticError):
+        outer_defect(NcSeries(2, 1, 1, 3, {}))
+
+
+def inner_corpus():
+    z1 = NcSeries.monomial((1,), 2, 6)
+    V = commutator_inner(max_degree=6)
+    return [z1, V, series_mul(z1, V, 6), frostman(V, 0.5, 6),
+            semigroup_inner(z1, 0.4, 6), 1.0 - np.sqrt(2.0) * V,
+            NcSeries.monomial((1, 2), 3, 5),
+            NcSeries(2, 2, 2, 4, {(1,): np.eye(2), (2,): np.diag([0.5, 0])})]
+
+
+@pytest.mark.parametrize("theta", inner_corpus())
+def test_inner_defect_matches_dense_isometry_defect(theta):
+    op = mult_operator(theta)
+    for k in range(op.valid_degree + 1):
+        assert abs(inner_defect(theta, k) - isometry_defect(op, k)) <= 1e-13
+    with pytest.raises(ValidityWindowError):
+        inner_defect(theta, op.valid_degree + 1)
+    want = isometry_defect(op, op.valid_degree)
+    tol = 1e-8 if op.valid_degree >= 1 else 0.25
+    if want <= tol:
+        assert abs(check_inner(theta) - want) <= 1e-13
+    else:
+        with pytest.raises(NotInnerError):
+            check_inner(theta)
+
+
+def test_certificates_build_no_multiplication_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense multiplication operator built")
+
+    monkeypatch.setattr(fockspace, "mult_operator", refuse)
+    monkeypatch.setattr(factorization, "mult_operator", refuse)
+    V = commutator_inner(max_degree=8)
+    r = inner_outer(1.0 - np.sqrt(2.0) * V)
+    assert r.wandering_dim == 1
+    check_inner(V)
+    inner_defect(r.inner)
+    outer_defect(r.outer)
+
+
+def test_wandering_dim_refuses_ill_conditioned_gram(monkeypatch):
+    monkeypatch.setattr(factorization, "toeplitz_gram",
+                        lambda f, k: np.diag([1e-13, 1.0]))
+    H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5})
+    with pytest.raises(DiagnosticError, match=r"window \|v\| <= 3"):
+        inner_outer(H)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polynomials(d=2, max_deg=2).filter(
+    lambda f: max(abs(m[0, 0]) for m in f.coeffs.values()) >= 0.1),
+    st.integers(0, 2))
+def test_inner_outer_of_scalar_polynomial_has_wandering_dim_one(f, extra):
+    N = f.degree() + extra
+    r = inner_outer(f.with_max_degree(max(N, 1)))
+    assert r.wandering_dim == 1
+    assert r.defects["reconstruction_error"] <= 1e-10

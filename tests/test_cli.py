@@ -234,6 +234,37 @@ def test_missing_input_file_reports_path(runner, paths):
     assert "not found" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_factor_rejects_non_finite_coefficient(runner, tmp_path, bad):
+    doc = to_json_dict(NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5}))
+    doc["coeffs"][1]["matrix"][0][0][1] = bad
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps(doc))
+    res, out = run_json(runner, ["factor", "--series", str(p)])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == "series.coeffs[1].matrix"
+    assert "finite" in out["error"]["message"]
+
+
+def test_eval_rejects_non_finite_point(runner, paths):
+    doc = json.loads(open(paths["pt"]).read())
+    doc["Z"][1][0][0][0] = float("nan")
+    bad = write_json(paths["tmp"] / "bad_pt.json", doc)
+    res, out = run_json(runner, [
+        "eval", "--series", paths["H"], "--point", bad])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == "point.Z[1]"
+
+
+def test_kernel_rejects_non_finite_vector(runner, paths):
+    bad = write_json(paths["tmp"] / "bad_y.json",
+                     [[1.0, 0.0], [float("inf"), 0.0]])
+    res, out = run_json(runner, [
+        "kernel", "--point", paths["pt"], "--y", bad, "--v", paths["v"]])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == "y"
+
+
 def test_output_file_append_only(runner, paths):
     out = paths["tmp"] / "report.json"
     args = ["eval", "--series", paths["H"], "--point", paths["pt"],

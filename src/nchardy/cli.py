@@ -10,6 +10,7 @@ insufficient for a clean verdict).
 """
 
 import datetime
+import functools
 import json
 import os
 import sys
@@ -27,32 +28,15 @@ from .evaluate import (
     vector_from_json,
     vector_to_json,
 )
-from .factorization import (
-    blaschke_defect,
-    blaschke_singular_split,
-    bso_factor,
-    inner_outer,
-    singular_test,
-)
-from .kernels import SingularityPair, inner_defect, szego_kernel
-from .ncseries import NcSeries, from_json_dict, h2_norm, to_json_dict
+from .factorization import blaschke_singular_split, bso_factor
+from .kernels import SingularityPair, szego_kernel
+from .ncseries import from_json_dict, h2_norm, to_json_dict
 from .transforms import (
     crofoot,
     frostman,
     idempotent_split,
     semigroup_inner,
 )
-
-
-def _set_threads(threads):
-    """Best-effort thread cap: BLAS backends read these at pool startup,
-    so late setting may not bite; the flag is honored where it can be."""
-    if threads is None:
-        return
-    val = str(int(threads))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ[var] = val
 
 
 def _load_json(path, what):
@@ -127,25 +111,35 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _fail(exc):
-    obj = {"error": {"message": str(exc)}}
-    path = getattr(exc, "path", "")
-    if path:
-        obj["error"]["path"] = path
-    click.echo(json.dumps(obj, sort_keys=True, indent=2))
-    sys.exit(1)
+def _fail(error, code):
+    click.echo(json.dumps({"error": error}, sort_keys=True, indent=2))
+    sys.exit(code)
 
 
-def _guard(fn):
-    """Run a command body with the contract's error-to-exit-code map."""
-    try:
-        fn()
-    except DiagnosticError as exc:
-        obj = {"error": {"message": str(exc), "diagnostic": True}}
-        click.echo(json.dumps(obj, sort_keys=True, indent=2))
-        sys.exit(2)
-    except (NcError, ValueError) as exc:
-        _fail(exc)
+def _run(body):
+    """Make a command body into a command callback.
+
+    The body takes the command's parameters except --out and --force and
+    returns its report and whether the outcome is diagnostic.  The runner
+    times it, emits the report and maps errors to the exit codes above.
+    """
+    @functools.wraps(body)
+    def callback(out, force, **params):
+        started = time.perf_counter()
+        try:
+            report, diagnostic = body(**params)
+            _emit(report, out, force, started)
+        except DiagnosticError as exc:
+            _fail({"message": str(exc), "diagnostic": True}, 2)
+        except (NcError, ValueError) as exc:
+            error = {"message": str(exc)}
+            if getattr(exc, "path", ""):
+                error["path"] = exc.path
+            _fail(error, 1)
+        if diagnostic:
+            sys.exit(2)
+
+    return callback
 
 
 def common_options(fn):
@@ -156,8 +150,6 @@ def common_options(fn):
                      help="Seed for every randomized subroutine."),
         click.option("--tol", type=float, default=None,
                      help="Tolerance override where the command has one."),
-        click.option("--threads", type=int, default=None,
-                     help="Best-effort cap on BLAS threads."),
         click.option("--out", type=click.Path(), default=None,
                      help="Report file (default: stdout)."),
         click.option("--force", is_flag=True,
@@ -180,43 +172,35 @@ def main():
 @click.option("--samples", type=int, default=200, show_default=True,
               help="Sample count for the singular test.")
 @common_options
-def factor(series_path, pairs_path, samples, degree, seed, tol, threads,
-           out, force):
+@_run
+def factor(series_path, pairs_path, samples, degree, seed, tol):
     """Inner-outer plus Blaschke/singular split with defect report."""
-    started = time.perf_counter()
-    _set_threads(threads)
-
-    def body():
-        H = _series_from_file(series_path, degree)
-        pairs = _pairs_from_file(pairs_path) if pairs_path else []
-        rng = np.random.default_rng(seed)
-        kwargs = {}
-        if tol is not None:
-            kwargs["threshold"] = tol
-        res = bso_factor(H, N=degree, pairs=pairs, rng=rng,
-                         num_samples=samples, **kwargs)
-        report = {
-            "command": "factor",
-            "inputs": {"series": to_json_dict(H),
-                       "pairs": pairs_path or None},
-            "parameters": {"degree": degree or H.max_degree, "seed": seed,
-                           "samples": samples,
-                           "threshold": kwargs.get("threshold")},
-            "outputs": {
-                "blaschke": to_json_dict(res.blaschke),
-                "singular": to_json_dict(res.singular)
-                if res.singular is not None else None,
-                "outer": to_json_dict(res.outer),
-                "wandering_dim": res.wandering_dim,
-                "flags": res.flags,
-            },
-            "defects": res.defects,
-        }
-        _emit(report, out, force, started)
-        if res.diagnostic:
-            sys.exit(2)
-
-    _guard(body)
+    H = _series_from_file(series_path, degree)
+    pairs = _pairs_from_file(pairs_path) if pairs_path else []
+    rng = np.random.default_rng(seed)
+    kwargs = {}
+    if tol is not None:
+        kwargs["threshold"] = tol
+    res = bso_factor(H, N=degree, pairs=pairs, rng=rng,
+                     num_samples=samples, **kwargs)
+    report = {
+        "command": "factor",
+        "inputs": {"series": to_json_dict(H),
+                   "pairs": pairs_path or None},
+        "parameters": {"degree": degree or H.max_degree, "seed": seed,
+                       "samples": samples,
+                       "threshold": kwargs.get("threshold")},
+        "outputs": {
+            "blaschke": to_json_dict(res.blaschke),
+            "singular": to_json_dict(res.singular)
+            if res.singular is not None else None,
+            "outer": to_json_dict(res.outer),
+            "wandering_dim": res.wandering_dim,
+            "flags": res.flags,
+        },
+        "defects": res.defects,
+    }
+    return report, res.diagnostic
 
 
 @main.command("eval")
@@ -224,30 +208,24 @@ def factor(series_path, pairs_path, samples, degree, seed, tol, threads,
 @click.option("--point", "point_path", required=True, type=click.Path(),
               help="Matrix point JSON.")
 @common_options
-def eval_cmd(series_path, point_path, degree, seed, tol, threads, out,
-             force):
+@_run
+def eval_cmd(series_path, point_path, degree, seed, tol):
     """Evaluate a series at a matrix point."""
-    started = time.perf_counter()
-    _set_threads(threads)
-
-    def body():
-        f = _series_from_file(series_path, degree)
-        Z = point_from_json_dict(_load_json(point_path, "point"))
-        val = evaluate(f, Z)
-        report = {
-            "command": "eval",
-            "inputs": {"series": to_json_dict(f),
-                       "point": _load_json(point_path, "point")},
-            "parameters": {"degree": degree or f.max_degree, "seed": seed},
-            "outputs": {
-                "value": [[[v.real, v.imag] for v in row] for row in val],
-                "row_norm": Z.row_norm(),
-            },
-            "defects": {},
-        }
-        _emit(report, out, force, started)
-
-    _guard(body)
+    f = _series_from_file(series_path, degree)
+    point = _load_json(point_path, "point")
+    Z = point_from_json_dict(point)
+    val = evaluate(f, Z)
+    report = {
+        "command": "eval",
+        "inputs": {"series": to_json_dict(f), "point": point},
+        "parameters": {"degree": degree or f.max_degree, "seed": seed},
+        "outputs": {
+            "value": [[[v.real, v.imag] for v in row] for row in val],
+            "row_norm": Z.row_norm(),
+        },
+        "defects": {},
+    }
+    return report, False
 
 
 @main.command()
@@ -257,32 +235,27 @@ def eval_cmd(series_path, point_path, degree, seed, tol, threads, out,
 @click.option("--v", "v_path", required=True, type=click.Path(),
               help="JSON file with the v vector.")
 @common_options
-def kernel(point_path, y_path, v_path, degree, seed, tol, threads, out,
-           force):
+@_run
+def kernel(point_path, y_path, v_path, degree, seed, tol):
     """Materialize a Szego kernel vector at a point."""
-    started = time.perf_counter()
-    _set_threads(threads)
-
-    def body():
-        N = degree if degree is not None else 8
-        if N < 1:
-            raise SchemaError("degree must be >= 1", "degree")
-        Z = point_from_json_dict(_load_json(point_path, "point"))
-        y = vector_from_json(_load_json(y_path, "y"), Z.n, "y")
-        v = vector_from_json(_load_json(v_path, "v"), Z.n, "v")
-        K = szego_kernel(Z, y, v, N)
-        report = {
-            "command": "kernel",
-            "inputs": {"point": _load_json(point_path, "point"),
-                       "y": vector_to_json(y), "v": vector_to_json(v)},
-            "parameters": {"degree": N, "seed": seed},
-            "outputs": {"kernel": to_json_dict(K.series),
-                        "h2_norm": h2_norm(K.series)},
-            "defects": {},
-        }
-        _emit(report, out, force, started)
-
-    _guard(body)
+    N = degree if degree is not None else 8
+    if N < 1:
+        raise SchemaError("degree must be >= 1", "degree")
+    point = _load_json(point_path, "point")
+    Z = point_from_json_dict(point)
+    y = vector_from_json(_load_json(y_path, "y"), Z.n, "y")
+    v = vector_from_json(_load_json(v_path, "v"), Z.n, "v")
+    K = szego_kernel(Z, y, v, N)
+    report = {
+        "command": "kernel",
+        "inputs": {"point": point,
+                   "y": vector_to_json(y), "v": vector_to_json(v)},
+        "parameters": {"degree": N, "seed": seed},
+        "outputs": {"kernel": to_json_dict(K.series),
+                    "h2_norm": h2_norm(K.series)},
+        "defects": {},
+    }
+    return report, False
 
 
 @main.command()
@@ -291,46 +264,37 @@ def kernel(point_path, y_path, v_path, degree, seed, tol, threads, out,
 @click.option("--pairs", "pairs_path", type=click.Path(), default=None)
 @click.option("--samples", type=int, default=200, show_default=True)
 @common_options
-def classify(series_path, pairs_path, samples, degree, seed, tol, threads,
-             out, force):
+@_run
+def classify(series_path, pairs_path, samples, degree, seed, tol):
     """Blaschke/singular classification of an inner series."""
-    started = time.perf_counter()
-    _set_threads(threads)
-
-    def body():
-        theta = _series_from_file(series_path, degree)
-        pairs = _pairs_from_file(pairs_path) if pairs_path else []
-        rng = np.random.default_rng(seed)
-        kwargs = {}
-        if tol is not None:
-            kwargs["threshold"] = tol
-        sp = blaschke_singular_split(theta, pairs, N=degree, rng=rng,
-                                    num_samples=samples, **kwargs)
-        defect = sp.defects.get("blaschke_defect")
-        report = {
-            "command": "classify",
-            "inputs": {"series": to_json_dict(theta),
-                       "pairs": pairs_path or None},
-            "parameters": {"degree": degree or theta.max_degree,
-                           "seed": seed, "samples": samples,
-                           "threshold": kwargs.get("threshold")},
-            "outputs": {
-                "blaschke": to_json_dict(sp.blaschke),
-                "singular": to_json_dict(sp.singular),
-                "flags": sp.flags,
-                "blaschke_defect": defect,
-            },
-            "defects": {k: v for k, v in sp.defects.items()
-                        if k != "singular_report"},
-        }
-        if "singular_report" in sp.defects:
-            report["outputs"]["singular_report"] = \
-                sp.defects["singular_report"]
-        _emit(report, out, force, started)
-        if sp.diagnostic:
-            sys.exit(2)
-
-    _guard(body)
+    theta = _series_from_file(series_path, degree)
+    pairs = _pairs_from_file(pairs_path) if pairs_path else []
+    rng = np.random.default_rng(seed)
+    kwargs = {}
+    if tol is not None:
+        kwargs["threshold"] = tol
+    sp = blaschke_singular_split(theta, pairs, N=degree, rng=rng,
+                                num_samples=samples, **kwargs)
+    defect = sp.defects.get("blaschke_defect")
+    report = {
+        "command": "classify",
+        "inputs": {"series": to_json_dict(theta),
+                   "pairs": pairs_path or None},
+        "parameters": {"degree": degree or theta.max_degree,
+                       "seed": seed, "samples": samples,
+                       "threshold": kwargs.get("threshold")},
+        "outputs": {
+            "blaschke": to_json_dict(sp.blaschke),
+            "singular": to_json_dict(sp.singular),
+            "flags": sp.flags,
+            "blaschke_defect": defect,
+        },
+        "defects": {k: v for k, v in sp.defects.items()
+                    if k != "singular_report"},
+    }
+    if "singular_report" in sp.defects:
+        report["outputs"]["singular_report"] = sp.defects["singular_report"]
+    return report, sp.diagnostic
 
 
 def _mobius_command(name, transform):
@@ -340,27 +304,21 @@ def _mobius_command(name, transform):
     @click.option("--w", "w_text", required=True,
                   help="Shift parameter, |w| < 1 (e.g. '0.5', '0.3+0.1j').")
     @common_options
-    def cmd(series_path, w_text, degree, seed, tol, threads, out, force):
-        started = time.perf_counter()
-        _set_threads(threads)
-
-        def body():
-            theta = _series_from_file(series_path, degree)
-            w = _parse_complex(w_text, "w")
-            res = transform(theta, w, degree or theta.max_degree)
-            report = {
-                "command": name,
-                "inputs": {"series": to_json_dict(theta),
-                           "w": [w.real, w.imag]},
-                "parameters": {"degree": degree or theta.max_degree,
-                               "seed": seed},
-                "outputs": {name: to_json_dict(res)},
-                "defects": {"window0_defect":
-                            abs(h2_norm(res) ** 2 - 1.0)},
-            }
-            _emit(report, out, force, started)
-
-        _guard(body)
+    @_run
+    def cmd(series_path, w_text, degree, seed, tol):
+        theta = _series_from_file(series_path, degree)
+        w = _parse_complex(w_text, "w")
+        res = transform(theta, w, degree or theta.max_degree)
+        report = {
+            "command": name,
+            "inputs": {"series": to_json_dict(theta),
+                       "w": [w.real, w.imag]},
+            "parameters": {"degree": degree or theta.max_degree,
+                           "seed": seed},
+            "outputs": {name: to_json_dict(res)},
+            "defects": {"window0_defect": abs(h2_norm(res) ** 2 - 1.0)},
+        }
+        return report, False
 
     cmd.help = f"Apply the {name} transform to an inner series."
     cmd.short_help = cmd.help
@@ -377,116 +335,100 @@ _mobius_command("crofoot", crofoot)
 @click.option("--t", "t_val", type=float, required=True,
               help="Semigroup parameter t >= 0.")
 @common_options
-def semigroup(series_path, t_val, degree, seed, tol, threads, out, force):
+@_run
+def semigroup(series_path, t_val, degree, seed, tol):
     """Singular inner exp(-t H_B) from an inner B."""
-    started = time.perf_counter()
-    _set_threads(threads)
-
-    def body():
-        B = _series_from_file(series_path, degree)
-        N = degree or B.max_degree
-        Bt = semigroup_inner(B, t_val, N)
-        report = {
-            "command": "semigroup",
-            "inputs": {"series": to_json_dict(B), "t": t_val},
-            "parameters": {"degree": N, "seed": seed},
-            "outputs": {"semigroup_inner": to_json_dict(Bt),
-                        "constant_term":
-                        [Bt.scalar_coeff(()).real,
-                         Bt.scalar_coeff(()).imag]},
-            "defects": {"window0_defect": abs(h2_norm(Bt) ** 2 - 1.0)},
-        }
-        _emit(report, out, force, started)
-
-    _guard(body)
+    B = _series_from_file(series_path, degree)
+    N = degree or B.max_degree
+    Bt = semigroup_inner(B, t_val, N)
+    report = {
+        "command": "semigroup",
+        "inputs": {"series": to_json_dict(B), "t": t_val},
+        "parameters": {"degree": N, "seed": seed},
+        "outputs": {"semigroup_inner": to_json_dict(Bt),
+                    "constant_term":
+                    [Bt.scalar_coeff(()).real,
+                     Bt.scalar_coeff(()).imag]},
+        "defects": {"window0_defect": abs(h2_norm(Bt) ** 2 - 1.0)},
+    }
+    return report, False
 
 
 @main.command()
 @click.option("--series", "series_path", required=True, type=click.Path(),
               help="Matrix idempotent series JSON.")
 @common_options
-def idempotent(series_path, degree, seed, tol, threads, out, force):
+@_run
+def idempotent(series_path, degree, seed, tol):
     """Straighten a series idempotent to a constant projection."""
-    started = time.perf_counter()
-    _set_threads(threads)
-
-    def body():
-        E = _series_from_file(series_path, degree)
-        kwargs = {}
-        if tol is not None:
-            kwargs["gate"] = tol
-        sp = idempotent_split(E, N=degree, **kwargs)
-        report = {
-            "command": "idempotent",
-            "inputs": {"series": to_json_dict(E)},
-            "parameters": {"degree": degree or E.max_degree, "seed": seed,
-                           "gate": kwargs.get("gate")},
-            "outputs": {
-                "S": to_json_dict(sp.S),
-                "P": [[float(x) for x in row] for row in sp.P.real],
-                "m": sp.m, "k": sp.k,
-            },
-            "defects": {"straightening_residual": sp.residual},
-        }
-        _emit(report, out, force, started)
-
-    _guard(body)
+    E = _series_from_file(series_path, degree)
+    kwargs = {}
+    if tol is not None:
+        kwargs["gate"] = tol
+    sp = idempotent_split(E, N=degree, **kwargs)
+    report = {
+        "command": "idempotent",
+        "inputs": {"series": to_json_dict(E)},
+        "parameters": {"degree": degree or E.max_degree, "seed": seed,
+                       "gate": kwargs.get("gate")},
+        "outputs": {
+            "S": to_json_dict(sp.S),
+            "P": [[float(x) for x in row] for row in sp.P.real],
+            "m": sp.m, "k": sp.k,
+        },
+        "defects": {"straightening_residual": sp.residual},
+    }
+    return report, False
 
 
 @main.command("compare-classical")
 @click.option("--poly", "poly_path", required=True, type=click.Path(),
               help='JSON file {"coeffs": [[re, im], ...]} (ascending).')
 @common_options
-def compare_classical(poly_path, degree, seed, tol, threads, out, force):
+@_run
+def compare_classical(poly_path, degree, seed, tol):
     """Cross-check the d=1 pipeline against classical factorization."""
-    started = time.perf_counter()
-    _set_threads(threads)
-
-    def body():
-        doc = _load_json(poly_path, "poly")
-        if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
-            raise SchemaError("poly document must have exactly the key "
-                              "'coeffs'", "poly")
-        raw = doc["coeffs"]
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError("coeffs must be a nonempty list",
-                              "poly.coeffs")
-        coeffs = []
-        for i, c in enumerate(raw):
-            if (not isinstance(c, list) or len(c) != 2
-                    or not all(isinstance(x, (int, float))
-                               and not isinstance(x, bool) for x in c)):
-                raise SchemaError("each coefficient must be [re, im]",
-                                  f"poly.coeffs[{i}]")
-            coeffs.append(complex(c[0], c[1]))
-        rep = compare_with_nc(coeffs, N=degree)
-        pairs_out = []
-        for jp in rep["jordan_pairs"]:
-            pairs_out.append({
-                "zero": [jp["zero"].real, jp["zero"].imag],
-                "multiplicity": jp["multiplicity"],
-                "eps": jp["eps"], "binding": jp["binding"],
-                "member": jp["member"], "residual": jp["residual"],
-            })
-        report = {
-            "command": "compare-classical",
-            "inputs": {"poly": doc},
-            "parameters": {"degree": degree, "seed": seed},
-            "outputs": {
-                "zeros": [[z.real, z.imag] for z in rep["zeros"]],
-                "phase": [rep["phase"].real, rep["phase"].imag],
-                "wandering_dim": rep["wandering_dim"],
-                "jordan_pairs": pairs_out,
-            },
-            "defects": {
-                "inner_agreement": rep["inner_agreement"],
-                "outer_agreement": rep["outer_agreement"],
-                **{f"nc_{k}": v for k, v in rep["nc_defects"].items()},
-            },
-        }
-        _emit(report, out, force, started)
-
-    _guard(body)
+    doc = _load_json(poly_path, "poly")
+    if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
+        raise SchemaError("poly document must have exactly the key "
+                          "'coeffs'", "poly")
+    raw = doc["coeffs"]
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError("coeffs must be a nonempty list", "poly.coeffs")
+    coeffs = []
+    for i, c in enumerate(raw):
+        if (not isinstance(c, list) or len(c) != 2
+                or not all(isinstance(x, (int, float))
+                           and not isinstance(x, bool) for x in c)):
+            raise SchemaError("each coefficient must be [re, im]",
+                              f"poly.coeffs[{i}]")
+        coeffs.append(complex(c[0], c[1]))
+    rep = compare_with_nc(coeffs, N=degree)
+    pairs_out = []
+    for jp in rep["jordan_pairs"]:
+        pairs_out.append({
+            "zero": [jp["zero"].real, jp["zero"].imag],
+            "multiplicity": jp["multiplicity"],
+            "eps": jp["eps"], "binding": jp["binding"],
+            "member": jp["member"], "residual": jp["residual"],
+        })
+    report = {
+        "command": "compare-classical",
+        "inputs": {"poly": doc},
+        "parameters": {"degree": degree, "seed": seed},
+        "outputs": {
+            "zeros": [[z.real, z.imag] for z in rep["zeros"]],
+            "phase": [rep["phase"].real, rep["phase"].imag],
+            "wandering_dim": rep["wandering_dim"],
+            "jordan_pairs": pairs_out,
+        },
+        "defects": {
+            "inner_agreement": rep["inner_agreement"],
+            "outer_agreement": rep["outer_agreement"],
+            **{f"nc_{k}": v for k, v in rep["nc_defects"].items()},
+        },
+    }
+    return report, False
 
 
 if __name__ == "__main__":

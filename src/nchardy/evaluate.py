@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     ShapeMismatchError,
 )
-from .ncseries import h2_norm
+from .ncseries import _matrix_from_json, h2_norm
 
 # Row norms above this trigger an AdmissibilityWarning: still inside the
 # ball, but close enough to the boundary that truncation tails decay slowly.
@@ -189,19 +189,6 @@ def tail_bound(f, s):
 
 
 # -- JSON interchange -------------------------------------------------
-
-def _matrix_from_json(obj, path):
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("matrix must be a nested [re, im] array", path)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise SchemaError(
-            f"matrix must have shape n x n x 2, got {arr.shape}", path)
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError("matrix entries must be finite", path)
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
-
 
 def point_to_json_dict(Z):
     return {

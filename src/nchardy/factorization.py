@@ -17,8 +17,6 @@ reported defect says how much of it they exhaust at the chosen window.
 """
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import DiagnosticError, ShapeMismatchError, ValidityWindowError
 from .evaluate import random_point
@@ -243,6 +241,8 @@ def spectral_outer(H, degree=None, max_retries=4, seed=0):
     which steers the iteration onto the outer branch; residuals at the
     solution are at machine precision or the solve is declared failed.
     """
+    import scipy.optimize
+
     if H.rows != H.cols:
         raise ShapeMismatchError("spectral factorization needs square "
                                  "coefficients")
@@ -396,6 +396,8 @@ def outer_defect(h, N=None):
         raise DiagnosticError(
             f"outer defect: the columns h z^v are dependent on the window "
             f"|v| <= {window}")
+    import scipy.linalg
+
     q = h.cols
     E = np.eye(L.shape[0], q, dtype=complex)
     X = scipy.linalg.solve_triangular(L, E, lower=True)
@@ -453,6 +455,8 @@ def crofoot_kernel_frame(theta, w, N=None):
     defect needs for full-support shifted inners, where sampled pairs at
     small levels cannot span enough.
     """
+    import scipy.linalg
+
     from .transforms import crofoot
 
     if N is None:
@@ -602,6 +606,8 @@ def blaschke_singular_split(theta, pairs, N=None, probes=None,
                    "reconstruction_error": 0.0,
                    "blaschke_inner_defect": inner_defect(B)}
         return SplitResult(B, S, 1, defects, [])
+
+    import scipy.linalg
 
     QK = _combined_kernel_frame(pairs, probes, N, extra_frame, theta.d)
     basis = FockBasis(theta.d, N)

@@ -14,7 +14,6 @@ t -> det(H(tZ)) inside the disk.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InadmissiblePointError,
@@ -319,6 +318,8 @@ def sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
             for w, m in K.series.coeffs.items():
                 vec[basis.index[w]] = m[0, 0]
             cols.append(vec)
+    import scipy.linalg
+
     A = np.array(cols).T
     Q, R, _ = scipy.linalg.qr(A, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))

@@ -298,3 +298,32 @@ def test_degree_option_truncates(runner, paths):
     # degree-1 truncation drops the degree-2 words: value is the identity
     assert doc["outputs"]["value"][0][0] == pytest.approx([1.0, 0.0])
     assert doc["outputs"]["value"][1][1] == pytest.approx([1.0, 0.0])
+
+
+def test_no_command_has_threads_option():
+    for name, cmd in main.commands.items():
+        opts = [o for p in cmd.params for o in p.opts]
+        assert "--threads" not in opts, name
+
+
+@pytest.mark.parametrize("command", ["eval", "kernel"])
+def test_point_file_read_once(runner, paths, monkeypatch, command):
+    import nchardy.cli
+
+    reads = []
+    load = nchardy.cli._load_json
+
+    def counting(path, what):
+        reads.append(path)
+        return load(path, what)
+
+    monkeypatch.setattr(nchardy.cli, "_load_json", counting)
+    if command == "eval":
+        args = ["eval", "--series", paths["H"], "--point", paths["pt"]]
+    else:
+        args = ["kernel", "--point", paths["pt"], "--y", paths["y"],
+                "--v", paths["v"]]
+    res, doc = run_json(runner, args)
+    assert res.exit_code == 0
+    assert doc["inputs"]["point"] == json.loads(open(paths["pt"]).read())
+    assert sorted(reads) == sorted(args[2::2])

@@ -1,0 +1,92 @@
+"""scipy stays out of processes that never call into it.
+
+Only spectral factorization, the outer defect, the split's kernel frames
+and the singularity search use scipy, and each imports it where it is
+called.  A CLI process that runs any other command must therefore end
+with no scipy module loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import scipy.optimize
+
+import nchardy
+from nchardy.evaluate import MatrixPoint, point_to_json_dict
+from nchardy.factorization import inner_outer
+from nchardy.ncseries import NcSeries, commutator_inner, to_json_dict
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(nchardy.__file__)))
+
+REPORT_SCIPY = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules"
+    " if m == 'scipy' or m.startswith('scipy.'))))\n")
+
+
+def run_python(code, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert run_python("import nchardy, nchardy.cli\n" + REPORT_SCIPY,
+                      tmp_path) == []
+
+
+def test_scipy_free_commands_load_no_scipy(tmp_path):
+    Z = MatrixPoint([np.array([[0.0, 0.5], [0.0, 0.0]]),
+                     np.array([[0.0, 0.0], [0.5, 0.0]])])
+    V = write_json(tmp_path / "V.json",
+                   to_json_dict(commutator_inner(max_degree=6)))
+    pt = write_json(tmp_path / "pt.json", point_to_json_dict(Z))
+    y = write_json(tmp_path / "y.json", [[1.0, 0.0], [0.0, 0.0]])
+    v = write_json(tmp_path / "v.json", [[0.0, 0.0], [1.0, 0.0]])
+    E = write_json(tmp_path / "E.json", to_json_dict(NcSeries(2, 2, 2, 4, {
+        (): [[1.0, 0.0], [0.0, 0.0]], (1,): [[0.0, 1.0], [0.0, 0.0]]})))
+    jobs = [
+        ["eval", "--series", V, "--point", pt],
+        ["kernel", "--point", pt, "--y", y, "--v", v, "--degree", "4"],
+        ["semigroup", "--series", V, "--t", "0.5"],
+        ["frostman", "--series", V, "--w", "0.3"],
+        ["idempotent", "--series", E],
+    ]
+    for i, job in enumerate(jobs):
+        job += ["--out", str(tmp_path / f"report{i}.json")]
+    code = ("from nchardy.cli import main\n"
+            f"for args in {jobs!r}:\n"
+            "    main(args=args, standalone_mode=False)\n" + REPORT_SCIPY)
+    assert run_python(code, tmp_path) == []
+    for i, job in enumerate(jobs):
+        report = json.loads((tmp_path / f"report{i}.json").read_text())
+        assert report["command"] == job[0]
+
+
+def test_spectral_outer_looks_up_least_squares_at_call_time(monkeypatch):
+    # benchmark/tracer.py counts solver evaluations by patching the scipy
+    # module attribute, which only works while no caller binds the name
+    calls = []
+    original = scipy.optimize.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+    H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5})
+    res = inner_outer(H)
+    assert res.wandering_dim == 1
+    assert len(calls) >= 1

@@ -142,21 +142,47 @@ def _run(body):
     return callback
 
 
-def common_options(fn):
-    for deco in (
-        click.option("--degree", type=int, default=None,
-                     help="Truncation order N (>= 1)."),
-        click.option("--seed", type=int, default=0, show_default=True,
-                     help="Seed for every randomized subroutine."),
-        click.option("--tol", type=float, default=None,
-                     help="Tolerance override where the command has one."),
-        click.option("--out", type=click.Path(), default=None,
-                     help="Report file (default: stdout)."),
-        click.option("--force", is_flag=True,
-                     help="Allow overwriting an existing report file."),
-    ):
-        fn = deco(fn)
-    return fn
+def _options(*decos):
+    """One decorator applying decos so that --help lists them in order
+    (click lists options in reverse order of application)."""
+    def apply(fn):
+        for deco in reversed(decos):
+            fn = deco(fn)
+        return fn
+
+    return apply
+
+
+common_options = _options(
+    click.option("--degree", type=int, default=None,
+                 help="Truncation order N (>= 1)."),
+    click.option("--out", type=click.Path(), default=None,
+                 help="Report file (default: stdout)."),
+    click.option("--force", is_flag=True,
+                 help="Allow overwriting an existing report file."),
+)
+
+# the Blaschke/singular split, shared by factor and classify
+split_options = _options(
+    click.option("--pairs", "pairs_path", type=click.Path(), default=None,
+                 help="Optional singularity pairs JSON (list)."),
+    click.option("--samples", type=int, default=200, show_default=True,
+                 help="Sample count for the singular test (>= 1)."),
+    click.option("--seed", type=int, default=0, show_default=True,
+                 help="Seed for the singular test's sample points."),
+    click.option("--tol", type=float, default=None,
+                 help="Blaschke-defect threshold of the split."),
+)
+
+
+def _split_args(pairs_path, samples, seed, tol):
+    """Singularity pairs and split keyword arguments from split_options."""
+    if samples < 1:
+        raise SchemaError("samples must be >= 1", "samples")
+    pairs = _pairs_from_file(pairs_path) if pairs_path else []
+    threshold = {} if tol is None else {"threshold": tol}
+    return pairs, {"rng": np.random.default_rng(seed),
+                   "num_samples": samples, **threshold}
 
 
 @click.group()
@@ -167,29 +193,20 @@ def main():
 @main.command()
 @click.option("--series", "series_path", required=True,
               type=click.Path(), help="Series JSON to factor.")
-@click.option("--pairs", "pairs_path", type=click.Path(), default=None,
-              help="Optional singularity pairs JSON (list).")
-@click.option("--samples", type=int, default=200, show_default=True,
-              help="Sample count for the singular test.")
+@split_options
 @common_options
 @_run
-def factor(series_path, pairs_path, samples, degree, seed, tol):
+def factor(series_path, pairs_path, samples, seed, tol, degree):
     """Inner-outer plus Blaschke/singular split with defect report."""
     H = _series_from_file(series_path, degree)
-    pairs = _pairs_from_file(pairs_path) if pairs_path else []
-    rng = np.random.default_rng(seed)
-    kwargs = {}
-    if tol is not None:
-        kwargs["threshold"] = tol
-    res = bso_factor(H, N=degree, pairs=pairs, rng=rng,
-                     num_samples=samples, **kwargs)
+    pairs, kwargs = _split_args(pairs_path, samples, seed, tol)
+    res = bso_factor(H, N=degree, pairs=pairs, **kwargs)
     report = {
         "command": "factor",
         "inputs": {"series": to_json_dict(H),
                    "pairs": pairs_path or None},
         "parameters": {"degree": degree or H.max_degree, "seed": seed,
-                       "samples": samples,
-                       "threshold": kwargs.get("threshold")},
+                       "samples": samples, "threshold": tol},
         "outputs": {
             "blaschke": to_json_dict(res.blaschke),
             "singular": to_json_dict(res.singular)
@@ -209,7 +226,7 @@ def factor(series_path, pairs_path, samples, degree, seed, tol):
               help="Matrix point JSON.")
 @common_options
 @_run
-def eval_cmd(series_path, point_path, degree, seed, tol):
+def eval_cmd(series_path, point_path, degree):
     """Evaluate a series at a matrix point."""
     f = _series_from_file(series_path, degree)
     point = _load_json(point_path, "point")
@@ -218,7 +235,7 @@ def eval_cmd(series_path, point_path, degree, seed, tol):
     report = {
         "command": "eval",
         "inputs": {"series": to_json_dict(f), "point": point},
-        "parameters": {"degree": degree or f.max_degree, "seed": seed},
+        "parameters": {"degree": degree or f.max_degree},
         "outputs": {
             "value": [[[v.real, v.imag] for v in row] for row in val],
             "row_norm": Z.row_norm(),
@@ -236,7 +253,7 @@ def eval_cmd(series_path, point_path, degree, seed, tol):
               help="JSON file with the v vector.")
 @common_options
 @_run
-def kernel(point_path, y_path, v_path, degree, seed, tol):
+def kernel(point_path, y_path, v_path, degree):
     """Materialize a Szego kernel vector at a point."""
     N = degree if degree is not None else 8
     if N < 1:
@@ -250,7 +267,7 @@ def kernel(point_path, y_path, v_path, degree, seed, tol):
         "command": "kernel",
         "inputs": {"point": point,
                    "y": vector_to_json(y), "v": vector_to_json(v)},
-        "parameters": {"degree": N, "seed": seed},
+        "parameters": {"degree": N},
         "outputs": {"kernel": to_json_dict(K.series),
                     "h2_norm": h2_norm(K.series)},
         "defects": {},
@@ -261,28 +278,21 @@ def kernel(point_path, y_path, v_path, degree, seed, tol):
 @main.command()
 @click.option("--series", "series_path", required=True, type=click.Path(),
               help="Inner series JSON to classify.")
-@click.option("--pairs", "pairs_path", type=click.Path(), default=None)
-@click.option("--samples", type=int, default=200, show_default=True)
+@split_options
 @common_options
 @_run
-def classify(series_path, pairs_path, samples, degree, seed, tol):
+def classify(series_path, pairs_path, samples, seed, tol, degree):
     """Blaschke/singular classification of an inner series."""
     theta = _series_from_file(series_path, degree)
-    pairs = _pairs_from_file(pairs_path) if pairs_path else []
-    rng = np.random.default_rng(seed)
-    kwargs = {}
-    if tol is not None:
-        kwargs["threshold"] = tol
-    sp = blaschke_singular_split(theta, pairs, N=degree, rng=rng,
-                                num_samples=samples, **kwargs)
+    pairs, kwargs = _split_args(pairs_path, samples, seed, tol)
+    sp = blaschke_singular_split(theta, pairs, N=degree, **kwargs)
     defect = sp.defects.get("blaschke_defect")
     report = {
         "command": "classify",
         "inputs": {"series": to_json_dict(theta),
                    "pairs": pairs_path or None},
         "parameters": {"degree": degree or theta.max_degree,
-                       "seed": seed, "samples": samples,
-                       "threshold": kwargs.get("threshold")},
+                       "seed": seed, "samples": samples, "threshold": tol},
         "outputs": {
             "blaschke": to_json_dict(sp.blaschke),
             "singular": to_json_dict(sp.singular),
@@ -305,7 +315,7 @@ def _mobius_command(name, transform):
                   help="Shift parameter, |w| < 1 (e.g. '0.5', '0.3+0.1j').")
     @common_options
     @_run
-    def cmd(series_path, w_text, degree, seed, tol):
+    def cmd(series_path, w_text, degree):
         theta = _series_from_file(series_path, degree)
         w = _parse_complex(w_text, "w")
         res = transform(theta, w, degree or theta.max_degree)
@@ -313,8 +323,7 @@ def _mobius_command(name, transform):
             "command": name,
             "inputs": {"series": to_json_dict(theta),
                        "w": [w.real, w.imag]},
-            "parameters": {"degree": degree or theta.max_degree,
-                           "seed": seed},
+            "parameters": {"degree": degree or theta.max_degree},
             "outputs": {name: to_json_dict(res)},
             "defects": {"window0_defect": abs(h2_norm(res) ** 2 - 1.0)},
         }
@@ -336,7 +345,7 @@ _mobius_command("crofoot", crofoot)
               help="Semigroup parameter t >= 0.")
 @common_options
 @_run
-def semigroup(series_path, t_val, degree, seed, tol):
+def semigroup(series_path, t_val, degree):
     """Singular inner exp(-t H_B) from an inner B."""
     B = _series_from_file(series_path, degree)
     N = degree or B.max_degree
@@ -344,7 +353,7 @@ def semigroup(series_path, t_val, degree, seed, tol):
     report = {
         "command": "semigroup",
         "inputs": {"series": to_json_dict(B), "t": t_val},
-        "parameters": {"degree": N, "seed": seed},
+        "parameters": {"degree": N},
         "outputs": {"semigroup_inner": to_json_dict(Bt),
                     "constant_term":
                     [Bt.scalar_coeff(()).real,
@@ -357,20 +366,19 @@ def semigroup(series_path, t_val, degree, seed, tol):
 @main.command()
 @click.option("--series", "series_path", required=True, type=click.Path(),
               help="Matrix idempotent series JSON.")
+@click.option("--tol", type=float, default=None,
+              help="Residual gate of the straightening.")
 @common_options
 @_run
-def idempotent(series_path, degree, seed, tol):
+def idempotent(series_path, tol, degree):
     """Straighten a series idempotent to a constant projection."""
     E = _series_from_file(series_path, degree)
-    kwargs = {}
-    if tol is not None:
-        kwargs["gate"] = tol
+    kwargs = {} if tol is None else {"gate": tol}
     sp = idempotent_split(E, N=degree, **kwargs)
     report = {
         "command": "idempotent",
         "inputs": {"series": to_json_dict(E)},
-        "parameters": {"degree": degree or E.max_degree, "seed": seed,
-                       "gate": kwargs.get("gate")},
+        "parameters": {"degree": degree or E.max_degree, "gate": tol},
         "outputs": {
             "S": to_json_dict(sp.S),
             "P": [[float(x) for x in row] for row in sp.P.real],
@@ -386,7 +394,7 @@ def idempotent(series_path, degree, seed, tol):
               help='JSON file {"coeffs": [[re, im], ...]} (ascending).')
 @common_options
 @_run
-def compare_classical(poly_path, degree, seed, tol):
+def compare_classical(poly_path, degree):
     """Cross-check the d=1 pipeline against classical factorization."""
     doc = _load_json(poly_path, "poly")
     if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
@@ -415,7 +423,7 @@ def compare_classical(poly_path, degree, seed, tol):
     report = {
         "command": "compare-classical",
         "inputs": {"poly": doc},
-        "parameters": {"degree": degree, "seed": seed},
+        "parameters": {"degree": degree},
         "outputs": {
             "zeros": [[z.real, z.imag] for z in rep["zeros"]],
             "phase": [rep["phase"].real, rep["phase"].imag],

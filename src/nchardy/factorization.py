@@ -509,7 +509,7 @@ def singular_test(S, samples=None, rng=None, num_samples=200,
     of sigma_min(S(Z)) over the sample points, then sigma_min of the
     multiplication operator at rescaled radii on its validity window.  The
     verdict "singular" means every minimum stayed above tol; it is sampling
-    evidence, not a proof.
+    evidence, not a proof, so zero sample points raise ValueError.
     """
     from .evaluate import evaluate_batch
 
@@ -525,6 +525,8 @@ def singular_test(S, samples=None, rng=None, num_samples=200,
         for i in range(num_samples):
             n = levels[i % len(levels)]
             samples.append(random_point(rng, S.d, n, row_norm))
+    if not samples:
+        raise ValueError("singular_test needs at least one sample point")
     min_sigma = np.inf
     for _, A in evaluate_batch(S, samples):
         sv = np.linalg.svd(A, compute_uv=False)

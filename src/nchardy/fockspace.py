@@ -9,10 +9,12 @@ within the validity window N - deg(f), and meaningless beyond it.  Every
 defect-style question therefore carries an explicit degree limit, checked
 against that window.
 
-Where only the Gram matrix of a multiplication operator matters, no dense
-operator is needed: the cached index triples of word concatenations give
-the autocorrelations t_s of a symbol as one gather, and the Gram matrix is
-the NC Toeplitz matrix built from them.
+Every Fock-space matrix except the right_shift_matrix test reference is
+built from the cached index triples (s, mu, mu s) of word concatenations:
+a multiplication operator is one scatter of them.  Where only its Gram
+matrix matters, no dense operator is needed: the triples give the
+autocorrelations t_s of a symbol as one gather, and the Gram matrix is the
+NC Toeplitz matrix built from them.
 """
 
 import functools
@@ -31,6 +33,11 @@ RANK_REL = 1e-10
 WANDER_EIG_TOL = 1e-8
 
 
+def _degree_starts(d, m):
+    """Index of the first word of each length 0..m+1 over d letters."""
+    return [0] + list(itertools.accumulate(d ** j for j in range(m + 1)))
+
+
 class FockBasis:
     """Degree-then-lex enumeration of words of length <= max_degree."""
 
@@ -41,19 +48,13 @@ class FockBasis:
             raise ValueError("max_degree must be >= 0")
         self.d = int(d)
         self.max_degree = int(max_degree)
-        words = [()]
-        level = [()]
-        for _ in range(self.max_degree):
-            level = [w + (k,) for w in level for k in range(1, self.d + 1)]
-            words.extend(level)
-        # built degree by degree with lex order inside each degree
-        self.words = words
-        self.index = {w: i for i, w in enumerate(words)}
-        self.dim = len(words)
-        starts = [0]
-        for k in range(self.max_degree + 1):
-            starts.append(starts[-1] + self.d ** k)
-        self._starts = starts
+        # product enumerates each degree in lex order
+        letters = range(1, self.d + 1)
+        self.words = [w for n in range(self.max_degree + 1)
+                      for w in itertools.product(letters, repeat=n)]
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.dim = len(self.words)
+        self._starts = _degree_starts(self.d, self.max_degree)
 
     def index_of(self, word):
         w = tuple(int(a) for a in word)
@@ -70,9 +71,6 @@ class FockBasis:
         """Index of the first word of length k."""
         return self._starts[k]
 
-    def degree_slice(self, k):
-        return slice(self._starts[k], self._starts[k + 1])
-
     def indices_through_degree(self, k):
         """All indices for words of length <= k."""
         return np.arange(self._starts[min(k, self.max_degree) + 1])
@@ -82,18 +80,19 @@ class FockBasis:
 
 
 def left_shift_matrix(basis, k):
-    """L_k: e_w -> e_{kw}, zero on the top degree."""
+    """L_k: e_w -> e_{kw}, zero on the top degree; multiplication by z_k."""
     if not 1 <= k <= basis.d:
         raise ValueError(f"letter {k} outside alphabet 1..{basis.d}")
-    L = np.zeros((basis.dim, basis.dim))
-    for j, w in enumerate(basis.words):
-        if len(w) < basis.max_degree:
-            L[basis.index[(k,) + w], j] = 1.0
-    return L
+    return mult_operator(NcSeries.monomial((k,), basis.d), basis).mat.real
 
 
 def right_shift_matrix(basis, k):
-    """R_k: e_w -> e_{wk}, zero on the top degree."""
+    """R_k: e_w -> e_{wk}, zero on the top degree.
+
+    A loop over the words on purpose: tests check the triples-based
+    wandering_projection against it, which a build from word_triples
+    would turn into a comparison of that code with itself.
+    """
     if not 1 <= k <= basis.d:
         raise ValueError(f"letter {k} outside alphabet 1..{basis.d}")
     R = np.zeros((basis.dim, basis.dim))
@@ -156,7 +155,7 @@ def word_triples(d, m):
     once, as three read-only intp arrays of basis indices.  The index of
     mu s is rank arithmetic: lex order inside a degree is base-d order.
     """
-    starts = [0] + list(itertools.accumulate(d ** j for j in range(m + 1)))
+    starts = _degree_starts(d, m)
     s_idx, mu_idx, cat_idx = [], [], []
     for ls in range(m + 1):
         rs = np.arange(d ** ls)
@@ -266,28 +265,21 @@ def mult_operator(f, basis=None, max_degree=None):
     Maps the word-major stacking of g (with cols(f) channels) to that of
     f * g.  Exact on columns of degree <= valid_degree = N - deg(f); beyond
     that, products spill past the truncation and rows are missing.
+    Block (mu s, s) is f_mu for each triple of word_triples, written once;
+    words of f past the basis degree are dropped.
     """
     if basis is None:
         if max_degree is None:
             max_degree = f.max_degree
         basis = FockBasis(f.d, max_degree)
-    if f.d != basis.d:
-        raise ShapeMismatchError(
-            f"series alphabet d={f.d} != basis alphabet d={basis.d}")
-    p, q = f.rows, f.cols
+    coeffs = coeff_stack(f, basis)
+    D, p, q = coeffs.shape
     N = basis.max_degree
-    M = np.zeros((basis.dim * p, basis.dim * q), dtype=complex)
-    for alpha, m in f.coeffs.items():
-        la = len(alpha)
-        if la > N:
-            continue
-        for j, beta in enumerate(basis.words):
-            if la + len(beta) > N:
-                continue
-            i = basis.index[alpha + beta]
-            M[i * p:(i + 1) * p, j * q:(j + 1) * q] += m
+    s, mu, cat = word_triples(basis.d, N)
+    M = np.zeros((D, p, D, q), dtype=complex)
+    M[cat, :, s, :] = coeffs[mu]
     valid = N - min(f.degree(), N)
-    return OperatorMatrix(M, basis, p, q, valid)
+    return OperatorMatrix(M.reshape(D * p, D * q), basis, p, q, valid)
 
 
 def isometry_defect(op, degree_limit):

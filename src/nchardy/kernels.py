@@ -28,7 +28,7 @@ from .evaluate import (
     evaluate_batch,
     random_point,
 )
-from .fockspace import FockBasis, RANK_REL, toeplitz_gram
+from .fockspace import FockBasis, RANK_REL, series_to_vec, toeplitz_gram
 from .ncseries import NcSeries, series_mul
 
 # Default residual tolerance for singularity membership.
@@ -314,10 +314,7 @@ def sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
         vs = probes if probes is not None else standard_probes(pair.level)
         for v in vs:
             K = szego_kernel(pair.Z, pair.y, v, N)
-            vec = np.zeros(basis.dim, dtype=complex)
-            for w, m in K.series.coeffs.items():
-                vec[basis.index[w]] = m[0, 0]
-            cols.append(vec)
+            cols.append(series_to_vec(K.series, basis)[:, 0])
     import scipy.linalg
 
     A = np.array(cols).T

@@ -300,10 +300,49 @@ def test_degree_option_truncates(runner, paths):
     assert doc["outputs"]["value"][1][1] == pytest.approx([1.0, 0.0])
 
 
-def test_no_command_has_threads_option():
-    for name, cmd in main.commands.items():
-        opts = [o for p in cmd.params for o in p.opts]
-        assert "--threads" not in opts, name
+SHARED_OPTIONS = ["--degree", "--out", "--force"]
+SPLIT_OPTIONS = ["--series", "--pairs", "--samples", "--seed", "--tol"]
+
+# every option a command accepts, in declared order; each one is read
+COMMAND_OPTIONS = {
+    "factor": SPLIT_OPTIONS,
+    "eval": ["--series", "--point"],
+    "kernel": ["--point", "--y", "--v"],
+    "classify": SPLIT_OPTIONS,
+    "frostman": ["--series", "--w"],
+    "crofoot": ["--series", "--w"],
+    "semigroup": ["--series", "--t"],
+    "idempotent": ["--series", "--tol"],
+    "compare-classical": ["--poly"],
+}
+
+
+def test_every_command_pins_its_options():
+    assert set(main.commands) == set(COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
+def test_command_options(name):
+    opts = [o for p in main.commands[name].params for o in p.opts]
+    assert opts == COMMAND_OPTIONS[name] + SHARED_OPTIONS
+
+
+@pytest.mark.parametrize("name", ["frostman", "factor"])
+def test_help_lists_options_in_declared_order(runner, name):
+    res = runner.invoke(main, [name, "--help"])
+    assert res.exit_code == 0
+    listed = [line.split()[0].rstrip(",") for line in res.output.splitlines()
+              if line.startswith("  --")]
+    assert listed == COMMAND_OPTIONS[name] + SHARED_OPTIONS + ["--help"]
+
+
+@pytest.mark.parametrize("command", ["factor", "classify"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_rejected(runner, paths, command, samples):
+    res, doc = run_json(runner, [command, "--series", paths["z1"],
+                                 "--samples", samples])
+    assert res.exit_code == 1
+    assert doc["error"]["path"] == "samples"
 
 
 @pytest.mark.parametrize("command", ["eval", "kernel"])

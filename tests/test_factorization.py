@@ -227,6 +227,14 @@ def test_singular_test_on_semigroup_inner():
     assert set(st["r_grid"]) == {0.5, 0.9}
 
 
+@pytest.mark.parametrize("kwargs", [{"num_samples": 0}, {"num_samples": -3},
+                                    {"samples": []}])
+def test_singular_test_refuses_zero_sample_points(kwargs):
+    # no sample point would leave min sigma at +inf and certify anything
+    with pytest.raises(ValueError, match="at least one sample"):
+        singular_test(semigroup_inner(z1(4), 0.5, 4), **kwargs)
+
+
 def test_split_all_blaschke_branch():
     N = 8
     res = blaschke_singular_split(z1(N), [], N=N,

@@ -7,22 +7,27 @@ Levenberg-Marquardt solve with an exact Jacobian recovers the outer factor
 to machine precision and the inner factor follows by division.  The same
 data give the NC Toeplitz Gram of the columns H z^v, on which the
 wandering dimension, the outer defect and the inner defect are certified
-without a dense multiplication operator.  Range closures and wandering
-subspaces on the truncated Fock space remain for the Blaschke/singular
-split.
+without a dense multiplication operator.
 
 Classification (Blaschke vs singular) is evidence-based: kernel vectors at
 sampled singularity pairs span part of the range orthocomplement, and the
 reported defect says how much of it they exhaust at the chosen window.
+The split builds one orthonormal frame QK of those vectors; I - QK QK^H
+projects onto the singularity space, whose wandering vector gives the
+Blaschke part.
 """
 
 import numpy as np
 
-from .errors import DiagnosticError, ShapeMismatchError, ValidityWindowError
+from .errors import (
+    AlphabetMismatchError,
+    DiagnosticError,
+    ShapeMismatchError,
+    ValidityWindowError,
+)
 from .evaluate import random_point
 from .fockspace import (
     FockBasis,
-    WANDER_EIG_TOL,
     autocorrelation_stack,
     coeff_stack,
     mult_operator,
@@ -55,28 +60,9 @@ SINGULAR_SIGMA_TOL = 1e-8
 # independent: sigma_min / sigma_max > 1e-6, far above RANK_REL.
 GRAM_COND_MIN = 1e-12
 
-
-class Subspace:
-    """Orthonormal frame in truncated Fock space with bookkeeping."""
-
-    def __init__(self, basis, frame, valid_degree, invariant=False,
-                 channels=1):
-        self.basis = basis
-        self.frame = frame
-        self.valid_degree = int(valid_degree)
-        self.invariant = bool(invariant)
-        self.channels = int(channels)
-
-    @property
-    def dim(self):
-        return self.frame.shape[1]
-
-    def projection(self):
-        return self.frame @ self.frame.conj().T
-
-    def __repr__(self):
-        return (f"Subspace(dim={self.dim}, valid_degree={self.valid_degree}, "
-                f"invariant={self.invariant})")
+# |eigenvalue - 1| bound for the split's wandering vector: the truncated
+# singularity space perturbs its wandering projection.
+SPLIT_WANDER_TOL = 1e-6
 
 
 class FactorizationResult:
@@ -92,47 +78,6 @@ class FactorizationResult:
     def __repr__(self):
         return (f"FactorizationResult(wandering_dim={self.wandering_dim}, "
                 f"defects={self.defects})")
-
-
-def range_closure(H, N=None, col_degree=None):
-    """Orthonormal frame for the span of H times monomials.
-
-    Columns run over words of length <= col_degree, by default the validity
-    window N - deg(H).  Passing a larger col_degree is allowed for
-    full-support symbols (whose window is empty); the frame then contains
-    truncated columns and valid_degree records what is actually trusted.
-    The result is flagged invariant: the span of {H z^w} is carried into
-    itself by the right shifts, up to truncation.
-    """
-    if all(not np.any(m) for m in H.coeffs.values()) or not H.coeffs:
-        raise ValueError("range closure of the zero series")
-    if N is None:
-        N = H.max_degree
-    basis = FockBasis(H.d, N)
-    op = mult_operator(H, basis)
-    if col_degree is None:
-        col_degree = op.valid_degree
-    if col_degree > N:
-        raise ValidityWindowError(
-            f"column degree {col_degree} exceeds truncation order {N}")
-    frame = orthonormal_frame(op.restricted(col_degree))
-    return Subspace(basis, frame, op.valid_degree, invariant=True,
-                    channels=H.rows)
-
-
-def wandering_subspace(M, tol=WANDER_EIG_TOL):
-    """Generating part of an invariant subspace: M minus its shifts.
-
-    Eigenvectors of Q - sum_k R_k Q R_k* with eigenvalue within tol of 1.
-    Truncation perturbs the projector, so the tolerance is the contract.
-    """
-    if not M.invariant:
-        raise ValueError("wandering subspace needs an invariant subspace")
-    Q = M.projection()
-    P = wandering_projection(Q, M.basis, channels=M.channels)
-    W, _ = wandering_vectors(P, tol=tol)
-    return Subspace(M.basis, W, M.valid_degree, invariant=False,
-                    channels=M.channels)
 
 
 # -- autocorrelation spectral factorization ---------------------------
@@ -432,6 +377,13 @@ def solve_vacuum(f, r, N=None):
 
 
 def _combined_kernel_frame(pairs, probes, N, extra_frame, d):
+    """Orthonormal frame of the kernel vectors at the pairs and the extra
+    frame columns, in the Fock space of d letters truncated at N."""
+    alphabets = sorted({pair.Z.d for pair in pairs} - {d})
+    if alphabets:
+        raise AlphabetMismatchError(
+            f"singularity pairs over alphabet d={alphabets[0]} cannot "
+            f"classify a series over alphabet d={d}")
     cols = []
     if pairs:
         QK = sing_space_complement(pairs, probes=probes, N=N)
@@ -472,28 +424,38 @@ def blaschke_defect(theta, pairs, N=None, probes=None, col_degree=None,
                     window=None, extra_frame=None):
     """How much of the range orthocomplement the sampled kernels miss.
 
-    Compares the projection onto range_closure(theta)-orthocomplement with
-    the projection onto the span of kernel vectors at the given singularity
-    pairs (plus any extra frame columns), both cut to words of length <=
-    window.  Zero is Blaschke evidence; 1 with no pairs just restates that
-    the orthocomplement is nontrivial.  Genuine kernel data can only fill
-    more of the orthocomplement, but thin sampling reports large defects
-    honestly rather than guessing.
+    Compares the projection onto the orthocomplement of the span of
+    theta z^w, |w| <= col_degree, with the projection onto the span of
+    kernel vectors at the given singularity pairs (plus any extra frame
+    columns), both cut to words of length <= window.  Zero is Blaschke
+    evidence; 1 with no pairs just restates that the orthocomplement is
+    nontrivial.  Genuine kernel data can only fill more of the
+    orthocomplement, but thin sampling reports large defects honestly
+    rather than guessing.
     """
     if not theta.is_scalar():
         raise ShapeMismatchError("classification expects a scalar inner")
     if N is None:
         N = theta.max_degree
-    deg = theta.degree()
-    valid = N - deg
+    QK = _combined_kernel_frame(pairs, probes, N, extra_frame, theta.d)
+    return _blaschke_defect(theta, QK, N, col_degree, window)
+
+
+def _blaschke_defect(theta, QK, N, col_degree=None, window=None):
+    """blaschke_defect against the orthonormal kernel frame QK."""
+    if not any(np.any(m) for m in theta.coeffs.values()):
+        raise ValueError("Blaschke defect of the zero series")
+    valid = N - theta.degree()
     if col_degree is None:
         col_degree = valid if valid >= 1 else min(3, N)
     if window is None:
         window = col_degree if valid >= 1 else max(col_degree - 1, 0)
-    RC = range_closure(theta, N, col_degree=col_degree)
-    basis = RC.basis
-    Pperp = np.eye(basis.dim, dtype=complex) - RC.projection()
-    QK = _combined_kernel_frame(pairs, probes, N, extra_frame, theta.d)
+    if col_degree > N:
+        raise ValidityWindowError(
+            f"column degree {col_degree} exceeds truncation order {N}")
+    basis = FockBasis(theta.d, N)
+    R = orthonormal_frame(mult_operator(theta, basis).restricted(col_degree))
+    Pperp = np.eye(basis.dim, dtype=complex) - R @ R.conj().T
     PK = QK @ QK.conj().T
     cut = basis.indices_through_degree(window)
     Dmat = (Pperp - PK)[np.ix_(cut, cut)]
@@ -565,10 +527,9 @@ class SplitResult:
                 f"flags={self.flags})")
 
 
-def blaschke_singular_split(theta, pairs, N=None, probes=None,
-                            extra_frame=None, threshold=BLASCHKE_THRESHOLD,
-                            col_degree=None, window=None, wander_tol=1e-6,
-                            rng=None, inner_tol=None, num_samples=200):
+def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
+                            threshold=BLASCHKE_THRESHOLD, rng=None,
+                            num_samples=200):
     """Split an inner into Blaschke and singular parts, evidence-based.
 
     With no singularity data at all the split cannot be better than the
@@ -580,7 +541,7 @@ def blaschke_singular_split(theta, pairs, N=None, probes=None,
     gives the Blaschke part, and the adjoint application recovers the
     singular part.
     """
-    check_inner(theta, tol=inner_tol)
+    check_inner(theta)
     if not theta.is_scalar():
         raise ShapeMismatchError("split expects a scalar inner")
     if N is None:
@@ -589,8 +550,7 @@ def blaschke_singular_split(theta, pairs, N=None, probes=None,
     has_data = bool(pairs) or (extra_frame is not None
                                and np.asarray(extra_frame).size > 0)
     if not has_data:
-        st = singular_test(theta, rng=rng, num_samples=num_samples,
-                           inner_tol=inner_tol)
+        st = singular_test(theta, rng=rng, num_samples=num_samples)
         flags = ["no-pairs"]
         if st["singular"]:
             flags.append("consistent-with-singular")
@@ -598,9 +558,8 @@ def blaschke_singular_split(theta, pairs, N=None, probes=None,
                    "reconstruction_error": 0.0}
         return SplitResult(one, theta.copy(), 0, defects, flags)
 
-    defect = blaschke_defect(theta, pairs, N, probes=probes,
-                             col_degree=col_degree, window=window,
-                             extra_frame=extra_frame)
+    QK = _combined_kernel_frame(pairs, None, N, extra_frame, theta.d)
+    defect = _blaschke_defect(theta, QK, N)
     if defect <= threshold:
         B, u = phase_normalize(theta)
         S = NcSeries.constant(u, theta.d, N)
@@ -609,14 +568,10 @@ def blaschke_singular_split(theta, pairs, N=None, probes=None,
                    "blaschke_inner_defect": inner_defect(B)}
         return SplitResult(B, S, 1, defects, [])
 
-    import scipy.linalg
-
-    QK = _combined_kernel_frame(pairs, probes, N, extra_frame, theta.d)
     basis = FockBasis(theta.d, N)
-    comp = scipy.linalg.null_space(QK.conj().T)
-    Q = comp @ comp.conj().T
+    Q = np.eye(basis.dim, dtype=complex) - QK @ QK.conj().T
     P = wandering_projection(Q, basis)
-    W, _ = wandering_vectors(P, tol=wander_tol)
+    W, _ = wandering_vectors(P, tol=SPLIT_WANDER_TOL)
     if W.shape[1] != 1:
         defects = {"blaschke_defect": defect,
                    "wandering_count": W.shape[1]}
@@ -658,9 +613,8 @@ class BsoResult:
                 f"flags={self.flags})")
 
 
-def bso_factor(H, N=None, pairs=(), probes=None, extra_frame=None,
-               threshold=BLASCHKE_THRESHOLD, rng=None, inner_tol=None,
-               num_samples=200):
+def bso_factor(H, N=None, pairs=(), extra_frame=None,
+               threshold=BLASCHKE_THRESHOLD, rng=None, num_samples=200):
     """Full Blaschke - singular - outer factorization pipeline.
 
     inner_outer first, then the Blaschke/singular split of the inner part.
@@ -679,9 +633,8 @@ def bso_factor(H, N=None, pairs=(), probes=None, extra_frame=None,
         one = NcSeries.constant(1.0, H.d, io.inner.max_degree)
         return BsoResult(io.inner, one, io.outer, 1, defects, [])
     split = blaschke_singular_split(
-        io.inner, pairs, N=io.inner.max_degree, probes=probes,
-        extra_frame=extra_frame, threshold=threshold, rng=rng,
-        inner_tol=inner_tol, num_samples=num_samples)
+        io.inner, pairs, N=io.inner.max_degree, extra_frame=extra_frame,
+        threshold=threshold, rng=rng, num_samples=num_samples)
     defects = dict(io.defects)
     for key, val in split.defects.items():
         defects[f"split_{key}"] = val

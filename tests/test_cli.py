@@ -157,6 +157,20 @@ def test_classify_with_thin_pairs_is_diagnostic(runner, tmp_path):
     assert doc["outputs"]["blaschke_defect"] > 0.25
 
 
+def test_classify_rejects_pairs_over_another_alphabet(runner, tmp_path):
+    V = NcSeries(2, 1, 1, 6, {(1, 2): 2 ** -0.5, (2, 1): -(2 ** -0.5)})
+    vp = write_json(tmp_path / "V.json", to_json_dict(V))
+    Z = MatrixPoint([0.3 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                     0.3 * np.array([[0.0, 0.0], [1.0, 0.0]]),
+                     np.zeros((2, 2))])
+    pp = write_json(tmp_path / "pairs.json", [
+        pair_to_json_dict(Z, np.array([1.0, 0.0], dtype=complex))])
+    res, doc = run_json(runner, [
+        "classify", "--series", vp, "--pairs", pp])
+    assert res.exit_code == 1
+    assert "alphabet" in doc["error"]["message"]
+
+
 def test_frostman_window_defect_small(runner, paths):
     res, doc = run_json(runner, [
         "frostman", "--series", paths["z1"], "--w", "0.5"])

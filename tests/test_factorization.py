@@ -12,12 +12,10 @@ from nchardy.factorization import (
     crofoot_kernel_frame,
     inner_outer,
     outer_defect,
-    range_closure,
     shift_adjoint_apply,
     singular_test,
     solve_vacuum,
     spectral_outer,
-    wandering_subspace,
 )
 from nchardy.fockspace import FockBasis
 from nchardy.ncseries import (
@@ -40,26 +38,6 @@ def analytic_complement_frame(N):
     basis = FockBasis(2, N)
     idx = [i for i, w in enumerate(basis.words) if not (w and w[0] == 1)]
     return np.eye(basis.dim)[:, idx]
-
-
-# -- range closure and wandering frames -------------------------------
-
-
-def test_range_closure_of_coordinate():
-    RC = range_closure(z1(4))
-    assert RC.dim == 15
-    assert RC.valid_degree == 3
-    assert RC.invariant
-    W = wandering_subspace(RC)
-    assert W.dim == 1
-
-
-def test_range_closure_rejects_zero_and_bad_window():
-    zero = NcSeries(2, 1, 1, 3, {})
-    with pytest.raises(ValueError):
-        range_closure(zero)
-    with pytest.raises(ValidityWindowError):
-        range_closure(z1(3), col_degree=7)
 
 
 # -- autocorrelation engine -------------------------------------------
@@ -207,6 +185,14 @@ def test_blaschke_defect_zero_with_exact_complement():
     N = 8
     E = analytic_complement_frame(N)
     assert blaschke_defect(z1(N), [], N=N, extra_frame=E) == 0.0
+
+
+def test_blaschke_defect_rejects_zero_and_bad_window():
+    zero = NcSeries(2, 1, 1, 3, {})
+    with pytest.raises(ValueError):
+        blaschke_defect(zero, [])
+    with pytest.raises(ValidityWindowError):
+        blaschke_defect(z1(3), [], col_degree=7)
 
 
 def test_blaschke_defect_requires_scalar():

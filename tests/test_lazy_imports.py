@@ -1,9 +1,10 @@
 """scipy stays out of processes that never call into it.
 
-Only spectral factorization, the outer defect, the split's kernel frames
-and the singularity search use scipy, and each imports it where it is
-called.  A CLI process that runs any other command must therefore end
-with no scipy module loaded.
+Only spectral factorization, the outer defect, the kernel frames of
+singularity pairs (`sing_space_complement`), `crofoot_kernel_frame` and
+the singularity search use scipy, and each imports it where it is called.
+A CLI process that runs any other command, and a Blaschke/singular split
+given only a ready frame, must therefore end with no scipy module loaded.
 """
 
 import json
@@ -73,6 +74,27 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     for i, job in enumerate(jobs):
         report = json.loads((tmp_path / f"report{i}.json").read_text())
         assert report["command"] == job[0]
+
+
+def test_split_with_a_frame_loads_no_scipy(tmp_path):
+    # the mixed branch: z1 sigma_t with the exact complement of z1 H^2
+    code = (
+        "import numpy as np\n"
+        "from nchardy.factorization import blaschke_singular_split\n"
+        "from nchardy.fockspace import FockBasis\n"
+        "from nchardy.ncseries import NcSeries, max_coeff_diff, series_mul\n"
+        "from nchardy.transforms import semigroup_inner\n"
+        "N = 8\n"
+        "z1 = NcSeries.monomial((1,), 2, N)\n"
+        "theta = series_mul(z1, semigroup_inner(z1, 0.5, N), N)\n"
+        "basis = FockBasis(2, N)\n"
+        "frame = np.eye(basis.dim)[:, [i for i, w in enumerate(basis.words)\n"
+        "                              if not (w and w[0] == 1)]]\n"
+        "res = blaschke_singular_split(theta, [], N=N, extra_frame=frame)\n"
+        "assert res.flags == [] and res.defects['blaschke_defect'] > 0.25\n"
+        "assert max_coeff_diff(res.blaschke, z1, N) == 0.0\n"
+        + REPORT_SCIPY)
+    assert run_python(code, tmp_path) == []
 
 
 def test_spectral_outer_looks_up_least_squares_at_call_time(monkeypatch):

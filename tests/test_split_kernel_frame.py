@@ -1,0 +1,193 @@
+"""The Blaschke/singular split against the code it replaced.
+
+The reference below is the earlier split, kept here as a test-local copy:
+it takes the range frame from a range-closure subspace, builds the kernel
+frame once for the defect and again for the mixed branch, and takes the
+singularity space from a scipy null-space SVD of the kernel frame.  The
+library builds one kernel frame and uses I - QK QK^H.  On the corpus both
+must agree bit for bit: flags, wandering dimension, every defect and every
+Blaschke and singular coefficient.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from nchardy import factorization
+from nchardy.evaluate import MatrixPoint
+from nchardy.factorization import (
+    BLASCHKE_THRESHOLD,
+    blaschke_singular_split,
+    crofoot_kernel_frame,
+    shift_adjoint_apply,
+)
+from nchardy.fockspace import (
+    FockBasis,
+    mult_operator,
+    orthonormal_frame,
+    vec_to_series,
+    wandering_projection,
+    wandering_vectors,
+)
+from nchardy.kernels import (
+    SingularityPair,
+    check_inner,
+    inner_defect,
+    sing_space_complement,
+)
+from nchardy.ncseries import (
+    NcSeries,
+    commutator_inner,
+    max_coeff_diff,
+    phase_normalize,
+    series_mul,
+)
+from nchardy.transforms import frostman, semigroup_inner
+
+N = 8
+TS = (0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+
+# -- the replaced split -------------------------------------------------
+
+
+def reference_kernel_frame(pairs, N, extra_frame, d):
+    cols = []
+    if pairs:
+        QK = sing_space_complement(pairs, N=N)
+        if QK.shape[1]:
+            cols.append(QK)
+    if extra_frame is not None and extra_frame.size:
+        cols.append(np.asarray(extra_frame, dtype=complex))
+    if not cols:
+        return np.zeros((FockBasis(d, N).dim, 0), dtype=complex)
+    return orthonormal_frame(np.concatenate(cols, axis=1))
+
+
+def reference_range_frame(theta, N, col_degree):
+    basis = FockBasis(theta.d, N)
+    op = mult_operator(theta, basis)
+    return basis, orthonormal_frame(op.restricted(col_degree))
+
+
+def reference_defect(theta, pairs, N, extra_frame):
+    valid = N - theta.degree()
+    col_degree = valid if valid >= 1 else min(3, N)
+    window = col_degree if valid >= 1 else max(col_degree - 1, 0)
+    basis, frame = reference_range_frame(theta, N, col_degree)
+    Pperp = np.eye(basis.dim, dtype=complex) - frame @ frame.conj().T
+    QK = reference_kernel_frame(pairs, N, extra_frame, theta.d)
+    PK = QK @ QK.conj().T
+    cut = basis.indices_through_degree(window)
+    return float(np.linalg.norm((Pperp - PK)[np.ix_(cut, cut)], 2))
+
+
+def reference_split(theta, pairs, N, extra_frame):
+    """(blaschke, singular, wandering_dim, defects, flags) when kernel data
+    are given."""
+    check_inner(theta)
+    one = NcSeries.constant(1.0, theta.d, N)
+    defect = reference_defect(theta, pairs, N, extra_frame)
+    if defect <= BLASCHKE_THRESHOLD:
+        B, u = phase_normalize(theta)
+        S = NcSeries.constant(u, theta.d, N)
+        return B, S, 1, {"blaschke_defect": defect,
+                         "reconstruction_error": 0.0,
+                         "blaschke_inner_defect": inner_defect(B)}, []
+    QK = reference_kernel_frame(pairs, N, extra_frame, theta.d)
+    basis = FockBasis(theta.d, N)
+    comp = scipy.linalg.null_space(QK.conj().T)
+    P = wandering_projection(comp @ comp.conj().T, basis)
+    W, _ = wandering_vectors(P, tol=1e-6)
+    if W.shape[1] != 1:
+        return one, theta.copy(), W.shape[1], {
+            "blaschke_defect": defect,
+            "wandering_count": W.shape[1]}, ["sampling-insufficient"]
+    B, _ = phase_normalize(vec_to_series(W[:, 0], basis))
+    S = shift_adjoint_apply(B, theta, N)
+    recon = max_coeff_diff(series_mul(B, S, N), theta,
+                           max(0, N - B.degree()))
+    return B, S, 1, {"blaschke_defect": defect,
+                     "reconstruction_error": recon,
+                     "blaschke_inner_defect": inner_defect(B),
+                     "singular_inner_defect": inner_defect(S)}, []
+
+
+# -- corpus -------------------------------------------------------------
+
+
+def prefix_complement_frame(prefix, N):
+    """Coordinate vectors at the words that do not start with prefix: an
+    exact basis for the orthocomplement of z^prefix times the Hardy
+    space."""
+    basis = FockBasis(2, N)
+    idx = [i for i, w in enumerate(basis.words)
+           if tuple(w[:len(prefix)]) != prefix]
+    return np.eye(basis.dim)[:, idx]
+
+
+def blaschke_times_sigma(prefix, t):
+    B = NcSeries.monomial(prefix, 2, N)
+    sigma = semigroup_inner(NcSeries.monomial((1,), 2, N), t, N)
+    return series_mul(B, sigma, N), [], prefix_complement_frame(prefix, N)
+
+
+def frostman_shift():
+    V = commutator_inner(max_degree=N)
+    w = 1.0 / np.sqrt(2.0)
+    return frostman(V, w, N), [], crofoot_kernel_frame(V, w, N)
+
+
+def thin_pairs():
+    # kernels at commuting points: the wandering vector is not unique
+    V = NcSeries(2, 1, 1, N, {(1, 2): 2 ** -0.5, (2, 1): -(2 ** -0.5)})
+    Za = MatrixPoint([0.5 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                      np.zeros((2, 2))])
+    Zb = MatrixPoint([np.zeros((2, 2)),
+                      0.5 * np.array([[0.0, 0.0], [1.0, 0.0]])])
+    pairs = [SingularityPair(Za, np.array([1.0, 0.0])),
+             SingularityPair(Zb, np.array([0.0, 1.0]))]
+    return V, pairs, None
+
+
+CORPUS = [pytest.param(blaschke_times_sigma, (prefix, t),
+                       id=f"z{''.join(map(str, prefix))}_sigma{t}")
+          for prefix in ((1,), (2,), (1, 2)) for t in TS] + [
+    pytest.param(frostman_shift, (), id="frostman_V_crofoot"),
+    pytest.param(thin_pairs, (), id="thin_pairs"),
+]
+
+
+def assert_same_series(got, want):
+    assert (got.d, got.rows, got.cols, got.max_degree) == \
+        (want.d, want.rows, want.cols, want.max_degree)
+    assert sorted(got.coeffs) == sorted(want.coeffs)
+    for w, m in want.coeffs.items():
+        assert np.array_equal(got.coeffs[w], m), w
+
+
+@pytest.mark.parametrize("make, args", CORPUS)
+def test_split_matches_replaced_code_bitwise(make, args):
+    theta, pairs, frame = make(*args)
+    B, S, wdim, defects, flags = reference_split(theta, pairs, N, frame)
+    res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
+    assert res.flags == flags
+    assert res.wandering_dim == wdim
+    assert res.defects == defects
+    assert_same_series(res.blaschke, B)
+    assert_same_series(res.singular, S)
+
+
+def test_split_builds_its_kernel_frame_once(monkeypatch):
+    calls = []
+    frame_of = factorization._combined_kernel_frame
+
+    def counting(*args):
+        calls.append(1)
+        return frame_of(*args)
+
+    monkeypatch.setattr(factorization, "_combined_kernel_frame", counting)
+    theta, pairs, frame = blaschke_times_sigma((1,), 0.5)
+    res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
+    assert "singular_inner_defect" in res.defects
+    assert len(calls) == 1

@@ -50,9 +50,7 @@ class MatrixPoint:
 
     def row_norm(self):
         """Operator norm of the row [Z_1 ... Z_d]."""
-        S = sum(m @ m.conj().T for m in self.mats)
-        vals = np.linalg.eigvalsh(S)
-        return float(np.sqrt(max(vals[-1], 0.0)))
+        return float(_row_norms(np.array(self.mats)[None])[0])
 
     def scale(self, r):
         return MatrixPoint([r * m for m in self.mats])
@@ -70,31 +68,50 @@ class MatrixPoint:
 
 def direct_sum_points(points):
     """Letterwise block-diagonal sum of points over the same alphabet."""
-    d = points[0].d
-    for Z in points:
-        if Z.d != d:
-            raise ShapeMismatchError("points over different alphabets")
+    if len({Z.d for Z in points}) > 1:
+        raise ShapeMismatchError("points over different alphabets")
     n_total = sum(Z.n for Z in points)
-    mats = []
-    for k in range(d):
-        M = np.zeros((n_total, n_total), dtype=complex)
-        off = 0
-        for Z in points:
-            M[off:off + Z.n, off:off + Z.n] = Z[k]
-            off += Z.n
-        mats.append(M)
-    return MatrixPoint(mats)
+    M = np.zeros((points[0].d, n_total, n_total), dtype=complex)
+    off = 0
+    for Z in points:
+        M[:, off:off + Z.n, off:off + Z.n] = Z.mats
+        off += Z.n
+    return MatrixPoint(M)
+
+
+def _row_norms(Zs):
+    """Row norms ||[Z_1 ... Z_d]|| over a stack Zs of shape (B, d, n, n):
+    the top eigenvalue of sum_k Z_k Z_k^H, summed in letter order."""
+    S = sum(Z @ Z.conj().swapaxes(-1, -2) for Z in Zs.swapaxes(0, 1))
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(S)[:, -1], 0.0))
+
+
+def random_points(rng, d, sizes, row_norm):
+    """Ginibre tuples scaled to a prescribed row norm, one of size n per
+    entry n of sizes, as one (B, d, n, n) stack per distinct size in
+    increasing n.  One standard_normal call reads the stream of successive
+    random_point calls: per point and letter, real then imaginary block."""
+    sizes = np.asarray(sizes, dtype=int)
+    counts = 2 * d * sizes ** 2
+    starts = np.cumsum(counts) - counts
+    flat = rng.standard_normal(int(counts.sum()))
+    stacks = []
+    for n in np.unique(sizes):
+        first = starts[sizes == n]
+        G = flat[first[:, None] + np.arange(2 * d * n * n)].reshape(
+            first.size, d, 2, n, n)
+        Zs = G[:, :, 0] + 1j * G[:, :, 1]
+        rn = _row_norms(Zs)
+        if not rn.all():
+            raise ValueError("degenerate random draw")
+        stacks.append(Zs * (row_norm / rn)[:, None, None, None])
+    return stacks
 
 
 def random_point(rng, d, n, row_norm):
-    """Ginibre tuple scaled to a prescribed row norm."""
-    mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for _ in range(d)]
-    Z = MatrixPoint(mats)
-    current = Z.row_norm()
-    if current == 0.0:
-        raise ValueError("degenerate random draw")
-    return Z.scale(row_norm / current)
+    """Ginibre tuple scaled to a prescribed row norm (one random_points)."""
+    Zs, = random_points(rng, d, [n], row_norm)
+    return MatrixPoint(Zs[0])
 
 
 def _word_powers(Zs, words):
@@ -115,8 +132,7 @@ def _word_powers(Zs, words):
 
 def _check_row_norms(Zs):
     """Batched admissibility gate over a stack of points."""
-    S = np.einsum("bkij,bklj->bil", Zs, Zs.conj())
-    rn = np.sqrt(np.maximum(np.linalg.eigvalsh(S)[:, -1], 0.0))
+    rn = _row_norms(Zs)
     bad = np.flatnonzero(rn >= 1.0)
     if bad.size:
         r = float(rn[bad[0]])
@@ -128,12 +144,11 @@ def _check_row_norms(Zs):
             f"tails decay slowly", AdmissibilityWarning)
 
 
-def evaluate_batch(f, points, check_admissible=True):
-    """f(Z) = sum_w fhat_w (x) Z^w at many points at once.
+def evaluate_batch(f, Zs, check_admissible=True):
+    """f(Z) = sum_w fhat_w (x) Z^w at every point of a stack at once.
 
-    Points are grouped by size n.  Returns one (indices, values) pair per
-    size, in increasing n: indices into ``points`` in their given order,
-    and values of shape (len(indices), rows*n, cols*n).  Each group is
+    Zs has shape (B, d, n, n): B points of one size n over the alphabet of
+    f.  Returns the values as one (B, rows*n, cols*n) array.  The stack is
     evaluated EVAL_CHUNK points at a time; a chunk shares one cache of
     word products built with batched matmuls, and one einsum contracts it
     with the coefficients.
@@ -142,36 +157,30 @@ def evaluate_batch(f, points, check_admissible=True):
     outside the open unit row ball and warns when a row norm exceeds
     ADMISSIBLE_WARN.
     """
-    points = [Z if isinstance(Z, MatrixPoint) else MatrixPoint(Z)
-              for Z in points]
-    for Z in points:
-        if Z.d != f.d:
-            raise ShapeMismatchError(
-                f"point has d={Z.d}, series has d={f.d}")
-    sizes = np.array([Z.n for Z in points], dtype=int)
+    Zs = np.asarray(Zs, dtype=complex)
+    if Zs.ndim != 4 or Zs.shape[1] != f.d or Zs.shape[2] != Zs.shape[3]:
+        raise ShapeMismatchError(
+            f"points need shape (B, {f.d}, n, n), got {Zs.shape}")
+    B, _, n, _ = Zs.shape
+    if check_admissible and B:
+        _check_row_norms(Zs)
     words = list(f.coeffs)
     C = np.array([f.coeffs[w] for w in words], dtype=complex).reshape(
         len(words), f.rows, f.cols)
-    groups = []
-    for n in np.unique(sizes):
-        idx = np.flatnonzero(sizes == n)
-        Zs = np.array([points[i].mats for i in idx])
-        if check_admissible:
-            _check_row_norms(Zs)
-        vals = np.zeros((idx.size, f.rows, n, f.cols, n), dtype=complex)
-        for lo in range(0, idx.size if words else 0, EVAL_CHUNK):
-            powers = _word_powers(Zs[lo:lo + EVAL_CHUNK], words)
-            vals[lo:lo + EVAL_CHUNK] = np.einsum("wij,wbkl->bikjl", C,
-                                                 np.array(powers))
-        groups.append((idx, vals.reshape(idx.size, f.rows * n, f.cols * n)))
-    return groups
+    vals = np.zeros((B, f.rows, n, f.cols, n), dtype=complex)
+    for lo in range(0, B if words else 0, EVAL_CHUNK):
+        powers = _word_powers(Zs[lo:lo + EVAL_CHUNK], words)
+        vals[lo:lo + EVAL_CHUNK] = np.einsum("wij,wbkl->bikjl", C,
+                                             np.array(powers))
+    return vals.reshape(B, f.rows * n, f.cols * n)
 
 
 def evaluate(f, Z, check_admissible=True):
     """f(Z) = sum_w fhat_w (x) Z^w as a (rows*n) x (cols*n) matrix: the
     one-point case of evaluate_batch, with the same admissibility gate."""
-    (_, vals), = evaluate_batch(f, [Z], check_admissible)
-    return vals[0]
+    if not isinstance(Z, MatrixPoint):
+        Z = MatrixPoint(Z)
+    return evaluate_batch(f, np.array(Z.mats)[None], check_admissible)[0]
 
 
 def tail_bound(f, s):

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatchError,
     ValidityWindowError,
 )
-from .evaluate import random_point
+from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
     autocorrelation_stack,
@@ -389,10 +389,14 @@ def _combined_kernel_frame(pairs, probes, N, extra_frame, d):
         QK = sing_space_complement(pairs, probes=probes, N=N)
         if QK.shape[1]:
             cols.append(QK)
-    if extra_frame is not None and extra_frame.size:
+    dim = FockBasis(d, N).dim
+    if extra_frame is not None and np.size(extra_frame):
+        if np.shape(extra_frame)[0] != dim:
+            raise ShapeMismatchError(
+                f"extra frame has {np.shape(extra_frame)[0]} rows, expected "
+                f"FockBasis({d}, {N}).dim = {dim}")
         cols.append(np.asarray(extra_frame, dtype=complex))
     if not cols:
-        dim = FockBasis(d, N).dim
         return np.zeros((dim, 0), dtype=complex)
     return orthonormal_frame(np.concatenate(cols, axis=1))
 
@@ -462,41 +466,34 @@ def _blaschke_defect(theta, QK, N, col_degree=None, window=None):
     return float(np.linalg.norm(Dmat, 2))
 
 
-def singular_test(S, samples=None, rng=None, num_samples=200,
-                  levels=(1, 2, 3), row_norm=0.7, tol=SINGULAR_SIGMA_TOL,
-                  r_grid=(0.5, 0.9), inner_tol=None):
+def singular_test(S, rng=None, num_samples=200):
     """Evidence that an inner S is pointwise invertible on the ball.
 
     Checks S at the origin first (a necessary condition), then the minimum
-    of sigma_min(S(Z)) over the sample points, then sigma_min of the
-    multiplication operator at rescaled radii on its validity window.  The
-    verdict "singular" means every minimum stayed above tol; it is sampling
-    evidence, not a proof, so zero sample points raise ValueError.
+    of sigma_min(S(Z)) over num_samples random points of row norm 0.7 and
+    sizes 1, 2, 3 in turn, then sigma_min of the multiplication operator
+    at the radii 0.5 and 0.9 on its validity window, after check_inner at
+    its default gate.  The verdict "singular" means every minimum stayed
+    above SINGULAR_SIGMA_TOL; it is sampling evidence, not a proof, so zero
+    sample points raise ValueError.
     """
-    from .evaluate import evaluate_batch
-
-    check_inner(S, tol=inner_tol)
-    report = {"tol": tol, "r_grid": {}, "num_samples": 0}
+    check_inner(S)
+    if num_samples < 1:
+        raise ValueError("singular_test needs at least one sample point")
+    tol = SINGULAR_SIGMA_TOL
+    report = {"tol": tol, "r_grid": {}, "num_samples": int(num_samples)}
     c0 = S.coeff(())
     s0 = float(np.linalg.svd(np.atleast_2d(c0), compute_uv=False)[-1])
     report["constant_sigma"] = s0
-    if samples is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        samples = []
-        for i in range(num_samples):
-            n = levels[i % len(levels)]
-            samples.append(random_point(rng, S.d, n, row_norm))
-    if not samples:
-        raise ValueError("singular_test needs at least one sample point")
+    rng = np.random.default_rng(0) if rng is None else rng
     min_sigma = np.inf
-    for _, A in evaluate_batch(S, samples):
-        sv = np.linalg.svd(A, compute_uv=False)
+    for Zs in random_points(rng, S.d, np.resize((1, 2, 3), num_samples),
+                            0.7):
+        sv = np.linalg.svd(evaluate_batch(S, Zs), compute_uv=False)
         min_sigma = min(min_sigma, float(sv[:, -1].min()))
-    report["num_samples"] = len(samples)
     report["min_sample_sigma"] = float(min_sigma)
     basis = FockBasis(S.d, S.max_degree)
-    for r in r_grid:
+    for r in (0.5, 0.9):
         op = mult_operator(rescale(S, r), basis)
         report["r_grid"][r] = smallest_singular_value(op, op.valid_degree)
     report["singular"] = bool(

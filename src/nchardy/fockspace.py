@@ -229,8 +229,8 @@ class OperatorMatrix:
 
     def column_indices(self, degree_limit):
         """Flat column indices belonging to words of length <= degree_limit."""
-        return _expand(self.basis.indices_through_degree(degree_limit),
-                       self.cols)
+        idx = self.basis.indices_through_degree(degree_limit)
+        return (idx[:, None] * self.cols + np.arange(self.cols)).reshape(-1)
 
     def restricted(self, degree_limit):
         """Columns for words of length <= degree_limit."""
@@ -335,33 +335,25 @@ def orthonormal_frame(columns, rel=RANK_REL):
     return U[:, :r]
 
 
-def wandering_projection(Q, basis, channels=1):
+def wandering_projection(Q, basis):
     """Q - sum_k R_k Q R_k^* for a right-shift invariant projection Q.
 
     On an invariant subspace this is the projection onto the generating
     (wandering) part: what remains after removing every right translate.
-    channels is the number of vector components per basis word.  R_k maps
-    each word w below the top degree to w k, the triples (k, w, w k) of
-    word_triples, so each product R_k Q R_k^* is a block of Q moved by a
-    gather.
+    R_k maps each word w below the top degree to w k, the triples
+    (k, w, w k) of word_triples, so each product R_k Q R_k^* is a block of
+    Q moved by a gather.
     """
-    p = channels
-    if Q.shape != (basis.dim * p, basis.dim * p):
+    if Q.shape != (basis.dim, basis.dim):
         raise ShapeMismatchError(
-            f"projection shape {Q.shape} incompatible with basis dim "
-            f"{basis.dim} x {p} channels")
+            f"projection shape {Q.shape} does not match basis dim {basis.dim}")
     s, mu, cat = word_triples(basis.d, basis.max_degree)
     P = Q.copy()
     for k in range(1, basis.d + 1):
         # the one-letter word (k,) sits at basis index k
-        src, dst = (_expand(idx[s == k], p) for idx in (mu, cat))
+        src, dst = mu[s == k], cat[s == k]
         P[np.ix_(dst, dst)] -= Q[np.ix_(src, src)]
     return P
-
-
-def _expand(word_idx, p):
-    """Flat indices of every channel of the given words."""
-    return (word_idx[:, None] * p + np.arange(p)[None, :]).reshape(-1)
 
 
 def wandering_vectors(P, tol=WANDER_EIG_TOL):

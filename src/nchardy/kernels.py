@@ -365,8 +365,8 @@ def _det_poly_roots(H, Z, degree_bound):
     """Roots of t -> det(H(tZ)) via DFT interpolation on the unit circle."""
     K = degree_bound + 1
     ts = np.exp(2j * np.pi * np.arange(K) / K)
-    (_, A), = evaluate_batch(H, [Z.scale(t) for t in ts],
-                             check_admissible=False)
+    A = evaluate_batch(H, ts[:, None, None, None] * np.array(Z.mats),
+                       check_admissible=False)
     vals = np.linalg.det(A)
     # vals[j] = p(omega^j) with omega = exp(2 pi i / K); the forward FFT
     # against exp(-2 pi i j m / K) inverts that evaluation map

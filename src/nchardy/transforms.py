@@ -15,7 +15,7 @@ from .errors import (
     NotIdempotentError,
     ShapeMismatchError,
 )
-from .evaluate import evaluate_batch, random_point
+from .evaluate import evaluate_batch, random_points
 from .fockspace import FockBasis, mult_operator
 from .ncseries import (
     NcSeries,
@@ -141,17 +141,18 @@ def cayley_herglotz(B, N=None):
     return series_mul(series_invert(one - Bn, N), one + Bn, N)
 
 
-def herglotz_min_real(H, samples=None, rng=None, num_samples=50,
-                      levels=(1, 2, 3), row_norm=0.6):
-    """Smallest eigenvalue of Re H(Z) over sample points (sampling
-    evidence for the Herglotz property; nonnegative up to tolerance)."""
-    if samples is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        samples = [random_point(rng, H.d, levels[i % len(levels)], row_norm)
-                   for i in range(num_samples)]
+def herglotz_min_real(H, rng=None, num_samples=50):
+    """Smallest eigenvalue of Re H(Z) over num_samples random points of
+    row norm 0.6 and sizes 1, 2, 3 in turn (sampling evidence for the
+    Herglotz property; nonnegative up to tolerance).  Zero sample points
+    raise ValueError, since their minimum would read +inf."""
+    if num_samples < 1:
+        raise ValueError("herglotz_min_real needs at least one sample point")
+    rng = np.random.default_rng(0) if rng is None else rng
     worst = np.inf
-    for _, A in evaluate_batch(H, samples):
+    for Zs in random_points(rng, H.d, np.resize((1, 2, 3), num_samples),
+                            0.6):
+        A = evaluate_batch(H, Zs)
         vals = np.linalg.eigvalsh(0.5 * (A + A.conj().swapaxes(-1, -2)))
         worst = min(worst, float(vals[:, 0].min()))
     return worst

@@ -19,6 +19,7 @@ from nchardy.evaluate import (
     point_from_json_dict,
     point_to_json_dict,
     random_point,
+    random_points,
     tail_bound,
     vector_from_json,
 )
@@ -139,37 +140,47 @@ def test_evaluate_batch_matches_kron_reference(rows, cols):
     words = [(), (1,), (2, 1), (1, 1, 2), (2, 2, 1, 2)]
     f = NcSeries(2, rows, cols, 4,
                  {w: _cmat(rng, (rows, cols)) for w in words})
-    points = [random_point(rng, 2, n, 0.8) for n in (3, 1, 2, 2, 1, 3, 3)]
-    groups = evaluate_batch(f, points)
-    assert [vals.shape[1:] for _, vals in groups] == [
-        (rows * n, cols * n) for n in (1, 2, 3)]
-    seen = []
-    for idx, vals in groups:
-        for i, val in zip(idx, vals):
-            ref = kron_reference(f, points[i])
+    stacks = random_points(rng, 2, (3, 1, 2, 2, 1, 3, 3), 0.8)
+    assert [Zs.shape for Zs in stacks] == [
+        (2, 2, 1, 1), (2, 2, 2, 2), (3, 2, 3, 3)]
+    for Zs in stacks:
+        n = Zs.shape[-1]
+        vals = evaluate_batch(f, Zs)
+        assert vals.shape == (Zs.shape[0], rows * n, cols * n)
+        for Z, val in zip(Zs, vals):
+            ref = kron_reference(f, MatrixPoint(Z))
             assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
-            seen.append(i)
-    assert sorted(seen) == list(range(len(points)))
 
 
 def test_evaluate_batch_zero_series_and_empty_list():
     rng = np.random.default_rng(18)
-    points = [random_point(rng, 2, n, 0.5) for n in (1, 2)]
-    groups = evaluate_batch(NcSeries.zero(2, 2, 3, 2), points)
-    assert [vals.shape for _, vals in groups] == [(1, 2, 3), (1, 4, 6)]
-    assert not any(np.any(vals) for _, vals in groups)
-    assert evaluate_batch(NcSeries.monomial((1,), 2), []) == []
+    for Zs in random_points(rng, 2, (1, 2), 0.5):
+        n = Zs.shape[-1]
+        vals = evaluate_batch(NcSeries.zero(2, 2, 3, 2), Zs)
+        assert vals.shape == (1, 2 * n, 3 * n)
+        assert not np.any(vals)
+    # an empty stack of points still has its size and alphabet
+    empty = evaluate_batch(NcSeries.monomial((1,), 2), np.zeros((0, 2, 3, 3)))
+    assert empty.shape == (0, 3, 3)
 
 
 def test_evaluate_batch_admissibility_gate():
     rng = np.random.default_rng(19)
     f = NcSeries.monomial((1, 2), 2)
-    points = [random_point(rng, 2, 2, 0.5) for _ in range(3)]
+    good, = random_points(rng, 2, (2, 2, 2), 0.5)
+    bad, = random_points(rng, 2, (2,), 1.01)
     with pytest.raises(InadmissiblePointError) as info:
-        evaluate_batch(f, points + [random_point(rng, 2, 2, 1.01)])
+        evaluate_batch(f, np.concatenate([good, bad]))
     assert info.value.row_norm >= 1.0
+    near, = random_points(rng, 2, (2,), 0.995)
     with pytest.warns(AdmissibilityWarning):
-        evaluate_batch(f, points + [random_point(rng, 2, 1, 0.995)])
+        evaluate_batch(f, np.concatenate([good, near]))
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 2, 2), (3, 2, 2, 3), (2, 2, 2)])
+def test_evaluate_batch_rejects_malformed_stacks(shape):
+    with pytest.raises(ShapeMismatchError):
+        evaluate_batch(NcSeries.monomial((1,), 2), np.zeros(shape))
 
 
 def test_tail_bound_dominates_true_tail():

@@ -213,12 +213,24 @@ def test_singular_test_on_semigroup_inner():
     assert set(st["r_grid"]) == {0.5, 0.9}
 
 
-@pytest.mark.parametrize("kwargs", [{"num_samples": 0}, {"num_samples": -3},
-                                    {"samples": []}])
+@pytest.mark.parametrize("kwargs", [
+    {"num_samples": 0}, {"num_samples": -3},
+    {"num_samples": 0, "rng": np.random.default_rng(5)}])
 def test_singular_test_refuses_zero_sample_points(kwargs):
     # no sample point would leave min sigma at +inf and certify anything
     with pytest.raises(ValueError, match="at least one sample"):
         singular_test(semigroup_inner(z1(4), 0.5, 4), **kwargs)
+
+
+@pytest.mark.parametrize("classify", [
+    lambda theta, frame: blaschke_singular_split(theta, [], N=8,
+                                                 extra_frame=frame),
+    lambda theta, frame: blaschke_defect(theta, [], N=8, extra_frame=frame),
+], ids=["split", "defect"])
+def test_extra_frame_at_another_truncation_is_a_shape_error(classify):
+    # a frame built at N=6 has 127 rows; the Fock space at N=8 has 511
+    with pytest.raises(ShapeMismatchError, match="511"):
+        classify(z1(8), analytic_complement_frame(6))
 
 
 def test_split_all_blaschke_branch():

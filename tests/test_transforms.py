@@ -196,6 +196,16 @@ def test_herglotz_min_real_positive_for_contractive_symbol():
     assert worst > 0.04
 
 
+@pytest.mark.parametrize("num_samples", [0, -2])
+def test_herglotz_min_real_refuses_zero_sample_points(num_samples):
+    # no sample point would leave the minimum at +inf and pass any > 0 check
+    # on a symbol whose real part is -5 everywhere
+    H = NcSeries(2, 1, 1, 2, {(): -5.0})
+    with pytest.raises(ValueError, match="at least one sample"):
+        herglotz_min_real(H, num_samples=num_samples)
+    assert herglotz_min_real(H, num_samples=1) == -5.0
+
+
 def test_semigroup_constant_term_and_law():
     z1 = NcSeries.monomial((1,), 2, 8)
     t, s = 0.5, 0.25

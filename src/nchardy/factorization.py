@@ -56,13 +56,9 @@ BLASCHKE_THRESHOLD = 0.25
 # sigma_min floor for "pointwise invertible" verdicts.
 SINGULAR_SIGMA_TOL = 1e-8
 
-# Gram eigenvalue ratio above which the columns H z^v count as
-# independent: sigma_min / sigma_max > 1e-6, far above RANK_REL.
+# Gram eigenvalue ratio above which the columns H z^v count as independent
+# (sigma ratio 1e-6), proved by a Cholesky of G - this * max_i sum_j |G_ij| I.
 GRAM_COND_MIN = 1e-12
-
-# |eigenvalue - 1| bound for the split's wandering vector: the truncated
-# singularity space perturbs its wandering projection.
-SPLIT_WANDER_TOL = 1e-6
 
 
 class FactorizationResult:
@@ -264,7 +260,7 @@ def inner_outer(H, N=None):
     certificate is that the NC Toeplitz Gram of t(H) over the validity
     window N - deg(H) is well conditioned, so the columns H z^v are
     independent there.  Square matrix H reports its size.  Defects are
-    always reported.
+    always reported; as t(F) = t(H), H's Gram serves F's outer defect too.
     """
     Hp = H.prune()
     if not Hp.coeffs:
@@ -280,41 +276,45 @@ def inner_outer(H, N=None):
         raise ShapeMismatchError("only scalar or square series supported")
 
     if m == 0:
-        c = HN.coeff(())
         inner = NcSeries.constant(np.eye(H.rows), H.d, N)
         defects = {"inner_defect": 0.0, "outer_defect": 0.0,
                    "reconstruction_error": 0.0}
         return FactorizationResult(inner, HN.copy(), H.rows, defects, N)
 
-    wdim = _scalar_wandering_dim(HN, N - m) if HN.is_scalar() else H.rows
     F = spectral_outer(HN, degree=m)
     B = series_mul(HN, series_invert(F.with_max_degree(N), N), N).prune()
     B, u = phase_normalize(B)
     outer = F.with_max_degree(N).scale(u).prune()
     recon = max_coeff_diff(series_mul(B, outer, N), HN, N)
+    window = N - outer.degree()
+    G = toeplitz_gram(HN, window)
+    if HN.is_scalar():
+        cut = sum(H.d ** j for j in range(N - m + 1))
+        _certify_wandering(G[:cut, :cut], N - m)
     defects = {
         "inner_defect": inner_defect(B),
-        "outer_defect": outer_defect(outer, N),
+        "outer_defect": _outer_defect(G, outer.coeff(()), window),
         "reconstruction_error": recon,
     }
-    return FactorizationResult(B, outer, wdim, defects, N - m)
+    return FactorizationResult(B, outer, H.rows, defects, N - m)
 
 
-def _scalar_wandering_dim(H, window):
-    """1, certified by the Gram of the columns H z^v, |v| <= window.
+def _certify_wandering(G, window):
+    """Certify wandering dimension 1 on the Gram G of the columns H z^v,
+    |v| <= window, of a scalar H.
 
     lambda_min / lambda_max > GRAM_COND_MIN means sigma_min / sigma_max >
     1e-6 for the columns, far above RANK_REL, so the columns over all words
     and over the nonempty words have full numerical rank and their ranks
-    differ by exactly 1 (interlacing).
+    differ by exactly 1 (interlacing).  The row sum bounds lambda_max.
     """
-    vals = np.linalg.eigvalsh(toeplitz_gram(H, window))
-    ratio = vals[0] / vals[-1]
-    if not ratio > GRAM_COND_MIN:
+    tau = GRAM_COND_MIN * np.abs(G).sum(axis=1).max()
+    try:
+        np.linalg.cholesky(G - tau * np.eye(len(G)))
+    except np.linalg.LinAlgError:
         raise DiagnosticError(
             f"wandering dimension not certified: Gram eigenvalue ratio "
-            f"{ratio:.3e} on the window |v| <= {window}")
-    return 1
+            f"not above {GRAM_COND_MIN:.0e} on the window |v| <= {window}")
 
 
 def outer_defect(h, N=None):
@@ -324,9 +324,9 @@ def outer_defect(h, N=None):
     outer elements, tested at truncation order N.  The columns h z^v, |v|
     within the validity window, have the NC Toeplitz Gram G, and the
     vacuum sees only their constant terms, so the residual Gram of the
-    vacuum directions is I - h_0 (G^{-1})_{00} h_0^H.  Column-valued h
-    reports the best vacuum direction; square h has to reach every one, so
-    the worst direction is reported instead.
+    vacuum directions is I - h_0 (G^{-1})_{00} h_0^H: (G^{-1})_{00} inverts
+    the vacuum's Schur complement.  Column-valued h reports the best vacuum
+    direction; square h has to reach every one, so the worst is reported.
     """
     if N is None:
         N = h.max_degree
@@ -335,22 +335,24 @@ def outer_defect(h, N=None):
             "outer defect expects scalar, column, or square h")
     hN = h.truncate(N)
     window = max(N - hN.degree(), 0)
+    return _outer_defect(toeplitz_gram(hN, window), hN.coeff(()), window)
+
+
+def _outer_defect(G, h0, window):
+    """outer_defect from h's Gram G on the window and constant term h0.
+    Reversed, G = L L^H puts the vacuum last: its Schur complement is
+    L_v L_v^H for the trailing q x q block L_v of L, so the residual is
+    I - Y^H Y with L_v Y = h0^H, the columns of h0 reversed too."""
     try:
-        L = np.linalg.cholesky(toeplitz_gram(hN, window))
+        L = np.linalg.cholesky(G[::-1, ::-1])
     except np.linalg.LinAlgError:
         raise DiagnosticError(
             f"outer defect: the columns h z^v are dependent on the window "
             f"|v| <= {window}")
-    import scipy.linalg
-
-    q = h.cols
-    E = np.eye(L.shape[0], q, dtype=complex)
-    X = scipy.linalg.solve_triangular(L, E, lower=True)
-    h0 = hN.coeff(())
-    G = np.eye(h.rows) - h0 @ (X.conj().T @ X) @ h0.conj().T
-    vals = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-    pick = vals[-1] if h.cols == h.rows and h.rows > 1 else vals[0]
-    return float(np.sqrt(max(pick, 0.0)))
+    p, q = h0.shape
+    Y = np.linalg.solve(L[-q:, -q:], h0[:, ::-1].conj().T)
+    vals = np.linalg.eigvalsh(np.eye(p) - Y.conj().T @ Y)
+    return float(np.sqrt(max(vals[-1] if p == q > 1 else vals[0], 0.0)))
 
 
 def solve_vacuum(f, r, N=None):
@@ -459,10 +461,9 @@ def _blaschke_defect(theta, QK, N, col_degree=None, window=None):
             f"column degree {col_degree} exceeds truncation order {N}")
     basis = FockBasis(theta.d, N)
     R = orthonormal_frame(mult_operator(theta, basis).restricted(col_degree))
-    Pperp = np.eye(basis.dim, dtype=complex) - R @ R.conj().T
-    PK = QK @ QK.conj().T
     cut = basis.indices_through_degree(window)
-    Dmat = (Pperp - PK)[np.ix_(cut, cut)]
+    R, QK = R[cut], QK[cut]
+    Dmat = np.eye(cut.size) - R @ R.conj().T - QK @ QK.conj().T
     return float(np.linalg.norm(Dmat, 2))
 
 
@@ -568,7 +569,7 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
     basis = FockBasis(theta.d, N)
     Q = np.eye(basis.dim, dtype=complex) - QK @ QK.conj().T
     P = wandering_projection(Q, basis)
-    W, _ = wandering_vectors(P, tol=SPLIT_WANDER_TOL)
+    W, _ = wandering_vectors(P)
     if W.shape[1] != 1:
         defects = {"blaschke_defect": defect,
                    "wandering_count": W.shape[1]}

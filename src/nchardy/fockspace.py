@@ -29,8 +29,8 @@ from .ncseries import NcSeries, rescale
 RANK_REL = 1e-10
 
 # |eigenvalue - 1| tolerance for reading wandering vectors off the
-# wandering projection.
-WANDER_EIG_TOL = 1e-8
+# wandering projection, which truncation perturbs.
+WANDER_EIG_TOL = 1e-6
 
 
 def _degree_starts(d, m):

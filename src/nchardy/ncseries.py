@@ -37,9 +37,11 @@ def word_key(w):
 
 
 def _check_letters(letters, d):
+    """The letters as ints, checked raw: 1.7 or '1' raises, not truncates."""
     for a in letters:
         if not isinstance(a, (int, np.integer)) or not 1 <= a <= d:
             raise ValueError(f"letter {a!r} outside alphabet 1..{d}")
+    return tuple(map(int, letters))
 
 
 class Word:
@@ -48,11 +50,9 @@ class Word:
     __slots__ = ("letters", "d")
 
     def __init__(self, letters, d):
-        letters = tuple(int(a) for a in letters)
         if d < 1:
             raise ValueError("alphabet size must be >= 1")
-        _check_letters(letters, d)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", _check_letters(tuple(letters), d))
         object.__setattr__(self, "d", int(d))
 
     def __setattr__(self, name, value):
@@ -129,8 +129,7 @@ class NcSeries:
         store = {}
         if coeffs:
             for w, m in coeffs.items():
-                w = tuple(int(a) for a in w)
-                _check_letters(w, self.d)
+                w = _check_letters(w, self.d)
                 if len(w) > self.max_degree:
                     raise ValueError(
                         f"word {w} longer than max_degree {self.max_degree}"
@@ -153,7 +152,7 @@ class NcSeries:
     @classmethod
     def monomial(cls, word, d, max_degree=None, value=1.0):
         """Scalar series value * z^word."""
-        word = tuple(int(a) for a in word)
+        word = tuple(word)
         if max_degree is None:
             max_degree = len(word)
         return cls(d, 1, 1, max_degree, {word: value})

@@ -9,6 +9,7 @@ the package.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ import nchardy.factorization as factorization
 import nchardy.fockspace as fockspace
 from nchardy.errors import DiagnosticError, NotInnerError, ValidityWindowError
 from nchardy.factorization import (
+    GRAM_COND_MIN,
     _OuterProblem,
     autocorrelation,
     inner_outer,
@@ -157,6 +159,21 @@ def reference_outer_defect(h, N):
     E0[:p, :p] = np.eye(p)
     R = E0 - Q @ (Q.conj().T @ E0)
     vals = np.linalg.eigvalsh(R.conj().T @ R)
+    pick = vals[-1] if h.cols == h.rows and h.rows > 1 else vals[0]
+    return float(np.sqrt(max(pick, 0.0)))
+
+
+def triangular_outer_defect(h, N):
+    """The outer defect through a forward solve of the Cholesky factor
+    against the vacuum columns, as outer_defect computed it before the
+    Schur-complement form."""
+    hN = h.truncate(N)
+    L = np.linalg.cholesky(toeplitz_gram(hN, max(N - hN.degree(), 0)))
+    E = np.eye(L.shape[0], h.cols, dtype=complex)
+    X = scipy.linalg.solve_triangular(L, E, lower=True)
+    h0 = hN.coeff(())
+    G = np.eye(h.rows) - h0 @ (X.conj().T @ X) @ h0.conj().T
+    vals = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
     pick = vals[-1] if h.cols == h.rows and h.rows > 1 else vals[0]
     return float(np.sqrt(max(pick, 0.0)))
 
@@ -343,6 +360,33 @@ def test_outer_defect_matches_svd_frame():
     assert outer_defect(cases[1]) == pytest.approx(1.0, abs=1e-12)
 
 
+def outer_defect_corpus():
+    rng = np.random.default_rng(21)
+    cases = [NcSeries(2, 1, 1, 8, {(): 1.0, (1,): -0.5}),
+             NcSeries.monomial((1,), 2, 8),
+             commutator_inner(max_degree=6) + 2.0]
+    for d, deg, N in ((2, 2, 5), (3, 1, 3), (1, 3, 7), (2, 1, 6)):
+        cases.append(random_series(rng, d, deg, N))
+        cases.append(random_series(rng, d, deg, N, 3, 1))
+        for n in (2, 3):
+            H = random_series(rng, d, deg, N, n, n)
+            H.coeffs[()] = H.coeffs[()] + 3.0 * np.eye(n)
+            cases.append(H)
+    return cases
+
+
+@pytest.mark.parametrize("h", outer_defect_corpus())
+def test_outer_defect_matches_triangular_solve(h):
+    N = h.max_degree
+    want = triangular_outer_defect(h, N)
+    assert abs(outer_defect(h, N) ** 2 - want ** 2) <= 1e-12
+    if h.rows == h.cols and h.degree() >= 1:
+        # inner_outer reads the outer factor's defect off H's own Gram
+        r = inner_outer(h)
+        want = triangular_outer_defect(r.outer, N)
+        assert abs(r.defects["outer_defect"] ** 2 - want ** 2) <= 1e-12
+
+
 def test_outer_defect_refuses_dependent_columns():
     with pytest.raises(DiagnosticError):
         outer_defect(NcSeries(2, 1, 1, 3, {}))
@@ -393,6 +437,73 @@ def test_wandering_dim_refuses_ill_conditioned_gram(monkeypatch):
     H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5})
     with pytest.raises(DiagnosticError, match=r"window \|v\| <= 3"):
         inner_outer(H)
+
+
+@pytest.mark.parametrize("H, N", [
+    (1.0 - np.sqrt(2.0) * commutator_inner(max_degree=8), 8),
+    # inner factor z1: the outer factor 1 - 0.5 z2 has the larger window
+    (NcSeries(2, 1, 1, 6, {(1,): 1.0, (1, 2): -0.5}), 6),
+    (NcSeries(2, 2, 2, 4, {(): 2.0 * np.eye(2),
+                           (1, 2): [[0.3, 1.0], [0.0, -0.4]]}), 4),
+])
+def test_inner_outer_builds_one_gram_and_no_spectrum(monkeypatch, H, N):
+    grams, solved = [], []
+
+    def counting_gram(f, k):
+        grams.append((f, k, toeplitz_gram(f, k)))
+        return grams[-1][2].copy()
+
+    def recording(solver):
+        def solve(a, *args, **kwargs):
+            solved.append(np.array(a))
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(factorization, "toeplitz_gram", counting_gram)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg,
+                                                               name)))
+    r = inner_outer(H)
+    assert len(grams) == 1
+    f, k, G = grams[0]
+    assert max_coeff_diff(f, H, N) == 0.0
+    assert k == N - r.outer.degree() >= N - H.degree()
+    # beyond spectral_outer's start sqrt(t_empty), no eigen-solve sees a
+    # leading block of H's Gram
+    for a in solved:
+        n = a.shape[-1]
+        assert n == H.rows or not np.array_equal(a, G[:n, :n])
+    assert any(a.shape[-1] == H.rows for a in solved)
+
+
+def test_gram_certificate_is_sound_and_tight():
+    """Accepted matrices have eigenvalue ratio above GRAM_COND_MIN / 2;
+    ratios above 2 GRAM_COND_MIN |G|_inf / lambda_max are all accepted."""
+    rng = np.random.default_rng(13)
+    seen = {True: 0, False: 0}
+    for n in range(1, 65):
+        for ratio in np.logspace(-14, -9, 11):
+            lam = np.sort(np.concatenate([
+                [ratio, 1.0], ratio ** rng.random(max(n - 2, 0))]))[-n:]
+            lam *= 10.0 ** rng.uniform(-3, 3)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                                + 1j * rng.standard_normal((n, n)))
+            G = (Q * lam) @ Q.conj().T
+            G = 0.5 * (G + G.conj().T)
+            vals = np.linalg.eigvalsh(G)
+            got = vals[0] / vals[-1]
+            try:
+                factorization._certify_wandering(G, 0)
+                accepted = True
+            except DiagnosticError:
+                accepted = False
+            seen[accepted] += 1
+            if got < GRAM_COND_MIN / 2:
+                assert not accepted, (n, got)
+            norm_inf = np.abs(G).sum(axis=1).max()
+            if got > 2 * GRAM_COND_MIN * norm_inf / vals[-1]:
+                assert accepted, (n, got)
+    assert seen[True] and seen[False]
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,11 @@
 """scipy stays out of processes that never call into it.
 
-Only spectral factorization, the outer defect, the kernel frames of
-singularity pairs (`sing_space_complement`), `crofoot_kernel_frame` and
-the singularity search use scipy, and each imports it where it is called.
-A CLI process that runs any other command, and a Blaschke/singular split
-given only a ready frame, must therefore end with no scipy module loaded.
+Only spectral factorization, the kernel frames of singularity pairs
+(`sing_space_complement`), `crofoot_kernel_frame` and the singularity
+search use scipy, and each imports it where it is called.  A CLI process
+that runs any other command, a Blaschke/singular split given only a ready
+frame, and the outer defect must therefore end with no scipy module
+loaded.
 """
 
 import json
@@ -93,6 +94,18 @@ def test_split_with_a_frame_loads_no_scipy(tmp_path):
         "res = blaschke_singular_split(theta, [], N=N, extra_frame=frame)\n"
         "assert res.flags == [] and res.defects['blaschke_defect'] > 0.25\n"
         "assert max_coeff_diff(res.blaschke, z1, N) == 0.0\n"
+        + REPORT_SCIPY)
+    assert run_python(code, tmp_path) == []
+
+
+def test_outer_defect_loads_no_scipy(tmp_path):
+    code = (
+        "from nchardy.factorization import outer_defect\n"
+        "from nchardy.ncseries import NcSeries\n"
+        "h = NcSeries(2, 1, 1, 6, {(): 1.0, (1,): -0.5})\n"
+        "H = NcSeries(2, 2, 2, 4, {(): [[2.0, 0.5], [0.0, 1.0]],\n"
+        "                          (1,): [[0.3, 0.0], [0.1, -0.4]]})\n"
+        "assert 0.0 < outer_defect(h) < 0.1 and outer_defect(H) < 1.0\n"
         + REPORT_SCIPY)
     assert run_python(code, tmp_path) == []
 

@@ -54,6 +54,25 @@ def test_word_class_concat_reverse_and_validation():
         a.letters = (1,)
 
 
+@pytest.mark.parametrize("word", [(1.7,), (2.0,), ("1",), (1, 2.9),
+                                  (np.float64(1.0),)])
+def test_non_integer_letters_raise_instead_of_truncating(word):
+    with pytest.raises(ValueError, match="outside alphabet"):
+        NcSeries(2, 1, 1, 2, {word: 1.0})
+    with pytest.raises(ValueError, match="outside alphabet"):
+        Word(word, 2)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        NcSeries.monomial(word, 2)
+
+
+def test_numpy_integer_letters_become_python_ints():
+    word = (np.int64(2), np.int32(1))
+    assert Word(word, 2).letters == (2, 1)
+    f = NcSeries(2, 1, 1, 2, {word: 1.0})
+    assert list(f.coeffs) == [(2, 1)]
+    assert all(type(a) is int for a in list(f.coeffs)[0])
+
+
 def test_support_sorted_and_degree():
     f = NcSeries(2, 1, 1, 3, {(2, 1): 1.0, (1,): 2.0, (): 3.0})
     assert f.support() == [(), (1,), (2, 1)]

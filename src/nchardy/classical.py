@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BoundaryRootError, ShapeMismatchError
 from .evaluate import MatrixPoint
-from .kernels import SingularityPair, sing_membership
+from .kernels import SingularityPair, _left_null_direction, sing_membership
 from .ncseries import (
     NcSeries,
     max_coeff_diff,
@@ -184,11 +184,6 @@ def jordan_pair(w, multiplicity, eps=None):
     W = w * np.eye(m, dtype=complex) + eps * np.diag(np.ones(m - 1), 1)
     Z = MatrixPoint([W])
     return {"point": Z, "eps": float(eps), "binding": binding}
-
-
-def _left_null_direction(A):
-    _, sig, Vh = np.linalg.svd(A.conj().T)
-    return Vh[-1].conj()
 
 
 def compare_with_nc(h, N=None, margin=BOUNDARY_MARGIN, membership_tol=1e-8):

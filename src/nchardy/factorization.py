@@ -276,6 +276,8 @@ def inner_outer(H, N=None):
         raise ShapeMismatchError("only scalar or square series supported")
 
     if m == 0:
+        # a constant is outer exactly when it is invertible
+        series_invert(Hp, 0)
         inner = NcSeries.constant(np.eye(H.rows), H.d, N)
         defects = {"inner_defect": 0.0, "outer_defect": 0.0,
                    "reconstruction_error": 0.0}
@@ -413,15 +415,17 @@ def crofoot_kernel_frame(theta, w, N=None):
     defect needs for full-support shifted inners, where sampled pairs at
     small levels cannot span enough.
     """
-    import scipy.linalg
-
     from .transforms import crofoot
 
     if N is None:
         N = theta.max_degree
     basis = FockBasis(theta.d, N)
     M = mult_operator(theta.with_max_degree(N), basis).mat
-    ker = scipy.linalg.null_space(M.conj().T)
+    # null space of M^H: right singular vectors past the numerical rank,
+    # cut at max(s) * eps * max(shape)
+    _, s, Vh = np.linalg.svd(M.conj().T)
+    tol = s.max(initial=0.0) * np.finfo(s.dtype).eps * max(M.shape)
+    ker = Vh[int(np.sum(s > tol)):].conj().T
     C = mult_operator(crofoot(theta, w, N), basis).mat
     return orthonormal_frame(C @ ker)
 

@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .errors import ShapeMismatchError, ValidityWindowError
-from .ncseries import NcSeries, rescale
+from .ncseries import NcSeries, _int_letters, rescale
 
 # Relative singular-value threshold for numerical rank decisions.
 RANK_REL = 1e-10
@@ -57,7 +57,7 @@ class FockBasis:
         self._starts = _degree_starts(self.d, self.max_degree)
 
     def index_of(self, word):
-        w = tuple(int(a) for a in word)
+        w = _int_letters(word)
         i = self.index.get(w)
         if i is None:
             raise KeyError(f"word {w} not in basis (d={self.d}, "

@@ -28,7 +28,7 @@ from .evaluate import (
     evaluate_batch,
     random_point,
 )
-from .fockspace import FockBasis, RANK_REL, series_to_vec, toeplitz_gram
+from .fockspace import FockBasis, RANK_REL, orthonormal_frame, toeplitz_gram
 from .ncseries import NcSeries, series_mul
 
 # Default residual tolerance for singularity membership.
@@ -106,11 +106,30 @@ class KernelVector:
                 f"N={self.series.max_degree})")
 
 
+def _adjoint_word_vectors(Z, y, m):
+    """(Z^w)* y for every word w of length <= m, as the rows of a (D_m, n)
+    array in FockBasis order.
+
+    Appending a letter gives (Z^{ua})* y = Z_a* (Z^u)* y.  Each degree of
+    FockBasis is in lex order, so ua sits at d * rank(u) + a - 1 and each
+    degree is one batched product of the last: row (u, a) is
+    ((Z^u)* y)^T conj(Z_a).
+    """
+    Zc = np.conj(np.array(Z.mats))
+    level = y[None, :]
+    rows = [level]
+    for _ in range(m):
+        level = (level @ Zc).transpose(1, 0, 2).reshape(-1, Z.n)
+        rows.append(level)
+    return np.concatenate(rows)
+
+
 def szego_kernel(Z, y, v, N):
     """K{Z, y, v} truncated at degree N.
 
-    The coefficient at word w is (Z^w v)* y, so that the pairing against a
-    polynomial f of degree <= N gives y* f(Z) v exactly.
+    The coefficient at word w is (Z^w v)* y = v* (Z^w)* y, so that the
+    pairing against a polynomial f of degree <= N gives y* f(Z) v exactly.
+    Exact zeros are not stored.
     """
     if not isinstance(Z, MatrixPoint):
         Z = MatrixPoint(Z)
@@ -119,22 +138,8 @@ def szego_kernel(Z, y, v, N):
     if y.size != Z.n or v.size != Z.n:
         raise ShapeMismatchError(
             f"vectors must have length {Z.n}, got {y.size} and {v.size}")
-    coeffs = {}
-    level = {(): v.copy()}
-    c0 = complex(v.conj() @ y)
-    if c0 != 0.0:
-        coeffs[()] = c0
-    for _ in range(N):
-        nxt = {}
-        for w, vec in level.items():
-            for k in range(1, Z.d + 1):
-                nw = (k,) + w
-                nvec = Z[k - 1] @ vec
-                nxt[nw] = nvec
-                c = complex(nvec.conj() @ y)
-                if c != 0.0:
-                    coeffs[nw] = c
-        level = nxt
+    c = _adjoint_word_vectors(Z, y, N) @ v.conj()
+    coeffs = {w: m for w, m in zip(FockBasis(Z.d, N).words, c) if m != 0.0}
     return KernelVector(NcSeries(Z.d, 1, 1, N, coeffs), Z, y, v)
 
 
@@ -299,29 +304,36 @@ def standard_probes(n):
 def sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
     """Orthonormal frame spanning the kernel vectors of the given pairs.
 
-    Columns are stacked coefficient vectors of szego_kernel(Z, y, v, N)
-    over every pair and probe (standard basis probes by default, per
-    level).  Rank-revealing QR with a relative threshold trims the span.
-    The result approximates the orthocomplement of the singularity space
-    from below; more pairs can only grow it.
+    Columns are the coefficient vectors U @ conj(v) of K{Z, y, v} at
+    degree N, as szego_kernel computes them, over every pair and probe
+    (standard basis probes by default, per level), with one U of adjoint
+    word vectors per pair.  Rank-revealing QR with a relative threshold
+    trims the span.  The result approximates the orthocomplement of the
+    singularity space from below; more pairs can only grow it.
     """
     if not pairs:
         raise ValueError("need at least one singularity pair")
     d = pairs[0].Z.d
-    basis = FockBasis(d, N)
     cols = []
     for pair in pairs:
+        if pair.Z.d != d:
+            raise ShapeMismatchError(
+                f"pairs over alphabets d={d} and d={pair.Z.d}")
+        U = _adjoint_word_vectors(pair.Z, pair.y, N)
         vs = probes if probes is not None else standard_probes(pair.level)
         for v in vs:
-            K = szego_kernel(pair.Z, pair.y, v, N)
-            cols.append(series_to_vec(K.series, basis)[:, 0])
+            v = np.asarray(v, dtype=complex).reshape(-1)
+            if v.size != pair.level:
+                raise ShapeMismatchError(
+                    f"probe length {v.size} != level {pair.level}")
+            cols.append(U @ v.conj())
     import scipy.linalg
 
     A = np.array(cols).T
     Q, R, _ = scipy.linalg.qr(A, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((basis.dim, 0), dtype=complex)
+        return np.zeros((A.shape[0], 0), dtype=complex)
     r = int(np.sum(diag > rel * diag[0]))
     return Q[:, :r]
 
@@ -340,22 +352,7 @@ def compress_to_finite(Z, y, p):
     y = np.asarray(y, dtype=complex).reshape(-1)
     if np.linalg.norm(y) == 0.0:
         raise ValueError("cannot compress the zero vector")
-    m = p.degree()
-    cols = []
-    level = [y.copy()]
-    cols.append(y.copy())
-    for _ in range(m):
-        nxt = []
-        for vec in level:
-            for k in range(Z.d):
-                w = Z[k].conj().T @ vec
-                nxt.append(w)
-                cols.append(w)
-        level = nxt
-    A = np.array(cols).T
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > RANK_REL * s[0])) if s.size and s[0] > 0 else 0
-    Q = U[:, :r]
+    Q = orthonormal_frame(_adjoint_word_vectors(Z, y, p.degree()).T)
     X = MatrixPoint([Q.conj().T @ M @ Q for M in Z.mats])
     x = Q.conj().T @ y
     return X, x
@@ -404,6 +401,12 @@ def _triangular_direction(rng, d, n, row_cap):
     return Z.scale(row_cap / rn)
 
 
+def _left_null_direction(A):
+    """Unit y with ||y* A|| the smallest singular value of A."""
+    _, _, Vh = np.linalg.svd(A.conj().T)
+    return Vh[-1].conj()
+
+
 def _harvest_members(H, Z, degree_bound, tol, members, max_members):
     """Verify every in-disk det root of the direction Z as a member."""
     for t in _det_poly_roots(H, Z, degree_bound):
@@ -412,9 +415,7 @@ def _harvest_members(H, Z, degree_bound, tol, members, max_members):
         Zt = Z.scale(t)
         if Zt.row_norm() >= 1.0:
             continue
-        A = evaluate(H, Zt)
-        _, _, Vh = np.linalg.svd(A.conj().T)
-        y = Vh[-1].conj()
+        y = _left_null_direction(evaluate(H, Zt))
         ok, _ = sing_membership(H, Zt, y, tol)
         if ok:
             members.append(SingularityPair(Zt, y))
@@ -423,40 +424,18 @@ def _harvest_members(H, Z, degree_bound, tol, members, max_members):
     return False
 
 
-def _point_to_params(Z):
-    out = []
-    for M in Z.mats:
-        out.append(M.real.ravel())
-        out.append(M.imag.ravel())
-    return np.concatenate(out)
-
-
-def _params_to_point(x, d, n, row_cap):
-    m = n * n
-    mats = []
-    for k in range(d):
-        re = x[2 * k * m:(2 * k + 1) * m].reshape(n, n)
-        im = x[(2 * k + 1) * m:(2 * k + 2) * m].reshape(n, n)
-        mats.append(re + 1j * im)
-    Z = MatrixPoint(mats)
-    rn = Z.row_norm()
-    return Z.scale(row_cap / rn) if rn > 0 else Z
-
-
 def search_singularities(H, level, trials=50, rng=None, row_cap=0.995,
-                         tol=SING_TOL, max_members=10, polish=True,
-                         polish_starts=2, polish_budget=4000):
+                         tol=SING_TOL, max_members=10):
     """Random-direction search for members of the singularity locus.
 
     Trials alternate between strictly triangular and Ginibre draws; for
     each direction Z at the row-norm cap the exact scalings t with
     det(H(tZ)) = 0 are found by polynomial root extraction, and each root
     inside the disk gives a candidate point tZ whose left null vector is
-    re-verified through sing_membership.  When the scan alone comes up
-    short, a local descent polishes the most promising directions, driving
-    the smallest root modulus below 1 if it can.  Returns verified
-    SingularityPair objects (possibly empty: polynomial symbols can be
-    pointwise invertible on the whole ball at a given level).
+    re-verified through sing_membership.  Returns the verified
+    SingularityPair objects, at most max_members, possibly none:
+    polynomial symbols can be pointwise invertible on the whole ball at a
+    given level, and the scan can miss a locus that is there.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("singularity search needs a square series")
@@ -464,44 +443,14 @@ def search_singularities(H, level, trials=50, rng=None, row_cap=0.995,
         rng = np.random.default_rng(0)
     members = []
     degree_bound = H.degree() * H.rows * level + 1
-    scored = []
     for trial in range(trials):
         if trial % 2 == 0:
             Z = _triangular_direction(rng, H.d, level, row_cap)
         else:
             Z = random_point(rng, H.d, level, row_cap)
         roots = _det_poly_roots(H, Z, degree_bound)
-        score = float(min(np.abs(roots))) if roots.size else np.inf
-        scored.append((score, Z))
-        if score < 1.0:
+        if roots.size and min(np.abs(roots)) < 1.0:
             if _harvest_members(H, Z, degree_bound, tol, members,
                                 max_members):
-                return members
-    if members or not polish:
-        return members
-
-    # local descent on the direction sphere: push the smallest root
-    # modulus below 1, then harvest as before
-    import scipy.optimize
-
-    def objective(x):
-        Zx = _params_to_point(x, H.d, level, row_cap)
-        roots = _det_poly_roots(H, Zx, degree_bound)
-        return float(min(np.abs(roots))) if roots.size else 10.0
-
-    scored.sort(key=lambda sv: sv[0])
-    for score, Z0 in scored[:polish_starts]:
-        if not np.isfinite(score):
-            continue
-        res = scipy.optimize.minimize(
-            objective, _point_to_params(Z0), method="Nelder-Mead",
-            options={"maxfev": polish_budget, "xatol": 1e-8,
-                     "fatol": 1e-12})
-        if res.fun < 1.0:
-            Z = _params_to_point(res.x, H.d, level, row_cap)
-            if _harvest_members(H, Z, degree_bound, tol, members,
-                                max_members):
-                return members
-        if members:
-            break
+                break
     return members

@@ -36,6 +36,15 @@ def word_key(w):
     return (len(w), w)
 
 
+def _int_letters(word):
+    """A lookup word's letters as ints, checked raw: 1.7 or '1' raises
+    instead of truncating.  Integers outside the alphabet pass."""
+    for a in word:
+        if not isinstance(a, (int, np.integer)):
+            raise ValueError(f"letter {a!r} is not an integer")
+    return tuple(map(int, word))
+
+
 def _check_letters(letters, d):
     """The letters as ints, checked raw: 1.7 or '1' raises, not truncates."""
     for a in letters:
@@ -165,8 +174,7 @@ class NcSeries:
 
     def coeff(self, word):
         """Coefficient matrix at word (zeros if absent).  Returns a copy."""
-        w = tuple(int(a) for a in word)
-        m = self.coeffs.get(w)
+        m = self.coeffs.get(_int_letters(word))
         if m is None:
             return np.zeros((self.rows, self.cols), dtype=complex)
         return m.copy()
@@ -175,7 +183,7 @@ class NcSeries:
         """Coefficient of a 1x1 series as a python complex."""
         if self.rows != 1 or self.cols != 1:
             raise ShapeMismatchError("scalar_coeff needs a 1x1 series")
-        m = self.coeffs.get(tuple(int(a) for a in word))
+        m = self.coeffs.get(_int_letters(word))
         return complex(0.0) if m is None else complex(m[0, 0])
 
     def support(self):
@@ -465,9 +473,11 @@ def max_coeff_diff(f, g, through_degree=None):
     for w in g.coeffs:
         if len(w) <= through_degree:
             words.add(w)
+    f0 = np.zeros((f.rows, f.cols), dtype=complex)
+    g0 = np.zeros((g.rows, g.cols), dtype=complex)
     err = 0.0
     for w in words:
-        diff = f.coeff(w) - g.coeff(w)
+        diff = f.coeffs.get(w, f0) - g.coeffs.get(w, g0)
         if diff.size:
             err = max(err, float(np.max(np.abs(diff))))
     return err

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from nchardy.errors import ShapeMismatchError, ValidityWindowError
+from nchardy.errors import (
+    NotInvertibleError,
+    ShapeMismatchError,
+    ValidityWindowError,
+)
 from nchardy.factorization import (
     autocorrelation,
     blaschke_defect,
@@ -135,6 +139,29 @@ def test_inner_outer_square_matrix():
     assert np.allclose(r.inner.coeff(()), I2, atol=1e-12)
     assert max_coeff_diff(r.outer, H, 4) < 1e-12
     assert r.defects["reconstruction_error"] < 1e-12
+
+
+@pytest.mark.parametrize("c0", [np.diag([1.0, 0.0]),
+                                [[1.0, 2.0], [0.5, 1.0]]])
+def test_inner_outer_refuses_a_singular_constant(c0):
+    # a singular constant reaches no vacuum direction outside its range
+    H = NcSeries(2, 2, 2, 4, {(): c0})
+    with pytest.raises(NotInvertibleError, match="numerically singular"):
+        inner_outer(H)
+
+
+@pytest.mark.parametrize("c0", [2.5 - 1.0j, [[1.0, 2.0], [0.0, 1.0]]])
+def test_inner_outer_of_an_invertible_constant_is_outer(c0):
+    c0 = np.atleast_2d(np.asarray(c0, dtype=complex))
+    H = NcSeries(2, len(c0), len(c0), 4, {(): c0})
+    r = inner_outer(H)
+    assert r.wandering_dim == len(c0) and r.valid_degree == 4
+    assert list(r.inner.coeffs) == [()]
+    assert np.array_equal(r.inner.coeff(()), np.eye(len(c0)))
+    assert list(r.outer.coeffs) == [()]
+    assert np.array_equal(r.outer.coeff(()), c0)
+    assert r.defects == {"inner_defect": 0.0, "outer_defect": 0.0,
+                         "reconstruction_error": 0.0}
 
 
 def test_inner_outer_rejects_zero_and_rectangular():

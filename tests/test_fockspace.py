@@ -42,6 +42,20 @@ def test_basis_enumeration_and_dimension():
     assert list(b.indices_through_degree(1)) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("word", [(1.7,), (2.0,), ("1",), (1, 2.9)])
+def test_index_of_refuses_non_integer_letters(word):
+    with pytest.raises(ValueError, match="not an integer"):
+        FockBasis(2, 2).index_of(word)
+
+
+def test_index_of_integer_words_outside_the_basis_is_a_key_error():
+    b = FockBasis(2, 2)
+    assert b.index_of((np.int64(2), 1)) == 5
+    for word in ((3,), (0,), (1, 1, 1)):
+        with pytest.raises(KeyError):
+            b.index_of(word)
+
+
 def test_left_shift_prepends_and_annihilates_top():
     b = FockBasis(2, 2)
     L1 = left_shift_matrix(b, 1)

@@ -249,7 +249,7 @@ def test_search_finds_bilinear_singularities():
 def test_search_reports_empty_for_invertible_symbol():
     rng = np.random.default_rng(32)
     f = NcSeries(2, 1, 1, 3, {(): 1.0, (1,): 0.3})
-    members = search_singularities(f, 1, trials=8, rng=rng, polish=False)
+    members = search_singularities(f, 1, trials=8, rng=rng)
     assert members == []
 
 

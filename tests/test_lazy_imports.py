@@ -1,10 +1,10 @@
 """scipy stays out of processes that never call into it.
 
-Only spectral factorization, the kernel frames of singularity pairs
-(`sing_space_complement`), `crofoot_kernel_frame` and the singularity
-search use scipy, and each imports it where it is called.  A CLI process
-that runs any other command, a Blaschke/singular split given only a ready
-frame, and the outer defect must therefore end with no scipy module
+Only spectral factorization and the kernel frames of singularity pairs
+(`sing_space_complement`) use scipy, and each imports it where it is
+called.  A CLI process that runs any other command, a Blaschke/singular
+split given only a ready frame, `crofoot_kernel_frame`, the singularity
+search and the outer defect must therefore end with no scipy module
 loaded.
 """
 
@@ -94,6 +94,38 @@ def test_split_with_a_frame_loads_no_scipy(tmp_path):
         "res = blaschke_singular_split(theta, [], N=N, extra_frame=frame)\n"
         "assert res.flags == [] and res.defects['blaschke_defect'] > 0.25\n"
         "assert max_coeff_diff(res.blaschke, z1, N) == 0.0\n"
+        + REPORT_SCIPY)
+    assert run_python(code, tmp_path) == []
+
+
+def test_crofoot_frame_and_its_split_load_no_scipy(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from nchardy.factorization import (blaschke_singular_split,\n"
+        "                                   crofoot_kernel_frame)\n"
+        "from nchardy.ncseries import commutator_inner\n"
+        "from nchardy.transforms import frostman\n"
+        "N, w = 6, 0.5\n"
+        "V = commutator_inner(max_degree=N)\n"
+        "E = crofoot_kernel_frame(V, w, N)\n"
+        "assert E.shape[1] > 0\n"
+        "res = blaschke_singular_split(frostman(V, w, N), [], N=N,\n"
+        "                              extra_frame=E)\n"
+        "assert res.wandering_dim == 1\n"
+        + REPORT_SCIPY)
+    assert run_python(code, tmp_path) == []
+
+
+def test_singularity_search_loads_no_scipy(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from nchardy.kernels import search_singularities\n"
+        "from nchardy.ncseries import NcSeries\n"
+        "H = NcSeries(2, 1, 1, 4, {(): 1.0, (1, 2): -2.0})\n"
+        "rng = np.random.default_rng(31)\n"
+        "assert search_singularities(H, 2, trials=20, rng=rng)\n"
+        "f = NcSeries(2, 1, 1, 3, {(): 1.0, (1,): 0.3})\n"
+        "assert search_singularities(f, 1, trials=8, rng=rng) == []\n"
         + REPORT_SCIPY)
     assert run_python(code, tmp_path) == []
 

@@ -65,6 +65,24 @@ def test_non_integer_letters_raise_instead_of_truncating(word):
         NcSeries.monomial(word, 2)
 
 
+@pytest.mark.parametrize("word", [(1.7,), (2.0,), ("1",), (1, 2.9),
+                                  (np.float64(1.0),)])
+def test_lookups_refuse_non_integer_letters(word):
+    f = NcSeries(2, 1, 1, 2, {(1,): 3.0, (2,): 4.0, (1, 2): 5.0})
+    with pytest.raises(ValueError, match="not an integer"):
+        f.coeff(word)
+    with pytest.raises(ValueError, match="not an integer"):
+        f.scalar_coeff(word)
+
+
+def test_lookups_of_integer_words_off_the_support_read_zero():
+    f = NcSeries(2, 1, 1, 2, {(1,): 3.0, (1, 2): 5.0})
+    assert f.scalar_coeff((np.int64(1), 2)) == 5.0
+    for word in ((2,), (3,), (0,), (1, 2, 1)):
+        assert f.scalar_coeff(word) == 0.0
+        assert np.array_equal(f.coeff(word), np.zeros((1, 1)))
+
+
 def test_numpy_integer_letters_become_python_ints():
     word = (np.int64(2), np.int32(1))
     assert Word(word, 2).letters == (2, 1)

@@ -2,12 +2,13 @@
 
 Everything inner-outer reads is one layer of autocorrelation data
 t_s(H) = sum_m conj(H_m) H_{ms}, gathered over the index triples of
-fockspace.word_triples.  The data depend only on the outer part, so a
-Levenberg-Marquardt solve with an exact Jacobian recovers the outer factor
-to machine precision and the inner factor follows by division.  The same
-data give the NC Toeplitz Gram of the columns H z^v, on which the
-wandering dimension, the outer defect and the inner defect are certified
-without a dense multiplication operator.
+fockspace.word_triples.  The data depend only on the outer part, and only
+up to a constant unitary on the left, so a Levenberg-Marquardt solve over
+the outer factor's coefficients, with an exact Jacobian and residual rows
+asking for a Hermitian vacuum, recovers it to machine precision and the
+inner factor follows by division.  The same data give the NC Toeplitz
+Gram of the columns H z^v, on which the wandering dimension, the outer
+defect and the inner defect are certified without a dense operator.
 
 Classification (Blaschke vs singular) is evidence-based: kernel vectors at
 sampled singularity pairs span part of the range orthocomplement, and the
@@ -32,14 +33,18 @@ from .fockspace import (
     coeff_stack,
     mult_operator,
     orthonormal_frame,
-    smallest_singular_value,
     toeplitz_gram,
     vec_to_series,
     wandering_projection,
     wandering_vectors,
     word_triples,
 )
-from .kernels import check_inner, inner_defect, sing_space_complement
+from .kernels import (
+    _validity_window,
+    check_inner,
+    inner_defect,
+    sing_space_complement,
+)
 from .ncseries import (
     NcSeries,
     max_coeff_diff,
@@ -59,6 +64,10 @@ SINGULAR_SIGMA_TOL = 1e-8
 # Gram eigenvalue ratio above which the columns H z^v count as independent
 # (sigma ratio 1e-6), proved by a Cholesky of G - this * max_i sum_j |G_ij| I.
 GRAM_COND_MIN = 1e-12
+
+# spectral_outer's solves at most, and the seed of its perturbed restarts.
+OUTER_RETRIES = 4
+OUTER_SEED = 0
 
 
 class FactorizationResult:
@@ -94,93 +103,66 @@ def autocorrelation(H, m=None):
 
 
 class _OuterProblem:
-    """t_s(F) = t_s(H) for |s| <= m, in real parameters, with its exact
-    Jacobian.
+    """t_s(F) = t_s(H) for |s| <= m, with its exact Jacobian.
 
-    F is an n x n series of degree m.  Its vacuum coefficient is gauged
-    Hermitian: the diagonal, then real and imaginary parts above it in
-    row-major order.  Every other coefficient is free: real parts, then
-    imaginary parts, word by word.  The residual lists the real and then
-    the imaginary part of t_s(F) - t_s(H), word by word.  Parameter p
-    writes weight pc[p] into flat coefficient entry pe[p]; the off-vacuum-
-    diagonal parameters mp also write mc into the mirror entries me.
+    F is an n x n series of degree m whose (dim, n, n) coefficient stack
+    has the parameters as its float view: x.view(complex) is F.  t_s
+    cannot see a constant unitary on the left, so the anti-Hermitian part
+    F_0 - F_0^H of the vacuum coefficient is one more residual block, after
+    t_s(F) - t_s(H) word by word.  Each block lists the real and then the
+    imaginary parts of its n x n matrix.
     """
 
     def __init__(self, H, m):
         n = self.n = H.rows
         self.d, self.m = H.d, m
         self.basis = FockBasis(H.d, m)
-        D, nn = self.basis.dim, n * n
         self.target = autocorrelation_stack(
             coeff_stack(H, self.basis), H.d, m)
-        iu, ju = np.triu_indices(n, 1)
-        upper, lower = iu * n + ju, ju * n + iu
-        free = (nn + np.arange((D - 1) * nn)).reshape(D - 1, 1, nn)
-        self.pe = np.concatenate([
-            np.arange(n) * (n + 1), np.repeat(upper, 2),
-            np.broadcast_to(free, (D - 1, 2, nn)).reshape(-1)])
-        self.pc = np.concatenate([
-            np.ones(n), np.tile([1.0, 1j], upper.size),
-            np.broadcast_to(np.array([1.0, 1j])[:, None],
-                            (D - 1, 2, nn)).reshape(-1)])
-        self.mp = n + np.arange(2 * upper.size)
-        self.me = np.repeat(lower, 2)
-        self.mc = np.tile([1.0, -1j], upper.size)
-
-    def encode(self, F):
-        """Parameters of a (dim, n, n) stack whose vacuum is Hermitian."""
-        return (self.pc.conj() * F.reshape(-1)[self.pe]).real
+        self.shape = (self.basis.dim, n, n)
 
     def decode(self, x):
-        F = np.zeros(self.basis.dim * self.n * self.n, dtype=complex)
-        np.add.at(F, self.pe, self.pc * x)
-        np.add.at(F, self.me, self.mc * x[self.mp])
-        return F.reshape(self.basis.dim, self.n, self.n)
+        return x.view(complex).reshape(self.shape)
 
     def residual(self, x):
-        r = autocorrelation_stack(self.decode(x), self.d, self.m) - \
-            self.target
+        F = self.decode(x)
+        r = np.concatenate([
+            autocorrelation_stack(F, self.d, self.m) - self.target,
+            (F[0] - F[0].conj().T)[None]])
         r = r.reshape(r.shape[0], -1)
         return np.stack([r.real, r.imag], axis=1).reshape(-1)
 
     def jacobian(self, x):
-        """t_s(F) is sesquilinear: dt_s = sum dF_mu^H F_{mu s} over triples
-        with mu = word(k), plus sum F_mu^H dF_{mu s} over triples with
-        mu s = word(k).  lin holds the coefficients of dF, anti those of
-        conj(dF), over flat (word, row, col) entries."""
+        """t_s(F) is sesquilinear: dt_s = sum F_mu^H dF_{mu s} + dF_mu^H
+        F_{mu s} over the triples (s, mu, mu s).  lin[s, i, b, k, a, c] is
+        the coefficient of dF_k[a, c] in dt_s[i, b], anti that of
+        conj(dF_k[a, c]); the gauge block s = dim is dF_0 - dF_0^H.  With
+        dF = dRe + i dIm, the columns of an entry's real and imaginary
+        parts are lin + anti and i (lin - anti)."""
         F = self.decode(x)
-        n = self.n
+        D, n, eye = self.basis.dim, self.n, np.eye(self.n)
         s, mu, cat = word_triples(self.d, self.m)
-        E = F.size
-        a = np.arange(n)[:, None, None]
-        i = np.arange(n)[None, :, None]
-        b = np.arange(n)[None, None, :]
-        lin = np.zeros((E, E), dtype=complex)
-        anti = np.zeros((E, E), dtype=complex)
-        # (F_mu^H dF)[i, b] = sum_a conj(F_mu[a, i]) dF[a, b]
-        np.add.at(lin, ((s[:, None, None, None] * n + i) * n + b,
-                        (cat[:, None, None, None] * n + a) * n + b),
-                  np.broadcast_to(F[mu].conj()[..., None],
-                                  (s.size, n, n, n)))
-        # (dF^H F_{mu s})[b, i] = sum_a conj(dF[a, b]) F_{mu s}[a, i]
-        np.add.at(anti, ((s[:, None, None, None] * n + b) * n + i,
-                         (mu[:, None, None, None] * n + a) * n + b),
-                  np.broadcast_to(F[cat][..., None], (s.size, n, n, n)))
-        J = lin[:, self.pe] * self.pc + anti[:, self.pe] * self.pc.conj()
-        J[:, self.mp] += lin[:, self.me] * self.mc + \
-            anti[:, self.me] * self.mc.conj()
-        J = J.reshape(self.basis.dim, n * n, -1)
+        lin = np.zeros((D + 1, n, n, D, n, n), dtype=complex)
+        anti = np.zeros_like(lin)
+        # each (s, mu s) and (s, mu) is one triple, laid out (t, i, b, a, c)
+        lin[s, :, :, cat] = np.einsum("tai,bc->tibac", F[mu].conj(), eye)
+        anti[s, :, :, mu] = np.einsum("tab,ic->tibac", F[cat], eye)
+        lin[D, :, :, 0] = np.einsum("ia,bc->ibac", eye, eye)
+        anti[D, :, :, 0] = -np.einsum("ab,ic->ibac", eye, eye)
+        J = np.stack([lin + anti, 1j * (lin - anti)], axis=-1)
+        J = J.reshape(D + 1, n * n, -1)
         return np.stack([J.real, J.imag], axis=1).reshape(-1, J.shape[-1])
 
 
-def spectral_outer(H, degree=None, max_retries=4, seed=0):
+def spectral_outer(H):
     """Outer factor of H from its autocorrelation data.
 
     Solves t_s(F) = t_s(H) for all |s| <= deg(H) over series F of the same
-    degree, with the vacuum coefficient gauged Hermitian (scalar: real).
-    The initial guess sqrt(t_empty) is the constant of maximal vacuum mass,
-    which steers the iteration onto the outer branch; residuals at the
-    solution are at machine precision or the solve is declared failed.
+    degree, with the vacuum coefficient gauged Hermitian (scalar: real and
+    positive).  The initial guess sqrt(t_empty) is the constant of maximal
+    vacuum mass, which steers the iteration onto the outer branch; failed
+    solves restart from seeded perturbations of it, OUTER_RETRIES solves
+    in all, and residuals at machine precision are required.
     """
     import scipy.optimize
 
@@ -188,22 +170,20 @@ def spectral_outer(H, degree=None, max_retries=4, seed=0):
         raise ShapeMismatchError("spectral factorization needs square "
                                  "coefficients")
     n = H.rows
-    m = H.degree() if degree is None else int(degree)
-    prob = _OuterProblem(H, m)
+    prob = _OuterProblem(H, H.degree())
     t0 = prob.target[0]
     scale = max(1.0, float(np.linalg.norm(t0)))
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
-    sqrt0 = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    init = np.zeros((prob.basis.dim, n, n), dtype=complex)
-    init[0] = sqrt0
-    x0 = x_init = prob.encode(init)
-    rng = np.random.default_rng(seed)
+    init = np.zeros(prob.shape, dtype=complex)
+    init[0] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    x0 = x_init = init.reshape(-1).view(float)
+    rng = np.random.default_rng(OUTER_SEED)
     best = None
-    for attempt in range(max_retries):
+    for attempt in range(OUTER_RETRIES):
         res = scipy.optimize.least_squares(
             prob.residual, x0, jac=prob.jacobian, method="lm", xtol=1e-15,
             ftol=1e-15, gtol=1e-15)
-        err = float(np.max(np.abs(res.fun))) if res.fun.size else 0.0
+        err = float(np.max(np.abs(res.fun)))
         if best is None or err < best[0]:
             best = (err, res.x)
         if err <= 1e-11 * scale:
@@ -213,13 +193,14 @@ def spectral_outer(H, degree=None, max_retries=4, seed=0):
     if err > 1e-11 * scale:
         raise DiagnosticError(
             f"autocorrelation factorization did not converge "
-            f"(residual {err:.3e} after {max_retries} attempts)")
-    F = prob.decode(xbest)
+            f"(residual {err:.3e} after {OUTER_RETRIES} attempts)")
+    F = prob.decode(xbest).copy()
+    F[0] = 0.5 * (F[0] + F[0].conj().T)
     if n == 1 and F[0, 0, 0].real < 0:
         F = -F
     coeffs = {w: M for w, M in zip(prob.basis.words, F)
               if np.any(np.abs(M) > 1e-14)}
-    return NcSeries(H.d, n, n, m, coeffs)
+    return NcSeries(H.d, n, n, prob.m, coeffs)
 
 
 def shift_adjoint_apply(omega, H, out_degree=None):
@@ -283,7 +264,7 @@ def inner_outer(H, N=None):
                    "reconstruction_error": 0.0}
         return FactorizationResult(inner, HN.copy(), H.rows, defects, N)
 
-    F = spectral_outer(HN, degree=m)
+    F = spectral_outer(HN)
     B = series_mul(HN, series_invert(F.with_max_degree(N), N), N).prune()
     B, u = phase_normalize(B)
     outer = F.with_max_degree(N).scale(u).prune()
@@ -413,7 +394,8 @@ def crofoot_kernel_frame(theta, w, N=None):
     multiplication operator to a kernel basis materializes that image at
     the working truncation.  This is the rich frame the classification
     defect needs for full-support shifted inners, where sampled pairs at
-    small levels cannot span enough.
+    small levels cannot span enough.  theta(0) != 0 is a ValueError: the
+    truncated operator is then triangular with theta(0) on its diagonal.
     """
     from .transforms import crofoot
 
@@ -426,6 +408,9 @@ def crofoot_kernel_frame(theta, w, N=None):
     _, s, Vh = np.linalg.svd(M.conj().T)
     tol = s.max(initial=0.0) * np.finfo(s.dtype).eps * max(M.shape)
     ker = Vh[int(np.sum(s > tol)):].conj().T
+    if not ker.shape[1]:
+        raise ValueError(f"no kernel frame at N={N}: theta has the nonzero "
+                         f"constant term {theta.coeff(())[0, 0]:.3g}")
     C = mult_operator(crofoot(theta, w, N), basis).mat
     return orthonormal_frame(C @ ker)
 
@@ -477,10 +462,10 @@ def singular_test(S, rng=None, num_samples=200):
     Checks S at the origin first (a necessary condition), then the minimum
     of sigma_min(S(Z)) over num_samples random points of row norm 0.7 and
     sizes 1, 2, 3 in turn, then sigma_min of the multiplication operator
-    at the radii 0.5 and 0.9 on its validity window, after check_inner at
-    its default gate.  The verdict "singular" means every minimum stayed
-    above SINGULAR_SIGMA_TOL; it is sampling evidence, not a proof, so zero
-    sample points raise ValueError.
+    at the radii 0.5 and 0.9 on its validity window, read off the NC
+    Toeplitz Gram, after check_inner at its default gate.  The verdict
+    "singular" means every minimum stayed above SINGULAR_SIGMA_TOL; it is
+    sampling evidence, not a proof, so zero sample points raise ValueError.
     """
     check_inner(S)
     if num_samples < 1:
@@ -497,10 +482,10 @@ def singular_test(S, rng=None, num_samples=200):
         sv = np.linalg.svd(evaluate_batch(S, Zs), compute_uv=False)
         min_sigma = min(min_sigma, float(sv[:, -1].min()))
     report["min_sample_sigma"] = float(min_sigma)
-    basis = FockBasis(S.d, S.max_degree)
     for r in (0.5, 0.9):
-        op = mult_operator(rescale(S, r), basis)
-        report["r_grid"][r] = smallest_singular_value(op, op.valid_degree)
+        Sr = rescale(S, r)
+        lam = np.linalg.eigvalsh(toeplitz_gram(Sr, _validity_window(Sr)))[0]
+        report["r_grid"][r] = float(np.sqrt(max(lam, 0.0)))
     report["singular"] = bool(
         s0 > tol and min_sigma > tol
         and all(v > tol for v in report["r_grid"].values()))

@@ -307,9 +307,10 @@ def sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
     Columns are the coefficient vectors U @ conj(v) of K{Z, y, v} at
     degree N, as szego_kernel computes them, over every pair and probe
     (standard basis probes by default, per level), with one U of adjoint
-    word vectors per pair.  Rank-revealing QR with a relative threshold
-    trims the span.  The result approximates the orthocomplement of the
-    singularity space from below; more pairs can only grow it.
+    word vectors per pair.  orthonormal_frame's SVD with the relative
+    threshold rel trims the span.  The result approximates the
+    orthocomplement of the singularity space from below; more pairs can
+    only grow it.
     """
     if not pairs:
         raise ValueError("need at least one singularity pair")
@@ -327,15 +328,7 @@ def sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
                 raise ShapeMismatchError(
                     f"probe length {v.size} != level {pair.level}")
             cols.append(U @ v.conj())
-    import scipy.linalg
-
-    A = np.array(cols).T
-    Q, R, _ = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
-    r = int(np.sum(diag > rel * diag[0]))
-    return Q[:, :r]
+    return orthonormal_frame(np.array(cols).T, rel)
 
 
 def compress_to_finite(Z, y, p):

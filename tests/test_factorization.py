@@ -208,6 +208,14 @@ def test_blaschke_defect_desk_values_for_frostman_shift():
         assert got == pytest.approx(want, abs=2e-5)
 
 
+@pytest.mark.parametrize("N, cols", [(4, 24), (6, 96)])
+def test_crofoot_frame_refuses_a_nonzero_constant_term(N, cols):
+    V = commutator_inner(max_degree=N)
+    assert crofoot_kernel_frame(V, 0.3, N).shape == (2 ** (N + 1) - 1, cols)
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        crofoot_kernel_frame(frostman(V, 0.5, N), 0.3, N)
+
+
 def test_blaschke_defect_zero_with_exact_complement():
     N = 8
     E = analytic_complement_frame(N)

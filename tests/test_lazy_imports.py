@@ -1,11 +1,10 @@
 """scipy stays out of processes that never call into it.
 
-Only spectral factorization and the kernel frames of singularity pairs
-(`sing_space_complement`) use scipy, and each imports it where it is
+Only spectral factorization uses scipy, and it imports it where it is
 called.  A CLI process that runs any other command, a Blaschke/singular
-split given only a ready frame, `crofoot_kernel_frame`, the singularity
-search and the outer defect must therefore end with no scipy module
-loaded.
+split given a ready frame or singularity pairs, `crofoot_kernel_frame`,
+the singularity search and the outer defect must therefore end with no
+scipy module loaded.
 """
 
 import json
@@ -94,6 +93,26 @@ def test_split_with_a_frame_loads_no_scipy(tmp_path):
         "res = blaschke_singular_split(theta, [], N=N, extra_frame=frame)\n"
         "assert res.flags == [] and res.defects['blaschke_defect'] > 0.25\n"
         "assert max_coeff_diff(res.blaschke, z1, N) == 0.0\n"
+        + REPORT_SCIPY)
+    assert run_python(code, tmp_path) == []
+
+
+def test_split_with_pairs_loads_no_scipy(tmp_path):
+    # kernels at commuting points: the pairs' frame leaves the wandering
+    # vector ambiguous
+    code = (
+        "import numpy as np\n"
+        "from nchardy.evaluate import MatrixPoint\n"
+        "from nchardy.factorization import blaschke_singular_split\n"
+        "from nchardy.kernels import SingularityPair\n"
+        "from nchardy.ncseries import NcSeries\n"
+        "N, c = 8, 2 ** -0.5\n"
+        "V = NcSeries(2, 1, 1, N, {(1, 2): c, (2, 1): -c})\n"
+        "E = np.array([[0.0, 0.5], [0.0, 0.0]])\n"
+        "pairs = [SingularityPair(MatrixPoint([E, 0 * E]), [1.0, 0.0]),\n"
+        "         SingularityPair(MatrixPoint([0 * E, E.T]), [0.0, 1.0])]\n"
+        "res = blaschke_singular_split(V, pairs, N=N)\n"
+        "assert res.flags == ['sampling-insufficient']\n"
         + REPORT_SCIPY)
     assert run_python(code, tmp_path) == []
 

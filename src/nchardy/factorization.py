@@ -6,7 +6,9 @@ fockspace.word_triples.  The data depend only on the outer part, and only
 up to a constant unitary on the left, so a Levenberg-Marquardt solve over
 the outer factor's coefficients, with an exact Jacobian and residual rows
 asking for a Hermitian vacuum, recovers it to machine precision and the
-inner factor follows by division.  The same data give the NC Toeplitz
+inner factor follows by division.  The solver is the numpy `_lm` below
+(Moré 1978, with Nielsen's gain-ratio damping and MINPACK's stop tests),
+so the package runs on numpy alone.  The same data give the NC Toeplitz
 Gram of the columns H z^v, on which the wandering dimension, the outer
 defect and the inner defect are certified without a dense operator.
 
@@ -68,6 +70,12 @@ GRAM_COND_MIN = 1e-12
 # spectral_outer's solves at most, and the seed of its perturbed restarts.
 OUTER_RETRIES = 4
 OUTER_SEED = 0
+
+# _lm's relative reduction and step tolerance, its initial damping relative
+# to max diag(J^T J), and its cap on residual evaluations per solve.
+LM_TOL = 1e-15
+LM_TAU = 1e-6
+LM_MAX_NFEV = 200
 
 
 class FactorizationResult:
@@ -154,18 +162,66 @@ class _OuterProblem:
         return np.stack([J.real, J.imag], axis=1).reshape(-1, J.shape[-1])
 
 
+def _lm(fun, jac, x0):
+    """Minimize |fun(x)|^2 from x0 by Levenberg-Marquardt with the exact
+    Jacobian jac (Moré 1978).
+
+    A trial step solves (J^T J + mu I) h = -J^T r at the current point;
+    its gain ratio rho is the actual decrease of |r|^2 over the decrease
+    h.(mu h - J^T r) that the linear model predicts.  The damping follows
+    Nielsen's rule: a step with rho > 0 is taken and mu scaled by
+    max(1/3, 1 - (2 rho - 1)^3); otherwise mu grows by nu = 2, 4, 8, ...
+    and the step is retried against the same J, so a rejected step costs
+    one residual and no Jacobian.  mu starts at LM_TAU max diag(J^T J).
+    The solve stops, as MINPACK's lmder does, at a zero residual, when the
+    actual and predicted reductions are both within LM_TOL of |r|^2, when
+    the step is within LM_TOL of |x|, or after LM_MAX_NFEV residuals.
+    Returns x, fun(x) and the number of residuals evaluated.
+    """
+    x, r = x0, fun(x0)
+    f, nfev, mu = r @ r, 1, None
+    while f > 0:
+        J = jac(x)
+        A, g = J.T @ J, J.T @ r
+        if mu is None:
+            mu = LM_TAU * A.diagonal().max()
+        nu = 2.0
+        while True:
+            h = np.linalg.solve(A + mu * np.eye(len(A)), -g)
+            if (nfev >= LM_MAX_NFEV
+                    or np.linalg.norm(h) <= LM_TOL * np.linalg.norm(x)):
+                return x, r, nfev
+            r_new = fun(x + h)
+            nfev += 1
+            f_new = r_new @ r_new
+            act, pred = f - f_new, h @ (mu * h - g)
+            small = max(abs(act), pred) <= LM_TOL * f
+            if act > 0:
+                break
+            if small:
+                return x, r, nfev
+            mu, nu = mu * nu, 2 * nu
+        x, r, f = x + h, r_new, f_new
+        if small:
+            break
+        mu *= max(1 / 3, 1 - (2 * act / pred - 1) ** 3)
+    return x, r, nfev
+
+
 def spectral_outer(H):
     """Outer factor of H from its autocorrelation data.
 
     Solves t_s(F) = t_s(H) for all |s| <= deg(H) over series F of the same
     degree, with the vacuum coefficient gauged Hermitian (scalar: real and
-    positive).  The initial guess sqrt(t_empty) is the constant of maximal
-    vacuum mass, which steers the iteration onto the outer branch; failed
-    solves restart from seeded perturbations of it, OUTER_RETRIES solves
-    in all, and residuals at machine precision are required.
+    positive), by the Levenberg-Marquardt solve `_lm` on the exact
+    Jacobian: Nielsen's gain-ratio damping, and stops at a zero residual,
+    at relative reductions of |r|^2 or a relative step within LM_TOL, or
+    after LM_MAX_NFEV residuals.  The initial guess sqrt(t_empty) is the
+    constant of maximal vacuum mass, which steers the iteration onto the
+    outer branch; failed solves restart from seeded perturbations of it,
+    OUTER_RETRIES solves in all, and residuals at machine precision are
+    required.
     """
-    import scipy.optimize
-
     if H.rows != H.cols:
         raise ShapeMismatchError("spectral factorization needs square "
                                  "coefficients")
@@ -180,12 +236,10 @@ def spectral_outer(H):
     rng = np.random.default_rng(OUTER_SEED)
     best = None
     for attempt in range(OUTER_RETRIES):
-        res = scipy.optimize.least_squares(
-            prob.residual, x0, jac=prob.jacobian, method="lm", xtol=1e-15,
-            ftol=1e-15, gtol=1e-15)
-        err = float(np.max(np.abs(res.fun)))
+        x, r, _ = _lm(prob.residual, prob.jacobian, x0)
+        err = float(np.max(np.abs(r)))
         if best is None or err < best[0]:
-            best = (err, res.x)
+            best = (err, x)
         if err <= 1e-11 * scale:
             break
         x0 = x_init + 0.1 * np.sqrt(scale) * rng.standard_normal(x0.size)

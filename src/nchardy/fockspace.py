@@ -9,9 +9,9 @@ within the validity window N - deg(f), and meaningless beyond it.  Every
 defect-style question therefore carries an explicit degree limit, checked
 against that window.
 
-Every Fock-space matrix except the right_shift_matrix test reference is
-built from the cached index triples (s, mu, mu s) of word concatenations:
-a multiplication operator is one scatter of them.  Where only its Gram
+Every Fock-space matrix is built from the cached index triples
+(s, mu, mu s) of word concatenations: a multiplication operator is one
+scatter of them.  Where only its Gram
 matrix matters, no dense operator is needed: the triples give the
 autocorrelations t_s of a symbol as one gather, and the Gram matrix is the
 NC Toeplitz matrix built from them.
@@ -84,22 +84,6 @@ def left_shift_matrix(basis, k):
     if not 1 <= k <= basis.d:
         raise ValueError(f"letter {k} outside alphabet 1..{basis.d}")
     return mult_operator(NcSeries.monomial((k,), basis.d), basis).mat.real
-
-
-def right_shift_matrix(basis, k):
-    """R_k: e_w -> e_{wk}, zero on the top degree.
-
-    A loop over the words on purpose: tests check the triples-based
-    wandering_projection against it, which a build from word_triples
-    would turn into a comparison of that code with itself.
-    """
-    if not 1 <= k <= basis.d:
-        raise ValueError(f"letter {k} outside alphabet 1..{basis.d}")
-    R = np.zeros((basis.dim, basis.dim))
-    for j, w in enumerate(basis.words):
-        if len(w) < basis.max_degree:
-            R[basis.index[w + (k,)], j] = 1.0
-    return R
 
 
 def series_to_vec(f, basis):

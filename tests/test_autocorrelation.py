@@ -2,10 +2,14 @@
 
 Index triples, the NC Toeplitz Gram, the exact-Jacobian spectral solve and
 the Gram certificates are each checked against a reference built the old
-way: dense multiplication operators, SVD frames, right-shift matrices and a
-finite-difference least-squares solve.  The references live here, not in
-the package.
+way: dense multiplication operators, SVD frames, right-shift matrices, a
+finite-difference least-squares solve, and scipy's MINPACK
+`least_squares(method="lm")` loop that the numpy `_lm` replaced.  The
+references live here, not in the package.
 """
+
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ import nchardy.fockspace as fockspace
 from nchardy.errors import DiagnosticError, NotInnerError, ValidityWindowError
 from nchardy.factorization import (
     GRAM_COND_MIN,
+    OUTER_RETRIES,
+    _lm,
     _OuterProblem,
     autocorrelation,
     inner_outer,
@@ -27,10 +33,10 @@ from nchardy.factorization import (
 )
 from nchardy.fockspace import (
     FockBasis,
+    coeff_stack,
     isometry_defect,
     mult_operator,
     orthonormal_frame,
-    right_shift_matrix,
     toeplitz_gram,
     wandering_projection,
     word_triples,
@@ -56,6 +62,17 @@ def random_series(rng, d, deg, N, rows=1, cols=1, density=0.7):
     return NcSeries(d, rows, cols, N, {
         w: rng.standard_normal((rows, cols))
         + 1j * rng.standard_normal((rows, cols)) for w in keep})
+
+
+def right_shift_matrix(basis, k):
+    """R_k: e_w -> e_{wk}, zero on the top degree, as a loop over the
+    words: built from word_triples it would compare that code with
+    itself."""
+    R = np.zeros((basis.dim, basis.dim))
+    for j, w in enumerate(basis.words):
+        if len(w) < basis.max_degree:
+            R[basis.index[w + (k,)], j] = 1.0
+    return R
 
 
 def dense_gram(f, k):
@@ -336,6 +353,144 @@ def test_spectral_outer_returns_a_hermitian_vacuum(H):
     assert np.array_equal(F0, F0.conj().T)
     if H.rows == 1:
         assert F0[0, 0].imag == 0.0 and F0[0, 0].real > 0.0
+
+
+def scipy_spectral_outer(H):
+    """spectral_outer as it was before `_lm`: the same start, retries, gate
+    and Hermitian post-step around scipy's MINPACK Levenberg-Marquardt."""
+    n = H.rows
+    prob = _OuterProblem(H, H.degree())
+    t0 = prob.target[0]
+    scale = max(1.0, float(np.linalg.norm(t0)))
+    vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
+    init = np.zeros(prob.shape, dtype=complex)
+    init[0] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    x0 = x_init = init.reshape(-1).view(float)
+    rng = np.random.default_rng(0)
+    best = None
+    for _ in range(4):
+        res = scipy.optimize.least_squares(
+            prob.residual, x0, jac=prob.jacobian, method="lm", xtol=1e-15,
+            ftol=1e-15, gtol=1e-15)
+        err = float(np.max(np.abs(res.fun)))
+        if best is None or err < best[0]:
+            best = (err, res.x)
+        if err <= 1e-11 * scale:
+            break
+        x0 = x_init + 0.1 * np.sqrt(scale) * rng.standard_normal(x0.size)
+    assert best[0] <= 1e-11 * scale
+    F = prob.decode(best[1]).copy()
+    F[0] = 0.5 * (F[0] + F[0].conj().T)
+    if n == 1 and F[0, 0, 0].real < 0:
+        F = -F
+    return NcSeries(H.d, n, n, prob.m, {
+        w: M for w, M in zip(prob.basis.words, F)
+        if np.any(np.abs(M) > 1e-14)})
+
+
+def benchmark_shaped_corpus():
+    """Scalars over d = 2, 3 of degree 1-3 (vacuum, one top word and up to
+    four more words) and 2 x 2 polynomials over d = 2 with a dominant
+    constant, as the spectral_factor benchmark draws them."""
+    rng = np.random.default_rng(11)
+
+    def g(shape=()):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    out = []
+    for d, deg in itertools.product((2, 3), (1, 2, 3)):
+        words = FockBasis(d, deg).words[1:]
+        top = [w for w in words if len(w) == deg]
+        for _ in range(4):
+            coeffs = {(): g(), top[rng.integers(len(top))]: g()}
+            for i in rng.choice(len(words), size=min(4, len(words)),
+                                replace=False):
+                coeffs[words[i]] = g()
+            out.append(NcSeries(d, 1, 1, deg, coeffs))
+    for deg in (1, 1, 2, 2, 3):
+        words = FockBasis(2, deg).words[1:]
+        top = [w for w in words if len(w) == deg]
+        coeffs = {(): 2.0 * np.eye(2) + 0.3 * g((2, 2)),
+                  top[rng.integers(len(top))]: g((2, 2))}
+        for w in words:
+            if w not in coeffs and rng.random() < 0.5:
+                coeffs[w] = g((2, 2))
+        out.append(NcSeries(2, 2, 2, deg, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("H", spectral_corpus() + benchmark_shaped_corpus())
+def test_spectral_outer_matches_scipy_least_squares(H):
+    # naive damping overflows at converged points, so any overflow,
+    # invalid operation or division by zero fails the test
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got, _ = phase_normalize(spectral_outer(H))
+    want, _ = phase_normalize(scipy_spectral_outer(H))
+    assert max_coeff_diff(got, want, H.degree()) <= 1e-12
+
+
+def outer_problem_at_its_solution():
+    """1 + z1/2 - z2/4 is outer with a real vacuum: its coefficients solve
+    the outer problem with an exactly zero residual."""
+    H = NcSeries(2, 1, 1, 1, {(): 1.0, (1,): 0.5, (2,): -0.25})
+    prob = _OuterProblem(H, 1)
+    x = coeff_stack(H, prob.basis).reshape(-1).view(float).copy()
+    return prob, x
+
+
+def test_lm_returns_a_zero_residual_start_unchanged():
+    prob, x_star = outer_problem_at_its_solution()
+    assert not np.any(prob.residual(x_star))
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return prob.residual(x)
+
+    def jac(x):
+        raise AssertionError("a zero residual needs no Jacobian")
+
+    x, r, nfev = _lm(fun, jac, x_star.copy())
+    assert nfev == len(calls) == 1
+    assert np.array_equal(x, x_star) and not np.any(r)
+
+
+def test_lm_converges_from_one_newton_step_away():
+    prob, x_star = outer_problem_at_its_solution()
+    J = prob.jacobian(x_star)
+    # x0 - x_star solves J h = r for a small residual direction r, so the
+    # Gauss-Newton step from x0 lands on x_star to second order
+    r = 1e-4 * np.random.default_rng(3).standard_normal(J.shape[0])
+    x0 = x_star + np.linalg.lstsq(J, r, rcond=None)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x, res, nfev = _lm(prob.residual, prob.jacobian, x0)
+    assert np.abs(res).max() <= 1e-15
+    assert np.abs(x - x_star).max() <= 1e-14
+    assert nfev <= 6
+
+
+def test_spectral_outer_refuses_a_solve_that_never_converges(monkeypatch):
+    starts, errs = [], []
+
+    def stuck(fun, jac, x0):
+        r = fun(x0)
+        starts.append(x0)
+        errs.append(np.abs(r).max())
+        return x0, r, 1
+
+    monkeypatch.setattr(factorization, "_lm", stuck)
+    H = NcSeries(2, 1, 1, 2, {(): 1.0, (1,): -0.5, (1, 2): 0.25})
+    with pytest.raises(DiagnosticError) as info:
+        spectral_outer(H)
+    assert len(starts) == OUTER_RETRIES
+    # the first start is sqrt(t_empty), the restarts are perturbations of it
+    assert starts[0][0] == np.sqrt(1 + 0.25 + 0.0625)
+    assert not np.any(starts[0][2:])
+    assert all(np.all(s[2:] != 0) for s in starts[1:])
+    assert (f"residual {min(errs):.3e} after {OUTER_RETRIES} attempts"
+            in str(info.value))
 
 
 # -- Gram certificates --------------------------------------------------

@@ -12,7 +12,6 @@ from nchardy.fockspace import (
     mult_operator,
     numerical_rank,
     orthonormal_frame,
-    right_shift_matrix,
     series_to_vec,
     smallest_singular_value,
     vec_to_series,
@@ -68,6 +67,17 @@ def test_left_shift_prepends_and_annihilates_top():
     e2 = np.zeros(b.dim)
     e2[b.index_of((2, 2))] = 1.0
     assert not np.any(L1 @ e2)
+
+
+def right_shift_matrix(basis, k):
+    """R_k: e_w -> e_{wk}, zero on the top degree, as a loop over the
+    words: built from word_triples it would compare that code with
+    itself."""
+    R = np.zeros((basis.dim, basis.dim))
+    for j, w in enumerate(basis.words):
+        if len(w) < basis.max_degree:
+            R[basis.index[w + (k,)], j] = 1.0
+    return R
 
 
 def test_right_shift_appends():

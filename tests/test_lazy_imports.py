@@ -1,10 +1,14 @@
-"""scipy stays out of processes that never call into it.
+"""The package runs without scipy.
 
-Only spectral factorization uses scipy, and it imports it where it is
-called.  A CLI process that runs any other command, a Blaschke/singular
-split given a ready frame or singularity pairs, `crofoot_kernel_frame`,
-the singularity search and the outer defect must therefore end with no
-scipy module loaded.
+Nothing in `nchardy` imports scipy: spectral factorization solves its
+least-squares problem with the numpy Levenberg-Marquardt `_lm`, and every
+other layer is plain numpy.  The first test runs all nine CLI commands
+and the factorization API (`spectral_outer`, `inner_outer`, `bso_factor`,
+`compare_with_nc`) in a process whose first import finder refuses scipy.
+The others check that processes doing one job each (importing the CLI,
+the split given a ready frame or singularity pairs,
+`crofoot_kernel_frame`, the singularity search and the outer defect) end
+with no scipy module loaded.  Only the tests use scipy, as a reference.
 """
 
 import json
@@ -13,12 +17,11 @@ import subprocess
 import sys
 
 import numpy as np
-import scipy.optimize
 
 import nchardy
 from nchardy.evaluate import MatrixPoint, point_to_json_dict
-from nchardy.factorization import inner_outer
 from nchardy.ncseries import NcSeries, commutator_inner, to_json_dict
+from nchardy.transforms import semigroup_inner
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nchardy.__file__)))
 
@@ -26,6 +29,17 @@ REPORT_SCIPY = (
     "import json, sys\n"
     "print(json.dumps(sorted(m for m in sys.modules"
     " if m == 'scipy' or m.startswith('scipy.'))))\n")
+
+# installed before anything else is imported, so any import of scipy, at
+# any depth, raises
+BLOCK_SCIPY = (
+    "import sys\n"
+    "assert 'scipy' not in sys.modules\n"
+    "class RefuseScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy' or name.startswith('scipy.'):\n"
+    "            raise ImportError(f'{name} is blocked')\n"
+    "sys.meta_path.insert(0, RefuseScipy())\n")
 
 
 def run_python(code, cwd):
@@ -41,6 +55,73 @@ def run_python(code, cwd):
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_every_command_and_the_factorization_api_run_without_scipy(
+        tmp_path):
+    N = 6
+    Z = MatrixPoint([np.array([[0.0, 0.5], [0.0, 0.0]]),
+                     np.array([[0.0, 0.0], [0.5, 0.0]])])
+    V = write_json(tmp_path / "V.json",
+                   to_json_dict(commutator_inner(max_degree=N)))
+    z1 = NcSeries.monomial((1,), 2, N)
+    sigma = write_json(tmp_path / "sigma.json",
+                       to_json_dict(semigroup_inner(z1, 0.7, N)))
+    # z1 (1 - 0.4 z2): inner z1, outer 1 - 0.4 z2
+    H = write_json(tmp_path / "H.json", to_json_dict(
+        NcSeries(2, 1, 1, N, {(1,): 1.0, (1, 2): -0.4})))
+    pt = write_json(tmp_path / "pt.json", point_to_json_dict(Z))
+    y = write_json(tmp_path / "y.json", [[1.0, 0.0], [0.0, 0.0]])
+    v = write_json(tmp_path / "v.json", [[0.0, 0.0], [1.0, 0.0]])
+    E = write_json(tmp_path / "E.json", to_json_dict(NcSeries(2, 2, 2, 4, {
+        (): [[1.0, 0.0], [0.0, 0.0]], (1,): [[0.0, 1.0], [0.0, 0.0]]})))
+    poly = write_json(tmp_path / "poly.json",
+                      {"coeffs": [[0.5, 0.0], [-1.0, 0.0], [0.2, 0.1]]})
+    jobs = [
+        ["factor", "--series", H],
+        ["eval", "--series", V, "--point", pt],
+        ["kernel", "--point", pt, "--y", y, "--v", v, "--degree", "4"],
+        ["classify", "--series", sigma, "--samples", "40"],
+        ["frostman", "--series", V, "--w", "0.3"],
+        ["crofoot", "--series", V, "--w", "0.3-0.2j"],
+        ["semigroup", "--series", V, "--t", "0.5"],
+        ["idempotent", "--series", E],
+        ["compare-classical", "--poly", poly, "--degree", "10"],
+    ]
+    for i, job in enumerate(jobs):
+        job += ["--out", str(tmp_path / f"report{i}.json")]
+    code = BLOCK_SCIPY + (
+        "import numpy as np\n"
+        "from nchardy.classical import compare_with_nc\n"
+        "from nchardy.cli import main\n"
+        "from nchardy.factorization import (bso_factor, inner_outer,\n"
+        "                                   spectral_outer)\n"
+        "from nchardy.ncseries import NcSeries, max_coeff_diff\n"
+        f"for args in {jobs!r}:\n"
+        "    try:\n"
+        "        main(args=args, standalone_mode=False)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, None), (args[0], exc.code)\n"
+        "H = NcSeries(2, 1, 1, 6, {(1,): 1.0, (1, 2): -0.4})\n"
+        "F = NcSeries(2, 1, 1, 6, {(): 1.0, (2,): -0.4})\n"
+        "assert max_coeff_diff(spectral_outer(H.truncate(2)), F, 6) < 1e-12\n"
+        "io = inner_outer(H)\n"
+        "assert io.wandering_dim == 1\n"
+        "assert io.defects['reconstruction_error'] < 1e-12\n"
+        "assert bso_factor(H).outer.degree() == 1\n"
+        "rep = compare_with_nc([0.5, -1.0, 0.2 + 0.1j], N=10)\n"
+        "assert max(rep['inner_agreement'], rep['outer_agreement']) < 1e-10\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('scipy was not blocked')\n"
+        + REPORT_SCIPY)
+    assert run_python(code, tmp_path) == []
+    for i, job in enumerate(jobs):
+        report = json.loads((tmp_path / f"report{i}.json").read_text())
+        assert report["command"] == job[0]
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -159,20 +240,3 @@ def test_outer_defect_loads_no_scipy(tmp_path):
         "assert 0.0 < outer_defect(h) < 0.1 and outer_defect(H) < 1.0\n"
         + REPORT_SCIPY)
     assert run_python(code, tmp_path) == []
-
-
-def test_spectral_outer_looks_up_least_squares_at_call_time(monkeypatch):
-    # benchmark/tracer.py counts solver evaluations by patching the scipy
-    # module attribute, which only works while no caller binds the name
-    calls = []
-    original = scipy.optimize.least_squares
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
-    H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5})
-    res = inner_outer(H)
-    assert res.wandering_dim == 1
-    assert len(calls) >= 1

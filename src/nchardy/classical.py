@@ -95,13 +95,13 @@ class DiskFactorization:
                 f"phase={self.phase:.4f})")
 
 
-def poly_factor_classical(p, N=None, margin=BOUNDARY_MARGIN):
+def poly_factor_classical(p, N=None):
     """Factor a one-variable polynomial over the unit disk.
 
     Roots come from the companion matrix; those inside the circle become
     Blaschke zeros, those outside fold into the outer polynomial, and any
-    root within margin of the circle raises BoundaryRootError.  The
-    returned pieces satisfy p = phase * blaschke * outer with outer(0)
+    root within BOUNDARY_MARGIN of the circle raises BoundaryRootError.
+    The returned pieces satisfy p = phase * blaschke * outer with outer(0)
     real positive, and the singular part of a polynomial is trivial.
     """
     c = _disk_coeffs(p)
@@ -121,10 +121,10 @@ def poly_factor_classical(p, N=None, margin=BOUNDARY_MARGIN):
     if body.size > 1:
         roots = np.roots(body[::-1])
         for r in roots:
-            if abs(abs(r) - 1.0) <= margin:
+            if abs(abs(r) - 1.0) <= BOUNDARY_MARGIN:
                 raise BoundaryRootError(
-                    f"root at |r| = {abs(r):.12f} is within {margin:.1e} "
-                    "of the unit circle")
+                    f"root at |r| = {abs(r):.12f} is within "
+                    f"{BOUNDARY_MARGIN:.1e} of the unit circle")
             if abs(r) < 1.0:
                 zeros.append(complex(r))
             else:
@@ -158,15 +158,15 @@ def atomic_singular(t, N):
     return semigroup_inner(z, t, N)
 
 
-def jordan_pair(w, multiplicity, eps=None):
+def jordan_pair(w, multiplicity):
     """Singularity pair at an interior zero from a Jordan block.
 
     The block W = w I + eps (superdiagonal) keeps its norm below 1 when
     eps < 1 - |w|, and the block must not degenerate, which needs
-    eps < |w| as well when scaling matters; the stricter of the two
-    bindings is reported in the returned dict.  Any polynomial vanishing
-    at w to this multiplicity has (W, y) in its singularity locus for a
-    suitable left null direction y.
+    eps < |w| as well when scaling matters; eps is half the stricter of
+    the two bounds, and which one binds is reported in the returned dict.
+    Any polynomial vanishing at w to this multiplicity has (W, y) in its
+    singularity locus for a suitable left null direction y.
     """
     w = complex(w)
     if not abs(w) < 1.0:
@@ -174,19 +174,17 @@ def jordan_pair(w, multiplicity, eps=None):
     m = int(multiplicity)
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
-    cap = (1.0 - abs(w)) / 2.0
+    eps = (1.0 - abs(w)) / 2.0
     binding = "ball-radius"
-    if eps is None:
-        eps = cap
-        if w != 0.0 and abs(w) / 2.0 < eps:
-            eps = abs(w) / 2.0
-            binding = "zero-modulus"
+    if w != 0.0 and abs(w) / 2.0 < eps:
+        eps = abs(w) / 2.0
+        binding = "zero-modulus"
     W = w * np.eye(m, dtype=complex) + eps * np.diag(np.ones(m - 1), 1)
     Z = MatrixPoint([W])
     return {"point": Z, "eps": float(eps), "binding": binding}
 
 
-def compare_with_nc(h, N=None, margin=BOUNDARY_MARGIN, membership_tol=1e-8):
+def compare_with_nc(h, N=None):
     """Cross-check the general factorization against the classical one.
 
     Factors the polynomial both ways, aligns phases, and reports maximum
@@ -205,7 +203,7 @@ def compare_with_nc(h, N=None, margin=BOUNDARY_MARGIN, membership_tol=1e-8):
     if N is None:
         N = max(series.max_degree, series.degree() + 3)
     series = series.with_max_degree(N)
-    cls = poly_factor_classical(series, N=N, margin=margin)
+    cls = poly_factor_classical(series, N=N)
     io = inner_outer(series, N=N)
     B_ref = blaschke_product(cls.zeros, N)
     Bn, _ = phase_normalize(io.inner)
@@ -227,8 +225,7 @@ def compare_with_nc(h, N=None, margin=BOUNDARY_MARGIN, membership_tol=1e-8):
         jp = jordan_pair(a, m)
         A = evaluate(series, jp["point"])
         y = _left_null_direction(A)
-        member, resid = sing_membership(series, jp["point"], y,
-                                        tol=membership_tol)
+        member, resid = sing_membership(series, jp["point"], y)
         pairs.append({
             "zero": a, "multiplicity": m, "eps": jp["eps"],
             "binding": jp["binding"],

@@ -57,7 +57,7 @@ def _parse_complex(text, name):
                           name)
 
 
-def _series_from_file(path, degree=None):
+def _series_from_file(path, degree):
     doc = _load_json(path, "series")
     s = from_json_dict(doc)
     if degree is not None:
@@ -175,14 +175,24 @@ split_options = _options(
 )
 
 
+def _tol_kwarg(tol, name):
+    """--tol as the keyword argument name, if given.  NaN and infinities
+    are refused: every comparison with NaN is False, so one would turn
+    the gate off."""
+    if tol is None:
+        return {}
+    if not np.isfinite(tol):
+        raise SchemaError(f"tol must be finite, got {tol}", "tol")
+    return {name: tol}
+
+
 def _split_args(pairs_path, samples, seed, tol):
     """Singularity pairs and split keyword arguments from split_options."""
     if samples < 1:
         raise SchemaError("samples must be >= 1", "samples")
     pairs = _pairs_from_file(pairs_path) if pairs_path else []
-    threshold = {} if tol is None else {"threshold": tol}
     return pairs, {"rng": np.random.default_rng(seed),
-                   "num_samples": samples, **threshold}
+                   "num_samples": samples, **_tol_kwarg(tol, "threshold")}
 
 
 @click.group()
@@ -373,8 +383,7 @@ def semigroup(series_path, t_val, degree):
 def idempotent(series_path, tol, degree):
     """Straighten a series idempotent to a constant projection."""
     E = _series_from_file(series_path, degree)
-    kwargs = {} if tol is None else {"gate": tol}
-    sp = idempotent_split(E, N=degree, **kwargs)
+    sp = idempotent_split(E, N=degree, **_tol_kwarg(tol, "gate"))
     report = {
         "command": "idempotent",
         "inputs": {"series": to_json_dict(E)},

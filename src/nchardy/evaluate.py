@@ -116,18 +116,17 @@ def random_point(rng, d, n, row_norm):
 
 def _word_powers(Zs, words):
     """Stacked products Z^w over a batch Zs of shape (B, d, n, n), one
-    (B, n, n) array per word, sharing suffix work across words."""
+    (B, n, n) array per word, sharing suffix work across words.  The
+    cache is a plain local, freed on return: a self-referencing closure
+    over it would wait for the cyclic garbage collector."""
     B, _, n, _ = Zs.shape
     cache = {(): np.broadcast_to(np.eye(n, dtype=complex), (B, n, n))}
-
-    def power(w):
-        P = cache.get(w)
-        if P is None:
-            P = Zs[:, w[0] - 1] @ power(w[1:])
-            cache[w] = P
-        return P
-
-    return [power(w) for w in words]
+    for w in words:
+        # shortest suffix first, so each product finds its tail cached
+        for k in range(len(w) - 1, -1, -1):
+            if w[k:] not in cache:
+                cache[w[k:]] = Zs[:, w[k] - 1] @ cache[w[k + 1:]]
+    return [cache[w] for w in words]
 
 
 def _check_row_norms(Zs):

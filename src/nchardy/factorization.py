@@ -31,6 +31,7 @@ from .errors import (
 from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
+    _degree_starts,
     autocorrelation_stack,
     coeff_stack,
     mult_operator,
@@ -175,8 +176,11 @@ def _lm(fun, jac, x0):
     one residual and no Jacobian.  mu starts at LM_TAU max diag(J^T J).
     The solve stops, as MINPACK's lmder does, at a zero residual, when the
     actual and predicted reductions are both within LM_TOL of |r|^2, when
-    the step is within LM_TOL of |x|, or after LM_MAX_NFEV residuals.
-    Returns x, fun(x) and the number of residuals evaluated.
+    the step is within LM_TOL of |x|, or after LM_MAX_NFEV residuals.  It
+    also stops when the damped system is exactly singular: near a solution
+    where J^T J is singular (an outer factor with a zero on the boundary),
+    mu shrinks below its rounding level.  Returns x, fun(x) and the number
+    of residuals evaluated; the caller judges the residual.
     """
     x, r = x0, fun(x0)
     f, nfev, mu = r @ r, 1, None
@@ -187,7 +191,10 @@ def _lm(fun, jac, x0):
             mu = LM_TAU * A.diagonal().max()
         nu = 2.0
         while True:
-            h = np.linalg.solve(A + mu * np.eye(len(A)), -g)
+            try:
+                h = np.linalg.solve(A + mu * np.eye(len(A)), -g)
+            except np.linalg.LinAlgError:
+                return x, r, nfev
             if (nfev >= LM_MAX_NFEV
                     or np.linalg.norm(h) <= LM_TOL * np.linalg.norm(x)):
                 return x, r, nfev
@@ -254,7 +261,7 @@ def spectral_outer(H):
         F = -F
     coeffs = {w: M for w, M in zip(prob.basis.words, F)
               if np.any(np.abs(M) > 1e-14)}
-    return NcSeries(H.d, n, n, prob.m, coeffs)
+    return NcSeries._of(H.d, n, n, prob.m, coeffs)
 
 
 def shift_adjoint_apply(omega, H, out_degree=None):
@@ -281,7 +288,7 @@ def shift_adjoint_apply(omega, H, out_degree=None):
             else:
                 coeffs[b] = term
     coeffs = {w: m for w, m in coeffs.items() if np.any(m)}
-    return NcSeries(H.d, H.rows, H.cols, out_degree, coeffs)
+    return NcSeries._of(H.d, H.rows, H.cols, out_degree, coeffs)
 
 
 def inner_outer(H, N=None):
@@ -326,7 +333,7 @@ def inner_outer(H, N=None):
     window = N - outer.degree()
     G = toeplitz_gram(HN, window)
     if HN.is_scalar():
-        cut = sum(H.d ** j for j in range(N - m + 1))
+        cut = _degree_starts(H.d, N - m)[-1]
         _certify_wandering(G[:cut, :cut], N - m)
     defects = {
         "inner_defect": inner_defect(B),
@@ -415,7 +422,7 @@ def solve_vacuum(f, r, N=None):
 # -- classification ---------------------------------------------------
 
 
-def _combined_kernel_frame(pairs, probes, N, extra_frame, d):
+def _combined_kernel_frame(pairs, N, extra_frame, d):
     """Orthonormal frame of the kernel vectors at the pairs and the extra
     frame columns, in the Fock space of d letters truncated at N."""
     alphabets = sorted({pair.Z.d for pair in pairs} - {d})
@@ -425,7 +432,7 @@ def _combined_kernel_frame(pairs, probes, N, extra_frame, d):
             f"classify a series over alphabet d={d}")
     cols = []
     if pairs:
-        QK = sing_space_complement(pairs, probes=probes, N=N)
+        QK = sing_space_complement(pairs, N=N)
         if QK.shape[1]:
             cols.append(QK)
     dim = FockBasis(d, N).dim
@@ -469,8 +476,8 @@ def crofoot_kernel_frame(theta, w, N=None):
     return orthonormal_frame(C @ ker)
 
 
-def blaschke_defect(theta, pairs, N=None, probes=None, col_degree=None,
-                    window=None, extra_frame=None):
+def blaschke_defect(theta, pairs, N=None, col_degree=None, window=None,
+                    extra_frame=None):
     """How much of the range orthocomplement the sampled kernels miss.
 
     Compares the projection onto the orthocomplement of the span of
@@ -486,7 +493,7 @@ def blaschke_defect(theta, pairs, N=None, probes=None, col_degree=None,
         raise ShapeMismatchError("classification expects a scalar inner")
     if N is None:
         N = theta.max_degree
-    QK = _combined_kernel_frame(pairs, probes, N, extra_frame, theta.d)
+    QK = _combined_kernel_frame(pairs, N, extra_frame, theta.d)
     return _blaschke_defect(theta, QK, N, col_degree, window)
 
 
@@ -599,7 +606,7 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
                    "reconstruction_error": 0.0}
         return SplitResult(one, theta.copy(), 0, defects, flags)
 
-    QK = _combined_kernel_frame(pairs, None, N, extra_frame, theta.d)
+    QK = _combined_kernel_frame(pairs, N, extra_frame, theta.d)
     defect = _blaschke_defect(theta, QK, N)
     if defect <= threshold:
         B, u = phase_normalize(theta)
@@ -663,7 +670,7 @@ def bso_factor(H, N=None, pairs=(), extra_frame=None,
     silent.
     """
     io = inner_outer(H, N)
-    if io.wandering_dim != 1 or not io.inner.is_scalar():
+    if not H.is_scalar():
         defects = dict(io.defects)
         defects["note"] = "wandering dimension != 1; split not attempted"
         return BsoResult(io.inner, None, io.outer, io.wandering_dim,

@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .errors import ShapeMismatchError, ValidityWindowError
-from .ncseries import NcSeries, _int_letters, rescale
+from .ncseries import NcSeries, _check_letters, rescale
 
 # Relative singular-value threshold for numerical rank decisions.
 RANK_REL = 1e-10
@@ -57,7 +57,7 @@ class FockBasis:
         self._starts = _degree_starts(self.d, self.max_degree)
 
     def index_of(self, word):
-        w = _int_letters(word)
+        w = _check_letters(word)
         i = self.index.get(w)
         if i is None:
             raise KeyError(f"word {w} not in basis (d={self.d}, "
@@ -121,7 +121,7 @@ def vec_to_series(v, basis, rows=1, cols=None):
         block = v[i * rows:(i + 1) * rows, :]
         if np.any(block):
             coeffs[w] = block.copy()
-    return NcSeries(basis.d, rows, cols, basis.max_degree, coeffs)
+    return NcSeries._of(basis.d, rows, cols, basis.max_degree, coeffs)
 
 
 def coeff_stack(f, basis):
@@ -243,19 +243,18 @@ class OperatorMatrix:
                 f"valid_degree={self.valid_degree})")
 
 
-def mult_operator(f, basis=None, max_degree=None):
+def mult_operator(f, basis=None):
     """Compressed left-multiplication by f on the truncated Fock space.
 
     Maps the word-major stacking of g (with cols(f) channels) to that of
     f * g.  Exact on columns of degree <= valid_degree = N - deg(f); beyond
     that, products spill past the truncation and rows are missing.
     Block (mu s, s) is f_mu for each triple of word_triples, written once;
-    words of f past the basis degree are dropped.
+    words of f past the basis degree are dropped.  The basis defaults to
+    words of length <= N.
     """
     if basis is None:
-        if max_degree is None:
-            max_degree = f.max_degree
-        basis = FockBasis(f.d, max_degree)
+        basis = FockBasis(f.d, f.max_degree)
     coeffs = coeff_stack(f, basis)
     D, p, q = coeffs.shape
     N = basis.max_degree
@@ -296,17 +295,19 @@ def smallest_singular_value(op, degree_limit):
     return float(s[-1])
 
 
-def numerical_rank(A, rel=RANK_REL):
+def numerical_rank(A):
+    """Number of singular values above RANK_REL times the largest."""
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel * s[0]))
+    return int(np.sum(s > RANK_REL * s[0]))
 
 
-def orthonormal_frame(columns, rel=RANK_REL):
-    """Orthonormal basis for the column span, via SVD with relative cutoff."""
+def orthonormal_frame(columns):
+    """Orthonormal basis for the column span, via SVD with the relative
+    cutoff RANK_REL."""
     A = np.asarray(columns, dtype=complex)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
@@ -315,7 +316,7 @@ def orthonormal_frame(columns, rel=RANK_REL):
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[0], 0), dtype=complex)
-    r = int(np.sum(s > rel * s[0]))
+    r = int(np.sum(s > RANK_REL * s[0]))
     return U[:, :r]
 
 
@@ -353,37 +354,23 @@ def wandering_vectors(P, tol=WANDER_EIG_TOL):
     return vecs[:, keep], vals[keep]
 
 
-def wandering_dimension(op, col_degree=None, rel=RANK_REL):
+def wandering_dimension(op):
     """Number of generators of the right-invariant subspace spanned by the
     operator columns.
 
-    Computed as a rank difference: columns over all words of length
-    <= col_degree, minus columns over words of length in [1, col_degree].
+    Computed as a rank difference: columns over all words of length up to
+    the validity window, minus columns over words of length in [1, window].
     Both ranks use the same relative cutoff so the truncation bias cancels;
-    this is exact for polynomial symbols once col_degree covers the
+    this is exact for polynomial symbols once the window covers the
     generators.
     """
-    if col_degree is None:
-        col_degree = op.valid_degree
-    if col_degree > op.valid_degree:
-        raise ValidityWindowError(
-            f"column degree {col_degree} exceeds validity window "
-            f"{op.valid_degree}")
-    C_all = op.restricted(col_degree)
-    q = op.cols
-    start = op.basis.degree_start(1) * q
-    C_shifted = C_all[:, start:]
-    return numerical_rank(C_all, rel) - numerical_rank(C_shifted, rel)
+    C_all = op.restricted(op.valid_degree)
+    start = op.basis.degree_start(1) * op.cols
+    return numerical_rank(C_all) - numerical_rank(C_all[:, start:])
 
 
-def wandering_dimension_profile(f, r_grid, max_degree=None, col_degree=None,
-                                rel=RANK_REL):
+def wandering_dimension_profile(f, r_grid):
     """wandering_dimension of mult_operator(rescale(f, r)) over a grid."""
-    if max_degree is None:
-        max_degree = f.max_degree
-    basis = FockBasis(f.d, max_degree)
-    out = []
-    for r in r_grid:
-        op = mult_operator(rescale(f, r), basis)
-        out.append(wandering_dimension(op, col_degree=col_degree, rel=rel))
-    return out
+    basis = FockBasis(f.d, f.max_degree)
+    return [wandering_dimension(mult_operator(rescale(f, r), basis))
+            for r in r_grid]

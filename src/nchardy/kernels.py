@@ -28,7 +28,7 @@ from .evaluate import (
     evaluate_batch,
     random_point,
 )
-from .fockspace import FockBasis, RANK_REL, orthonormal_frame, toeplitz_gram
+from .fockspace import FockBasis, orthonormal_frame, toeplitz_gram
 from .ncseries import NcSeries, series_mul
 
 # Default residual tolerance for singularity membership.
@@ -66,7 +66,7 @@ def inner_defect(theta, degree_limit=None):
     return float(np.max(np.abs(vals)))
 
 
-def check_inner(theta, tol=None):
+def check_inner(theta):
     """Raise NotInnerError unless multiplication by theta looks isometric.
 
     Polynomial symbols are held to INNER_TOL on their validity window.
@@ -75,8 +75,7 @@ def check_inner(theta, tol=None):
     the gate widens to INNER_TOL_WINDOW0 there.
     """
     valid = _validity_window(theta)
-    if tol is None:
-        tol = INNER_TOL if valid >= 1 else INNER_TOL_WINDOW0
+    tol = INNER_TOL if valid >= 1 else INNER_TOL_WINDOW0
     defect = inner_defect(theta, valid)
     if defect > tol:
         raise NotInnerError(
@@ -189,7 +188,7 @@ def model_gram(theta, Z, W, v, u):
     return G - TZ @ G @ TW.conj().T
 
 
-def model_kernel(theta, Z, y, v, N, inner_tol=None):
+def model_kernel(theta, Z, y, v, N):
     """K_theta{Z,y,v} = K{Z,y,v} - theta * K{Z, theta(Z)* y, v}, truncated.
 
     Refuses symbols that fail the inner gate: the subtraction only projects
@@ -197,7 +196,7 @@ def model_kernel(theta, Z, y, v, N, inner_tol=None):
     """
     if not theta.is_scalar():
         raise ShapeMismatchError("model_kernel expects a scalar inner")
-    check_inner(theta, tol=inner_tol)
+    check_inner(theta)
     if not isinstance(Z, MatrixPoint):
         Z = MatrixPoint(Z)
     K = szego_kernel(Z, y, v, N)
@@ -258,11 +257,11 @@ def sing_residual(H, Z, y):
     return num, scale
 
 
-def sing_membership(H, Z, y, tol=SING_TOL):
+def sing_membership(H, Z, y):
     """(is_member, residual): residual test ||y* H(Z)|| against
-    tol * ||y|| * (1 + ||H(Z)||)."""
+    SING_TOL * ||y|| * (1 + ||H(Z)||)."""
     num, scale = sing_residual(H, Z, y)
-    return num <= tol * scale, num
+    return num <= SING_TOL * scale, num
 
 
 def sing_closure_direct_sum(p1, p2, c=1.0):
@@ -301,14 +300,14 @@ def standard_probes(n):
     return [np.eye(n, dtype=complex)[:, j] for j in range(n)]
 
 
-def sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
+def sing_space_complement(pairs, probes=None, N=8):
     """Orthonormal frame spanning the kernel vectors of the given pairs.
 
     Columns are the coefficient vectors U @ conj(v) of K{Z, y, v} at
     degree N, as szego_kernel computes them, over every pair and probe
     (standard basis probes by default, per level), with one U of adjoint
     word vectors per pair.  orthonormal_frame's SVD with the relative
-    threshold rel trims the span.  The result approximates the
+    threshold RANK_REL trims the span.  The result approximates the
     orthocomplement of the singularity space from below; more pairs can
     only grow it.
     """
@@ -328,7 +327,7 @@ def sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
                 raise ShapeMismatchError(
                     f"probe length {v.size} != level {pair.level}")
             cols.append(U @ v.conj())
-    return orthonormal_frame(np.array(cols).T, rel)
+    return orthonormal_frame(np.array(cols).T)
 
 
 def compress_to_finite(Z, y, p):
@@ -400,7 +399,7 @@ def _left_null_direction(A):
     return Vh[-1].conj()
 
 
-def _harvest_members(H, Z, degree_bound, tol, members, max_members):
+def _harvest_members(H, Z, degree_bound, members, max_members):
     """Verify every in-disk det root of the direction Z as a member."""
     for t in _det_poly_roots(H, Z, degree_bound):
         if abs(t) >= 1.0:
@@ -409,7 +408,7 @@ def _harvest_members(H, Z, degree_bound, tol, members, max_members):
         if Zt.row_norm() >= 1.0:
             continue
         y = _left_null_direction(evaluate(H, Zt))
-        ok, _ = sing_membership(H, Zt, y, tol)
+        ok, _ = sing_membership(H, Zt, y)
         if ok:
             members.append(SingularityPair(Zt, y))
             if len(members) >= max_members:
@@ -417,12 +416,11 @@ def _harvest_members(H, Z, degree_bound, tol, members, max_members):
     return False
 
 
-def search_singularities(H, level, trials=50, rng=None, row_cap=0.995,
-                         tol=SING_TOL, max_members=10):
+def search_singularities(H, level, trials=50, rng=None, max_members=10):
     """Random-direction search for members of the singularity locus.
 
     Trials alternate between strictly triangular and Ginibre draws; for
-    each direction Z at the row-norm cap the exact scalings t with
+    each direction Z at row norm 0.995 the exact scalings t with
     det(H(tZ)) = 0 are found by polynomial root extraction, and each root
     inside the disk gives a candidate point tZ whose left null vector is
     re-verified through sing_membership.  Returns the verified
@@ -438,12 +436,11 @@ def search_singularities(H, level, trials=50, rng=None, row_cap=0.995,
     degree_bound = H.degree() * H.rows * level + 1
     for trial in range(trials):
         if trial % 2 == 0:
-            Z = _triangular_direction(rng, H.d, level, row_cap)
+            Z = _triangular_direction(rng, H.d, level, 0.995)
         else:
-            Z = random_point(rng, H.d, level, row_cap)
+            Z = random_point(rng, H.d, level, 0.995)
         roots = _det_poly_roots(H, Z, degree_bound)
         if roots.size and min(np.abs(roots)) < 1.0:
-            if _harvest_members(H, Z, degree_bound, tol, members,
-                                max_members):
+            if _harvest_members(H, Z, degree_bound, members, max_members):
                 break
     return members

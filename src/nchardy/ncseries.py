@@ -9,6 +9,10 @@ conventions), so results are reproducible.
 Internally coefficients are keyed by plain tuples of ints for speed; the
 :class:`Word` wrapper carries the alphabet size and is the public face of the
 monoid operations.
+
+A series is checked once, where it enters (``NcSeries(...)`` and
+``from_json_dict``); the series the library derives from it are adopted
+as built, under the ownership rule stated on :class:`NcSeries`.
 """
 
 import json
@@ -36,19 +40,15 @@ def word_key(w):
     return (len(w), w)
 
 
-def _int_letters(word):
-    """A lookup word's letters as ints, checked raw: 1.7 or '1' raises
-    instead of truncating.  Integers outside the alphabet pass."""
-    for a in word:
-        if not isinstance(a, (int, np.integer)):
-            raise ValueError(f"letter {a!r} is not an integer")
-    return tuple(map(int, word))
-
-
-def _check_letters(letters, d):
-    """The letters as ints, checked raw: 1.7 or '1' raises, not truncates."""
+def _check_letters(letters, d=None):
+    """The letters as ints, checked raw: 1.7 or '1' raises, not truncates.
+    Given d, each letter must lie in 1..d; a lookup word (no d) may hold
+    any integers, and one outside the alphabet just finds nothing."""
     for a in letters:
-        if not isinstance(a, (int, np.integer)) or not 1 <= a <= d:
+        if d is None:
+            if not isinstance(a, (int, np.integer)):
+                raise ValueError(f"letter {a!r} is not an integer")
+        elif not isinstance(a, (int, np.integer)) or not 1 <= a <= d:
             raise ValueError(f"letter {a!r} outside alphabet 1..{d}")
     return tuple(map(int, letters))
 
@@ -122,29 +122,50 @@ class NcSeries:
     max_degree : truncation order N; stored words have length <= N.
     coeffs : optional map {letter-tuple: array-like (p, q)}.  Missing words
         are zero.  Scalars are accepted for 1x1 series.
+
+    The constructor checks every letter and copies every coefficient into a
+    complex array.  Series built from checked ones go through ``_of``,
+    which checks only the four sizes and adopts its dict as it is.  A
+    derived series owns its dict and may share coefficient arrays with its
+    source; no library code writes into a stored array, and ``copy()`` is
+    the one deep copy.
     """
 
     __slots__ = ("d", "rows", "cols", "max_degree", "coeffs")
 
     def __init__(self, d, rows, cols, max_degree, coeffs=None):
+        self._set_sizes(d, rows, cols, max_degree)
+        store = {}
+        for w, m in (coeffs or {}).items():
+            w = _check_letters(w, self.d)
+            if len(w) > self.max_degree:
+                raise ValueError(
+                    f"word {w} longer than max_degree {self.max_degree}")
+            store[w] = _as_matrix(m, self.rows, self.cols)
+        self.coeffs = store
+
+    @classmethod
+    def _of(cls, d, rows, cols, max_degree, coeffs):
+        """Adopt coeffs, a fresh dict of complex (rows, cols) arrays on
+        words in 1..d of length <= max_degree, without checking or copying
+        them."""
+        f = object.__new__(cls)
+        f._set_sizes(d, rows, cols, max_degree)
+        f.coeffs = coeffs
+        return f
+
+    def _set_sizes(self, d, rows, cols, max_degree):
         if d < 1:
             raise ValueError("alphabet size must be >= 1")
+        if rows < 1 or cols < 1:
+            raise ValueError(f"coefficient shape ({rows}, {cols}) must be "
+                             "at least 1 x 1")
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.d = int(d)
         self.rows = int(rows)
         self.cols = int(cols)
         self.max_degree = int(max_degree)
-        store = {}
-        if coeffs:
-            for w, m in coeffs.items():
-                w = _check_letters(w, self.d)
-                if len(w) > self.max_degree:
-                    raise ValueError(
-                        f"word {w} longer than max_degree {self.max_degree}"
-                    )
-                store[w] = _as_matrix(m, self.rows, self.cols)
-        self.coeffs = store
 
     # -- constructors -------------------------------------------------
 
@@ -174,7 +195,7 @@ class NcSeries:
 
     def coeff(self, word):
         """Coefficient matrix at word (zeros if absent).  Returns a copy."""
-        m = self.coeffs.get(_int_letters(word))
+        m = self.coeffs.get(_check_letters(word))
         if m is None:
             return np.zeros((self.rows, self.cols), dtype=complex)
         return m.copy()
@@ -183,7 +204,7 @@ class NcSeries:
         """Coefficient of a 1x1 series as a python complex."""
         if self.rows != 1 or self.cols != 1:
             raise ShapeMismatchError("scalar_coeff needs a 1x1 series")
-        m = self.coeffs.get(_int_letters(word))
+        m = self.coeffs.get(_check_letters(word))
         return complex(0.0) if m is None else complex(m[0, 0])
 
     def support(self):
@@ -198,29 +219,34 @@ class NcSeries:
         return self.rows == 1 and self.cols == 1
 
     def copy(self):
-        return NcSeries(self.d, self.rows, self.cols, self.max_degree,
-                        self.coeffs)
+        """Deep copy: no coefficient array is shared."""
+        return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
+                            {w: m.copy() for w, m in self.coeffs.items()})
 
     def truncate(self, n):
         """Drop words longer than n and clamp max_degree to n."""
         kept = {w: m for w, m in self.coeffs.items() if len(w) <= n}
-        return NcSeries(self.d, self.rows, self.cols, min(self.max_degree, n),
-                        kept)
+        return NcSeries._of(self.d, self.rows, self.cols,
+                            min(self.max_degree, n), kept)
 
     def with_max_degree(self, n):
         """Same coefficients, larger truncation bound."""
         if n < self.degree():
             raise ValueError("requested bound below the stored degree")
-        return NcSeries(self.d, self.rows, self.cols, n, self.coeffs)
+        return NcSeries._of(self.d, self.rows, self.cols, n,
+                            dict(self.coeffs))
 
-    def prune(self, rel=PRUNE_REL):
-        """Drop coefficients with Frobenius norm <= rel * (largest norm)."""
+    def prune(self):
+        """Drop coefficients with Frobenius norm <= PRUNE_REL * (largest
+        norm)."""
         if not self.coeffs:
             return self.copy()
         norms = {w: np.linalg.norm(m) for w, m in self.coeffs.items()}
         top = max(norms.values())
-        kept = {w: m for w, m in self.coeffs.items() if norms[w] > rel * top}
-        return NcSeries(self.d, self.rows, self.cols, self.max_degree, kept)
+        kept = {w: m for w, m in self.coeffs.items()
+                if norms[w] > PRUNE_REL * top}
+        return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
+                            kept)
 
     def __repr__(self):
         return (f"NcSeries(d={self.d}, shape=({self.rows},{self.cols}), "
@@ -268,7 +294,8 @@ class NcSeries:
     def scale(self, scalar):
         scalar = complex(scalar)
         out = {w: scalar * m for w, m in self.coeffs.items()}
-        return NcSeries(self.d, self.rows, self.cols, self.max_degree, out)
+        return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
+                            out)
 
     def adjoint_coeffs(self):
         """Coefficient-wise conjugate transpose with word reversal.
@@ -277,7 +304,8 @@ class NcSeries:
         the Hilbert-space adjoint of the multiplication operator.
         """
         out = {w[::-1]: m.conj().T for w, m in self.coeffs.items()}
-        return NcSeries(self.d, self.cols, self.rows, self.max_degree, out)
+        return NcSeries._of(self.d, self.cols, self.rows, self.max_degree,
+                            out)
 
 
 def series_add(f, g):
@@ -287,20 +315,13 @@ def series_add(f, g):
         raise ShapeMismatchError(
             f"shapes ({f.rows},{f.cols}) and ({g.rows},{g.cols}) differ")
     n = min(f.max_degree, g.max_degree)
-    out = {}
-    for w, m in f.coeffs.items():
-        if len(w) <= n:
-            out[w] = m.copy()
+    out = {w: m for w, m in f.coeffs.items() if len(w) <= n}
     for w, m in g.coeffs.items():
-        if len(w) > n:
-            continue
-        if w in out:
-            out[w] = out[w] + m
-        else:
-            out[w] = m.copy()
+        if len(w) <= n:
+            out[w] = out[w] + m if w in out else m
     # exact-zero sums are dropped so f + (-f) is the empty series
     out = {w: m for w, m in out.items() if np.any(m)}
-    return NcSeries(f.d, f.rows, f.cols, n, out)
+    return NcSeries._of(f.d, f.rows, f.cols, n, out)
 
 
 def series_mul(f, g, max_degree=None):
@@ -331,7 +352,7 @@ def series_mul(f, g, max_degree=None):
             else:
                 out[w] = prod
     out = {w: m for w, m in out.items() if np.any(m)}
-    return NcSeries(f.d, f.rows, g.cols, max_degree, out)
+    return NcSeries._of(f.d, f.rows, g.cols, max_degree, out)
 
 
 def rescale(f, r):
@@ -343,14 +364,11 @@ def rescale(f, r):
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"rescale parameter {r} outside [0, 1]")
-    if r == 1.0:
-        return f.copy()
     if r == 0.0:
-        c = f.coeffs.get(())
-        out = {} if c is None else {(): c.copy()}
-        return NcSeries(f.d, f.rows, f.cols, f.max_degree, out)
-    out = {w: (r ** len(w)) * m for w, m in f.coeffs.items()}
-    return NcSeries(f.d, f.rows, f.cols, f.max_degree, out)
+        out = {w: m for w, m in f.coeffs.items() if not w}
+    else:
+        out = {w: (r ** len(w)) * m for w, m in f.coeffs.items()}
+    return NcSeries._of(f.d, f.rows, f.cols, f.max_degree, out)
 
 
 def h2_norm(f):
@@ -366,28 +384,24 @@ def series_inner(f, g):
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise ShapeMismatchError(
             f"shapes ({f.rows},{f.cols}) and ({g.rows},{g.cols}) differ")
-    acc = 0.0 + 0.0j
     fc, gc = f.coeffs, g.coeffs
-    if len(fc) <= len(gc):
-        for w, fm in fc.items():
-            gm = gc.get(w)
-            if gm is not None:
-                acc += np.sum(np.conj(fm) * gm)
-    else:
-        for w, gm in gc.items():
-            fm = fc.get(w)
-            if fm is not None:
-                acc += np.sum(np.conj(fm) * gm)
+    acc = 0.0 + 0.0j
+    for w in fc if len(fc) <= len(gc) else gc:
+        if w in fc and w in gc:
+            acc += np.sum(np.conj(fc[w]) * gc[w])
     return complex(acc)
 
 
 def series_invert(f, max_degree=None):
     """Multiplicative inverse of f up to degree max_degree (default N_f).
 
-    Requires an invertible square constant term; the recursion
-    g_w = -f_0^{-1} sum_{uv=w, u != empty} f_u g_v
-    walks degrees upward over the support closure (the monoid generated by
-    the nonconstant support of f), so sparse inputs stay sparse.
+    Requires an invertible square constant term.  The inverse g follows
+    the degree recursion g_w = -f_0^{-1} sum_{uv=w, u != empty} f_u g_v:
+    at each degree, each nonconstant word u of f pairs with each stored
+    word v of g at the degree less |u|, the terms of each word w = uv are
+    summed in f's word order, and -f_0^{-1} is applied in sorted word
+    order.  Only stored (nonzero) words of g are visited, so sparse inputs
+    stay sparse.
     """
     if f.rows != f.cols:
         raise ShapeMismatchError("only square series can be inverted")
@@ -397,53 +411,37 @@ def series_invert(f, max_degree=None):
     if f0 is None:
         raise NotInvertibleError("constant term is zero", smallest_sigma=0.0)
     svals = np.linalg.svd(f0, compute_uv=False)
-    smin = float(svals[-1]) if len(svals) else 0.0
-    smax = float(svals[0]) if len(svals) else 0.0
+    smin, smax = float(svals[-1]), float(svals[0])
     if smin <= INVERT_REL * max(smax, 1.0):
         raise NotInvertibleError(
             f"constant term numerically singular (sigma_min={smin:.3e})",
             smallest_sigma=smin)
     f0inv = np.linalg.inv(f0)
-    supp_plus = [(w, m) for w, m in f.coeffs.items() if len(w) > 0]
+    f_plus = [(u, fu) for u, fu in f.coeffs.items() if u]
     g = {(): f0inv}
-    # words reachable at each degree: products u.v with u in supp_plus and
-    # v already present in g
-    by_degree = {0: [()]}
+    levels = [[()]]
     for deg in range(1, max_degree + 1):
-        candidates = set()
-        for u, _ in supp_plus:
-            lu = len(u)
-            if lu > deg:
-                continue
-            for v in by_degree.get(deg - lu, ()):
-                candidates.add(u + v)
+        acc = {}
+        for u, fu in f_plus:
+            if len(u) <= deg:
+                for v in levels[deg - len(u)]:
+                    term = fu @ g[v]
+                    w = u + v
+                    acc[w] = acc[w] + term if w in acc else term
         level = []
-        for w in sorted(candidates):
-            acc = None
-            for u, fu in supp_plus:
-                lu = len(u)
-                if lu > len(w) or w[:lu] != u:
-                    continue
-                gv = g.get(w[lu:])
-                if gv is None:
-                    continue
-                term = fu @ gv
-                acc = term if acc is None else acc + term
-            if acc is None:
-                continue
-            gw = -(f0inv @ acc)
+        for w in sorted(acc):
+            gw = -(f0inv @ acc[w])
             if np.any(gw):
                 g[w] = gw
                 level.append(w)
-        if level:
-            by_degree[deg] = level
-    return NcSeries(f.d, f.rows, f.cols, max_degree, g)
+        levels.append(level)
+    return NcSeries._of(f.d, f.rows, f.cols, max_degree, g)
 
 
-def phase_normalize(f, floor_rel=1e-13):
+def phase_normalize(f):
     """Rotate f by a unimodular scalar so its leading coefficient entry
-    (degree-then-lex first word, row-major first entry above threshold) is
-    real and positive.
+    (degree-then-lex first word, row-major first entry above 1e-13 times
+    the largest entry) is real and positive.
 
     Returns (g, u) with f = u * g and |u| = 1.
     """
@@ -453,7 +451,7 @@ def phase_normalize(f, floor_rel=1e-13):
     for w in f.support():
         m = f.coeffs[w]
         flat = m.reshape(-1)
-        idx = np.where(np.abs(flat) > floor_rel * top)[0]
+        idx = np.where(np.abs(flat) > 1e-13 * top)[0]
         if idx.size:
             entry = complex(flat[idx[0]])
             u = entry / abs(entry)
@@ -466,20 +464,14 @@ def max_coeff_diff(f, g, through_degree=None):
     length <= through_degree (default: the smaller truncation bound)."""
     if through_degree is None:
         through_degree = min(f.max_degree, g.max_degree)
-    words = set()
-    for w in f.coeffs:
-        if len(w) <= through_degree:
-            words.add(w)
-    for w in g.coeffs:
-        if len(w) <= through_degree:
-            words.add(w)
+    words = {w for c in (f.coeffs, g.coeffs) for w in c
+             if len(w) <= through_degree}
     f0 = np.zeros((f.rows, f.cols), dtype=complex)
     g0 = np.zeros((g.rows, g.cols), dtype=complex)
     err = 0.0
     for w in words:
         diff = f.coeffs.get(w, f0) - g.coeffs.get(w, g0)
-        if diff.size:
-            err = max(err, float(np.max(np.abs(diff))))
+        err = max(err, float(np.max(np.abs(diff))))
     return err
 
 
@@ -529,10 +521,11 @@ def from_json_dict(obj, path="series"):
     if missing:
         raise SchemaError(f"missing keys {sorted(missing)}", path)
     d, rows, cols, n = obj["d"], obj["rows"], obj["cols"], obj["max_degree"]
-    for name, val in (("d", d), ("rows", rows), ("cols", cols),
-                      ("max_degree", n)):
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise SchemaError(f"{name} must be an integer", f"{path}.{name}")
+    for name, val, low in (("d", d, 1), ("rows", rows, 1), ("cols", cols, 1),
+                           ("max_degree", n, 0)):
+        if not isinstance(val, int) or isinstance(val, bool) or val < low:
+            raise SchemaError(f"{name} must be an integer >= {low}",
+                              f"{path}.{name}")
     if not isinstance(obj["coeffs"], list):
         raise SchemaError("coeffs must be a list", f"{path}.coeffs")
     coeffs = {}
@@ -559,10 +552,8 @@ def from_json_dict(obj, path="series"):
                 f"matrix shape {m.shape} != ({rows}, {cols})",
                 f"{here}.matrix")
         coeffs[w] = m
-    try:
-        return NcSeries(d, rows, cols, n, coeffs)
-    except (ValueError, ShapeMismatchError) as exc:
-        raise SchemaError(str(exc), path)
+    # every letter, length and shape is checked above
+    return NcSeries._of(d, rows, cols, n, coeffs)
 
 
 def save_series(f, fileobj_or_path):
@@ -585,9 +576,8 @@ def load_series(fileobj_or_path):
 
 # -- small constructors used throughout the test corpus ----------------
 
-def commutator_inner(d=2, max_degree=2):
-    """(z1 z2 - z2 z1)/sqrt(2): the degree-2 homogeneous inner workhorse."""
-    if d < 2:
-        raise ValueError("needs at least two letters")
+def commutator_inner(max_degree=2):
+    """(z1 z2 - z2 z1)/sqrt(2) over two letters: the degree-2 homogeneous
+    inner workhorse."""
     s = 1.0 / math.sqrt(2.0)
-    return NcSeries(d, 1, 1, max_degree, {(1, 2): s, (2, 1): -s})
+    return NcSeries(2, 1, 1, max_degree, {(1, 2): s, (2, 1): -s})

@@ -32,7 +32,7 @@ STRAIGHTEN_THRESHOLD = 1e-10
 
 def _check_disk(w):
     w = complex(w)
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:
         raise ValueError(f"shift parameter |w| = {abs(w):.4f} not inside "
                          "the unit disk")
     return w
@@ -50,7 +50,7 @@ def frostman(theta, w, N=None):
     w = _check_disk(w)
     if N is None:
         N = theta.max_degree
-    th = theta.with_max_degree(N) if theta.max_degree != N else theta
+    th = theta.with_max_degree(N)
     one = NcSeries.constant(1.0, theta.d, N)
     denom = one - th.scale(np.conj(w))
     return series_mul(series_invert(denom, N), th - one.scale(w), N)
@@ -68,7 +68,7 @@ def crofoot(theta, w, N=None):
     w = _check_disk(w)
     if N is None:
         N = theta.max_degree
-    th = theta.with_max_degree(N) if theta.max_degree != N else theta
+    th = theta.with_max_degree(N)
     one = NcSeries.constant(1.0, theta.d, N)
     denom = one - th.scale(np.conj(w))
     return series_invert(denom, N).scale(np.sqrt(1.0 - abs(w) ** 2))
@@ -135,7 +135,7 @@ def cayley_herglotz(B, N=None):
                                  "coefficients")
     if N is None:
         N = B.max_degree
-    Bn = B.with_max_degree(N) if B.max_degree != N else B
+    Bn = B.with_max_degree(N)
     one = NcSeries.identity(B.rows, B.d, N) if B.rows > 1 else \
         NcSeries.constant(1.0, B.d, N)
     return series_mul(series_invert(one - Bn, N), one + Bn, N)
@@ -173,8 +173,9 @@ def semigroup_inner(B, t, N=None):
     if not B.is_scalar():
         raise ShapeMismatchError("semigroup construction expects a scalar "
                                  "inner")
-    if t < 0:
-        raise ValueError(f"semigroup parameter t = {t} must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"semigroup parameter t = {t} must be finite and "
+                         ">= 0")
     if N is None:
         N = B.max_degree
     H = cayley_herglotz(B, N)
@@ -219,7 +220,7 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
         raise ShapeMismatchError("idempotent must have square coefficients")
     if N is None:
         N = E.max_degree
-    En = E.with_max_degree(N) if E.max_degree != N else E
+    En = E.with_max_degree(N)
     sq = series_mul(En, En, N)
     idem_res = max_coeff_diff(sq, En, N)
     if idem_res > gate:
@@ -255,7 +256,8 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
                 U_coeffs[w] = Uw
         if not U_coeffs:
             continue
-        Sj = NcSeries.identity(n, E.d, N) + NcSeries(E.d, n, n, N, U_coeffs)
+        Uj = NcSeries._of(E.d, n, n, N, U_coeffs)
+        Sj = NcSeries.identity(n, E.d, N) + Uj
         Sj_inv = series_invert(Sj, N)
         cur = series_mul(series_mul(Sj, cur, N), Sj_inv, N)
         S = series_mul(Sj, S, N)

@@ -471,6 +471,15 @@ def test_lm_converges_from_one_newton_step_away():
     assert nfev <= 6
 
 
+def test_lm_stops_on_a_singular_damped_system_at_a_boundary_zero():
+    # c (1 + z2) vanishes on the boundary, so J^T J is singular at the
+    # outer factor and the damping shrinks to an exactly singular system
+    c = 0.11721777455823412 + 1j
+    res = inner_outer(NcSeries(2, 1, 1, 1, {(2,): c, (): c}))
+    assert res.wandering_dim == 1
+    assert res.defects["reconstruction_error"] <= 1e-10
+
+
 def test_spectral_outer_refuses_a_solve_that_never_converges(monkeypatch):
     starts, errs = [], []
 

@@ -223,6 +223,39 @@ def test_idempotent_rejects_non_idempotent(runner, tmp_path):
     assert "error" in doc
 
 
+@pytest.mark.parametrize("command, option", [
+    ("frostman", "--w"), ("crofoot", "--w"), ("semigroup", "--t")])
+def test_nan_transform_parameter_refused(runner, paths, command, option):
+    res, doc = run_json(runner, [command, "--series", paths["z1"],
+                                 option, "nan"])
+    assert res.exit_code == 1
+    assert "nan" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["factor", "classify", "idempotent"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_refused(runner, paths, command, tol):
+    # a NaN gate compares False both ways and would switch the gate off
+    bad = NcSeries(2, 2, 2, 4, {(): [[1.0, 0.0], [0.0, 0.5]]})
+    series = write_json(paths["tmp"] / "bad.json", to_json_dict(bad)) \
+        if command == "idempotent" else paths["z1"]
+    res, doc = run_json(runner, [command, "--series", series, "--tol", tol])
+    assert res.exit_code == 1
+    assert doc["error"]["path"] == "tol"
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_eval_refuses_empty_coefficient_shape(runner, paths, field, value):
+    doc = to_json_dict(commutator(4))
+    doc[field] = value
+    p = write_json(paths["tmp"] / "empty.json", doc)
+    res, out = run_json(runner, ["eval", "--series", p,
+                                 "--point", paths["pt"]])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == f"series.{field}"
+
+
 def test_compare_classical_zero_layout(runner, paths):
     res, doc = run_json(runner, [
         "compare-classical", "--poly", paths["poly"], "--degree", "10"])

@@ -1,5 +1,7 @@
 """Matrix-point evaluation: homomorphism checks and admissibility."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,20 @@ def test_evaluate_batch_admissibility_gate():
     near, = random_points(rng, 2, (2,), 0.995)
     with pytest.warns(AdmissibilityWarning):
         evaluate_batch(f, np.concatenate([good, near]))
+
+
+def test_evaluate_batch_frees_its_word_products_on_return():
+    # the per-chunk cache of word products can reach megabytes; left in a
+    # reference cycle, it lives until the cyclic collector happens to run
+    f = NcSeries(2, 1, 1, 3, {(): 1.0, (1, 2): 0.5, (2, 1, 1): 0.25})
+    Zs, = random_points(np.random.default_rng(20), 2, (2, 2, 2), 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate_batch(f, Zs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 2, 2), (3, 2, 2, 3), (2, 2, 2)])

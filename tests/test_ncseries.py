@@ -286,6 +286,22 @@ def test_json_schema_errors(mutate, path_frag):
     assert path_frag in (exc.value.path or "series")
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_json_refuses_coefficient_sizes_below_one(field, value):
+    doc = to_json_dict(commutator_inner(max_degree=2))
+    doc[field] = value
+    with pytest.raises(SchemaError) as exc:
+        from_json_dict(doc)
+    assert exc.value.path == f"series.{field}"
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0), (-1, 1), (2, -3)])
+def test_constructor_refuses_coefficient_sizes_below_one(rows, cols):
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        NcSeries(2, rows, cols, 2)
+
+
 def test_json_rejects_letter_out_of_range():
     doc = to_json_dict(NcSeries.monomial((1,), 2, 2))
     doc["coeffs"][0]["word"] = [3]

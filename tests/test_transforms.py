@@ -79,6 +79,15 @@ def test_frostman_rejects_boundary_parameter():
         frostman(NcSeries.identity(2, 2, 3), 0.5, 3)
 
 
+@pytest.mark.parametrize("transform", [frostman, crofoot])
+@pytest.mark.parametrize("w", [complex("nan"), complex(0.0, float("nan")),
+                               float("inf")])
+def test_shifts_refuse_parameters_off_the_disk(transform, w):
+    # every comparison with NaN is False, so the gate must not be >= 1
+    with pytest.raises(ValueError, match="unit disk"):
+        transform(commutator_inner(max_degree=4), w, 4)
+
+
 def test_crofoot_links_to_frostman():
     V = commutator_inner(max_degree=8)
     w = 0.4 + 0.3j
@@ -220,8 +229,9 @@ def test_semigroup_identity_at_zero_and_domain():
     z1 = NcSeries.monomial((1,), 2, 5)
     B0 = semigroup_inner(z1, 0.0, 5)
     assert max_coeff_diff(B0, NcSeries.constant(1.0, 2, 5), 5) < 1e-15
-    with pytest.raises(ValueError):
-        semigroup_inner(z1, -0.1, 5)
+    for t in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            semigroup_inner(z1, t, 5)
 
 
 def expm_semigroup(B, t, N):

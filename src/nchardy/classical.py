@@ -11,7 +11,8 @@ including singularity pairs built from Jordan blocks at the zeros.
 import numpy as np
 
 from .errors import BoundaryRootError, ShapeMismatchError
-from .evaluate import MatrixPoint
+from .evaluate import MatrixPoint, evaluate
+from .factorization import inner_outer
 from .kernels import SingularityPair, _left_null_direction, sing_membership
 from .ncseries import (
     NcSeries,
@@ -19,6 +20,7 @@ from .ncseries import (
     phase_normalize,
     series_mul,
 )
+from .transforms import semigroup_inner
 
 # Roots this close to the unit circle make the Blaschke/outer call
 # unstable, so they are rejected instead of classified.
@@ -152,8 +154,6 @@ def atomic_singular(t, N):
     the semigroup construction, so it is the same object the general
     machinery produces at d = 1.
     """
-    from .transforms import semigroup_inner
-
     z = NcSeries.monomial((1,), 1, N)
     return semigroup_inner(z, t, N)
 
@@ -192,9 +192,6 @@ def compare_with_nc(h, N=None):
     singularity pairs at each interior zero with their membership
     residuals.
     """
-    from .evaluate import evaluate
-    from .factorization import inner_outer
-
     if isinstance(h, NcSeries):
         series = h
     else:

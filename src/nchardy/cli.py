@@ -176,13 +176,14 @@ split_options = _options(
 
 
 def _tol_kwarg(tol, name):
-    """--tol as the keyword argument name, if given.  NaN and infinities
-    are refused: every comparison with NaN is False, so one would turn
-    the gate off."""
+    """--tol as the keyword argument name, if given.  NaN, infinities and
+    negative values are refused: every comparison with NaN is False, so
+    one would turn the gate off, and no residual or defect falls below a
+    negative gate.  0 asks for exactness."""
     if tol is None:
         return {}
-    if not np.isfinite(tol):
-        raise SchemaError(f"tol must be finite, got {tol}", "tol")
+    if not 0 <= tol < np.inf:
+        raise SchemaError(f"tol must be finite and >= 0, got {tol}", "tol")
     return {name: tol}
 
 

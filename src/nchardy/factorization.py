@@ -55,7 +55,9 @@ from .ncseries import (
     rescale,
     series_invert,
     series_mul,
+    shift_adjoint_apply,
 )
+from .transforms import crofoot
 
 # Classification threshold: a Blaschke defect at or below this counts as
 # evidence that the sampled kernels exhaust the orthocomplement.
@@ -67,10 +69,6 @@ SINGULAR_SIGMA_TOL = 1e-8
 # Gram eigenvalue ratio above which the columns H z^v count as independent
 # (sigma ratio 1e-6), proved by a Cholesky of G - this * max_i sum_j |G_ij| I.
 GRAM_COND_MIN = 1e-12
-
-# spectral_outer's solves at most, and the seed of its perturbed restarts.
-OUTER_RETRIES = 4
-OUTER_SEED = 0
 
 # _lm's relative reduction and step tolerance, its initial damping relative
 # to max diag(J^T J), and its cap on residual evaluations per solve.
@@ -223,11 +221,10 @@ def spectral_outer(H):
     positive), by the Levenberg-Marquardt solve `_lm` on the exact
     Jacobian: Nielsen's gain-ratio damping, and stops at a zero residual,
     at relative reductions of |r|^2 or a relative step within LM_TOL, or
-    after LM_MAX_NFEV residuals.  The initial guess sqrt(t_empty) is the
+    after LM_MAX_NFEV residuals.  The one start sqrt(t_empty) is the
     constant of maximal vacuum mass, which steers the iteration onto the
-    outer branch; failed solves restart from seeded perturbations of it,
-    OUTER_RETRIES solves in all, and residuals at machine precision are
-    required.
+    outer branch; a residual above 1e-11 max(1, |t_empty|) raises
+    DiagnosticError naming it.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("spectral factorization needs square "
@@ -239,56 +236,20 @@ def spectral_outer(H):
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
     init = np.zeros(prob.shape, dtype=complex)
     init[0] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    x0 = x_init = init.reshape(-1).view(float)
-    rng = np.random.default_rng(OUTER_SEED)
-    best = None
-    for attempt in range(OUTER_RETRIES):
-        x, r, _ = _lm(prob.residual, prob.jacobian, x0)
-        err = float(np.max(np.abs(r)))
-        if best is None or err < best[0]:
-            best = (err, x)
-        if err <= 1e-11 * scale:
-            break
-        x0 = x_init + 0.1 * np.sqrt(scale) * rng.standard_normal(x0.size)
-    err, xbest = best
+    x, r, _ = _lm(prob.residual, prob.jacobian,
+                  init.reshape(-1).view(float))
+    err = float(np.max(np.abs(r)))
     if err > 1e-11 * scale:
         raise DiagnosticError(
             f"autocorrelation factorization did not converge "
-            f"(residual {err:.3e} after {OUTER_RETRIES} attempts)")
-    F = prob.decode(xbest).copy()
+            f"(residual {err:.3e})")
+    F = prob.decode(x).copy()
     F[0] = 0.5 * (F[0] + F[0].conj().T)
     if n == 1 and F[0, 0, 0].real < 0:
         F = -F
     coeffs = {w: M for w, M in zip(prob.basis.words, F)
               if np.any(np.abs(M) > 1e-14)}
     return NcSeries._of(H.d, n, n, prob.m, coeffs)
-
-
-def shift_adjoint_apply(omega, H, out_degree=None):
-    """Coefficients of omega(L)* applied to H: F_b = sum_a conj(om_a) H_{ab}.
-
-    omega scalar, H scalar or matrix-valued; the result keeps H's shape.
-    """
-    if not omega.is_scalar():
-        raise ShapeMismatchError("adjoint application needs a scalar symbol")
-    if out_degree is None:
-        out_degree = H.max_degree
-    coeffs = {}
-    for w, Hm in H.coeffs.items():
-        for a, om in omega.coeffs.items():
-            la = len(a)
-            if la > len(w) or w[:la] != a:
-                continue
-            b = w[la:]
-            if len(b) > out_degree:
-                continue
-            term = np.conj(om[0, 0]) * Hm
-            if b in coeffs:
-                coeffs[b] = coeffs[b] + term
-            else:
-                coeffs[b] = term
-    coeffs = {w: m for w, m in coeffs.items() if np.any(m)}
-    return NcSeries._of(H.d, H.rows, H.cols, out_degree, coeffs)
 
 
 def inner_outer(H, N=None):
@@ -400,10 +361,15 @@ def _outer_defect(G, h0, window):
 
 
 def solve_vacuum(f, r, N=None):
-    """Least-squares residual of (multiplication by f(r.)) x = vacuum.
+    """Least-squares residual of (multiplication by f(r.)) x = vacuum on
+    the Fock space truncated at N.
 
-    A surjectivity proxy: residuals tending to zero with N certify that
-    the constants lie in the closed range, the outer property at work.
+    The truncated operator is block lower triangular with f(0) on its
+    diagonal, so the residual only says whether f(0) vanishes: it is 0 up
+    to rounding (which grows with N) whenever f(0) != 0, and exactly 1
+    when f(0) = 0, for every N and r.  It does not certify the outer
+    property: the non-outer z - 1/2 reads 1e-13 at N = 10.  outer_defect
+    measures cyclicity (sqrt(3)/2 on z - 1/2).
     """
     if not f.is_scalar():
         raise ShapeMismatchError("solve_vacuum expects a scalar series")
@@ -458,8 +424,6 @@ def crofoot_kernel_frame(theta, w, N=None):
     small levels cannot span enough.  theta(0) != 0 is a ValueError: the
     truncated operator is then triangular with theta(0) on its diagonal.
     """
-    from .transforms import crofoot
-
     if N is None:
         N = theta.max_degree
     basis = FockBasis(theta.d, N)

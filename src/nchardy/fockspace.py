@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .errors import ShapeMismatchError, ValidityWindowError
-from .ncseries import NcSeries, _check_letters, rescale
+from .ncseries import NcSeries, _check_letters, _int_size, rescale
 
 # Relative singular-value threshold for numerical rank decisions.
 RANK_REL = 1e-10
@@ -42,12 +42,12 @@ class FockBasis:
     """Degree-then-lex enumeration of words of length <= max_degree."""
 
     def __init__(self, d, max_degree):
-        if d < 1:
+        self.d = _int_size("alphabet size", d)
+        self.max_degree = _int_size("max_degree", max_degree)
+        if self.d < 1:
             raise ValueError("alphabet size must be >= 1")
-        if max_degree < 0:
+        if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        self.d = int(d)
-        self.max_degree = int(max_degree)
         # product enumerates each degree in lex order
         letters = range(1, self.d + 1)
         self.words = [w for n in range(self.max_degree + 1)

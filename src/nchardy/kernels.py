@@ -399,9 +399,9 @@ def _left_null_direction(A):
     return Vh[-1].conj()
 
 
-def _harvest_members(H, Z, degree_bound, members, max_members):
-    """Verify every in-disk det root of the direction Z as a member."""
-    for t in _det_poly_roots(H, Z, degree_bound):
+def _harvest_members(H, Z, roots, members, max_members):
+    """Verify every in-disk root t of det(H(tZ)) as a member."""
+    for t in roots:
         if abs(t) >= 1.0:
             continue
         Zt = Z.scale(t)
@@ -441,6 +441,6 @@ def search_singularities(H, level, trials=50, rng=None, max_members=10):
             Z = random_point(rng, H.d, level, 0.995)
         roots = _det_poly_roots(H, Z, degree_bound)
         if roots.size and min(np.abs(roots)) < 1.0:
-            if _harvest_members(H, Z, degree_bound, members, max_members):
+            if _harvest_members(H, Z, roots, members, max_members):
                 break
     return members

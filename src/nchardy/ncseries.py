@@ -53,16 +53,25 @@ def _check_letters(letters, d=None):
     return tuple(map(int, letters))
 
 
+def _int_size(name, value):
+    """A size as an int, checked raw as letters are: 2.5 or '2' raises
+    instead of truncating."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 class Word:
     """A word in the letters {1..d}.  Immutable; the unit is Word((), d)."""
 
     __slots__ = ("letters", "d")
 
     def __init__(self, letters, d):
+        d = _int_size("alphabet size", d)
         if d < 1:
             raise ValueError("alphabet size must be >= 1")
         object.__setattr__(self, "letters", _check_letters(tuple(letters), d))
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -123,10 +132,11 @@ class NcSeries:
     coeffs : optional map {letter-tuple: array-like (p, q)}.  Missing words
         are zero.  Scalars are accepted for 1x1 series.
 
-    The constructor checks every letter and copies every coefficient into a
-    complex array.  Series built from checked ones go through ``_of``,
-    which checks only the four sizes and adopts its dict as it is.  A
-    derived series owns its dict and may share coefficient arrays with its
+    The constructor checks every size and letter (each an int or numpy
+    integer) and copies every coefficient into a complex array.  Series
+    built from checked ones go through ``_of``, which checks only the
+    ranges of the four sizes and adopts its dict as it is.  A derived
+    series owns its dict and may share coefficient arrays with its
     source; no library code writes into a stored array, and ``copy()`` is
     the one deep copy.
     """
@@ -134,6 +144,9 @@ class NcSeries:
     __slots__ = ("d", "rows", "cols", "max_degree", "coeffs")
 
     def __init__(self, d, rows, cols, max_degree, coeffs=None):
+        for name, size in (("alphabet size", d), ("rows", rows),
+                           ("cols", cols), ("max_degree", max_degree)):
+            _int_size(name, size)
         self._set_sizes(d, rows, cols, max_degree)
         store = {}
         for w, m in (coeffs or {}).items():
@@ -353,6 +366,33 @@ def series_mul(f, g, max_degree=None):
                 out[w] = prod
     out = {w: m for w, m in out.items() if np.any(m)}
     return NcSeries._of(f.d, f.rows, g.cols, max_degree, out)
+
+
+def shift_adjoint_apply(omega, H, out_degree=None):
+    """Coefficients of omega(L)* applied to H: F_b = sum_a conj(om_a) H_{ab}.
+
+    omega scalar, H scalar or matrix-valued; the result keeps H's shape.
+    """
+    if not omega.is_scalar():
+        raise ShapeMismatchError("adjoint application needs a scalar symbol")
+    if out_degree is None:
+        out_degree = H.max_degree
+    coeffs = {}
+    for w, Hm in H.coeffs.items():
+        for a, om in omega.coeffs.items():
+            la = len(a)
+            if la > len(w) or w[:la] != a:
+                continue
+            b = w[la:]
+            if len(b) > out_degree:
+                continue
+            term = np.conj(om[0, 0]) * Hm
+            if b in coeffs:
+                coeffs[b] = coeffs[b] + term
+            else:
+                coeffs[b] = term
+    coeffs = {w: m for w, m in coeffs.items() if np.any(m)}
+    return NcSeries._of(H.d, H.rows, H.cols, out_degree, coeffs)
 
 
 def rescale(f, r):

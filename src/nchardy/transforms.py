@@ -5,7 +5,8 @@ Crofoot multipliers implement the matching change of model space.  The
 Cayley transform turns an inner into a Herglotz-class function whose
 exponentials form a semigroup of singular inners.  The idempotent
 straightening conjugates a series-valued idempotent to a constant
-projection degree by degree.
+projection by one intertwiner series.  Every transform is computed in
+the series algebra; none builds a Fock-space operator.
 """
 
 import numpy as np
@@ -16,13 +17,15 @@ from .errors import (
     ShapeMismatchError,
 )
 from .evaluate import evaluate_batch, random_points
-from .fockspace import FockBasis, mult_operator
+from .fockspace import FockBasis, series_to_vec, vec_to_series
 from .ncseries import (
     NcSeries,
+    h2_norm,
     max_coeff_diff,
     rescale,
     series_invert,
     series_mul,
+    shift_adjoint_apply,
 )
 
 # Residual gates for the idempotent straightening.
@@ -83,12 +86,15 @@ def homogeneous_degree(V):
 
 
 def eigenvector_shift(h, V, w, r, basis=None):
-    """Resolvent sum h^{(r)} = sum_k (conj(w)/r^n)^k V(L)^k h.
+    """Resolvent h^{(r)} = (1 - c V)^{-1} h with c = conj(w)/r^n.
 
     For h annihilated by V(L)* and V homogeneous of degree n, the result
-    is an eigenvector of V(rL)* with eigenvalue conj(w); the returned
-    residual measures exactly that, on the degrees the truncation computes
-    faithfully.  Convergence needs |w|^(1/n) < r < 1.
+    is an eigenvector of V(rL)* with eigenvalue conj(w).  V has no
+    constant term, so one series inverse and one product give the sum
+    sum_k c^k V^k h exactly through the basis degree N.  The returned
+    residual is the norm of V(rL)* h^{(r)} - conj(w) h^{(r)} on the
+    degrees <= N - n, which the truncation computes faithfully.
+    Convergence needs |w|^(1/n) < r < 1.
     """
     if not V.is_scalar():
         raise ShapeMismatchError("eigenvector shift expects a scalar "
@@ -108,20 +114,14 @@ def eigenvector_shift(h, V, w, r, basis=None):
         raise ShapeMismatchError(
             f"vector length {h.size} does not match basis dimension "
             f"{basis.dim}")
-    M = mult_operator(V, basis).mat
-    c = np.conj(w) / r ** n
-    out = h.copy()
-    term = h.copy()
-    for _ in range(basis.max_degree // n + 1):
-        term = c * (M @ term)
-        if not np.any(term):
-            break
-        out += term
-    Mr = mult_operator(rescale(V, r), basis).mat
-    res_vec = Mr.conj().T @ out - np.conj(w) * out
-    cut = basis.indices_through_degree(basis.max_degree - n)
-    residual = float(np.linalg.norm(res_vec[cut]))
-    return out, residual
+    N = basis.max_degree
+    if n > N:
+        raise ValueError(f"symbol degree {n} exceeds the basis degree {N}")
+    resolvent = series_invert(1.0 - V.scale(np.conj(w) / r ** n), N)
+    g = series_mul(resolvent, vec_to_series(h, basis), N)
+    res = shift_adjoint_apply(rescale(V, r), g, N - n) \
+        - g.truncate(N - n).scale(np.conj(w))
+    return series_to_vec(g, basis).reshape(-1), h2_norm(res)
 
 
 def cayley_herglotz(B, N=None):
@@ -207,13 +207,18 @@ class IdempotentSplit:
 
 
 def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
-    """Conjugate a series idempotent to diag(I_m, 0_k), degree by degree.
+    """Conjugate a series idempotent to P = diag(I_m, 0_k) in one step.
 
-    The constant term is straightened by a basis of its range and kernel;
-    at each degree j the idempotency relation forces the remaining
-    coefficients off-diagonal, and conjugating by I + [[0, B], [-C, 0]]
-    removes them without touching lower degrees.  Exactly idempotent
-    inputs come out with machine-precision residuals.
+    A basis C0 of the constant term's range and kernel gives E' = C0^{-1}
+    E C0 with constant term P.  The intertwiner of the two projections
+    (Kato, Perturbation Theory for Linear Operators, ch. I),
+
+        U = I + J (E' - P) = P E' + (I - P)(I - E'),   J = 2P - I,
+
+    has U_0 = I and satisfies U E' = P E' = P U through degree N, since
+    E'^2 = E'.  So S = U C0^{-1} is invertible and S E S^{-1} = P; the
+    residual of that conjugation is checked and returned.  Exactly
+    idempotent inputs come out with machine-precision residuals.
     """
     n = E.rows
     if E.cols != n:
@@ -242,29 +247,17 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
             f"range/kernel basis of the constant term is ill conditioned "
             f"(sigma_min = {smin:.3e})")
 
-    S = NcSeries.constant(np.linalg.inv(C0), E.d, N)
-    cur = series_mul(series_mul(S, En, N), NcSeries.constant(C0, E.d, N), N)
-    for j in range(1, N + 1):
-        U_coeffs = {}
-        for w, M in cur.coeffs.items():
-            if len(w) != j:
-                continue
-            Uw = np.zeros((n, n), dtype=complex)
-            Uw[:m, m:] = M[:m, m:]
-            Uw[m:, :m] = -M[m:, :m]
-            if np.any(Uw):
-                U_coeffs[w] = Uw
-        if not U_coeffs:
-            continue
-        Uj = NcSeries._of(E.d, n, n, N, U_coeffs)
-        Sj = NcSeries.identity(n, E.d, N) + Uj
-        Sj_inv = series_invert(Sj, N)
-        cur = series_mul(series_mul(Sj, cur, N), Sj_inv, N)
-        S = series_mul(Sj, S, N)
-
     P = np.zeros((n, n))
     P[:m, :m] = np.eye(m)
-    resid = max_coeff_diff(cur, NcSeries.constant(P, E.d, N), N)
+    C0inv = NcSeries.constant(np.linalg.inv(C0), E.d, N)
+    Ep = series_mul(series_mul(C0inv, En, N), NcSeries.constant(C0, E.d, N),
+                    N)
+    J = 2 * P - np.eye(n)
+    coeffs = {w: J @ M for w, M in Ep.coeffs.items() if w}
+    coeffs[()] = np.eye(n, dtype=complex)
+    S = series_mul(NcSeries._of(E.d, n, n, N, coeffs), C0inv, N)
+    conj = series_mul(series_mul(S, En, N), series_invert(S, N), N)
+    resid = max_coeff_diff(conj, NcSeries.constant(P, E.d, N), N)
     if resid > STRAIGHTEN_THRESHOLD:
         raise DiagnosticError(
             f"straightening stalled at residual {resid:.3e} "

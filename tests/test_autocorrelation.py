@@ -23,7 +23,6 @@ import nchardy.fockspace as fockspace
 from nchardy.errors import DiagnosticError, NotInnerError, ValidityWindowError
 from nchardy.factorization import (
     GRAM_COND_MIN,
-    OUTER_RETRIES,
     _lm,
     _OuterProblem,
     autocorrelation,
@@ -493,13 +492,11 @@ def test_spectral_outer_refuses_a_solve_that_never_converges(monkeypatch):
     H = NcSeries(2, 1, 1, 2, {(): 1.0, (1,): -0.5, (1, 2): 0.25})
     with pytest.raises(DiagnosticError) as info:
         spectral_outer(H)
-    assert len(starts) == OUTER_RETRIES
-    # the first start is sqrt(t_empty), the restarts are perturbations of it
+    # one solve, started from sqrt(t_empty)
+    assert len(starts) == 1
     assert starts[0][0] == np.sqrt(1 + 0.25 + 0.0625)
     assert not np.any(starts[0][2:])
-    assert all(np.all(s[2:] != 0) for s in starts[1:])
-    assert (f"residual {min(errs):.3e} after {OUTER_RETRIES} attempts"
-            in str(info.value))
+    assert f"(residual {errs[0]:.3e})" in str(info.value)
 
 
 # -- Gram certificates --------------------------------------------------

@@ -95,6 +95,16 @@ def test_factor_without_pairs_is_not_diagnostic(runner, paths):
     assert "no-pairs" in doc["outputs"]["flags"]
 
 
+def test_factor_of_a_matrix_series_is_diagnostic(runner, tmp_path):
+    H = NcSeries(2, 2, 2, 4, {(): [[2.0, 0.5], [0.0, 1.0]],
+                              (1,): [[0.3, 0.0], [0.1, -0.4]]})
+    p = write_json(tmp_path / "H.json", to_json_dict(H))
+    res, doc = run_json(runner, ["factor", "--series", p])
+    assert res.exit_code == 2
+    assert doc["outputs"]["flags"] == ["sampling-insufficient"]
+    assert doc["outputs"]["singular"] is None
+
+
 def test_kernel_h2_norm_matches_closed_form(runner, paths):
     res, doc = run_json(runner, [
         "kernel", "--point", paths["pt"], "--y", paths["y"],
@@ -242,6 +252,24 @@ def test_non_finite_tol_refused(runner, paths, command, tol):
     res, doc = run_json(runner, [command, "--series", series, "--tol", tol])
     assert res.exit_code == 1
     assert doc["error"]["path"] == "tol"
+
+
+@pytest.mark.parametrize("command", ["factor", "classify", "idempotent"])
+def test_negative_tol_refused(runner, paths, command):
+    # a negative gate refuses the exact idempotent and never calls an
+    # inner Blaschke
+    series = paths["E"] if command == "idempotent" else paths["z1"]
+    res, doc = run_json(runner, [command, "--series", series, "--tol", "-1"])
+    assert res.exit_code == 1
+    assert doc["error"]["path"] == "tol"
+    assert ">= 0" in doc["error"]["message"]
+
+
+def test_zero_tol_asks_for_an_exact_idempotent(runner, paths):
+    res, doc = run_json(runner, ["idempotent", "--series", paths["E"],
+                                 "--tol", "0"])
+    assert res.exit_code == 0
+    assert doc["outputs"]["m"] == 1
 
 
 @pytest.mark.parametrize("field", ["rows", "cols"])

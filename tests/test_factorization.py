@@ -187,6 +187,18 @@ def test_solve_vacuum_residuals():
         solve_vacuum(f, 1.0, 12)
 
 
+def test_solve_vacuum_reads_only_whether_f0_vanishes():
+    # the truncated operator is triangular with f(0) on its diagonal: the
+    # non-outer z - 1/2 reads rounding at every N, and only outer_defect
+    # sees that the vacuum is out of reach
+    for N in (5, 10, 20):
+        f = NcSeries(1, 1, 1, N, {(): -0.5, (1,): 1.0})
+        assert solve_vacuum(f, 0.9, N) < 1e-9
+        assert outer_defect(f) == pytest.approx(np.sqrt(3) / 2, abs=2e-4)
+        z = NcSeries.monomial((1,), 1, N)
+        assert solve_vacuum(z, 0.3, N) == pytest.approx(1.0, abs=1e-12)
+
+
 # -- classification defects -------------------------------------------
 
 
@@ -309,6 +321,25 @@ def test_split_no_data_on_vanishing_inner_is_diagnostic():
     res = blaschke_singular_split(z1(6), [], N=6)
     assert res.flags == ["no-pairs"]
     assert res.diagnostic
+
+
+def test_bso_factor_does_not_split_a_matrix_inner():
+    H = NcSeries(2, 2, 2, 4, {(): [[2.0, 0.5], [0.0, 1.0]],
+                              (1,): [[0.3, 0.0], [0.1, -0.4]]})
+    res = bso_factor(H)
+    assert res.flags == ["sampling-insufficient"] and res.diagnostic
+    assert res.singular is None
+    assert res.defects["note"] == \
+        "wandering dimension != 1; split not attempted"
+    assert res.wandering_dim == 2
+
+
+def test_bso_factor_of_an_outer_has_constant_inner_parts():
+    res = bso_factor(NcSeries(2, 1, 1, 6, {(): 1.0, (1,): -0.5}))
+    assert res.flags == [] and not res.diagnostic
+    assert set(res.singular.coeffs) == {()}
+    assert res.singular.scalar_coeff(()) == 1.0
+    assert res.blaschke.degree() == 0
 
 
 def test_bso_factor_composes_engine_and_split():

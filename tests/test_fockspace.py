@@ -47,6 +47,13 @@ def test_index_of_refuses_non_integer_letters(word):
         FockBasis(2, 2).index_of(word)
 
 
+@pytest.mark.parametrize("d, N", [(2.5, 3), (2, 3.7), (2.5, 3.7),
+                                  (2, np.float64(3))])
+def test_basis_refuses_non_integer_sizes(d, N):
+    with pytest.raises(ValueError, match="not an integer"):
+        FockBasis(d, N)
+
+
 def test_index_of_integer_words_outside_the_basis_is_a_key_error():
     b = FockBasis(2, 2)
     assert b.index_of((np.int64(2), 1)) == 5

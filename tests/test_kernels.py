@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nchardy.kernels as kernels
 from nchardy.errors import NotInnerError, ShapeMismatchError
 from nchardy.evaluate import MatrixPoint, evaluate, random_point
 from nchardy.fockspace import FockBasis, series_to_vec
@@ -244,6 +245,24 @@ def test_search_finds_bilinear_singularities():
         ok, _ = sing_membership(BILINEAR, pair.Z, pair.y)
         assert ok
         assert pair.Z.row_norm() < 1.0
+
+
+def test_search_finds_each_directions_roots_once(monkeypatch):
+    calls = []
+    roots = kernels._det_poly_roots
+
+    def counting(H, Z, degree_bound):
+        calls.append(Z)
+        return roots(H, Z, degree_bound)
+
+    monkeypatch.setattr(kernels, "_det_poly_roots", counting)
+    members = search_singularities(BILINEAR, 2, trials=20,
+                                   rng=np.random.default_rng(31),
+                                   max_members=100)
+    # directions with an in-disk root were harvested, yet each trial's
+    # determinant was interpolated and factored once
+    assert members
+    assert len(calls) == 20
 
 
 def test_search_reports_empty_for_invertible_symbol():

@@ -302,6 +302,25 @@ def test_constructor_refuses_coefficient_sizes_below_one(rows, cols):
         NcSeries(2, rows, cols, 2)
 
 
+@pytest.mark.parametrize("sizes", [(2.5, 1, 1, 2), (2, 1.9, 1, 2),
+                                   (2, 1, 1.0, 2), (2, 1, 1, 2.7),
+                                   (2, 1, 1, "2"), (np.float64(2), 1, 1, 2)])
+def test_constructor_refuses_non_integer_sizes(sizes):
+    with pytest.raises(ValueError, match="not an integer"):
+        NcSeries(*sizes, {(1, 2): 1.0})
+
+
+def test_integer_sizes_of_numpy_type_are_accepted():
+    f = NcSeries(np.int64(2), np.int32(1), 1, np.int64(2), {(1, 2): 1.0})
+    assert (f.d, f.rows, f.cols, f.max_degree) == (2, 1, 1, 2)
+    assert type(f.max_degree) is int
+
+
+def test_word_refuses_a_non_integer_alphabet():
+    with pytest.raises(ValueError, match="not an integer"):
+        Word((1,), 2.5)
+
+
 def test_json_rejects_letter_out_of_range():
     doc = to_json_dict(NcSeries.monomial((1,), 2, 2))
     doc["coeffs"][0]["word"] = [3]

@@ -179,6 +179,9 @@ def test_eigenvector_shift_parameter_window():
     mixed = NcSeries(2, 1, 1, 6, {(1,): 1.0, (1, 2): 1.0})
     with pytest.raises(ValueError):
         eigenvector_shift(h, mixed, 0.5, 0.9)
+    # no degree of a basis below the symbol's degree is computed
+    with pytest.raises(ValueError, match="exceeds the basis degree"):
+        eigenvector_shift(h[:3], V, 0.5, 0.9, FockBasis(2, 1))
 
 
 def test_cayley_herglotz_d1_coefficients():

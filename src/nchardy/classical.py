@@ -117,7 +117,7 @@ def poly_factor_classical(p, N=None):
     k0 = 0
     while c[k0] == 0.0:
         k0 += 1
-    zeros = [0.0] * k0
+    zeros = [0j] * k0
     body = c[k0:]
     outer_roots = []
     if body.size > 1:

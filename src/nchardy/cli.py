@@ -30,8 +30,9 @@ from .evaluate import (
 )
 from .factorization import blaschke_singular_split, bso_factor
 from .kernels import SingularityPair, szego_kernel
-from .ncseries import from_json_dict, h2_norm, to_json_dict
+from .ncseries import _floats_from_json, from_json_dict, h2_norm, to_json_dict
 from .transforms import (
+    IDEMPOTENT_GATE,
     crofoot,
     frostman,
     idempotent_split,
@@ -63,8 +64,7 @@ def _series_from_file(path, degree):
     if degree is not None:
         if degree < 1:
             raise SchemaError("degree must be >= 1", "degree")
-        s = s.with_max_degree(degree) if degree >= s.degree() else \
-            s.truncate(degree).with_max_degree(degree)
+        s = s.truncate(degree).with_max_degree(degree)
     return s
 
 
@@ -100,6 +100,8 @@ def _emit(report, out, force, started):
 
 
 def _json_default(obj):
+    """The reports' one encoder: a complex number is [re, im], so a
+    complex array is a nested list of [re, im] pairs."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, (np.floating, np.integer)):
@@ -170,30 +172,16 @@ split_options = _options(
                  help="Sample count for the singular test (>= 1)."),
     click.option("--seed", type=int, default=0, show_default=True,
                  help="Seed for the singular test's sample points."),
-    click.option("--tol", type=float, default=None,
-                 help="Blaschke-defect threshold of the split."),
 )
 
 
-def _tol_kwarg(tol, name):
-    """--tol as the keyword argument name, if given.  NaN, infinities and
-    negative values are refused: every comparison with NaN is False, so
-    one would turn the gate off, and no residual or defect falls below a
-    negative gate.  0 asks for exactness."""
-    if tol is None:
-        return {}
-    if not 0 <= tol < np.inf:
-        raise SchemaError(f"tol must be finite and >= 0, got {tol}", "tol")
-    return {name: tol}
-
-
-def _split_args(pairs_path, samples, seed, tol):
+def _split_args(pairs_path, samples, seed):
     """Singularity pairs and split keyword arguments from split_options."""
     if samples < 1:
         raise SchemaError("samples must be >= 1", "samples")
     pairs = _pairs_from_file(pairs_path) if pairs_path else []
     return pairs, {"rng": np.random.default_rng(seed),
-                   "num_samples": samples, **_tol_kwarg(tol, "threshold")}
+                   "num_samples": samples}
 
 
 @click.group()
@@ -207,17 +195,17 @@ def main():
 @split_options
 @common_options
 @_run
-def factor(series_path, pairs_path, samples, seed, tol, degree):
+def factor(series_path, pairs_path, samples, seed, degree):
     """Inner-outer plus Blaschke/singular split with defect report."""
     H = _series_from_file(series_path, degree)
-    pairs, kwargs = _split_args(pairs_path, samples, seed, tol)
+    pairs, kwargs = _split_args(pairs_path, samples, seed)
     res = bso_factor(H, N=degree, pairs=pairs, **kwargs)
     report = {
         "command": "factor",
         "inputs": {"series": to_json_dict(H),
                    "pairs": pairs_path or None},
         "parameters": {"degree": degree or H.max_degree, "seed": seed,
-                       "samples": samples, "threshold": tol},
+                       "samples": samples},
         "outputs": {
             "blaschke": to_json_dict(res.blaschke),
             "singular": to_json_dict(res.singular)
@@ -248,7 +236,7 @@ def eval_cmd(series_path, point_path, degree):
         "inputs": {"series": to_json_dict(f), "point": point},
         "parameters": {"degree": degree or f.max_degree},
         "outputs": {
-            "value": [[[v.real, v.imag] for v in row] for row in val],
+            "value": val,
             "row_norm": Z.row_norm(),
         },
         "defects": {},
@@ -292,10 +280,10 @@ def kernel(point_path, y_path, v_path, degree):
 @split_options
 @common_options
 @_run
-def classify(series_path, pairs_path, samples, seed, tol, degree):
+def classify(series_path, pairs_path, samples, seed, degree):
     """Blaschke/singular classification of an inner series."""
     theta = _series_from_file(series_path, degree)
-    pairs, kwargs = _split_args(pairs_path, samples, seed, tol)
+    pairs, kwargs = _split_args(pairs_path, samples, seed)
     sp = blaschke_singular_split(theta, pairs, N=degree, **kwargs)
     defect = sp.defects.get("blaschke_defect")
     report = {
@@ -303,7 +291,7 @@ def classify(series_path, pairs_path, samples, seed, tol, degree):
         "inputs": {"series": to_json_dict(theta),
                    "pairs": pairs_path or None},
         "parameters": {"degree": degree or theta.max_degree,
-                       "seed": seed, "samples": samples, "threshold": tol},
+                       "seed": seed, "samples": samples},
         "outputs": {
             "blaschke": to_json_dict(sp.blaschke),
             "singular": to_json_dict(sp.singular),
@@ -332,8 +320,7 @@ def _mobius_command(name, transform):
         res = transform(theta, w, degree or theta.max_degree)
         report = {
             "command": name,
-            "inputs": {"series": to_json_dict(theta),
-                       "w": [w.real, w.imag]},
+            "inputs": {"series": to_json_dict(theta), "w": w},
             "parameters": {"degree": degree or theta.max_degree},
             "outputs": {name: to_json_dict(res)},
             "defects": {"window0_defect": abs(h2_norm(res) ** 2 - 1.0)},
@@ -366,9 +353,7 @@ def semigroup(series_path, t_val, degree):
         "inputs": {"series": to_json_dict(B), "t": t_val},
         "parameters": {"degree": N},
         "outputs": {"semigroup_inner": to_json_dict(Bt),
-                    "constant_term":
-                    [Bt.scalar_coeff(()).real,
-                     Bt.scalar_coeff(()).imag]},
+                    "constant_term": Bt.scalar_coeff(())},
         "defects": {"window0_defect": abs(h2_norm(Bt) ** 2 - 1.0)},
     }
     return report, False
@@ -384,14 +369,19 @@ def semigroup(series_path, t_val, degree):
 def idempotent(series_path, tol, degree):
     """Straighten a series idempotent to a constant projection."""
     E = _series_from_file(series_path, degree)
-    sp = idempotent_split(E, N=degree, **_tol_kwarg(tol, "gate"))
+    # NaN would compare False both ways and switch the gate off, and no
+    # residual falls below a negative gate; 0 asks for exactness
+    if tol is not None and not 0 <= tol < np.inf:
+        raise SchemaError(f"tol must be finite and >= 0, got {tol}", "tol")
+    sp = idempotent_split(E, N=degree,
+                          gate=IDEMPOTENT_GATE if tol is None else tol)
     report = {
         "command": "idempotent",
         "inputs": {"series": to_json_dict(E)},
         "parameters": {"degree": degree or E.max_degree, "gate": tol},
         "outputs": {
             "S": to_json_dict(sp.S),
-            "P": [[float(x) for x in row] for row in sp.P.real],
+            "P": sp.P,
             "m": sp.m, "k": sp.k,
         },
         "defects": {"straightening_residual": sp.residual},
@@ -413,30 +403,19 @@ def compare_classical(poly_path, degree):
     raw = doc["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("coeffs must be a nonempty list", "poly.coeffs")
-    coeffs = []
-    for i, c in enumerate(raw):
-        if (not isinstance(c, list) or len(c) != 2
-                or not all(isinstance(x, (int, float))
-                           and not isinstance(x, bool) for x in c)):
-            raise SchemaError("each coefficient must be [re, im]",
-                              f"poly.coeffs[{i}]")
-        coeffs.append(complex(c[0], c[1]))
-    rep = compare_with_nc(coeffs, N=degree)
-    pairs_out = []
-    for jp in rep["jordan_pairs"]:
-        pairs_out.append({
-            "zero": [jp["zero"].real, jp["zero"].imag],
-            "multiplicity": jp["multiplicity"],
-            "eps": jp["eps"], "binding": jp["binding"],
-            "member": jp["member"], "residual": jp["residual"],
-        })
+    arr = _floats_from_json(raw, "poly.coeffs", "coefficient")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise SchemaError("each coefficient must be [re, im]", "poly.coeffs")
+    rep = compare_with_nc(arr[:, 0] + 1j * arr[:, 1], N=degree)
+    pairs_out = [{k: v for k, v in jp.items() if k != "pair"}
+                 for jp in rep["jordan_pairs"]]
     report = {
         "command": "compare-classical",
         "inputs": {"poly": doc},
         "parameters": {"degree": degree},
         "outputs": {
-            "zeros": [[z.real, z.imag] for z in rep["zeros"]],
-            "phase": [rep["phase"].real, rep["phase"].imag],
+            "zeros": rep["zeros"],
+            "phase": rep["phase"],
             "wandering_dim": rep["wandering_dim"],
             "jordan_pairs": pairs_out,
         },

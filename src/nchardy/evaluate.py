@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     ShapeMismatchError,
 )
-from .ncseries import _matrix_from_json, h2_norm
+from .ncseries import _floats_from_json, _matrix_from_json, h2_norm
 
 # Row norms above this trigger an AdmissibilityWarning: still inside the
 # ball, but close enough to the boundary that truncation tails decay slowly.
@@ -230,15 +230,10 @@ def point_from_json_dict(obj, path="point"):
 
 
 def vector_from_json(obj, n, path):
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("vector must be a list of [re, im] pairs", path)
-    if arr.ndim != 2 or arr.shape != (n, 2):
+    arr = _floats_from_json(obj, path, "vector")
+    if arr.shape != (n, 2):
         raise SchemaError(
             f"vector must have shape {n} x 2, got {arr.shape}", path)
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError("vector entries must be finite", path)
     return arr[:, 0] + 1j * arr[:, 1]
 
 

@@ -17,7 +17,9 @@ sampled singularity pairs span part of the range orthocomplement, and the
 reported defect says how much of it they exhaust at the chosen window.
 The split builds one orthonormal frame QK of those vectors; I - QK QK^H
 projects onto the singularity space, whose wandering vector gives the
-Blaschke part.
+Blaschke part (the NC Beurling theorem of Arias-Popescu).  Every split
+with kernel data takes that path; the defect is reported, never decided
+on.
 """
 
 import numpy as np
@@ -50,6 +52,7 @@ from .kernels import (
 )
 from .ncseries import (
     NcSeries,
+    h2_norm,
     max_coeff_diff,
     phase_normalize,
     rescale,
@@ -58,10 +61,6 @@ from .ncseries import (
     shift_adjoint_apply,
 )
 from .transforms import crofoot
-
-# Classification threshold: a Blaschke defect at or below this counts as
-# evidence that the sampled kernels exhaust the orthocomplement.
-BLASCHKE_THRESHOLD = 0.25
 
 # sigma_min floor for "pointwise invertible" verdicts.
 SINGULAR_SIGMA_TOL = 1e-8
@@ -221,25 +220,29 @@ def spectral_outer(H):
     positive), by the Levenberg-Marquardt solve `_lm` on the exact
     Jacobian: Nielsen's gain-ratio damping, and stops at a zero residual,
     at relative reductions of |r|^2 or a relative step within LM_TOL, or
-    after LM_MAX_NFEV residuals.  The one start sqrt(t_empty) is the
-    constant of maximal vacuum mass, which steers the iteration onto the
-    outer branch; a residual above 1e-11 max(1, |t_empty|) raises
-    DiagnosticError naming it.
+    after LM_MAX_NFEV residuals.  The solve runs on H / |H|_2 and scales
+    F back, so no step depends on the scale of H; the zero series is a
+    ValueError.  The one start sqrt(t_empty) is the constant of maximal
+    vacuum mass, which steers the iteration onto the outer branch.  On
+    the normalised scale a residual above 1e-11 raises DiagnosticError
+    naming it, and coefficients below 1e-14 are dropped.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("spectral factorization needs square "
                                  "coefficients")
     n = H.rows
-    prob = _OuterProblem(H, H.degree())
+    norm = h2_norm(H)
+    if norm == 0.0:
+        raise ValueError("cannot factor the zero series")
+    prob = _OuterProblem(H.scale(1.0 / norm), H.degree())
     t0 = prob.target[0]
-    scale = max(1.0, float(np.linalg.norm(t0)))
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
     init = np.zeros(prob.shape, dtype=complex)
     init[0] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     x, r, _ = _lm(prob.residual, prob.jacobian,
                   init.reshape(-1).view(float))
     err = float(np.max(np.abs(r)))
-    if err > 1e-11 * scale:
+    if err > 1e-11:
         raise DiagnosticError(
             f"autocorrelation factorization did not converge "
             f"(residual {err:.3e})")
@@ -247,7 +250,7 @@ def spectral_outer(H):
     F[0] = 0.5 * (F[0] + F[0].conj().T)
     if n == 1 and F[0, 0, 0].real < 0:
         F = -F
-    coeffs = {w: M for w, M in zip(prob.basis.words, F)
+    coeffs = {w: norm * M for w, M in zip(prob.basis.words, F)
               if np.any(np.abs(M) > 1e-14)}
     return NcSeries._of(H.d, n, n, prob.m, coeffs)
 
@@ -540,18 +543,15 @@ class SplitResult:
 
 
 def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
-                            threshold=BLASCHKE_THRESHOLD, rng=None,
-                            num_samples=200):
+                            rng=None, num_samples=200):
     """Split an inner into Blaschke and singular parts, evidence-based.
 
     With no singularity data at all the split cannot be better than the
     singular verdict of sampling, so it returns (1, theta) flagged
-    "no-pairs".  When the kernel span exhausts the orthocomplement within
-    the threshold, theta itself is Blaschke and the singular part is the
-    phase constant.  Otherwise the orthocomplement of the kernel span is
-    taken as the singularity space, its wandering vector (when unique)
-    gives the Blaschke part, and the adjoint application recovers the
-    singular part.
+    "no-pairs".  Otherwise the orthocomplement of the kernel span is taken
+    as the singularity space, its wandering vector (when unique) gives the
+    Blaschke part, and the adjoint application recovers the singular part.
+    The Blaschke defect is reported as a diagnostic; it selects no branch.
     """
     check_inner(theta)
     if not theta.is_scalar():
@@ -572,14 +572,6 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
 
     QK = _combined_kernel_frame(pairs, N, extra_frame, theta.d)
     defect = _blaschke_defect(theta, QK, N)
-    if defect <= threshold:
-        B, u = phase_normalize(theta)
-        S = NcSeries.constant(u, theta.d, N)
-        defects = {"blaschke_defect": defect,
-                   "reconstruction_error": 0.0,
-                   "blaschke_inner_defect": inner_defect(B)}
-        return SplitResult(B, S, 1, defects, [])
-
     basis = FockBasis(theta.d, N)
     Q = np.eye(basis.dim, dtype=complex) - QK @ QK.conj().T
     P = wandering_projection(Q, basis)
@@ -625,13 +617,13 @@ class BsoResult:
                 f"flags={self.flags})")
 
 
-def bso_factor(H, N=None, pairs=(), extra_frame=None,
-               threshold=BLASCHKE_THRESHOLD, rng=None, num_samples=200):
+def bso_factor(H, N=None, pairs=(), extra_frame=None, rng=None,
+               num_samples=200):
     """Full Blaschke - singular - outer factorization pipeline.
 
-    inner_outer first, then the Blaschke/singular split of the inner part.
-    All defects propagate into one report; diagnostic flags are never
-    silent.
+    inner_outer first, then the Blaschke/singular split of the inner part,
+    which reports its Blaschke defect and decides nothing on it.  All
+    defects propagate into one report; diagnostic flags are never silent.
     """
     io = inner_outer(H, N)
     if not H.is_scalar():
@@ -646,7 +638,7 @@ def bso_factor(H, N=None, pairs=(), extra_frame=None,
         return BsoResult(io.inner, one, io.outer, 1, defects, [])
     split = blaschke_singular_split(
         io.inner, pairs, N=io.inner.max_degree, extra_frame=extra_frame,
-        threshold=threshold, rng=rng, num_samples=num_samples)
+        rng=rng, num_samples=num_samples)
     defects = dict(io.defects)
     for key, val in split.defects.items():
         defects[f"split_{key}"] = val

@@ -31,7 +31,8 @@ from .errors import (
 # prune().  Keeps round-off from inflating sparse storage.
 PRUNE_REL = 1e-15
 
-# Singular-value floor (relative) for inverting a constant term.
+# Singular-value floor, relative to the largest singular value, for
+# inverting a constant term.
 INVERT_REL = 1e-12
 
 
@@ -435,13 +436,14 @@ def series_inner(f, g):
 def series_invert(f, max_degree=None):
     """Multiplicative inverse of f up to degree max_degree (default N_f).
 
-    Requires an invertible square constant term.  The inverse g follows
-    the degree recursion g_w = -f_0^{-1} sum_{uv=w, u != empty} f_u g_v:
-    at each degree, each nonconstant word u of f pairs with each stored
-    word v of g at the degree less |u|, the terms of each word w = uv are
-    summed in f's word order, and -f_0^{-1} is applied in sorted word
-    order.  Only stored (nonzero) words of g are visited, so sparse inputs
-    stay sparse.
+    Requires a square constant term with sigma_min above INVERT_REL
+    sigma_max, a floor that does not depend on f's scale.  The inverse g
+    follows the degree recursion g_w = -f_0^{-1} sum_{uv=w, u != empty}
+    f_u g_v: at each degree, each nonconstant word u of f pairs with each
+    stored word v of g at the degree less |u|, the terms of each word
+    w = uv are summed in f's word order, and -f_0^{-1} is applied in
+    sorted word order.  Only stored (nonzero) words of g are visited, so
+    sparse inputs stay sparse.
     """
     if f.rows != f.cols:
         raise ShapeMismatchError("only square series can be inverted")
@@ -452,7 +454,7 @@ def series_invert(f, max_degree=None):
         raise NotInvertibleError("constant term is zero", smallest_sigma=0.0)
     svals = np.linalg.svd(f0, compute_uv=False)
     smin, smax = float(svals[-1]), float(svals[0])
-    if smin <= INVERT_REL * max(smax, 1.0):
+    if smin <= INVERT_REL * smax:
         raise NotInvertibleError(
             f"constant term numerically singular (sigma_min={smin:.3e})",
             smallest_sigma=smin)
@@ -521,16 +523,36 @@ def _matrix_to_json(m):
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def _matrix_from_json(obj, path):
+def _floats_from_json(obj, path, what):
+    """A nested list of JSON numbers as a finite float array.
+
+    Each entry is checked once: it must be an int or a float, not a bool,
+    so "1.5" and true are refused with the entry's own path instead of
+    read as 1.5 and 1.0.  A ragged nesting or a non-finite entry is
+    refused at path; the caller checks the shape.
+    """
+    def walk(x, here):
+        if isinstance(x, list):
+            for i, y in enumerate(x):
+                walk(y, f"{here}[{i}]")
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise SchemaError(f"{what} entry {x!r} is not a number", here)
+
+    walk(obj, path)
     try:
         arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("matrix must be a nested [re, im] array", path)
+    except (ValueError, OverflowError):
+        raise SchemaError(f"{what} must be a nested [re, im] array", path)
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what} entries must be finite", path)
+    return arr
+
+
+def _matrix_from_json(obj, path):
+    arr = _floats_from_json(obj, path, "matrix")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise SchemaError(
             f"matrix must have shape rows x cols x 2, got {arr.shape}", path)
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError("matrix entries must be finite", path)
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 

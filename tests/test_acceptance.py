@@ -17,7 +17,12 @@ import conftest
 from nchardy.classical import compare_with_nc
 from nchardy.cli import main as cli_main
 from nchardy.evaluate import MatrixPoint, evaluate, random_point, tail_bound
-from nchardy.factorization import inner_outer, singular_test, solve_vacuum
+from nchardy.factorization import (
+    inner_outer,
+    outer_defect,
+    singular_test,
+    solve_vacuum,
+)
 from nchardy.fockspace import (
     FockBasis,
     isometry_defect,
@@ -207,14 +212,25 @@ def test_criterion_06_vacuum_solvability():
     outer = NcSeries(1, 1, 1, 20, {(): 1.0, (1,): -0.5})
     res_outer = solve_vacuum(outer, 0.9, 20)
     worst_non = np.inf
+    # solve_vacuum only sees whether f(0) vanishes; the outer defect also
+    # tells the non-outer z - 1/2, with f(0) != 0, from an outer
+    defect_outer = outer_defect(outer, 20)
+    worst_defect = np.inf
     for N in (2, 5, 10, 20, 40):
         z = NcSeries.monomial((1,), 1, N)
         worst_non = min(worst_non, solve_vacuum(z, 0.9, N))
-    ok = res_outer <= 1e-8 and worst_non >= 0.99
+        non_outer = NcSeries(1, 1, 1, N, {(): -0.5, (1,): 1.0})
+        worst_defect = min(worst_defect, outer_defect(non_outer, N))
+    ok = (res_outer <= 1e-8 and worst_non >= 0.99
+          and defect_outer <= 1e-6 and worst_defect >= 0.85)
     report(6, ok, f"vacuum residual {res_outer:.2e} for the outer, "
-                  f">= {worst_non:.3f} for the shift at every N")
+                  f">= {worst_non:.3f} for the shift at every N; outer "
+                  f"defect {defect_outer:.1e} for the outer, "
+                  f">= {worst_defect:.3f} for z - 1/2 at every N")
     assert res_outer <= 1e-8
     assert worst_non >= 0.99
+    assert defect_outer <= 1e-6
+    assert worst_defect >= 0.85
 
 
 def test_criterion_07_wandering_monotonicity():

@@ -492,11 +492,31 @@ def test_spectral_outer_refuses_a_solve_that_never_converges(monkeypatch):
     H = NcSeries(2, 1, 1, 2, {(): 1.0, (1,): -0.5, (1, 2): 0.25})
     with pytest.raises(DiagnosticError) as info:
         spectral_outer(H)
-    # one solve, started from sqrt(t_empty)
+    # one solve, started from sqrt(t_empty) of H / |H|_2, which is 1
     assert len(starts) == 1
-    assert starts[0][0] == np.sqrt(1 + 0.25 + 0.0625)
+    assert starts[0][0] == 1.0
     assert not np.any(starts[0][2:])
     assert f"(residual {errs[0]:.3e})" in str(info.value)
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-8, 1.0, 1e4])
+def test_inner_outer_is_scale_invariant(s):
+    # at s = 1e-13, |H|_2^2 lies below any absolute gate or cut; the inner
+    # factor must still be 1 and the outer must scale with H
+    def factor(s):
+        return inner_outer(NcSeries(2, 1, 1, 4, {
+            (): s, (1,): -0.5 * s, (1, 2): 1e-7 * s}))
+
+    ref, res = factor(1.0), factor(s)
+    assert res.inner.support() == [()]
+    assert max_coeff_diff(res.inner, ref.inner) <= 1e-15
+    assert res.outer.support() == ref.outer.support()
+    assert max_coeff_diff(res.outer.scale(1.0 / s), ref.outer) <= 1e-15
+
+
+def test_spectral_outer_refuses_the_zero_series():
+    with pytest.raises(ValueError, match="zero series"):
+        spectral_outer(NcSeries(2, 1, 1, 2, {}))
 
 
 # -- Gram certificates --------------------------------------------------

@@ -242,24 +242,22 @@ def test_nan_transform_parameter_refused(runner, paths, command, option):
     assert "nan" in doc["error"]["message"]
 
 
-@pytest.mark.parametrize("command", ["factor", "classify", "idempotent"])
+@pytest.mark.parametrize("command", ["idempotent"])
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_refused(runner, paths, command, tol):
     # a NaN gate compares False both ways and would switch the gate off
     bad = NcSeries(2, 2, 2, 4, {(): [[1.0, 0.0], [0.0, 0.5]]})
-    series = write_json(paths["tmp"] / "bad.json", to_json_dict(bad)) \
-        if command == "idempotent" else paths["z1"]
+    series = write_json(paths["tmp"] / "bad.json", to_json_dict(bad))
     res, doc = run_json(runner, [command, "--series", series, "--tol", tol])
     assert res.exit_code == 1
     assert doc["error"]["path"] == "tol"
 
 
-@pytest.mark.parametrize("command", ["factor", "classify", "idempotent"])
+@pytest.mark.parametrize("command", ["idempotent"])
 def test_negative_tol_refused(runner, paths, command):
-    # a negative gate refuses the exact idempotent and never calls an
-    # inner Blaschke
-    series = paths["E"] if command == "idempotent" else paths["z1"]
-    res, doc = run_json(runner, [command, "--series", series, "--tol", "-1"])
+    # a negative gate refuses the exact idempotent
+    res, doc = run_json(runner, [command, "--series", paths["E"],
+                                 "--tol", "-1"])
     assert res.exit_code == 1
     assert doc["error"]["path"] == "tol"
     assert ">= 0" in doc["error"]["message"]
@@ -321,6 +319,46 @@ def test_factor_rejects_non_finite_coefficient(runner, tmp_path, bad):
     assert "finite" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("bad", ["1.5", True])
+def test_series_matrix_refuses_a_non_number(runner, paths, bad):
+    doc = to_json_dict(commutator(4))
+    doc["coeffs"][0]["matrix"][0][0][1] = bad
+    p = write_json(paths["tmp"] / "h.json", doc)
+    res, out = run_json(runner, ["factor", "--series", p])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == "series.coeffs[0].matrix[0][0][1]"
+    assert "not a number" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("bad", ["2", True])
+def test_point_matrix_refuses_a_non_number(runner, paths, bad):
+    doc = json.loads(open(paths["pt"]).read())
+    doc["Z"][0][0][1][0] = bad
+    p = write_json(paths["tmp"] / "pt_bad.json", doc)
+    res, out = run_json(runner, ["eval", "--series", paths["H"],
+                                 "--point", p])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == "point.Z[0][0][1][0]"
+
+
+@pytest.mark.parametrize("bad", ["2", True])
+def test_vector_refuses_a_non_number(runner, paths, bad):
+    p = write_json(paths["tmp"] / "y_bad.json", [[1.0, 0.0], [bad, 0.0]])
+    res, out = run_json(runner, ["kernel", "--point", paths["pt"],
+                                 "--y", p, "--v", paths["v"]])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == "y[1][0]"
+
+
+@pytest.mark.parametrize("bad", ["-0.5", True])
+def test_poly_coefficient_refuses_a_non_number(runner, paths, bad):
+    p = write_json(paths["tmp"] / "p_bad.json",
+                   {"coeffs": [[0.0, 0.0], [bad, 0.0], [1.0, 0.0]]})
+    res, out = run_json(runner, ["compare-classical", "--poly", p])
+    assert res.exit_code == 1
+    assert out["error"]["path"] == "poly.coeffs[1][0]"
+
+
 def test_eval_rejects_non_finite_point(runner, paths):
     doc = json.loads(open(paths["pt"]).read())
     doc["Z"][1][0][0][0] = float("nan")
@@ -376,7 +414,7 @@ def test_degree_option_truncates(runner, paths):
 
 
 SHARED_OPTIONS = ["--degree", "--out", "--force"]
-SPLIT_OPTIONS = ["--series", "--pairs", "--samples", "--seed", "--tol"]
+SPLIT_OPTIONS = ["--series", "--pairs", "--samples", "--seed"]
 
 # every option a command accepts, in declared order; each one is read
 COMMAND_OPTIONS = {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nchardy.classical import atomic_singular, blaschke_product, jordan_pair
 from nchardy.errors import (
     NotInvertibleError,
     ShapeMismatchError,
@@ -22,6 +23,7 @@ from nchardy.factorization import (
     spectral_outer,
 )
 from nchardy.fockspace import FockBasis
+from nchardy.kernels import SingularityPair
 from nchardy.ncseries import (
     NcSeries,
     commutator_inner,
@@ -306,6 +308,32 @@ def test_split_mixed_branch_recovers_both_factors():
     # is exact only through degree N - 1
     assert max_coeff_diff(res.singular, sig, N - 1) < 1e-14
     assert res.defects["reconstruction_error"] < 1e-14
+
+
+def test_split_takes_the_wandering_vector_at_a_small_defect():
+    # at N = 4 the defect of z1 sigma_0.5 is rounding, yet theta is 0.61
+    # away from its Blaschke part z1
+    N = 4
+    theta = series_mul(z1(N), semigroup_inner(z1(N), 0.5, N), N)
+    res = blaschke_singular_split(theta, [], N=N,
+                                  extra_frame=analytic_complement_frame(N))
+    assert res.flags == []
+    assert max_coeff_diff(res.blaschke, z1(N), N) == 0.0
+
+
+@pytest.mark.parametrize("zeros", [[0.5], [0.3, -0.6j]])
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 0.2])
+def test_split_recovers_a_classical_blaschke_product(zeros, t):
+    # d = 1: a Jordan pair at each zero spans the model space of the
+    # Blaschke product, whatever the singular factor's Blaschke defect
+    N = 30
+    B = blaschke_product(zeros, N)
+    theta = series_mul(B, atomic_singular(t, N), N)
+    pairs = [SingularityPair(jordan_pair(a, 1)["point"], np.ones(1))
+             for a in zeros]
+    res = blaschke_singular_split(theta, pairs, N=N)
+    assert res.flags == []
+    assert max_coeff_diff(res.blaschke, phase_normalize(B)[0], N) <= 1e-12
 
 
 def test_split_no_data_consistent_with_singular():

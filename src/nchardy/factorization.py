@@ -9,8 +9,10 @@ asking for a Hermitian vacuum, recovers it to machine precision and the
 inner factor follows by division.  The solver is the numpy `_lm` below
 (Moré 1978, with Nielsen's gain-ratio damping and MINPACK's stop tests),
 so the package runs on numpy alone.  The same data give the NC Toeplitz
-Gram of the columns H z^v, on which the wandering dimension, the outer
-defect and the inner defect are certified without a dense operator.
+Gram of the columns H z^v, whose tree Cholesky
+(fockspace.toeplitz_vacuum_schur) certifies the wandering dimension and
+gives the outer defect without building the Gram; the inner defect is read
+off the inner factor's own Gram.
 
 Classification (Blaschke vs singular) is evidence-based: kernel vectors at
 sampled singularity pairs span part of the range orthocomplement, and the
@@ -38,7 +40,10 @@ from .fockspace import (
     coeff_stack,
     mult_operator,
     orthonormal_frame,
+    toeplitz_data,
     toeplitz_gram,
+    toeplitz_row_sum,
+    toeplitz_vacuum_schur,
     vec_to_series,
     wandering_projection,
     wandering_vectors,
@@ -68,6 +73,10 @@ SINGULAR_SIGMA_TOL = 1e-8
 # Gram eigenvalue ratio above which the columns H z^v count as independent
 # (sigma ratio 1e-6), proved by a Cholesky of G - this * max_i sum_j |G_ij| I.
 GRAM_COND_MIN = 1e-12
+
+# Largest |K^H K - I| entry at which a kernel frame from one source counts
+# as orthonormal and skips the SVD; SVD frames sit near 3e-15 at D = 511.
+FRAME_ORTHO_TOL = 1e-13
 
 # _lm's relative reduction and step tolerance, its initial damping relative
 # to max diag(J^T J), and its cap on residual evaluations per solve.
@@ -266,7 +275,11 @@ def inner_outer(H, N=None):
     certificate is that the NC Toeplitz Gram of t(H) over the validity
     window N - deg(H) is well conditioned, so the columns H z^v are
     independent there.  Square matrix H reports its size.  Defects are
-    always reported; as t(F) = t(H), H's Gram serves F's outer defect too.
+    always reported; as t(F) = t(H), H's data serve F's outer defect too.
+    The data t(H) are gathered once, and both the certificate and the
+    outer defect come from the tree Cholesky of fockspace's
+    toeplitz_vacuum_schur: no Gram matrix of H is built and no eigen-solve
+    is larger than q x q.
     """
     Hp = H.prune()
     if not Hp.coeffs:
@@ -295,30 +308,32 @@ def inner_outer(H, N=None):
     outer = F.with_max_degree(N).scale(u).prune()
     recon = max_coeff_diff(series_mul(B, outer, N), HN, N)
     window = N - outer.degree()
-    G = toeplitz_gram(HN, window)
+    t = toeplitz_data(HN)
     if HN.is_scalar():
-        cut = _degree_starts(H.d, N - m)[-1]
-        _certify_wandering(G[:cut, :cut], N - m)
+        _certify_wandering(t, H.d, N - m)
     defects = {
         "inner_defect": inner_defect(B),
-        "outer_defect": _outer_defect(G, outer.coeff(()), window),
+        "outer_defect": _outer_defect(t, H.d, outer.coeff(()), window),
         "reconstruction_error": recon,
     }
     return FactorizationResult(B, outer, H.rows, defects, N - m)
 
 
-def _certify_wandering(G, window):
-    """Certify wandering dimension 1 on the Gram G of the columns H z^v,
-    |v| <= window, of a scalar H.
+def _certify_wandering(t, d, window):
+    """Certify wandering dimension 1 for a scalar H with NC Toeplitz data
+    t = toeplitz_data(H) over d letters, on the Gram G of the columns
+    H z^v, |v| <= window.
 
     lambda_min / lambda_max > GRAM_COND_MIN means sigma_min / sigma_max >
     1e-6 for the columns, far above RANK_REL, so the columns over all words
     and over the nonempty words have full numerical rank and their ranks
-    differ by exactly 1 (interlacing).  The row sum bounds lambda_max.
+    differ by exactly 1 (interlacing).  The largest absolute row sum bounds
+    lambda_max, and the tree Cholesky of G - tau I succeeds exactly when
+    every eigenvalue of G exceeds tau.
     """
-    tau = GRAM_COND_MIN * np.abs(G).sum(axis=1).max()
+    tau = GRAM_COND_MIN * toeplitz_row_sum(t, d, window)
     try:
-        np.linalg.cholesky(G - tau * np.eye(len(G)))
+        toeplitz_vacuum_schur(t, d, window, tau)
     except np.linalg.LinAlgError:
         raise DiagnosticError(
             f"wandering dimension not certified: Gram eigenvalue ratio "
@@ -332,9 +347,11 @@ def outer_defect(h, N=None):
     outer elements, tested at truncation order N.  The columns h z^v, |v|
     within the validity window, have the NC Toeplitz Gram G, and the
     vacuum sees only their constant terms, so the residual Gram of the
-    vacuum directions is I - h_0 (G^{-1})_{00} h_0^H: (G^{-1})_{00} inverts
-    the vacuum's Schur complement.  Column-valued h reports the best vacuum
-    direction; square h has to reach every one, so the worst is reported.
+    vacuum directions is I - h_0 S^{-1} h_0^H, for S = 1 / (G^{-1})_{00}
+    the vacuum's Schur complement in G.  S comes from the tree Cholesky of
+    fockspace.toeplitz_vacuum_schur, so no Gram matrix is built.
+    Column-valued h reports the best vacuum direction; square h has to
+    reach every one, so the worst is reported.
     """
     if N is None:
         N = h.max_degree
@@ -343,22 +360,21 @@ def outer_defect(h, N=None):
             "outer defect expects scalar, column, or square h")
     hN = h.truncate(N)
     window = max(N - hN.degree(), 0)
-    return _outer_defect(toeplitz_gram(hN, window), hN.coeff(()), window)
+    return _outer_defect(toeplitz_data(hN), h.d, hN.coeff(()), window)
 
 
-def _outer_defect(G, h0, window):
-    """outer_defect from h's Gram G on the window and constant term h0.
-    Reversed, G = L L^H puts the vacuum last: its Schur complement is
-    L_v L_v^H for the trailing q x q block L_v of L, so the residual is
-    I - Y^H Y with L_v Y = h0^H, the columns of h0 reversed too."""
+def _outer_defect(t, d, h0, window):
+    """outer_defect from h's NC Toeplitz data t over d letters, on the
+    window, and its constant term h0: with S = C C^H the vacuum's Schur
+    complement, the residual is I - Y^H Y for C Y = h0^H."""
     try:
-        L = np.linalg.cholesky(G[::-1, ::-1])
+        C = toeplitz_vacuum_schur(t, d, window)
     except np.linalg.LinAlgError:
         raise DiagnosticError(
             f"outer defect: the columns h z^v are dependent on the window "
             f"|v| <= {window}")
     p, q = h0.shape
-    Y = np.linalg.solve(L[-q:, -q:], h0[:, ::-1].conj().T)
+    Y = np.linalg.solve(C, h0.conj().T)
     vals = np.linalg.eigvalsh(np.eye(p) - Y.conj().T @ Y)
     return float(np.sqrt(max(vals[-1] if p == q > 1 else vals[0], 0.0)))
 
@@ -393,7 +409,13 @@ def solve_vacuum(f, r, N=None):
 
 def _combined_kernel_frame(pairs, N, extra_frame, d):
     """Orthonormal frame of the kernel vectors at the pairs and the extra
-    frame columns, in the Fock space of d letters truncated at N."""
+    frame columns, in the Fock space of d letters truncated at N.
+
+    A frame from one source that is orthonormal to FRAME_ORTHO_TOL is
+    taken as it is: sing_space_complement and crofoot_kernel_frame return
+    SVD frames, and a coordinate frame is exact.  Anything else goes
+    through orthonormal_frame's SVD.
+    """
     alphabets = sorted({pair.Z.d for pair in pairs} - {d})
     if alphabets:
         raise AlphabetMismatchError(
@@ -404,15 +426,23 @@ def _combined_kernel_frame(pairs, N, extra_frame, d):
         QK = sing_space_complement(pairs, N=N)
         if QK.shape[1]:
             cols.append(QK)
-    dim = FockBasis(d, N).dim
+    dim = _degree_starts(d, N)[-1]
     if extra_frame is not None and np.size(extra_frame):
         if np.shape(extra_frame)[0] != dim:
             raise ShapeMismatchError(
                 f"extra frame has {np.shape(extra_frame)[0]} rows, expected "
                 f"FockBasis({d}, {N}).dim = {dim}")
-        cols.append(np.asarray(extra_frame, dtype=complex))
+        frame = np.asarray(extra_frame, dtype=complex)
+        if not np.isfinite(frame).all():
+            raise ValueError("extra_frame has non-finite entries")
+        cols.append(frame)
     if not cols:
         return np.zeros((dim, 0), dtype=complex)
+    if len(cols) == 1:
+        K = cols[0]
+        gap = np.abs(K.conj().T @ K - np.eye(K.shape[1])).max()
+        if gap <= FRAME_ORTHO_TOL:
+            return K
     return orthonormal_frame(np.concatenate(cols, axis=1))
 
 
@@ -546,12 +576,13 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
                             rng=None, num_samples=200):
     """Split an inner into Blaschke and singular parts, evidence-based.
 
-    With no singularity data at all the split cannot be better than the
-    singular verdict of sampling, so it returns (1, theta) flagged
-    "no-pairs".  Otherwise the orthocomplement of the kernel span is taken
-    as the singularity space, its wandering vector (when unique) gives the
-    Blaschke part, and the adjoint application recovers the singular part.
-    The Blaschke defect is reported as a diagnostic; it selects no branch.
+    When the kernel data span nothing (no pairs, no frame, or a frame of
+    rank zero) the split cannot be better than the singular verdict of
+    sampling, so it returns (1, theta) flagged "no-pairs".  Otherwise the
+    orthocomplement of the kernel span is taken as the singularity space,
+    its wandering vector (when unique) gives the Blaschke part, and the
+    adjoint application recovers the singular part.  The Blaschke defect
+    is reported as a diagnostic; it selects no branch.
     """
     check_inner(theta)
     if not theta.is_scalar():
@@ -559,9 +590,8 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
     if N is None:
         N = theta.max_degree
     one = NcSeries.constant(1.0, theta.d, N)
-    has_data = bool(pairs) or (extra_frame is not None
-                               and np.asarray(extra_frame).size > 0)
-    if not has_data:
+    QK = _combined_kernel_frame(pairs, N, extra_frame, theta.d)
+    if not QK.shape[1]:
         st = singular_test(theta, rng=rng, num_samples=num_samples)
         flags = ["no-pairs"]
         if st["singular"]:
@@ -570,7 +600,6 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
                    "reconstruction_error": 0.0}
         return SplitResult(one, theta.copy(), 0, defects, flags)
 
-    QK = _combined_kernel_frame(pairs, N, extra_frame, theta.d)
     defect = _blaschke_defect(theta, QK, N)
     basis = FockBasis(theta.d, N)
     Q = np.eye(basis.dim, dtype=complex) - QK @ QK.conj().T

@@ -14,7 +14,9 @@ Every Fock-space matrix is built from the cached index triples
 scatter of them.  Where only its Gram
 matrix matters, no dense operator is needed: the triples give the
 autocorrelations t_s of a symbol as one gather, and the Gram matrix is the
-NC Toeplitz matrix built from them.
+NC Toeplitz matrix built from them.  Where only the Gram's vacuum Schur
+complement and its definiteness matter, not even the Gram is built: a
+Cholesky along the suffix tree works on a state shaped like t.
 """
 
 import functools
@@ -168,6 +170,29 @@ def autocorrelation_stack(A, d, m):
     return t
 
 
+def toeplitz_data(f):
+    """The autocorrelations t_s(f), |s| <= deg(f), of which every block of
+    f's NC Toeplitz Gram is one or the adjoint of one.
+
+    A (dim, q, q) stack over FockBasis(f.d, deg f) words, q = cols(f),
+    with t_empty made exactly Hermitian so that the Gram is exactly
+    Hermitian; t_s vanishes for longer s.
+    """
+    m = f.degree()
+    t = autocorrelation_stack(coeff_stack(f, FockBasis(f.d, m)), f.d, m)
+    t[0] = 0.5 * (t[0] + t[0].conj().T)
+    return t
+
+
+def _stack_degree(d, size):
+    """m such that FockBasis(d, m) has size words."""
+    m, dim = 0, 1
+    while dim < size:
+        m += 1
+        dim += d ** m
+    return m
+
+
 def toeplitz_gram(f, k):
     """Gram matrix of the columns f z^v, |v| <= k, from autocorrelations.
 
@@ -178,18 +203,96 @@ def toeplitz_gram(f, k):
     it equals C^H C of mult_operator(f) restricted to degree <= k exactly
     when k <= max_degree(f) - deg(f).
     """
-    m = max(k, f.degree())
-    basis = FockBasis(f.d, m)
-    t = autocorrelation_stack(coeff_stack(f, basis), f.d, m)
-    # an exactly Hermitian t_empty makes the Gram exactly Hermitian
-    t[0] = 0.5 * (t[0] + t[0].conj().T)
+    t = toeplitz_data(f)
     s, mu, cat = word_triples(f.d, k)
-    Dk, q = basis.degree_start(k + 1), f.cols
+    keep = mu < len(t)
+    s, mu, cat = s[keep], mu[keep], cat[keep]
+    Dk, q = _degree_starts(f.d, k)[-1], f.cols
     G = np.zeros((Dk, Dk, q, q), dtype=complex)
     G[cat, s] = t[mu]
     off = mu > 0
     G[s[off], cat[off]] = t[mu[off]].conj().transpose(0, 2, 1)
     return G.transpose(0, 2, 1, 3).reshape(Dk * q, Dk * q)
+
+
+def toeplitz_row_sum(t, d, k):
+    """Largest absolute row sum of the NC Toeplitz Gram on |v| <= k with
+    data t = toeplitz_data(f) over d letters, read off the blocks each row
+    meets: block row w holds t_{w[:j]} at w's suffixes w[j:], j <= min(m,
+    |w|) (the diagonal t_empty included), and t_mu^H at the longer words
+    mu w, 1 <= |mu| <= min(m, k - |w|), for m = deg f.  A row longer than
+    m meets the same t_{w[:j]} as its prefix of length m and fewer
+    adjoints, so the rows of length <= m hold the maximum.
+    """
+    m = _stack_degree(d, len(t))
+    starts = _degree_starts(d, m)
+    s, mu, cat = word_triples(d, m)
+    prefix = np.zeros((len(t), t.shape[1]))
+    np.add.at(prefix, cat, np.abs(t).sum(axis=2)[mu])
+    adj = np.add.reduceat(np.abs(t).sum(axis=1), starts[:-1], axis=0)
+    adj = np.cumsum(adj, axis=0) - adj[0]
+    return max(float((prefix[starts[n]:starts[n + 1]]
+                      + adj[min(m, k - n)]).max())
+               for n in range(min(k, m) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _elimination_triples(d, b):
+    """(|mu|, s, mu, mu s) for the triples of word_triples(d, b) with mu
+    nonempty, as read-only intp arrays."""
+    s, mu, cat = word_triples(d, b)
+    keep = mu > 0
+    out = (np.searchsorted(_degree_starts(d, b), mu[keep], side="right") - 1,
+           s[keep], mu[keep], cat[keep])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def toeplitz_vacuum_schur(t, d, k, shift=0.0):
+    """Cholesky factor C of the vacuum's Schur complement C C^H in
+    G - shift I, for G the NC Toeplitz Gram of f on |v| <= k with data
+    t = toeplitz_data(f) over d letters.
+
+    Block (w, v) of G vanishes unless one word is a suffix of the other,
+    at most m = deg f letters shorter.  Eliminating the longest words
+    first is then a perfect elimination order (Rose, 1970): a pivot w
+    couples only its suffixes w[i:] and w[j:], of which one is a suffix of
+    the other, so every update lands inside the pattern and nothing fills
+    in.  Each length is eliminated at once, since words of one length do
+    not meet.  Block (w, w[j:]) starts as t of w's prefix of length j, and
+    eliminating the words p u of one length sends their suffix u a sum
+    over all d^i prefixes p, which depends on u only through its prefix
+    of length j - i.  So every block left depends on its row word only
+    through a prefix of length <= m, and each length keeps one block per
+    prefix: a state shaped like t, however large d^k is.  Eliminating a
+    length is one q x q Cholesky of its pivot, X_s = C^-1 S_s, and the
+    sums X_mu^H X_{mu s} over the index triples, sent to length l - |mu|;
+    that is O(k m |t|) block products for the k lengths.  The vacuum is
+    the last pivot.  A pivot that is not positive definite, and so
+    G - shift I, raises LinAlgError.
+    """
+    m = _stack_degree(d, len(t))
+    q = t.shape[1]
+    # S[l, s]: block (w, w[|s|:]) left to eliminate, for each word w of
+    # length l that starts with s (entries with |s| > l are never read)
+    S = np.repeat(t[None], k + 1, axis=0)
+    S[:, 0] -= shift * np.eye(q)
+    for level in range(k, 0, -1):
+        # X = C^-1 S[level] row by row, for the pivot S[level, 0] = C C^H
+        X = S[level]
+        for r in range(q):
+            piv = X[0, r, r].real
+            if not piv > 0:
+                raise np.linalg.LinAlgError(
+                    f"pivot at length {level} is not positive definite")
+            X[:, r] /= np.sqrt(piv)
+            for r2 in range(r + 1, q):
+                X[:, r2] -= X[0, r, r2].conj() * X[:, r]
+        lens, s, mu, cat = _elimination_triples(d, min(m, level))
+        np.subtract.at(S, (level - lens, s),
+                       X[mu].conj().swapaxes(1, 2) @ X[cat])
+    return np.linalg.cholesky(S[0, 0])
 
 
 class OperatorMatrix:

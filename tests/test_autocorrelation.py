@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import nchardy.factorization as factorization
 import nchardy.fockspace as fockspace
+import nchardy.kernels as kernels
 from nchardy.errors import DiagnosticError, NotInnerError, ValidityWindowError
 from nchardy.factorization import (
     GRAM_COND_MIN,
@@ -612,11 +613,23 @@ def test_certificates_build_no_multiplication_operator(monkeypatch):
 
 
 def test_wandering_dim_refuses_ill_conditioned_gram(monkeypatch):
-    monkeypatch.setattr(factorization, "toeplitz_gram",
-                        lambda f, k: np.diag([1e-13, 1.0]))
-    H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5})
+    # No polynomial of modest degree has a Gram this badly conditioned on
+    # a window this short, so the data are swapped in: t_empty = 1 and
+    # t_(1) just below 1 / (2 cos(pi/5)) make the window-3 Gram over one
+    # letter the tridiagonal Toeplitz matrix below, positive definite with
+    # eigenvalue ratio 8e-14.
+    a = 1.0 / (2.0 * np.cos(np.pi / 5)) - 1e-13
+    t = np.array([1.0, a], dtype=complex).reshape(2, 1, 1)
+    vals = np.linalg.eigvalsh(scipy.linalg.toeplitz([1.0, a, 0.0, 0.0]))
+    assert 0.0 < vals[0] / vals[-1] < GRAM_COND_MIN
+    monkeypatch.setattr(factorization, "toeplitz_data", lambda f: t)
+    H = NcSeries(1, 1, 1, 4, {(): 1.0, (1,): -0.5})
     with pytest.raises(DiagnosticError, match=r"window \|v\| <= 3"):
         inner_outer(H)
+
+
+def refuse_gram(*args, **kwargs):
+    raise AssertionError("dense Gram built")
 
 
 @pytest.mark.parametrize("H, N", [
@@ -626,34 +639,65 @@ def test_wandering_dim_refuses_ill_conditioned_gram(monkeypatch):
     (NcSeries(2, 2, 2, 4, {(): 2.0 * np.eye(2),
                            (1, 2): [[0.3, 1.0], [0.0, -0.4]]}), 4),
 ])
-def test_inner_outer_builds_one_gram_and_no_spectrum(monkeypatch, H, N):
-    grams, solved = [], []
-
-    def counting_gram(f, k):
-        grams.append((f, k, toeplitz_gram(f, k)))
-        return grams[-1][2].copy()
+def test_inner_outer_builds_no_gram_and_no_large_spectrum(monkeypatch, H,
+                                                           N):
+    """H's Gram is read only through the tree Cholesky: no toeplitz_gram
+    and no eigen-solve larger than q x q.  inner_defect, which takes the
+    inner factor's isometry defect from that factor's own Gram, is the one
+    call let through."""
+    sizes, inside = [], []
 
     def recording(solver):
         def solve(a, *args, **kwargs):
-            solved.append(np.array(a))
+            if not inside:
+                sizes.append(np.shape(a)[-1])
             return solver(a, *args, **kwargs)
         return solve
 
-    monkeypatch.setattr(factorization, "toeplitz_gram", counting_gram)
-    for name in ("eigh", "eigvalsh"):
+    def fenced_defect(B):
+        inside.append(B)
+        try:
+            return inner_defect(B)
+        finally:
+            inside.pop()
+
+    def fenced_gram(f, k):
+        if not inside:
+            refuse_gram()
+        return toeplitz_gram(f, k)
+
+    for module in (factorization, fockspace):
+        monkeypatch.setattr(module, "toeplitz_gram", refuse_gram)
+    monkeypatch.setattr(kernels, "toeplitz_gram", fenced_gram)
+    monkeypatch.setattr(factorization, "inner_defect", fenced_defect)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg,
                                                                name)))
     r = inner_outer(H)
-    assert len(grams) == 1
-    f, k, G = grams[0]
-    assert max_coeff_diff(f, H, N) == 0.0
-    assert k == N - r.outer.degree() >= N - H.degree()
-    # beyond spectral_outer's start sqrt(t_empty), no eigen-solve sees a
-    # leading block of H's Gram
-    for a in solved:
-        n = a.shape[-1]
-        assert n == H.rows or not np.array_equal(a, G[:n, :n])
-    assert any(a.shape[-1] == H.rows for a in solved)
+    assert r.wandering_dim == H.rows
+    assert r.valid_degree == N - H.degree()
+    # spectral_outer's start sqrt(t_empty) and the outer defect's q x q
+    # residual Gram
+    assert sizes and set(sizes) == {H.rows}
+
+
+def test_inner_outer_at_N12_matches_the_frostman_closed_form(monkeypatch):
+    # H's Gram on the window |v| <= 10 has 2047 q x q blocks; the dense
+    # path took 0.9 s here
+    for module in (factorization, fockspace):
+        monkeypatch.setattr(module, "toeplitz_gram", refuse_gram)
+    N = 12
+    V = commutator_inner(max_degree=N)
+    r = inner_outer(1.0 - np.sqrt(2.0) * V)
+    assert r.wandering_dim == 1 and r.valid_degree == N - 2
+    inner, _ = phase_normalize(r.inner)
+    outer, _ = phase_normalize(r.outer)
+    want_inner, _ = phase_normalize(frostman(V, 1.0 / np.sqrt(2.0), N))
+    want_outer, _ = phase_normalize(np.sqrt(2.0) - V)
+    assert max_coeff_diff(inner, want_inner, N) <= 1e-14
+    assert max_coeff_diff(outer, want_outer, N) <= 1e-14
+    # the dense reversed Cholesky read 0.08873565094161255
+    assert abs(r.defects["outer_defect"] - 0.08873565094161255) <= 1e-13
 
 
 def test_gram_certificate_is_sound_and_tight():
@@ -673,7 +717,7 @@ def test_gram_certificate_is_sound_and_tight():
             vals = np.linalg.eigvalsh(G)
             got = vals[0] / vals[-1]
             try:
-                factorization._certify_wandering(G, 0)
+                factorization._certify_wandering(G[None], 1, 0)
                 accepted = True
             except DiagnosticError:
                 accepted = False

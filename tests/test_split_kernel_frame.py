@@ -216,3 +216,77 @@ def test_split_builds_its_kernel_frame_once(monkeypatch):
     res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
     assert "singular_inner_defect" in res.defects
     assert len(calls) == 1
+
+
+# -- the kernel frame taken as given ------------------------------------
+
+
+def count_frames(monkeypatch):
+    calls = []
+    frame_of = factorization.orthonormal_frame
+
+    def counting(columns):
+        calls.append(np.shape(columns))
+        return frame_of(columns)
+
+    monkeypatch.setattr(factorization, "orthonormal_frame", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make, args", [
+    (blaschke_times_sigma, ((1, 2), 0.5)),
+    (frostman_shift, ()),
+    (thin_pairs, ()),
+], ids=["coordinate", "crofoot", "pairs"])
+def test_orthonormal_kernel_frame_reaches_no_svd(monkeypatch, make, args):
+    _, pairs, frame = make(*args)
+    want = frame if frame is not None else sing_space_complement(pairs, N=N)
+    calls = count_frames(monkeypatch)
+    QK = factorization._combined_kernel_frame(pairs, N, frame, 2)
+    assert calls == []
+    assert np.array_equal(QK, want)
+
+
+def test_pairs_with_a_frame_or_scaled_columns_still_orthonormalize(
+        monkeypatch):
+    _, pairs, _ = thin_pairs()
+    frame = prefix_complement_frame((1, 2), N)
+    calls = count_frames(monkeypatch)
+    for pairs_in, frame_in in ((pairs, frame), ([], 2.0 * frame),
+                               (pairs, None)):
+        QK = factorization._combined_kernel_frame(pairs_in, N, frame_in, 2)
+        assert np.abs(QK.conj().T @ QK - np.eye(QK.shape[1])).max() <= 1e-14
+    # the pair frame alone is already orthonormal
+    assert len(calls) == 2
+    QK = factorization._combined_kernel_frame([], N, 2.0 * frame, 2)
+    assert np.abs(QK @ QK.conj().T - frame @ frame.T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("t", [0.3, 0.65, 1.0])
+def test_split_takes_a_coordinate_frame_as_given(monkeypatch, t):
+    theta, pairs, frame = blaschke_times_sigma((1,), t)
+    calls = count_frames(monkeypatch)
+    res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
+    assert res.flags == []
+    assert max_coeff_diff(res.blaschke, NcSeries.monomial((1,), 2, N),
+                          N) == 0.0
+    # only the range frame of the Blaschke defect takes an SVD
+    assert len(calls) == 1
+
+
+def test_split_of_a_zero_rank_frame_takes_the_no_pairs_path():
+    z1 = NcSeries.monomial((1,), 2, 4)
+    res = blaschke_singular_split(z1, [], N=4, extra_frame=np.zeros((31, 2)))
+    assert res.flags == ["no-pairs"]
+    assert res.diagnostic
+    assert res.wandering_dim == 0
+    assert_same_series(res.singular, z1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_split_refuses_a_non_finite_frame(bad):
+    theta, pairs, frame = blaschke_times_sigma((1,), 0.5)
+    frame = frame.astype(complex)
+    frame[3, 0] = bad
+    with pytest.raises(ValueError, match="extra_frame"):
+        blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)

@@ -1,0 +1,184 @@
+"""The tree Cholesky of the NC Toeplitz Gram against a dense one.
+
+`toeplitz_vacuum_schur` eliminates the words longest first and keeps one
+block per prefix; the reference below builds the Gram densely and runs
+LAPACK's Cholesky on it with the vacuum last, which is what inner_outer and
+outer_defect did before.  Both give the vacuum's Schur complement S, and
+the certificate's verdict on G - tau I must not depend on which one runs.
+The reference lives here, not in the package.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nchardy import factorization
+from nchardy.errors import DiagnosticError
+from nchardy.factorization import GRAM_COND_MIN
+from nchardy.fockspace import (
+    FockBasis,
+    toeplitz_data,
+    toeplitz_gram,
+    toeplitz_row_sum,
+    toeplitz_vacuum_schur,
+)
+from nchardy.ncseries import NcSeries
+
+EPS = np.finfo(float).eps
+
+
+def reference_vacuum_schur(G, q):
+    """S from a dense Cholesky of G with the order reversed, so that the
+    vacuum block comes last: its trailing factor block L_v has
+    L_v L_v^H = S, up to the same reversal inside the block."""
+    L = np.linalg.cholesky(G[::-1, ::-1])
+    Lv = L[-q:, -q:]
+    return (Lv @ Lv.conj().T)[::-1, ::-1]
+
+
+def gram_from_data(t, d, m, k):
+    """The NC Toeplitz Gram on |v| <= k from data t over FockBasis(d, m),
+    block by block over word pairs: t of the prefix where v is a suffix of
+    w, its adjoint where w is a suffix of v."""
+    words = FockBasis(d, k).words
+    index = FockBasis(d, m).index
+    q = t.shape[1]
+    G = np.zeros((len(words) * q, len(words) * q), dtype=complex)
+    for i, w in enumerate(words):
+        for j, v in enumerate(words):
+            n = len(w) - len(v)
+            if 0 <= n <= m and w[n:] == v:
+                G[i * q:(i + 1) * q, j * q:(j + 1) * q] = t[index[w[:n]]]
+            elif -m <= n < 0 and v[-n:] == w:
+                G[i * q:(i + 1) * q, j * q:(j + 1) * q] = \
+                    t[index[v[:-n]]].conj().T
+    return G
+
+
+def random_series(rng, d, deg, N, q):
+    words = FockBasis(d, deg).words
+    return NcSeries(d, q, q, N, {
+        w: rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+        for w in words})
+
+
+def assert_schur_matches(f, k, tol):
+    t = toeplitz_data(f)
+    G = toeplitz_gram(f, k)
+    want = reference_vacuum_schur(G, f.cols)
+    C = toeplitz_vacuum_schur(t, f.d, k)
+    assert np.array_equal(C, np.tril(C))
+    assert np.all(np.diag(C).real > 0)
+    err = np.abs(C @ C.conj().T - want).max()
+    assert err <= tol * np.abs(want).max(), (k, err)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_tree_schur_matches_dense_cholesky(d, q, deg):
+    rng = np.random.default_rng(100 * d + 10 * q + deg)
+    valid = 3 if d < 3 else 2
+    f = random_series(rng, d, deg, deg + valid, q)
+    # windows up to the validity window N - deg, and one beyond it
+    for k in range(valid + 2):
+        assert_schur_matches(f, k, 1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("c", [0.9, 0.99, 0.999, 1 - 1e-6, 1.0,
+                               np.exp(0.3j) * (1 - 1e-9)])
+def test_tree_schur_matches_dense_cholesky_near_singular(d, c):
+    # 1 - c z1 has a zero at 1/c, on or next to the boundary: the smallest
+    # Gram eigenvalue falls like 1/k^2 and S like 1/k
+    windows = (0, 1, 2, 5, 8) if d == 2 else (0, 1, 5, 20, 60)
+    H = NcSeries(d, 1, 1, windows[-1] + 1, {(): 1.0, (1,): -c})
+    for k in windows:
+        assert_schur_matches(H, k, 1e-12)
+
+
+def boundary_data(delta):
+    """Data over two letters and degree 1 whose window-3 Gram has its
+    smallest eigenvalue 2 cos(pi/5) delta: t_(1) sits delta below the
+    largest value, 1 / (2 cos(pi/5)), that keeps the length-4 chain along
+    letter 1 positive definite."""
+    a = 1.0 / (2.0 * np.cos(np.pi / 5)) - delta
+    return np.array([1.0, a, 0.0], dtype=complex).reshape(3, 1, 1)
+
+
+def certificate_cases():
+    rng = np.random.default_rng(7)
+    cases = [(boundary_data(delta), 2, 1, 3)
+             for delta in (1e-3, 1e-9, 1e-11, 1e-12, 3e-12, 1e-13, 1e-15,
+                           0.0, -1e-12)]
+    for q in (1, 2):
+        for d, deg in ((1, 2), (2, 1), (2, 2), (3, 1)):
+            f = random_series(rng, d, deg, deg + 2, q)
+            cases.append((toeplitz_data(f), d, deg, 2))
+    for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        # a 2 x 2 series whose constant term is nearly singular
+        f = NcSeries(2, 2, 2, 3, {(): np.diag([1.0, eps]),
+                                  (1,): [[0.5, 0.0], [0.0, 0.0]]})
+        cases.append((toeplitz_data(f), 2, 1, 2))
+    return cases
+
+
+def verdict(fn):
+    try:
+        fn()
+    except (np.linalg.LinAlgError, DiagnosticError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("t, d, m, k", certificate_cases())
+def test_certificate_verdict_matches_dense_cholesky(t, d, m, k):
+    G = gram_from_data(t, d, m, k)
+    norm_inf = np.abs(G).sum(axis=1).max()
+    assert abs(toeplitz_row_sum(t, d, k) - norm_inf) <= 8 * EPS * norm_inf
+    tau = GRAM_COND_MIN * norm_inf
+    dense = verdict(lambda: np.linalg.cholesky(G - tau * np.eye(len(G))))
+    tree = verdict(lambda: factorization._certify_wandering(t, d, k))
+    assert tree == dense
+    # the tree's pivots and the dense ones agree on G itself too
+    unshifted = verdict(lambda: np.linalg.cholesky(G))
+    assert verdict(lambda: toeplitz_vacuum_schur(t, d, k)) == unshifted
+
+
+def test_certificate_sees_both_sides_of_the_boundary():
+    seen = {verdict(lambda t=t: factorization._certify_wandering(t, 2, 3))
+            for t in (boundary_data(1e-9), boundary_data(1e-13))}
+    assert seen == {True, False}
+
+
+def test_tree_refuses_non_finite_data():
+    t = boundary_data(1e-3)
+    t[1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        toeplitz_vacuum_schur(t, 2, 3)
+
+
+@st.composite
+def well_conditioned_series(draw):
+    d = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 2))
+    deg = draw(st.integers(0, 3 if d < 3 else 2))
+    words = FockBasis(d, deg).words
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    coeffs = {w: np.array([[complex(draw(part), draw(part))
+                            for _ in range(q)] for _ in range(q)])
+              for w in words}
+    # a dominant constant term keeps G invertible to full precision
+    coeffs[()] = coeffs[()] + 3.0 * len(words) * np.eye(q)
+    return NcSeries(d, q, q, deg + 2, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(well_conditioned_series(), st.integers(0, 3))
+def test_inverse_schur_is_the_vacuum_block_of_the_inverse(f, k):
+    q = f.cols
+    C = toeplitz_vacuum_schur(toeplitz_data(f), f.d, k)
+    want = np.linalg.inv(toeplitz_gram(f, k))[:q, :q]
+    got = np.linalg.inv(C @ C.conj().T)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -89,9 +89,6 @@ class DiskFactorization:
         self.phase = complex(phase)
         self.N = int(N)
 
-    def inner_series(self):
-        return blaschke_product(self.zeros, self.N)
-
     def __repr__(self):
         return (f"DiskFactorization(zeros={len(self.zeros)}, "
                 f"phase={self.phase:.4f})")

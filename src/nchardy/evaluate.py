@@ -55,13 +55,6 @@ class MatrixPoint:
     def scale(self, r):
         return MatrixPoint([r * m for m in self.mats])
 
-    def word_product(self, word):
-        """Z^w, multiplying letters left to right; the empty word gives I."""
-        P = np.eye(self.n, dtype=complex)
-        for a in word:
-            P = P @ self.mats[a - 1]
-        return P
-
     def __repr__(self):
         return f"MatrixPoint(d={self.d}, n={self.n})"
 
@@ -132,7 +125,7 @@ def _word_powers(Zs, words):
 def _check_row_norms(Zs):
     """Batched admissibility gate over a stack of points."""
     rn = _row_norms(Zs)
-    bad = np.flatnonzero(rn >= 1.0)
+    bad = np.flatnonzero(~(rn < 1.0))
     if bad.size:
         r = float(rn[bad[0]])
         raise InadmissiblePointError(
@@ -250,7 +243,3 @@ def pair_from_json_dict(obj, path="pair"):
     Z = point_from_json_dict(obj["Z"], f"{path}.Z")
     y = vector_from_json(obj["y"], Z.n, f"{path}.y")
     return Z, y
-
-
-def pair_to_json_dict(Z, y):
-    return {"Z": point_to_json_dict(Z), "y": vector_to_json(y)}

@@ -11,8 +11,10 @@ inner factor follows by division.  The solver is the numpy `_lm` below
 so the package runs on numpy alone.  The same data give the NC Toeplitz
 Gram of the columns H z^v, whose tree Cholesky
 (fockspace.toeplitz_vacuum_schur) certifies the wandering dimension and
-gives the outer defect without building the Gram; the inner defect is read
-off the inner factor's own Gram.
+gives the outer defect without building the Gram.  The inner defect and
+the singular test's r-grid are extreme eigenvalues of the inner factor's
+own NC Toeplitz Gram, bracketed from its data and bisected with the same
+Cholesky (fockspace.toeplitz_min_eig).
 
 Classification (Blaschke vs singular) is evidence-based: kernel vectors at
 sampled singularity pairs span part of the range orthocomplement, and the
@@ -36,13 +38,13 @@ from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
     _degree_starts,
+    _off_diagonal_bound,
     autocorrelation_stack,
     coeff_stack,
     mult_operator,
     orthonormal_frame,
     toeplitz_data,
-    toeplitz_gram,
-    toeplitz_row_sum,
+    toeplitz_min_eig,
     toeplitz_vacuum_schur,
     vec_to_series,
     wandering_projection,
@@ -57,6 +59,7 @@ from .kernels import (
 )
 from .ncseries import (
     NcSeries,
+    _int_size,
     h2_norm,
     max_coeff_diff,
     phase_normalize,
@@ -71,7 +74,8 @@ from .transforms import crofoot
 SINGULAR_SIGMA_TOL = 1e-8
 
 # Gram eigenvalue ratio above which the columns H z^v count as independent
-# (sigma ratio 1e-6), proved by a Cholesky of G - this * max_i sum_j |G_ij| I.
+# (sigma ratio 1e-6), proved by a Cholesky of G - this * (lambda_max(t_empty)
+# + off) I, off the bound of fockspace._off_diagonal_bound.
 GRAM_COND_MIN = 1e-12
 
 # Largest |K^H K - I| entry at which a kernel frame from one source counts
@@ -327,11 +331,13 @@ def _certify_wandering(t, d, window):
     lambda_min / lambda_max > GRAM_COND_MIN means sigma_min / sigma_max >
     1e-6 for the columns, far above RANK_REL, so the columns over all words
     and over the nonempty words have full numerical rank and their ranks
-    differ by exactly 1 (interlacing).  The largest absolute row sum bounds
-    lambda_max, and the tree Cholesky of G - tau I succeeds exactly when
-    every eigenvalue of G exceeds tau.
+    differ by exactly 1 (interlacing).  lambda_max is at most
+    lambda_max(t_empty) + off, the top of fockspace.toeplitz_min_eig's
+    bracket (block Gershgorin), and the tree Cholesky of G - tau I
+    succeeds exactly when every eigenvalue of G exceeds tau.
     """
-    tau = GRAM_COND_MIN * toeplitz_row_sum(t, d, window)
+    tau = GRAM_COND_MIN * (np.linalg.eigvalsh(t[0])[-1]
+                           + _off_diagonal_bound(t, d, window))
     try:
         toeplitz_vacuum_schur(t, d, window, tau)
     except np.linalg.LinAlgError:
@@ -503,6 +509,9 @@ def _blaschke_defect(theta, QK, N, col_degree=None, window=None):
         col_degree = valid if valid >= 1 else min(3, N)
     if window is None:
         window = col_degree if valid >= 1 else max(col_degree - 1, 0)
+    if col_degree < 0 or window < 0:
+        raise ValueError(f"column degree {col_degree} and window {window} "
+                         f"must be >= 0")
     if col_degree > N:
         raise ValidityWindowError(
             f"column degree {col_degree} exceeds truncation order {N}")
@@ -520,13 +529,15 @@ def singular_test(S, rng=None, num_samples=200):
     Checks S at the origin first (a necessary condition), then the minimum
     of sigma_min(S(Z)) over num_samples random points of row norm 0.7 and
     sizes 1, 2, 3 in turn, then sigma_min of the multiplication operator
-    at the radii 0.5 and 0.9 on its validity window, read off the NC
-    Toeplitz Gram, after check_inner at its default gate.  The verdict
+    at the radii 0.5 and 0.9 on its validity window, the square root of
+    the smallest eigenvalue of the rescaled symbol's NC Toeplitz Gram from
+    fockspace.toeplitz_min_eig, after check_inner at its default gate.
+    num_samples is an int (a bool or 2.5 is a ValueError).  The verdict
     "singular" means every minimum stayed above SINGULAR_SIGMA_TOL; it is
     sampling evidence, not a proof, so zero sample points raise ValueError.
     """
     check_inner(S)
-    if num_samples < 1:
+    if _int_size("num_samples", num_samples) < 1:
         raise ValueError("singular_test needs at least one sample point")
     tol = SINGULAR_SIGMA_TOL
     report = {"tol": tol, "r_grid": {}, "num_samples": int(num_samples)}
@@ -542,7 +553,7 @@ def singular_test(S, rng=None, num_samples=200):
     report["min_sample_sigma"] = float(min_sigma)
     for r in (0.5, 0.9):
         Sr = rescale(S, r)
-        lam = np.linalg.eigvalsh(toeplitz_gram(Sr, _validity_window(Sr)))[0]
+        lam = toeplitz_min_eig(toeplitz_data(Sr), S.d, _validity_window(Sr))
         report["r_grid"][r] = float(np.sqrt(max(lam, 0.0)))
     report["singular"] = bool(
         s0 > tol and min_sigma > tol

@@ -11,12 +11,13 @@ against that window.
 
 Every Fock-space matrix is built from the cached index triples
 (s, mu, mu s) of word concatenations: a multiplication operator is one
-scatter of them.  Where only its Gram
-matrix matters, no dense operator is needed: the triples give the
-autocorrelations t_s of a symbol as one gather, and the Gram matrix is the
-NC Toeplitz matrix built from them.  Where only the Gram's vacuum Schur
-complement and its definiteness matter, not even the Gram is built: a
-Cholesky along the suffix tree works on a state shaped like t.
+scatter of them.  Where only its Gram matrix matters, no dense operator and
+no Gram is built: the triples give the autocorrelations t_s of a symbol as
+one gather, of which every block of the NC Toeplitz Gram is one or the
+adjoint of one, and a Cholesky along the suffix tree works on a state
+shaped like t.  It gives the Gram's vacuum Schur complement and its
+definiteness, and bisection on its shift gives the extreme eigenvalues
+inside a bracket read off t itself.
 """
 
 import functools
@@ -66,9 +67,6 @@ class FockBasis:
                            f"N={self.max_degree})")
         return i
 
-    def word_at(self, i):
-        return self.words[i]
-
     def degree_start(self, k):
         """Index of the first word of length k."""
         return self._starts[k]
@@ -79,13 +77,6 @@ class FockBasis:
 
     def __repr__(self):
         return f"FockBasis(d={self.d}, N={self.max_degree}, dim={self.dim})"
-
-
-def left_shift_matrix(basis, k):
-    """L_k: e_w -> e_{kw}, zero on the top degree; multiplication by z_k."""
-    if not 1 <= k <= basis.d:
-        raise ValueError(f"letter {k} outside alphabet 1..{basis.d}")
-    return mult_operator(NcSeries.monomial((k,), basis.d), basis).mat.real
 
 
 def series_to_vec(f, basis):
@@ -193,49 +184,6 @@ def _stack_degree(d, size):
     return m
 
 
-def toeplitz_gram(f, k):
-    """Gram matrix of the columns f z^v, |v| <= k, from autocorrelations.
-
-    Block (mu s, s) is t_mu(f) and block (s, mu s) its adjoint, with
-    q x q blocks for q = cols(f) in word-major layout.  This is the NC
-    Toeplitz structure of the Gram matrix (McCullough, NC Fejer-Riesz);
-    no multiplication operator is built.  It is the untruncated Gram, so
-    it equals C^H C of mult_operator(f) restricted to degree <= k exactly
-    when k <= max_degree(f) - deg(f).
-    """
-    t = toeplitz_data(f)
-    s, mu, cat = word_triples(f.d, k)
-    keep = mu < len(t)
-    s, mu, cat = s[keep], mu[keep], cat[keep]
-    Dk, q = _degree_starts(f.d, k)[-1], f.cols
-    G = np.zeros((Dk, Dk, q, q), dtype=complex)
-    G[cat, s] = t[mu]
-    off = mu > 0
-    G[s[off], cat[off]] = t[mu[off]].conj().transpose(0, 2, 1)
-    return G.transpose(0, 2, 1, 3).reshape(Dk * q, Dk * q)
-
-
-def toeplitz_row_sum(t, d, k):
-    """Largest absolute row sum of the NC Toeplitz Gram on |v| <= k with
-    data t = toeplitz_data(f) over d letters, read off the blocks each row
-    meets: block row w holds t_{w[:j]} at w's suffixes w[j:], j <= min(m,
-    |w|) (the diagonal t_empty included), and t_mu^H at the longer words
-    mu w, 1 <= |mu| <= min(m, k - |w|), for m = deg f.  A row longer than
-    m meets the same t_{w[:j]} as its prefix of length m and fewer
-    adjoints, so the rows of length <= m hold the maximum.
-    """
-    m = _stack_degree(d, len(t))
-    starts = _degree_starts(d, m)
-    s, mu, cat = word_triples(d, m)
-    prefix = np.zeros((len(t), t.shape[1]))
-    np.add.at(prefix, cat, np.abs(t).sum(axis=2)[mu])
-    adj = np.add.reduceat(np.abs(t).sum(axis=1), starts[:-1], axis=0)
-    adj = np.cumsum(adj, axis=0) - adj[0]
-    return max(float((prefix[starts[n]:starts[n + 1]]
-                      + adj[min(m, k - n)]).max())
-               for n in range(min(k, m) + 1))
-
-
 @functools.lru_cache(maxsize=None)
 def _elimination_triples(d, b):
     """(|mu|, s, mu, mu s) for the triples of word_triples(d, b) with mu
@@ -295,6 +243,45 @@ def toeplitz_vacuum_schur(t, d, k, shift=0.0):
     return np.linalg.cholesky(S[0, 0])
 
 
+def _off_diagonal_bound(t, d, k):
+    """off = 2 sum ||t_s||_2 over 0 < |s| <= min(deg f, k), which bounds the
+    norm of the NC Toeplitz Gram on |v| <= k with data t over d letters,
+    less its block diagonal.  Block row w meets each t_s at most twice: as
+    t_s at w[|s|:] when w starts with s, and as t_s^H at the longer word
+    s w.  So every block row's sum of norms is at most off (block
+    Gershgorin)."""
+    n = _degree_starts(d, min(_stack_degree(d, len(t)), k))[-1]
+    return 2.0 * float(np.linalg.svd(t[1:n], compute_uv=False)[:, 0].sum())
+
+
+def toeplitz_min_eig(t, d, k):
+    """Smallest eigenvalue of the NC Toeplitz Gram G on |v| <= k with data
+    t = toeplitz_data(f) over d letters; the largest is
+    -toeplitz_min_eig(-t, d, k).
+
+    G's vacuum block is t_empty and the rest of G has norm at most off
+    (_off_diagonal_bound), so the answer lies in [c - off, c] for
+    c = lambda_min(t_empty).  A bracket that is closed to rounding is the
+    answer with no tree call: at window 0, and whenever t_s = 0 for
+    s != empty.  Otherwise it is bisected down to rounding, since
+    toeplitz_vacuum_schur(t, d, k, s) succeeds exactly when every
+    eigenvalue of G exceeds s.  No Gram matrix is built.
+    """
+    c = float(np.linalg.eigvalsh(t[0])[0])
+    off = _off_diagonal_bound(t, d, k)
+    lo, hi = c - off, c
+    # four ulps of the largest endpoint, so every midpoint is a new point
+    tol = 4 * np.finfo(float).eps * (abs(c) + off)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        try:
+            toeplitz_vacuum_schur(t, d, k, mid)
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class OperatorMatrix:
     """A dense matrix on truncated Fock space with bookkeeping.
 
@@ -322,14 +309,6 @@ class OperatorMatrix:
     def restricted(self, degree_limit):
         """Columns for words of length <= degree_limit."""
         return self.mat[:, self.column_indices(degree_limit)]
-
-    def apply_series(self, g):
-        """Apply to a series (cols must match), returning a series."""
-        if g.rows != self.cols:
-            raise ShapeMismatchError(
-                f"operator expects {self.cols} rows, series has {g.rows}")
-        v = series_to_vec(g, self.basis)
-        return vec_to_series(self.mat @ v, self.basis, rows=self.rows)
 
     def symbol(self):
         """The series whose multiplication this matrix truncates.
@@ -381,21 +360,6 @@ def isometry_defect(op, degree_limit):
     C = op.restricted(degree_limit)
     G = C.conj().T @ C
     return float(np.linalg.norm(G - np.eye(G.shape[0]), 2))
-
-
-def smallest_singular_value(op, degree_limit):
-    """Least singular value of the matrix restricted to low-degree columns.
-
-    Restriction is on the domain side only; the range keeps every row, so
-    norm growth out of the window is still seen.
-    """
-    if degree_limit > op.valid_degree:
-        raise ValidityWindowError(
-            f"degree limit {degree_limit} exceeds validity window "
-            f"{op.valid_degree}")
-    C = op.restricted(degree_limit)
-    s = np.linalg.svd(C, compute_uv=False)
-    return float(s[-1])
 
 
 def numerical_rank(A):

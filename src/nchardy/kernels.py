@@ -28,8 +28,13 @@ from .evaluate import (
     evaluate_batch,
     random_point,
 )
-from .fockspace import FockBasis, orthonormal_frame, toeplitz_gram
-from .ncseries import NcSeries, series_mul
+from .fockspace import (
+    FockBasis,
+    orthonormal_frame,
+    toeplitz_data,
+    toeplitz_min_eig,
+)
+from .ncseries import NcSeries, _int_size, series_mul
 
 # Default residual tolerance for singularity membership.
 SING_TOL = 1e-8
@@ -52,18 +57,24 @@ def inner_defect(theta, degree_limit=None):
     """Isometry defect of multiplication by theta, at the largest column
     degree its truncation supports (or a smaller requested one).
 
-    The spectral norm of G - I for the NC Toeplitz Gram G of the columns
-    theta z^v, |v| <= degree_limit, which is exact on the validity window.
+    The spectral norm of G - I, max(1 - lambda_min, lambda_max - 1), for
+    the NC Toeplitz Gram G of the columns theta z^v, |v| <= degree_limit,
+    which is exact on the validity window.  Both eigenvalues come from
+    fockspace.toeplitz_min_eig on theta's data t and on -t: no Gram is
+    built, and an exact inner (t_s = 0 for s != empty) or window 0 needs
+    no tree call.
     """
     valid = _validity_window(theta)
     if degree_limit is None:
         degree_limit = valid
+    if _int_size("degree limit", degree_limit) < 0:
+        raise ValueError(f"degree limit {degree_limit} is negative")
     if degree_limit > valid:
         raise ValidityWindowError(
             f"degree limit {degree_limit} exceeds validity window {valid}")
-    G = toeplitz_gram(theta, degree_limit)
-    vals = np.linalg.eigvalsh(G - np.eye(G.shape[0]))
-    return float(np.max(np.abs(vals)))
+    t = toeplitz_data(theta)
+    return max(1.0 - toeplitz_min_eig(t, theta.d, degree_limit),
+               -1.0 - toeplitz_min_eig(-t, theta.d, degree_limit))
 
 
 def check_inner(theta):

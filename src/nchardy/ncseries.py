@@ -55,9 +55,9 @@ def _check_letters(letters, d=None):
 
 
 def _int_size(name, value):
-    """A size as an int, checked raw as letters are: 2.5 or '2' raises
-    instead of truncating."""
-    if not isinstance(value, (int, np.integer)):
+    """A size as an int, checked raw as letters are: 2.5, '2' or True
+    raises instead of truncating."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
 
@@ -119,6 +119,8 @@ def _as_matrix(value, rows, cols):
         raise ShapeMismatchError(
             f"coefficient shape {m.shape} != ({rows}, {cols})"
         )
+    if not np.isfinite(m).all():
+        raise ValueError("coefficient has non-finite entries")
     return m
 
 
@@ -134,7 +136,8 @@ class NcSeries:
         are zero.  Scalars are accepted for 1x1 series.
 
     The constructor checks every size and letter (each an int or numpy
-    integer) and copies every coefficient into a complex array.  Series
+    integer) and copies every coefficient into a complex array, which must
+    be finite.  Series
     built from checked ones go through ``_of``, which checks only the
     ranges of the four sizes and adopts its dict as it is.  A derived
     series owns its dict and may share coefficient arrays with its
@@ -309,16 +312,6 @@ class NcSeries:
         scalar = complex(scalar)
         out = {w: scalar * m for w, m in self.coeffs.items()}
         return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
-                            out)
-
-    def adjoint_coeffs(self):
-        """Coefficient-wise conjugate transpose with word reversal.
-
-        This is the formal transpose-adjoint at the symbol level; it is not
-        the Hilbert-space adjoint of the multiplication operator.
-        """
-        out = {w[::-1]: m.conj().T for w, m in self.coeffs.items()}
-        return NcSeries._of(self.d, self.cols, self.rows, self.max_degree,
                             out)
 
 

@@ -2,7 +2,8 @@
 
 Index triples, the NC Toeplitz Gram, the exact-Jacobian spectral solve and
 the Gram certificates are each checked against a reference built the old
-way: dense multiplication operators, SVD frames, right-shift matrices, a
+way: dense multiplication operators, dense Gram matrices and their
+eigenvalues, SVD frames, right-shift matrices, a
 finite-difference least-squares solve, and scipy's MINPACK
 `least_squares(method="lm")` loop that the numpy `_lm` replaced.  The
 references live here, not in the package.
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 import nchardy.factorization as factorization
 import nchardy.fockspace as fockspace
-import nchardy.kernels as kernels
 from nchardy.errors import DiagnosticError, NotInnerError, ValidityWindowError
 from nchardy.factorization import (
     GRAM_COND_MIN,
@@ -29,6 +29,7 @@ from nchardy.factorization import (
     autocorrelation,
     inner_outer,
     outer_defect,
+    singular_test,
     spectral_outer,
 )
 from nchardy.fockspace import (
@@ -37,7 +38,8 @@ from nchardy.fockspace import (
     isometry_defect,
     mult_operator,
     orthonormal_frame,
-    toeplitz_gram,
+    toeplitz_data,
+    toeplitz_min_eig,
     wandering_projection,
     word_triples,
 )
@@ -78,6 +80,22 @@ def right_shift_matrix(basis, k):
 def dense_gram(f, k):
     C = mult_operator(f).restricted(k)
     return C.conj().T @ C
+
+
+def toeplitz_gram(f, k):
+    """f's NC Toeplitz Gram on |v| <= k from toeplitz_data, word by word:
+    t of the prefix w[:n], n <= deg f, at block (w, w[n:]) and its adjoint
+    at (w[n:], w)."""
+    t, m, q = toeplitz_data(f), f.degree(), f.cols
+    basis, index = FockBasis(f.d, k), FockBasis(f.d, m).index
+    G = np.zeros((basis.dim, q, basis.dim, q), dtype=complex)
+    for i, w in enumerate(basis.words):
+        for n in range(min(m, len(w)) + 1):
+            j = basis.index[w[n:]]
+            G[i, :, j] = t[index[w[:n]]]
+            if n:
+                G[j, :, i] = t[index[w[:n]]].conj().T
+    return G.reshape(basis.dim * q, basis.dim * q)
 
 
 # -- seed references ----------------------------------------------------
@@ -583,6 +601,17 @@ def inner_corpus():
 
 
 @pytest.mark.parametrize("theta", inner_corpus())
+def test_min_eig_matches_dense_eigvalsh_on_inners(theta):
+    t = toeplitz_data(theta)
+    op = mult_operator(theta)
+    for k in range(op.valid_degree + 1):
+        vals = np.linalg.eigvalsh(dense_gram(theta, k))
+        tol = 1e-13 * max(1.0, vals[-1])
+        assert abs(toeplitz_min_eig(t, theta.d, k) - vals[0]) <= tol
+        assert abs(-toeplitz_min_eig(-t, theta.d, k) - vals[-1]) <= tol
+
+
+@pytest.mark.parametrize("theta", inner_corpus())
 def test_inner_defect_matches_dense_isometry_defect(theta):
     op = mult_operator(theta)
     for k in range(op.valid_degree + 1):
@@ -628,8 +657,20 @@ def test_wandering_dim_refuses_ill_conditioned_gram(monkeypatch):
         inner_outer(H)
 
 
-def refuse_gram(*args, **kwargs):
-    raise AssertionError("dense Gram built")
+def record_spectra(monkeypatch):
+    """The sizes of every dense eigen-solve and SVD from here on."""
+    sizes = []
+
+    def recording(solver):
+        def solve(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return solver(a, *args, **kwargs)
+        return solve
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg,
+                                                               name)))
+    return sizes
 
 
 @pytest.mark.parametrize("H, N", [
@@ -641,51 +682,48 @@ def refuse_gram(*args, **kwargs):
 ])
 def test_inner_outer_builds_no_gram_and_no_large_spectrum(monkeypatch, H,
                                                            N):
-    """H's Gram is read only through the tree Cholesky: no toeplitz_gram
-    and no eigen-solve larger than q x q.  inner_defect, which takes the
-    inner factor's isometry defect from that factor's own Gram, is the one
-    call let through."""
-    sizes, inside = [], []
-
-    def recording(solver):
-        def solve(a, *args, **kwargs):
-            if not inside:
-                sizes.append(np.shape(a)[-1])
-            return solver(a, *args, **kwargs)
-        return solve
-
-    def fenced_defect(B):
-        inside.append(B)
-        try:
-            return inner_defect(B)
-        finally:
-            inside.pop()
-
-    def fenced_gram(f, k):
-        if not inside:
-            refuse_gram()
-        return toeplitz_gram(f, k)
-
-    for module in (factorization, fockspace):
-        monkeypatch.setattr(module, "toeplitz_gram", refuse_gram)
-    monkeypatch.setattr(kernels, "toeplitz_gram", fenced_gram)
-    monkeypatch.setattr(factorization, "inner_defect", fenced_defect)
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg,
-                                                               name)))
+    """H's Gram and the inner factor's are read only through the tree
+    Cholesky: no eigen-solve is larger than q x q."""
+    sizes = record_spectra(monkeypatch)
     r = inner_outer(H)
     assert r.wandering_dim == H.rows
     assert r.valid_degree == N - H.degree()
-    # spectral_outer's start sqrt(t_empty) and the outer defect's q x q
-    # residual Gram
+    # spectral_outer's start sqrt(t_empty), the brackets' t_empty and the
+    # outer defect's q x q residual Gram
     assert sizes and set(sizes) == {H.rows}
 
 
-def test_inner_outer_at_N12_matches_the_frostman_closed_form(monkeypatch):
+@pytest.mark.parametrize("theta", [
+    NcSeries.monomial((1,), 2, 8),
+    series_mul(NcSeries.monomial((1,), 2, 8), commutator_inner(max_degree=8),
+               8),
+    semigroup_inner(NcSeries.monomial((1,), 2), 0.4, 6),
+    NcSeries(2, 2, 2, 6, {(1,): np.diag([1.0, 0.0]),
+                          (2,): np.diag([0.0, 1.0])}),
+])
+def test_inner_checks_build_no_gram_and_no_large_spectrum(monkeypatch,
+                                                          theta):
+    """check_inner reads only t_empty's spectrum; singular_test adds the
+    SVDs of its sample values, at most 3q x 3q, whatever the window."""
+    sizes = record_spectra(monkeypatch)
+    check_inner(theta)
+    assert set(sizes) == {theta.cols}
+    sizes.clear()
+    singular_test(theta, num_samples=6)
+    assert sizes and max(sizes) <= 3 * theta.cols
+
+
+def test_refused_inner_builds_no_large_spectrum(monkeypatch):
+    # t_(1) of 0.6 + 0.8 z1 is not zero, so its brackets are bisected
+    sizes = record_spectra(monkeypatch)
+    with pytest.raises(NotInnerError):
+        check_inner(NcSeries(2, 1, 1, 8, {(): 0.6, (1,): 0.8}))
+    assert set(sizes) == {1}
+
+
+def test_inner_outer_at_N12_matches_the_frostman_closed_form():
     # H's Gram on the window |v| <= 10 has 2047 q x q blocks; the dense
     # path took 0.9 s here
-    for module in (factorization, fockspace):
-        monkeypatch.setattr(module, "toeplitz_gram", refuse_gram)
     N = 12
     V = commutator_inner(max_degree=N)
     r = inner_outer(1.0 - np.sqrt(2.0) * V)

@@ -7,9 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 from nchardy.cli import main
-from nchardy.evaluate import MatrixPoint, pair_to_json_dict, point_to_json_dict
+from nchardy.evaluate import MatrixPoint, point_to_json_dict, vector_to_json
 from nchardy.ncseries import NcSeries, to_json_dict
 from nchardy.transforms import semigroup_inner
+
+
+def pair_to_json_dict(Z, y):
+    return {"Z": point_to_json_dict(Z), "y": vector_to_json(y)}
 
 
 @pytest.fixture

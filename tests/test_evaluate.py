@@ -17,15 +17,27 @@ from nchardy.evaluate import (
     evaluate,
     evaluate_batch,
     pair_from_json_dict,
-    pair_to_json_dict,
     point_from_json_dict,
     point_to_json_dict,
     random_point,
     random_points,
     tail_bound,
     vector_from_json,
+    vector_to_json,
 )
 from nchardy.ncseries import NcSeries, series_invert, series_mul
+
+
+def word_product(Z, word):
+    """Z^w, multiplying letters left to right; the empty word gives I."""
+    P = np.eye(Z.n, dtype=complex)
+    for a in word:
+        P = P @ Z.mats[a - 1]
+    return P
+
+
+def pair_to_json_dict(Z, y):
+    return {"Z": point_to_json_dict(Z), "y": vector_to_json(y)}
 
 
 def nilpotent_pair(a=0.5, b=0.5):
@@ -41,9 +53,9 @@ def test_row_norm_of_shift_pair():
 
 def test_word_product_order_is_left_to_right():
     Z = nilpotent_pair()
-    P = Z.word_product((1, 2))
+    P = evaluate(NcSeries.monomial((1, 2), 2), Z)
     assert abs(P[0, 0] - 0.25) < 1e-15
-    P_rev = Z.word_product((2, 1))
+    P_rev = evaluate(NcSeries.monomial((2, 1), 2), Z)
     assert abs(P_rev[1, 1] - 0.25) < 1e-15
     assert not np.allclose(P, P_rev)
 
@@ -51,7 +63,7 @@ def test_word_product_order_is_left_to_right():
 def test_evaluate_monomial_matches_word_product():
     Z = nilpotent_pair(0.4, 0.6)
     f = NcSeries.monomial((2, 1), 2, 3)
-    assert np.allclose(evaluate(f, Z), Z.word_product((2, 1)))
+    assert np.allclose(evaluate(f, Z), word_product(Z, (2, 1)))
 
 
 def test_evaluate_is_multiplicative_on_polynomials():
@@ -87,6 +99,15 @@ def test_matrix_series_uses_kron_layout():
     f = NcSeries.constant(A, 2, 1)
     Z = nilpotent_pair()
     assert np.allclose(evaluate(f, Z), np.kron(A, np.eye(2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan)])
+def test_non_finite_point_is_inadmissible(bad):
+    # a NaN row norm is not below 1, so no NaN value leaves the gate
+    Z = MatrixPoint([[[0.1, bad], [0.0, 0.0]], 0.1 * np.eye(2)])
+    f = NcSeries.monomial((1,), 2)
+    with pytest.raises(InadmissiblePointError):
+        evaluate(f, Z)
 
 
 def test_inadmissible_point_rejected():
@@ -128,7 +149,7 @@ def kron_reference(f, Z):
     """Per-point evaluation sum_w kron(f_w, Z^w), one word at a time."""
     out = np.zeros((f.rows * Z.n, f.cols * Z.n), dtype=complex)
     for w, m in f.coeffs.items():
-        out += np.kron(m, Z.word_product(w))
+        out += np.kron(m, word_product(Z, w))
     return out
 
 

@@ -242,6 +242,11 @@ def test_blaschke_defect_rejects_zero_and_bad_window():
         blaschke_defect(zero, [])
     with pytest.raises(ValidityWindowError):
         blaschke_defect(z1(3), [], col_degree=7)
+    # a negative limit would compare empty cuts and read 0, perfect evidence
+    E = analytic_complement_frame(4)
+    for limits in ({"window": -1}, {"col_degree": -1}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            blaschke_defect(z1(4), [], N=4, extra_frame=E, **limits)
 
 
 def test_blaschke_defect_requires_scalar():
@@ -269,6 +274,13 @@ def test_singular_test_refuses_zero_sample_points(kwargs):
     # no sample point would leave min sigma at +inf and certify anything
     with pytest.raises(ValueError, match="at least one sample"):
         singular_test(semigroup_inner(z1(4), 0.5, 4), **kwargs)
+
+
+@pytest.mark.parametrize("num_samples", [2.5, True, "3"])
+def test_singular_test_refuses_non_integer_sample_counts(num_samples):
+    with pytest.raises(ValueError, match="not an integer"):
+        singular_test(semigroup_inner(z1(4), 0.5, 4),
+                      num_samples=num_samples)
 
 
 @pytest.mark.parametrize("classify", [

@@ -166,6 +166,12 @@ def test_inner_defect_of_row_contraction():
     assert inner_defect(f) < 1e-13
 
 
+@pytest.mark.parametrize("limit", [-1, 1.5])
+def test_inner_defect_refuses_a_bad_degree_limit(limit):
+    with pytest.raises(ValueError):
+        inner_defect(NcSeries.monomial((1,), 2, 5), limit)
+
+
 def test_model_gram_matches_truncated_model_kernels():
     rng = np.random.default_rng(28)
     # keep theta's own truncation low: the inner gate materializes a full

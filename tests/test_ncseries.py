@@ -208,12 +208,13 @@ def test_series_invert_rejects_singular_constant():
     assert exc.value.smallest_sigma == 0.0
 
 
-def test_adjoint_coeffs_reverses_words():
-    m = np.array([[1.0, 2.0], [3.0, 4.0j]])
-    f = NcSeries(2, 2, 2, 2, {(1, 2): m})
-    g = f.adjoint_coeffs()
-    assert g.support() == [(2, 1)]
-    assert np.allclose(g.coeff((2, 1)), m.conj().T)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_non_finite_coefficients_are_refused(bad):
+    # pruned or factored, a NaN word would vanish without a trace
+    with pytest.raises(ValueError, match="non-finite"):
+        NcSeries(2, 1, 1, 3, {(): 1.0, (1,): bad})
+    with pytest.raises(ValueError, match="non-finite"):
+        NcSeries(2, 2, 1, 3, {(1, 2): [[0.0], [bad]]})
 
 
 def test_phase_normalize():

@@ -5,8 +5,9 @@ matrices per draw, each scaled by its own row norm, and a regrouping of
 those points by size into stacks before evaluation.  random_points,
 singular_test and herglotz_min_real must reproduce them bitwise, leave the
 generator at the same stream position, and build no MatrixPoint.  The one
-exception is singular_test's r-grid, which the NC Toeplitz Gram gives to
-rounding against the reference's dense multiplication operator.
+exception is singular_test's r-grid, which the NC Toeplitz Gram's
+smallest eigenvalue gives to rounding against the least singular value of
+the reference's dense multiplication operator.
 """
 
 import numpy as np
@@ -21,11 +22,7 @@ from nchardy.evaluate import (
     random_points,
 )
 from nchardy.factorization import SINGULAR_SIGMA_TOL, singular_test
-from nchardy.fockspace import (
-    FockBasis,
-    mult_operator,
-    smallest_singular_value,
-)
+from nchardy.fockspace import FockBasis, mult_operator
 from nchardy.kernels import check_inner
 from nchardy.ncseries import NcSeries, commutator_inner, rescale
 from nchardy.transforms import (
@@ -79,7 +76,8 @@ def per_point_singular_test(S, rng, num_samples, levels=(1, 2, 3),
     basis = FockBasis(S.d, S.max_degree)
     for r in r_grid:
         op = mult_operator(rescale(S, r), basis)
-        report["r_grid"][r] = smallest_singular_value(op, op.valid_degree)
+        C = op.restricted(op.valid_degree)
+        report["r_grid"][r] = float(np.linalg.svd(C, compute_uv=False)[-1])
     report["singular"] = bool(
         s0 > tol and min_sigma > tol
         and all(v > tol for v in report["r_grid"].values()))

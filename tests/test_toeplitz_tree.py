@@ -5,7 +5,9 @@ block per prefix; the reference below builds the Gram densely and runs
 LAPACK's Cholesky on it with the vacuum last, which is what inner_outer and
 outer_defect did before.  Both give the vacuum's Schur complement S, and
 the certificate's verdict on G - tau I must not depend on which one runs.
-The reference lives here, not in the package.
+`toeplitz_min_eig` brackets and bisects the Gram's smallest eigenvalue
+with the tree; dense `eigvalsh` is its reference.  The references live
+here, not in the package.
 """
 
 import numpy as np
@@ -18,9 +20,9 @@ from nchardy.errors import DiagnosticError
 from nchardy.factorization import GRAM_COND_MIN
 from nchardy.fockspace import (
     FockBasis,
+    _off_diagonal_bound,
     toeplitz_data,
-    toeplitz_gram,
-    toeplitz_row_sum,
+    toeplitz_min_eig,
     toeplitz_vacuum_schur,
 )
 from nchardy.ncseries import NcSeries
@@ -39,21 +41,26 @@ def reference_vacuum_schur(G, q):
 
 def gram_from_data(t, d, m, k):
     """The NC Toeplitz Gram on |v| <= k from data t over FockBasis(d, m),
-    block by block over word pairs: t of the prefix where v is a suffix of
-    w, its adjoint where w is a suffix of v."""
-    words = FockBasis(d, k).words
-    index = FockBasis(d, m).index
+    block by block over each word w and its suffixes w[n:], n <= m: t of
+    the prefix w[:n] at (w, w[n:]) and its adjoint at (w[n:], w)."""
+    basis, index = FockBasis(d, k), FockBasis(d, m).index
     q = t.shape[1]
-    G = np.zeros((len(words) * q, len(words) * q), dtype=complex)
-    for i, w in enumerate(words):
-        for j, v in enumerate(words):
-            n = len(w) - len(v)
-            if 0 <= n <= m and w[n:] == v:
-                G[i * q:(i + 1) * q, j * q:(j + 1) * q] = t[index[w[:n]]]
-            elif -m <= n < 0 and v[-n:] == w:
-                G[i * q:(i + 1) * q, j * q:(j + 1) * q] = \
-                    t[index[v[:-n]]].conj().T
-    return G
+    G = np.zeros((basis.dim, q, basis.dim, q), dtype=complex)
+    for i, w in enumerate(basis.words):
+        for n in range(min(m, len(w)) + 1):
+            j = basis.index[w[n:]]
+            G[i, :, j] = t[index[w[:n]]]
+            if n:
+                G[j, :, i] = t[index[w[:n]]].conj().T
+    return G.reshape(basis.dim * q, basis.dim * q)
+
+
+def gershgorin_bound(t, d, m, k):
+    """lambda_max(t_empty) + 2 sum ||t_s||_2 over 0 < |s| <= min(m, k),
+    summed word by word."""
+    words = FockBasis(d, min(m, k)).words
+    return (np.linalg.eigvalsh(t[0])[-1]
+            + 2 * sum(np.linalg.norm(t[i], 2) for i in range(1, len(words))))
 
 
 def random_series(rng, d, deg, N, q):
@@ -65,7 +72,7 @@ def random_series(rng, d, deg, N, q):
 
 def assert_schur_matches(f, k, tol):
     t = toeplitz_data(f)
-    G = toeplitz_gram(f, k)
+    G = gram_from_data(t, f.d, f.degree(), k)
     want = reference_vacuum_schur(G, f.cols)
     C = toeplitz_vacuum_schur(t, f.d, k)
     assert np.array_equal(C, np.tril(C))
@@ -135,9 +142,9 @@ def verdict(fn):
 @pytest.mark.parametrize("t, d, m, k", certificate_cases())
 def test_certificate_verdict_matches_dense_cholesky(t, d, m, k):
     G = gram_from_data(t, d, m, k)
-    norm_inf = np.abs(G).sum(axis=1).max()
-    assert abs(toeplitz_row_sum(t, d, k) - norm_inf) <= 8 * EPS * norm_inf
-    tau = GRAM_COND_MIN * norm_inf
+    bound = gershgorin_bound(t, d, m, k)
+    assert np.linalg.eigvalsh(G)[-1] <= bound * (1 + 8 * EPS)
+    tau = GRAM_COND_MIN * bound
     dense = verdict(lambda: np.linalg.cholesky(G - tau * np.eye(len(G))))
     tree = verdict(lambda: factorization._certify_wandering(t, d, k))
     assert tree == dense
@@ -178,7 +185,55 @@ def well_conditioned_series(draw):
 @given(well_conditioned_series(), st.integers(0, 3))
 def test_inverse_schur_is_the_vacuum_block_of_the_inverse(f, k):
     q = f.cols
-    C = toeplitz_vacuum_schur(toeplitz_data(f), f.d, k)
-    want = np.linalg.inv(toeplitz_gram(f, k))[:q, :q]
+    t = toeplitz_data(f)
+    C = toeplitz_vacuum_schur(t, f.d, k)
+    want = np.linalg.inv(gram_from_data(t, f.d, f.degree(), k))[:q, :q]
     got = np.linalg.inv(C @ C.conj().T)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def assert_min_eig_matches_dense(t, d, m, k):
+    """toeplitz_min_eig on t and -t against eigvalsh of the dense Gram,
+    within 1e-13 max(1, |G|); each value sits inside its bracket."""
+    vals = np.linalg.eigvalsh(gram_from_data(t, d, m, k))
+    tol = 1e-13 * max(1.0, np.abs(vals).max())
+    lo, hi = toeplitz_min_eig(t, d, k), -toeplitz_min_eig(-t, d, k)
+    assert abs(lo - vals[0]) <= tol, (k, lo, vals[0])
+    assert abs(hi - vals[-1]) <= tol, (k, hi, vals[-1])
+    assert lo <= np.linalg.eigvalsh(t[0])[0] and hi <= gershgorin_bound(
+        t, d, m, k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_min_eig_matches_dense_eigvalsh(d, q, deg):
+    rng = np.random.default_rng(100 * d + 10 * q + deg)
+    valid = 3 if d < 3 else 2
+    f = random_series(rng, d, deg, deg + valid, q)
+    for k in range(valid + 1):
+        assert_min_eig_matches_dense(toeplitz_data(f), d, deg, k)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("c", [0.9, 0.99, 0.999, 1 - 1e-6, 1.0,
+                               np.exp(0.3j) * (1 - 1e-9)])
+def test_min_eig_matches_dense_eigvalsh_near_singular(d, c):
+    windows = (0, 1, 2, 5, 8) if d == 2 else (0, 1, 5, 20, 60)
+    t = toeplitz_data(NcSeries(d, 1, 1, 2, {(): 1.0, (1,): -c}))
+    for k in windows:
+        assert_min_eig_matches_dense(t, d, 1, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_bracket_contains_the_dense_eigenvalue(d, q, deg, k, seed):
+    f = random_series(np.random.default_rng(seed), d, deg, deg, q)
+    t = toeplitz_data(f)
+    lam = np.linalg.eigvalsh(gram_from_data(t, d, deg, k))[0]
+    c, top = np.linalg.eigvalsh(t[0])[[0, -1]]
+    off = _off_diagonal_bound(t, d, k)
+    assert abs(off - (gershgorin_bound(t, d, deg, k) - top)) <= 8 * EPS * off
+    slack = 8 * EPS * (abs(c) + off)
+    assert c - off - slack <= lam <= c + slack

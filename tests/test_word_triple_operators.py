@@ -1,8 +1,8 @@
 """Operators built from the word triples against the loops they replaced.
 
-mult_operator, left_shift_matrix and sing_space_complement read which word
-is a concatenation from fockspace.word_triples (or its series_to_vec
-layout).  The tuple-keyed loops they replaced are kept here, not in the
+mult_operator (also as the left shifts, multiplication by z_k) and
+sing_space_complement read which word is a concatenation from
+fockspace.word_triples (or its series_to_vec layout).  The tuple-keyed loops they replaced are kept here, not in the
 package, as references; the new code must reproduce them bitwise, except
 that sing_space_complement's frame comes from an SVD rather than the
 reference's pivoted QR, so the two must span the same space.
@@ -22,7 +22,6 @@ from nchardy.factorization import inner_outer
 from nchardy.fockspace import (
     RANK_REL,
     FockBasis,
-    left_shift_matrix,
     mult_operator,
 )
 from nchardy.kernels import (
@@ -50,6 +49,11 @@ def loop_mult_operator(f, basis):
             i = basis.index[alpha + beta]
             M[i * p:(i + 1) * p, j * q:(j + 1) * q] += m
     return M, N - min(f.degree(), N)
+
+
+def left_shift_matrix(basis, k):
+    """L_k: e_w -> e_{kw}, zero on the top degree: multiplication by z_k."""
+    return mult_operator(NcSeries.monomial((k,), basis.d), basis).mat.real
 
 
 def loop_left_shift_matrix(basis, k):

@@ -42,13 +42,12 @@ from .fockspace import (
     autocorrelation_stack,
     coeff_stack,
     mult_operator,
+    numerical_rank,
     orthonormal_frame,
     toeplitz_data,
     toeplitz_min_eig,
     toeplitz_vacuum_schur,
     vec_to_series,
-    wandering_projection,
-    wandering_vectors,
     word_triples,
 )
 from .kernels import (
@@ -81,6 +80,9 @@ GRAM_COND_MIN = 1e-12
 # Largest |K^H K - I| entry at which a kernel frame from one source counts
 # as orthonormal and skips the SVD; SVD frames sit near 3e-15 at D = 511.
 FRAME_ORTHO_TOL = 1e-13
+
+# Columns of the split's range sketch of its wandering space.
+SKETCH_COLS = 6
 
 # _lm's relative reduction and step tolerance, its initial damping relative
 # to max diag(J^T J), and its cap on residual evaluations per solve.
@@ -561,6 +563,38 @@ def singular_test(S, rng=None, num_samples=200):
     return report
 
 
+def _wandering_vector(QK, basis):
+    """(count, w): the wandering dimension of the orthocomplement of the
+    orthonormal frame QK, and its unit wandering vector w when count is 1.
+
+    QK is invariant under the backward shifts R_k^H, so the wandering space
+    is exactly ran (I - QK QK^H) [e0, R_1 QK, ..., R_d QK].  Up to
+    SKETCH_COLS of those 1 + d r columns are taken as they are; more are
+    combined by a fixed real Gaussian into SKETCH_COLS (a range sketch:
+    Halko, Martinsson and Tropp, SIAM Rev. 2011), which counts at most
+    SKETCH_COLS.  R_k is a gather over the triples (k, w, w k), so no
+    D x D matrix is built.  count is the numerical rank of the projected
+    columns Y and w is Y's largest column, normalized: a real coordinate
+    frame gives exact zeros and an exact +-1.
+    """
+    d, r = basis.d, QK.shape[1]
+    G = (np.eye(1 + d * r) if 1 + d * r <= SKETCH_COLS else
+         np.random.default_rng(0).standard_normal((1 + d * r, SKETCH_COLS)))
+    X = np.zeros((basis.dim, G.shape[1]), dtype=complex)
+    X[0] = G[0]
+    KG = QK @ G[1:].reshape(d, r, -1)
+    # R_k moves row w to row w k; the word (k,) sits at basis index k
+    s, mu, cat = word_triples(d, basis.max_degree)
+    one = (s >= 1) & (s <= d)
+    X[cat[one]] = KG[s[one] - 1, mu[one]]
+    Y = X - QK @ (QK.conj().T @ X)
+    count = numerical_rank(Y)
+    if count != 1:
+        return count, None
+    w = Y[:, np.argmax(np.linalg.norm(Y, axis=0))]
+    return 1, w / np.linalg.norm(w)
+
+
 class SplitResult:
     """Blaschke and singular parts with defects and diagnostic flags."""
 
@@ -592,8 +626,9 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
     sampling, so it returns (1, theta) flagged "no-pairs".  Otherwise the
     orthocomplement of the kernel span is taken as the singularity space,
     its wandering vector (when unique) gives the Blaschke part, and the
-    adjoint application recovers the singular part.  The Blaschke defect
-    is reported as a diagnostic; it selects no branch.
+    adjoint application recovers the singular part.  The wandering vector
+    is one thin product (_wandering_vector), with no D x D matrix.  The
+    Blaschke defect is reported as a diagnostic; it selects no branch.
     """
     check_inner(theta)
     if not theta.is_scalar():
@@ -613,16 +648,12 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
 
     defect = _blaschke_defect(theta, QK, N)
     basis = FockBasis(theta.d, N)
-    Q = np.eye(basis.dim, dtype=complex) - QK @ QK.conj().T
-    P = wandering_projection(Q, basis)
-    W, _ = wandering_vectors(P)
-    if W.shape[1] != 1:
-        defects = {"blaschke_defect": defect,
-                   "wandering_count": W.shape[1]}
-        return SplitResult(one, theta.copy(), W.shape[1], defects,
+    count, w = _wandering_vector(QK, basis)
+    if count != 1:
+        defects = {"blaschke_defect": defect, "wandering_count": count}
+        return SplitResult(one, theta.copy(), count, defects,
                            ["sampling-insufficient"])
-    B = vec_to_series(W[:, 0], basis)
-    B, _ = phase_normalize(B)
+    B, _ = phase_normalize(vec_to_series(w, basis))
     degB = B.degree()
     S = shift_adjoint_apply(B, theta, N)
     window = max(0, N - degB)

@@ -11,13 +11,15 @@ against that window.
 
 Every Fock-space matrix is built from the cached index triples
 (s, mu, mu s) of word concatenations: a multiplication operator is one
-scatter of them.  Where only its Gram matrix matters, no dense operator and
-no Gram is built: the triples give the autocorrelations t_s of a symbol as
-one gather, of which every block of the NC Toeplitz Gram is one or the
-adjoint of one, and a Cholesky along the suffix tree works on a state
-shaped like t.  It gives the Gram's vacuum Schur complement and its
-definiteness, and bisection on its shift gives the extreme eigenvalues
-inside a bracket read off t itself.
+scatter of them, and a right shift R_k a gather of those with s = (k,),
+so the split's wandering vector is one thin product of the shifts with
+its kernel frame (factorization._wandering_vector).  Where only a Gram
+matters, no dense operator and no Gram is built: the triples give the
+autocorrelations t_s of a symbol as one gather, of which every block of
+the NC Toeplitz Gram is one or the adjoint of one, and a Cholesky along
+the suffix tree works on a state shaped like t.  It gives the Gram's
+vacuum Schur complement and its definiteness, and bisection on its shift
+gives the extreme eigenvalues inside a bracket read off t itself.
 """
 
 import functools
@@ -30,10 +32,6 @@ from .ncseries import NcSeries, _check_letters, _int_size, rescale
 
 # Relative singular-value threshold for numerical rank decisions.
 RANK_REL = 1e-10
-
-# |eigenvalue - 1| tolerance for reading wandering vectors off the
-# wandering projection, which truncation perturbs.
-WANDER_EIG_TOL = 1e-6
 
 
 def _degree_starts(d, m):
@@ -109,11 +107,9 @@ def vec_to_series(v, basis, rows=1, cols=None):
     if v.shape != (basis.dim * rows, cols):
         raise ShapeMismatchError(
             f"vector shape {v.shape} != ({basis.dim * rows}, {cols})")
-    coeffs = {}
-    for i, w in enumerate(basis.words):
-        block = v[i * rows:(i + 1) * rows, :]
-        if np.any(block):
-            coeffs[w] = block.copy()
+    blocks = v.reshape(basis.dim, rows, cols)
+    coeffs = {basis.words[i]: blocks[i].copy()
+              for i in np.flatnonzero(blocks.any(axis=(1, 2)))}
     return NcSeries._of(basis.d, rows, cols, basis.max_degree, coeffs)
 
 
@@ -385,40 +381,6 @@ def orthonormal_frame(columns):
         return np.zeros((A.shape[0], 0), dtype=complex)
     r = int(np.sum(s > RANK_REL * s[0]))
     return U[:, :r]
-
-
-def wandering_projection(Q, basis):
-    """Q - sum_k R_k Q R_k^* for a right-shift invariant projection Q.
-
-    On an invariant subspace this is the projection onto the generating
-    (wandering) part: what remains after removing every right translate.
-    R_k maps each word w below the top degree to w k, the triples
-    (k, w, w k) of word_triples, so each product R_k Q R_k^* is a block of
-    Q moved by a gather.
-    """
-    if Q.shape != (basis.dim, basis.dim):
-        raise ShapeMismatchError(
-            f"projection shape {Q.shape} does not match basis dim {basis.dim}")
-    s, mu, cat = word_triples(basis.d, basis.max_degree)
-    P = Q.copy()
-    for k in range(1, basis.d + 1):
-        # the one-letter word (k,) sits at basis index k
-        src, dst = mu[s == k], cat[s == k]
-        P[np.ix_(dst, dst)] -= Q[np.ix_(src, src)]
-    return P
-
-
-def wandering_vectors(P, tol=WANDER_EIG_TOL):
-    """Eigenvectors of the wandering projection with eigenvalue near 1.
-
-    Returns (vectors, eigenvalues) with vectors as columns.  Truncation
-    perturbs the projection, so eigenvalues sit near rather than at 1; the
-    tolerance bounds |eigenvalue - 1|.
-    """
-    H = 0.5 * (P + P.conj().T)
-    vals, vecs = np.linalg.eigh(H)
-    keep = np.abs(vals - 1.0) <= tol
-    return vecs[:, keep], vals[keep]
 
 
 def wandering_dimension(op):

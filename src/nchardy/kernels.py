@@ -30,6 +30,7 @@ from .evaluate import (
 )
 from .fockspace import (
     FockBasis,
+    _off_diagonal_bound,
     orthonormal_frame,
     toeplitz_data,
     toeplitz_min_eig,
@@ -62,7 +63,8 @@ def inner_defect(theta, degree_limit=None):
     which is exact on the validity window.  Both eigenvalues come from
     fockspace.toeplitz_min_eig on theta's data t and on -t: no Gram is
     built, and an exact inner (t_s = 0 for s != empty) or window 0 needs
-    no tree call.
+    no tree call, nor the lambda_max side when the top of its bracket,
+    -1 - (c - off) as toeplitz_min_eig(-t) has it, is <= 1 - lambda_min.
     """
     valid = _validity_window(theta)
     if degree_limit is None:
@@ -73,8 +75,12 @@ def inner_defect(theta, degree_limit=None):
         raise ValidityWindowError(
             f"degree limit {degree_limit} exceeds validity window {valid}")
     t = toeplitz_data(theta)
-    return max(1.0 - toeplitz_min_eig(t, theta.d, degree_limit),
-               -1.0 - toeplitz_min_eig(-t, theta.d, degree_limit))
+    low = 1.0 - toeplitz_min_eig(t, theta.d, degree_limit)
+    c = float(np.linalg.eigvalsh(-t[0])[0])
+    off = _off_diagonal_bound(-t, theta.d, degree_limit)
+    if -1.0 - (c - off) <= low:
+        return low
+    return max(low, -1.0 - toeplitz_min_eig(-t, theta.d, degree_limit))
 
 
 def check_inner(theta):
@@ -300,7 +306,7 @@ def sing_closure_similarity(pair, S):
     Sinv = np.linalg.inv(S)
     Z_new = MatrixPoint([Sinv @ M @ S for M in pair.Z.mats])
     rn = Z_new.row_norm()
-    if rn >= 1.0:
+    if not rn < 1.0:
         raise InadmissiblePointError(
             f"conjugated point has row norm {rn:.6f}", row_norm=rn)
     return SingularityPair(Z_new, S.conj().T @ pair.y)
@@ -416,7 +422,7 @@ def _harvest_members(H, Z, roots, members, max_members):
         if abs(t) >= 1.0:
             continue
         Zt = Z.scale(t)
-        if Zt.row_norm() >= 1.0:
+        if not Zt.row_norm() < 1.0:
             continue
         y = _left_null_direction(evaluate(H, Zt))
         ok, _ = sing_membership(H, Zt, y)

@@ -40,7 +40,6 @@ from nchardy.fockspace import (
     orthonormal_frame,
     toeplitz_data,
     toeplitz_min_eig,
-    wandering_projection,
     word_triples,
 )
 from nchardy.kernels import check_inner, inner_defect
@@ -52,6 +51,8 @@ from nchardy.ncseries import (
     series_mul,
 )
 from nchardy.transforms import frostman, semigroup_inner
+
+from dense_wandering import wandering_projection
 
 
 def random_series(rng, d, deg, N, rows=1, cols=1, density=0.7):

@@ -17,8 +17,6 @@ from nchardy.fockspace import (
     vec_to_series,
     wandering_dimension,
     wandering_dimension_profile,
-    wandering_projection,
-    wandering_vectors,
 )
 from nchardy.ncseries import (
     NcSeries,
@@ -27,6 +25,8 @@ from nchardy.ncseries import (
     phase_normalize,
     series_mul,
 )
+
+from dense_wandering import wandering_projection, wandering_vectors
 
 
 def test_basis_enumeration_and_dimension():

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import nchardy.kernels as kernels
-from nchardy.errors import NotInnerError, ShapeMismatchError
+from nchardy.errors import (
+    InadmissiblePointError,
+    NotInnerError,
+    ShapeMismatchError,
+)
 from nchardy.evaluate import MatrixPoint, evaluate, random_point
 from nchardy.fockspace import FockBasis, series_to_vec
 from nchardy.kernels import (
@@ -229,6 +233,21 @@ def test_singularity_closure_under_direct_sum_and_similarity():
     moved = sing_closure_similarity(pair, S)
     ok2, _ = sing_membership(BILINEAR, moved.Z, moved.y)
     assert ok2
+
+
+@pytest.mark.parametrize("entry", [np.nan, complex(0.0, np.nan)])
+def test_similarity_refuses_a_nan_conjugated_point(entry):
+    S = np.array([[1.0, entry], [0.0, 1.0]])
+    with pytest.raises(InadmissiblePointError):
+        sing_closure_similarity(singular_pair_for_bilinear(), S)
+
+
+def test_harvest_skips_a_nan_point():
+    bad = MatrixPoint([np.full((2, 2), np.nan), np.zeros((2, 2))])
+    members = []
+    assert not kernels._harvest_members(BILINEAR, bad, np.array([0.5]),
+                                        members, 10)
+    assert members == []
 
 
 def test_compress_to_finite_preserves_membership():

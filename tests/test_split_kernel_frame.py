@@ -3,13 +3,17 @@
 The reference below is the earlier split, kept here as a test-local copy:
 it takes the range frame from a range-closure subspace, builds the kernel
 frame once for the defect and again for the mixed branch, and takes the
-singularity space from a scipy null-space SVD of the kernel frame.  The
-library builds one kernel frame and uses I - QK QK^H.  Both take every
-Blaschke part from the wandering vector; neither decides on the defect.
+singularity space from a scipy null-space SVD of the kernel frame, whose
+dense wandering projection it solves with eigh.  The library builds one
+kernel frame and reads the wandering vector off the thin product
+(I - QK QK^H) [e0, R_1 QK, ..., R_d QK].  Both take every Blaschke part
+from the wandering vector; neither decides on the defect.
 On the corpus both must agree bit for bit: flags, wandering dimension,
 every defect and every Blaschke and singular coefficient.  The Frostman
-shift, whose frame is not a set of coordinate vectors, agrees in flags,
-count and supports, and in values within 1e-14.
+shift, whose frame is not a set of coordinate vectors, agrees in flags and
+count, and in values within 1e-14 over the union of the supports: the
+reference's eigen-solve leaves rounding noise (below 1e-16) on words where
+the library's thin product leaves exact zeros.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ import pytest
 import scipy.linalg
 
 from nchardy import factorization
+from nchardy.classical import atomic_singular, blaschke_product, jordan_pair
 from nchardy.evaluate import MatrixPoint
 from nchardy.factorization import (
     blaschke_singular_split,
@@ -28,8 +33,6 @@ from nchardy.fockspace import (
     mult_operator,
     orthonormal_frame,
     vec_to_series,
-    wandering_projection,
-    wandering_vectors,
 )
 from nchardy.kernels import (
     SingularityPair,
@@ -45,6 +48,12 @@ from nchardy.ncseries import (
     series_mul,
 )
 from nchardy.transforms import frostman, semigroup_inner
+
+from dense_wandering import (
+    dense_wandering_vector,
+    wandering_projection,
+    wandering_vectors,
+)
 
 N = 8
 TS = (0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -134,9 +143,9 @@ def frostman_shift():
     return frostman(V, w, N), [], crofoot_kernel_frame(V, w, N)
 
 
-def thin_pairs():
+def thin_pairs(n=N):
     # kernels at commuting points: the wandering vector is not unique
-    V = NcSeries(2, 1, 1, N, {(1, 2): 2 ** -0.5, (2, 1): -(2 ** -0.5)})
+    V = NcSeries(2, 1, 1, n, {(1, 2): 2 ** -0.5, (2, 1): -(2 ** -0.5)})
     Za = MatrixPoint([0.5 * np.array([[0.0, 1.0], [0.0, 0.0]]),
                       np.zeros((2, 2))])
     Zb = MatrixPoint([np.zeros((2, 2)),
@@ -158,11 +167,15 @@ CORPUS = [pytest.param(blaschke_times_sigma, (prefix, t), 0.0,
 
 
 def assert_same_series(got, want, tol=0.0):
+    """Equal sizes and coefficients within tol.  At tol 0 the supports
+    must be equal; otherwise words are compared over the union of the
+    supports, an absent word counting as 0."""
     assert (got.d, got.rows, got.cols, got.max_degree) == \
         (want.d, want.rows, want.cols, want.max_degree)
-    assert sorted(got.coeffs) == sorted(want.coeffs)
-    for w, m in want.coeffs.items():
-        assert np.max(np.abs(got.coeffs[w] - m)) <= tol, w
+    if tol == 0.0:
+        assert sorted(got.coeffs) == sorted(want.coeffs)
+    for w in set(got.coeffs) | set(want.coeffs):
+        assert np.max(np.abs(got.coeff(w) - want.coeff(w))) <= tol, w
 
 
 @pytest.mark.parametrize("make, args, tol", CORPUS)
@@ -216,6 +229,138 @@ def test_split_builds_its_kernel_frame_once(monkeypatch):
     res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
     assert "singular_inner_defect" in res.defects
     assert len(calls) == 1
+
+
+# -- the thin wandering product against the dense eigen-solve ----------
+
+
+def split_both_ways(monkeypatch, theta, pairs, frame, n=N):
+    """The split as it is, and with the dense wandering projection and its
+    eigh in place of the thin product."""
+    thin = blaschke_singular_split(theta, pairs, N=n, extra_frame=frame)
+    with monkeypatch.context() as m:
+        m.setattr(factorization, "_wandering_vector", dense_wandering_vector)
+        dense = blaschke_singular_split(theta, pairs, N=n, extra_frame=frame)
+    return thin, dense
+
+
+def assert_same_split(got, want, tol):
+    assert got.flags == want.flags
+    assert got.wandering_dim == want.wandering_dim
+    assert sorted(got.defects) == sorted(want.defects)
+    for key, val in want.defects.items():
+        assert abs(got.defects[key] - val) <= tol, key
+    assert_same_series(got.blaschke, want.blaschke, tol)
+    assert_same_series(got.singular, want.singular, tol)
+
+
+@pytest.mark.parametrize("prefix", [(1,), (2,), (1, 2)])
+@pytest.mark.parametrize("t", (0.01, 0.05) + TS)
+def test_thin_product_matches_the_dense_eigh_bitwise(monkeypatch, prefix, t):
+    thin, dense = split_both_ways(monkeypatch,
+                                  *blaschke_times_sigma(prefix, t))
+    assert thin.flags == []
+    assert_same_split(thin, dense, 0.0)
+
+
+def test_thin_product_counts_thin_pairs_like_the_dense_eigh(monkeypatch):
+    thin, dense = split_both_ways(monkeypatch, *thin_pairs())
+    assert thin.flags == dense.flags == ["sampling-insufficient"]
+    assert thin.wandering_dim == dense.wandering_dim == 4
+    assert thin.defects == dense.defects
+
+
+def test_thin_product_matches_the_dense_eigh_on_the_frostman_shift(
+        monkeypatch):
+    thin, dense = split_both_ways(monkeypatch, *frostman_shift())
+    assert thin.flags == []
+    assert_same_split(thin, dense, 1e-14)
+
+
+@pytest.mark.parametrize("zeros", [[0.5], [0.3, -0.6j]])
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 0.2])
+def test_thin_product_matches_the_dense_eigh_in_one_variable(
+        monkeypatch, zeros, t):
+    # the corpus of test_split_recovers_a_classical_blaschke_product
+    n = 30
+    theta = series_mul(blaschke_product(zeros, n), atomic_singular(t, n), n)
+    pairs = [SingularityPair(jordan_pair(a, 1)["point"], np.ones(1))
+             for a in zeros]
+    thin, dense = split_both_ways(monkeypatch, theta, pairs, None, n)
+    assert thin.flags == []
+    assert_same_split(thin, dense, 1e-12)
+
+
+def test_split_calls_no_eigh(monkeypatch):
+    cases = [blaschke_times_sigma((1,), 0.5), frostman_shift(), thin_pairs()]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for theta, pairs, frame in cases:
+        blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
+    assert calls == []
+
+
+def test_thin_pairs_at_degree_ten_are_sampling_insufficient():
+    theta, pairs, _ = thin_pairs(10)
+    res = blaschke_singular_split(theta, pairs, N=10)
+    assert res.flags == ["sampling-insufficient"]
+    assert res.wandering_dim == 4
+    assert res.defects["wandering_count"] == 4
+
+
+def loop_vec_to_series(v, basis, rows=1, cols=None):
+    """vec_to_series as it was: one np.any per word."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 1:
+        v = v.reshape(-1, 1)
+    if cols is None:
+        cols = v.shape[1]
+    coeffs = {}
+    for i, w in enumerate(basis.words):
+        block = v[i * rows:(i + 1) * rows, :]
+        if np.any(block):
+            coeffs[w] = block.copy()
+    return NcSeries(basis.d, rows, cols, basis.max_degree, coeffs)
+
+
+def assert_same_terms(got, want):
+    assert list(got.coeffs) == list(want.coeffs)
+    for w, m in want.coeffs.items():
+        assert np.array_equal(got.coeffs[w], m), w
+
+
+@pytest.mark.parametrize("make, args", [
+    (blaschke_times_sigma, ((1,), 0.5)),
+    (blaschke_times_sigma, ((1, 2), 0.01)),
+    (frostman_shift, ()),
+    (thin_pairs, ()),
+], ids=["z1", "z1z2", "crofoot", "pairs"])
+def test_vec_to_series_keeps_every_nonzero_block(make, args):
+    theta, pairs, frame = make(*args)
+    basis = FockBasis(2, N)
+    QK = factorization._combined_kernel_frame(pairs, N, frame, 2)
+    vectors = [QK[:, :3]]
+    for wandering in (factorization._wandering_vector,
+                      dense_wandering_vector):
+        count, w = wandering(QK, basis)
+        if count == 1:
+            vectors.append(w)
+    for v in vectors:
+        assert_same_terms(vec_to_series(v, basis), loop_vec_to_series(v, basis))
+    # a scalar symbol and a 2 x 3 one
+    rng = np.random.default_rng(7)
+    wide = NcSeries(2, 2, 3, N, {w: rng.standard_normal((2, 3))
+                                  for w in basis.words[:40:3]})
+    for f in (theta, wide):
+        op = mult_operator(f, basis)
+        assert_same_terms(op.symbol(), loop_vec_to_series(
+            op.mat[:, :f.cols], basis, f.rows, f.cols))
 
 
 # -- the kernel frame taken as given ------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nchardy import factorization
+from nchardy import factorization, fockspace
 from nchardy.errors import DiagnosticError
 from nchardy.factorization import GRAM_COND_MIN
 from nchardy.fockspace import (
@@ -25,7 +25,9 @@ from nchardy.fockspace import (
     toeplitz_min_eig,
     toeplitz_vacuum_schur,
 )
-from nchardy.ncseries import NcSeries
+from nchardy.kernels import inner_defect
+from nchardy.ncseries import NcSeries, series_mul, shift_adjoint_apply
+from nchardy.transforms import semigroup_inner
 
 EPS = np.finfo(float).eps
 
@@ -237,3 +239,39 @@ def test_bracket_contains_the_dense_eigenvalue(d, q, deg, k, seed):
     assert abs(off - (gershgorin_bound(t, d, deg, k) - top)) <= 8 * EPS * off
     slack = 8 * EPS * (abs(c) + off)
     assert c - off - slack <= lam <= c + slack
+
+
+def split_singular_factor():
+    """The singular factor of the benchmark's split of z1 sigma_0.6 at
+    N = 8: full support, window 1."""
+    z1 = NcSeries.monomial((1,), 2, 8)
+    theta = series_mul(z1, semigroup_inner(z1, 0.6, 8), 8)
+    return shift_adjoint_apply(z1, theta, 8)
+
+
+@pytest.mark.parametrize("make, skips", [
+    (split_singular_factor, True),
+    (lambda: NcSeries(2, 1, 1, 4, {(): 0.3, (2,): 0.5, (2, 1): -0.4}), True),
+    (lambda: NcSeries(2, 1, 1, 4, {(1,): 1.2, (1, 2): 0.3}), False),
+], ids=["split_singular", "contraction", "dilation"])
+def test_inner_defect_skips_a_bisection_that_cannot_matter(monkeypatch,
+                                                           make, skips):
+    theta = make()
+    t, k = toeplitz_data(theta), theta.max_degree - theta.degree()
+    calls = []
+    tree = fockspace.toeplitz_vacuum_schur
+
+    def counting(*args):
+        calls.append(1)
+        return tree(*args)
+
+    monkeypatch.setattr(fockspace, "toeplitz_vacuum_schur", counting)
+    low = 1.0 - toeplitz_min_eig(t, 2, k)
+    low_calls = len(calls)
+    want = max(low, -1.0 - toeplitz_min_eig(-t, 2, k))
+    both_calls = len(calls)
+    del calls[:]
+    assert inner_defect(theta) == want
+    # with the skip, the lambda_max side makes no tree call
+    assert 0 < low_calls < both_calls
+    assert len(calls) == (low_calls if skips else both_calls)

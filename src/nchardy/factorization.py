@@ -38,20 +38,21 @@ from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
     _degree_starts,
-    _off_diagonal_bound,
+    _mult_columns,
     autocorrelation_stack,
     coeff_stack,
     mult_operator,
     numerical_rank,
     orthonormal_frame,
     toeplitz_data,
+    toeplitz_max_bound,
     toeplitz_min_eig,
     toeplitz_vacuum_schur,
+    validity_window,
     vec_to_series,
     word_triples,
 )
 from .kernels import (
-    _validity_window,
     check_inner,
     inner_defect,
     sing_space_complement,
@@ -73,15 +74,15 @@ from .transforms import crofoot
 SINGULAR_SIGMA_TOL = 1e-8
 
 # Gram eigenvalue ratio above which the columns H z^v count as independent
-# (sigma ratio 1e-6), proved by a Cholesky of G - this * (lambda_max(t_empty)
-# + off) I, off the bound of fockspace._off_diagonal_bound.
+# (sigma ratio 1e-6), proved by a Cholesky of G - this * top I, for top the
+# bound on lambda_max of fockspace.toeplitz_max_bound.
 GRAM_COND_MIN = 1e-12
 
 # Largest |K^H K - I| entry at which a kernel frame from one source counts
 # as orthonormal and skips the SVD; SVD frames sit near 3e-15 at D = 511.
 FRAME_ORTHO_TOL = 1e-13
 
-# Columns of the split's range sketch of its wandering space.
+# Columns of the split's first range sketch of its wandering space.
 SKETCH_COLS = 6
 
 # _lm's relative reduction and step tolerance, its initial damping relative
@@ -313,16 +314,17 @@ def inner_outer(H, N=None):
     B, u = phase_normalize(B)
     outer = F.with_max_degree(N).scale(u).prune()
     recon = max_coeff_diff(series_mul(B, outer, N), HN, N)
-    window = N - outer.degree()
+    valid = validity_window(HN)
     t = toeplitz_data(HN)
     if HN.is_scalar():
-        _certify_wandering(t, H.d, N - m)
+        _certify_wandering(t, H.d, valid)
     defects = {
         "inner_defect": inner_defect(B),
-        "outer_defect": _outer_defect(t, H.d, outer.coeff(()), window),
+        "outer_defect": _outer_defect(t, H.d, outer.coeff(()),
+                                      validity_window(outer)),
         "reconstruction_error": recon,
     }
-    return FactorizationResult(B, outer, H.rows, defects, N - m)
+    return FactorizationResult(B, outer, H.rows, defects, valid)
 
 
 def _certify_wandering(t, d, window):
@@ -334,12 +336,10 @@ def _certify_wandering(t, d, window):
     1e-6 for the columns, far above RANK_REL, so the columns over all words
     and over the nonempty words have full numerical rank and their ranks
     differ by exactly 1 (interlacing).  lambda_max is at most
-    lambda_max(t_empty) + off, the top of fockspace.toeplitz_min_eig's
-    bracket (block Gershgorin), and the tree Cholesky of G - tau I
-    succeeds exactly when every eigenvalue of G exceeds tau.
+    fockspace.toeplitz_max_bound (block Gershgorin), and the tree Cholesky
+    of G - tau I succeeds exactly when every eigenvalue of G exceeds tau.
     """
-    tau = GRAM_COND_MIN * (np.linalg.eigvalsh(t[0])[-1]
-                           + _off_diagonal_bound(t, d, window))
+    tau = GRAM_COND_MIN * toeplitz_max_bound(t, d, window)
     try:
         toeplitz_vacuum_schur(t, d, window, tau)
     except np.linalg.LinAlgError:
@@ -367,8 +367,8 @@ def outer_defect(h, N=None):
         raise ShapeMismatchError(
             "outer defect expects scalar, column, or square h")
     hN = h.truncate(N)
-    window = max(N - hN.degree(), 0)
-    return _outer_defect(toeplitz_data(hN), h.d, hN.coeff(()), window)
+    return _outer_defect(toeplitz_data(hN), h.d, hN.coeff(()),
+                         validity_window(hN, N))
 
 
 def _outer_defect(t, d, h0, window):
@@ -422,7 +422,7 @@ def _combined_kernel_frame(pairs, N, extra_frame, d):
     A frame from one source that is orthonormal to FRAME_ORTHO_TOL is
     taken as it is: sing_space_complement and crofoot_kernel_frame return
     SVD frames, and a coordinate frame is exact.  Anything else goes
-    through orthonormal_frame's SVD.
+    through orthonormal_frame's SVD.  A real extra frame stays real.
     """
     alphabets = sorted({pair.Z.d for pair in pairs} - {d})
     if alphabets:
@@ -440,7 +440,8 @@ def _combined_kernel_frame(pairs, N, extra_frame, d):
             raise ShapeMismatchError(
                 f"extra frame has {np.shape(extra_frame)[0]} rows, expected "
                 f"FockBasis({d}, {N}).dim = {dim}")
-        frame = np.asarray(extra_frame, dtype=complex)
+        frame = np.asarray(extra_frame)
+        frame = frame.astype(complex if frame.dtype.kind == "c" else float)
         if not np.isfinite(frame).all():
             raise ValueError("extra_frame has non-finite entries")
         cols.append(frame)
@@ -499,14 +500,17 @@ def blaschke_defect(theta, pairs, N=None, col_degree=None, window=None,
     if N is None:
         N = theta.max_degree
     QK = _combined_kernel_frame(pairs, N, extra_frame, theta.d)
-    return _blaschke_defect(theta, QK, N, col_degree, window)
+    return _blaschke_defect(theta, QK, FockBasis(theta.d, N), col_degree,
+                            window)
 
 
-def _blaschke_defect(theta, QK, N, col_degree=None, window=None):
-    """blaschke_defect against the orthonormal kernel frame QK."""
+def _blaschke_defect(theta, QK, basis, col_degree=None, window=None):
+    """blaschke_defect against the orthonormal kernel frame QK over the
+    basis: theta's columns are one scatter, the window a leading slice."""
     if not any(np.any(m) for m in theta.coeffs.values()):
         raise ValueError("Blaschke defect of the zero series")
-    valid = N - theta.degree()
+    N = basis.max_degree
+    valid = validity_window(theta, N)
     if col_degree is None:
         col_degree = valid if valid >= 1 else min(3, N)
     if window is None:
@@ -517,11 +521,10 @@ def _blaschke_defect(theta, QK, N, col_degree=None, window=None):
     if col_degree > N:
         raise ValidityWindowError(
             f"column degree {col_degree} exceeds truncation order {N}")
-    basis = FockBasis(theta.d, N)
-    R = orthonormal_frame(mult_operator(theta, basis).restricted(col_degree))
-    cut = basis.indices_through_degree(window)
-    R, QK = R[cut], QK[cut]
-    Dmat = np.eye(cut.size) - R @ R.conj().T - QK @ QK.conj().T
+    R = orthonormal_frame(_mult_columns(theta, basis, col_degree))
+    n = basis.degree_start(min(window, N) + 1)
+    R, QK = R[:n], QK[:n]
+    Dmat = np.eye(n) - R @ R.conj().T - QK @ QK.conj().T
     return float(np.linalg.norm(Dmat, 2))
 
 
@@ -555,7 +558,7 @@ def singular_test(S, rng=None, num_samples=200):
     report["min_sample_sigma"] = float(min_sigma)
     for r in (0.5, 0.9):
         Sr = rescale(S, r)
-        lam = toeplitz_min_eig(toeplitz_data(Sr), S.d, _validity_window(Sr))
+        lam = toeplitz_min_eig(toeplitz_data(Sr), S.d, validity_window(Sr))
         report["r_grid"][r] = float(np.sqrt(max(lam, 0.0)))
     report["singular"] = bool(
         s0 > tol and min_sigma > tol
@@ -569,26 +572,31 @@ def _wandering_vector(QK, basis):
 
     QK is invariant under the backward shifts R_k^H, so the wandering space
     is exactly ran (I - QK QK^H) [e0, R_1 QK, ..., R_d QK].  Up to
-    SKETCH_COLS of those 1 + d r columns are taken as they are; more are
-    combined by a fixed real Gaussian into SKETCH_COLS (a range sketch:
-    Halko, Martinsson and Tropp, SIAM Rev. 2011), which counts at most
-    SKETCH_COLS.  R_k is a gather over the triples (k, w, w k), so no
-    D x D matrix is built.  count is the numerical rank of the projected
-    columns Y and w is Y's largest column, normalized: a real coordinate
-    frame gives exact zeros and an exact +-1.
+    SKETCH_COLS of those n = 1 + d r columns are taken as they are; more
+    are combined by a fixed real Gaussian (a range sketch: Halko,
+    Martinsson and Tropp, SIAM Rev. 2011), drawn again at twice the width
+    while its rank is full, up to the n columns.  R_k is a gather over the
+    triples (k, w, w k), so no D x D matrix is built.  count is the
+    numerical rank of the projected columns Y and w is Y's largest column,
+    normalized: a real coordinate frame gives exact zeros and an exact +-1.
     """
     d, r = basis.d, QK.shape[1]
-    G = (np.eye(1 + d * r) if 1 + d * r <= SKETCH_COLS else
-         np.random.default_rng(0).standard_normal((1 + d * r, SKETCH_COLS)))
-    X = np.zeros((basis.dim, G.shape[1]), dtype=complex)
-    X[0] = G[0]
-    KG = QK @ G[1:].reshape(d, r, -1)
+    n, b = 1 + d * r, SKETCH_COLS
     # R_k moves row w to row w k; the word (k,) sits at basis index k
     s, mu, cat = word_triples(d, basis.max_degree)
     one = (s >= 1) & (s <= d)
-    X[cat[one]] = KG[s[one] - 1, mu[one]]
-    Y = X - QK @ (QK.conj().T @ X)
-    count = numerical_rank(Y)
+    while True:
+        G = (np.eye(n) if n <= b else
+             np.random.default_rng(0).standard_normal((n, b)))
+        X = np.zeros((basis.dim, G.shape[1]), dtype=complex)
+        X[0] = G[0]
+        KG = QK @ G[1:].reshape(d, r, -1)
+        X[cat[one]] = KG[s[one] - 1, mu[one]]
+        Y = X - QK @ (QK.conj().T @ X)
+        count = numerical_rank(Y)
+        if n <= b or count < b:
+            break
+        b *= 2
     if count != 1:
         return count, None
     w = Y[:, np.argmax(np.linalg.norm(Y, axis=0))]
@@ -646,18 +654,16 @@ def blaschke_singular_split(theta, pairs, N=None, extra_frame=None,
                    "reconstruction_error": 0.0}
         return SplitResult(one, theta.copy(), 0, defects, flags)
 
-    defect = _blaschke_defect(theta, QK, N)
     basis = FockBasis(theta.d, N)
+    defect = _blaschke_defect(theta, QK, basis)
     count, w = _wandering_vector(QK, basis)
     if count != 1:
         defects = {"blaschke_defect": defect, "wandering_count": count}
         return SplitResult(one, theta.copy(), count, defects,
                            ["sampling-insufficient"])
     B, _ = phase_normalize(vec_to_series(w, basis))
-    degB = B.degree()
     S = shift_adjoint_apply(B, theta, N)
-    window = max(0, N - degB)
-    recon = max_coeff_diff(series_mul(B, S, N), theta, window)
+    recon = max_coeff_diff(series_mul(B, S, N), theta, validity_window(B))
     defects = {
         "blaschke_defect": defect,
         "reconstruction_error": recon,

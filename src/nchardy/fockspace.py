@@ -7,7 +7,7 @@ top degree.  Multiplying by a series f compresses f applied to the left
 creation tuple; the resulting matrix is exact on columns whose degree stays
 within the validity window N - deg(f), and meaningless beyond it.  Every
 defect-style question therefore carries an explicit degree limit, checked
-against that window.
+against that window; validity_window is its one definition.
 
 Every Fock-space matrix is built from the cached index triples
 (s, mu, mu s) of word concatenations: a multiplication operator is one
@@ -68,10 +68,6 @@ class FockBasis:
     def degree_start(self, k):
         """Index of the first word of length k."""
         return self._starts[k]
-
-    def indices_through_degree(self, k):
-        """All indices for words of length <= k."""
-        return np.arange(self._starts[min(k, self.max_degree) + 1])
 
     def __repr__(self):
         return f"FockBasis(d={self.d}, N={self.max_degree}, dim={self.dim})"
@@ -250,6 +246,12 @@ def _off_diagonal_bound(t, d, k):
     return 2.0 * float(np.linalg.svd(t[1:n], compute_uv=False)[:, 0].sum())
 
 
+def toeplitz_max_bound(t, d, k):
+    """lambda_max(t_empty) + off (_off_diagonal_bound): the top of the
+    largest eigenvalue's bracket, for the Gram of toeplitz_min_eig."""
+    return float(np.linalg.eigvalsh(t[0])[-1]) + _off_diagonal_bound(t, d, k)
+
+
 def toeplitz_min_eig(t, d, k):
     """Smallest eigenvalue of the NC Toeplitz Gram G on |v| <= k with data
     t = toeplitz_data(f) over d letters; the largest is
@@ -278,6 +280,37 @@ def toeplitz_min_eig(t, d, k):
     return 0.5 * (lo + hi)
 
 
+def validity_window(f, N=None):
+    """N - min(deg f, N): the largest column degree on which multiplication
+    by f, truncated at degree N (f.max_degree by default), is exact."""
+    if N is None:
+        N = f.max_degree
+    return N - min(f.degree(), N)
+
+
+def _check_degree_limit(degree_limit, valid):
+    """Refuse a column degree limit that is not an int in [0, valid]."""
+    if _int_size("degree limit", degree_limit) < 0:
+        raise ValueError(f"degree limit {degree_limit} is negative")
+    if degree_limit > valid:
+        raise ValidityWindowError(
+            f"degree limit {degree_limit} exceeds validity window {valid}")
+
+
+def _mult_columns(f, basis, k):
+    """Columns f z^v, |v| <= k, of multiplication by f on the basis, as a
+    (dim * rows, D_k * cols) array: block (mu s, s) is f_mu over the word
+    triples with s among the first D_k words.  Words past N are dropped."""
+    coeffs = coeff_stack(f, basis)
+    D, p, q = coeffs.shape
+    s, mu, cat = word_triples(basis.d, basis.max_degree)
+    n = basis.degree_start(k + 1)
+    keep = s < n
+    M = np.zeros((D, p, n, q), dtype=complex)
+    M[cat[keep], :, s[keep], :] = coeffs[mu[keep]]
+    return M.reshape(D * p, n * q)
+
+
 class OperatorMatrix:
     """A dense matrix on truncated Fock space with bookkeeping.
 
@@ -293,32 +326,12 @@ class OperatorMatrix:
         self.cols = int(cols)
         self.valid_degree = int(valid_degree)
 
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def column_indices(self, degree_limit):
-        """Flat column indices belonging to words of length <= degree_limit."""
-        idx = self.basis.indices_through_degree(degree_limit)
-        return (idx[:, None] * self.cols + np.arange(self.cols)).reshape(-1)
-
     def restricted(self, degree_limit):
-        """Columns for words of length <= degree_limit."""
-        return self.mat[:, self.column_indices(degree_limit)]
-
-    def symbol(self):
-        """The series whose multiplication this matrix truncates.
-
-        Reads the vacuum column block, which holds the coefficients of f
-        exactly (multiplying the constant 1 reproduces f up to degree N).
-        """
-        q = self.cols
-        return vec_to_series(self.mat[:, 0:q], self.basis, rows=self.rows,
-                             cols=q)
-
-    def __repr__(self):
-        return (f"OperatorMatrix(shape={self.mat.shape}, "
-                f"valid_degree={self.valid_degree})")
+        """Columns for words of length <= degree_limit, which come first."""
+        k = min(degree_limit, self.basis.max_degree)
+        if k < 0:
+            raise ValueError(f"degree limit {degree_limit} is negative")
+        return self.mat[:, :self.basis.degree_start(k + 1) * self.cols]
 
 
 def mult_operator(f, basis=None):
@@ -326,33 +339,24 @@ def mult_operator(f, basis=None):
 
     Maps the word-major stacking of g (with cols(f) channels) to that of
     f * g.  Exact on columns of degree <= valid_degree = N - deg(f); beyond
-    that, products spill past the truncation and rows are missing.
-    Block (mu s, s) is f_mu for each triple of word_triples, written once;
-    words of f past the basis degree are dropped.  The basis defaults to
+    that, products spill past the truncation and rows are missing.  The
+    matrix is the scatter _mult_columns at k = N; the basis defaults to
     words of length <= N.
     """
     if basis is None:
         basis = FockBasis(f.d, f.max_degree)
-    coeffs = coeff_stack(f, basis)
-    D, p, q = coeffs.shape
     N = basis.max_degree
-    s, mu, cat = word_triples(basis.d, N)
-    M = np.zeros((D, p, D, q), dtype=complex)
-    M[cat, :, s, :] = coeffs[mu]
-    valid = N - min(f.degree(), N)
-    return OperatorMatrix(M.reshape(D * p, D * q), basis, p, q, valid)
+    return OperatorMatrix(_mult_columns(f, basis, N), basis, f.rows, f.cols,
+                          validity_window(f, N))
 
 
 def isometry_defect(op, degree_limit):
     """Spectral-norm deviation of the column Gram from the identity.
 
-    Only columns of degree <= degree_limit enter.  Asking past the validity
-    window would measure truncation, not the operator, so that is an error.
+    Only columns of degree <= degree_limit enter, an int within the validity
+    window: past it the defect would measure truncation, not the operator.
     """
-    if degree_limit > op.valid_degree:
-        raise ValidityWindowError(
-            f"degree limit {degree_limit} exceeds validity window "
-            f"{op.valid_degree}")
+    _check_degree_limit(degree_limit, op.valid_degree)
     C = op.restricted(degree_limit)
     G = C.conj().T @ C
     return float(np.linalg.norm(G - np.eye(G.shape[0]), 2))
@@ -394,8 +398,7 @@ def wandering_dimension(op):
     generators.
     """
     C_all = op.restricted(op.valid_degree)
-    start = op.basis.degree_start(1) * op.cols
-    return numerical_rank(C_all) - numerical_rank(C_all[:, start:])
+    return numerical_rank(C_all) - numerical_rank(C_all[:, op.cols:])
 
 
 def wandering_dimension_profile(f, r_grid):

@@ -19,7 +19,6 @@ from .errors import (
     InadmissiblePointError,
     NotInnerError,
     ShapeMismatchError,
-    ValidityWindowError,
 )
 from .evaluate import (
     MatrixPoint,
@@ -30,12 +29,14 @@ from .evaluate import (
 )
 from .fockspace import (
     FockBasis,
-    _off_diagonal_bound,
+    _check_degree_limit,
     orthonormal_frame,
     toeplitz_data,
+    toeplitz_max_bound,
     toeplitz_min_eig,
+    validity_window,
 )
-from .ncseries import NcSeries, _int_size, series_mul
+from .ncseries import NcSeries, series_mul
 
 # Default residual tolerance for singularity membership.
 SING_TOL = 1e-8
@@ -49,11 +50,6 @@ INNER_TOL = 1e-8
 INNER_TOL_WINDOW0 = 0.25
 
 
-def _validity_window(theta):
-    N = theta.max_degree
-    return N - min(theta.degree(), N)
-
-
 def inner_defect(theta, degree_limit=None):
     """Isometry defect of multiplication by theta, at the largest column
     degree its truncation supports (or a smaller requested one).
@@ -63,22 +59,16 @@ def inner_defect(theta, degree_limit=None):
     which is exact on the validity window.  Both eigenvalues come from
     fockspace.toeplitz_min_eig on theta's data t and on -t: no Gram is
     built, and an exact inner (t_s = 0 for s != empty) or window 0 needs
-    no tree call, nor the lambda_max side when the top of its bracket,
-    -1 - (c - off) as toeplitz_min_eig(-t) has it, is <= 1 - lambda_min.
+    no tree call, nor the lambda_max side when the top of its bracket
+    (fockspace.toeplitz_max_bound) less 1 is <= 1 - lambda_min.
     """
-    valid = _validity_window(theta)
+    valid = validity_window(theta)
     if degree_limit is None:
         degree_limit = valid
-    if _int_size("degree limit", degree_limit) < 0:
-        raise ValueError(f"degree limit {degree_limit} is negative")
-    if degree_limit > valid:
-        raise ValidityWindowError(
-            f"degree limit {degree_limit} exceeds validity window {valid}")
+    _check_degree_limit(degree_limit, valid)
     t = toeplitz_data(theta)
     low = 1.0 - toeplitz_min_eig(t, theta.d, degree_limit)
-    c = float(np.linalg.eigvalsh(-t[0])[0])
-    off = _off_diagonal_bound(-t, theta.d, degree_limit)
-    if -1.0 - (c - off) <= low:
+    if toeplitz_max_bound(t, theta.d, degree_limit) - 1.0 <= low:
         return low
     return max(low, -1.0 - toeplitz_min_eig(-t, theta.d, degree_limit))
 
@@ -91,7 +81,7 @@ def check_inner(theta):
     test, which cannot separate truncation error from a genuine defect, so
     the gate widens to INNER_TOL_WINDOW0 there.
     """
-    valid = _validity_window(theta)
+    valid = validity_window(theta)
     tol = INNER_TOL if valid >= 1 else INNER_TOL_WINDOW0
     defect = inner_defect(theta, valid)
     if defect > tol:

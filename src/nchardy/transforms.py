@@ -136,8 +136,7 @@ def cayley_herglotz(B, N=None):
     if N is None:
         N = B.max_degree
     Bn = B.with_max_degree(N)
-    one = NcSeries.identity(B.rows, B.d, N) if B.rows > 1 else \
-        NcSeries.constant(1.0, B.d, N)
+    one = NcSeries.identity(B.rows, B.d, N)
     return series_mul(series_invert(one - Bn, N), one + Bn, N)
 
 

@@ -14,6 +14,7 @@ from nchardy.fockspace import (
     series_to_vec,
     toeplitz_data,
     toeplitz_min_eig,
+    validity_window,
     vec_to_series,
     wandering_dimension,
     wandering_dimension_profile,
@@ -27,6 +28,7 @@ from nchardy.ncseries import (
 )
 
 from dense_wandering import wandering_projection, wandering_vectors
+from fock_helpers import column_indices, indices_through_degree, symbol
 
 
 def test_basis_enumeration_and_dimension():
@@ -37,7 +39,7 @@ def test_basis_enumeration_and_dimension():
     assert b.words[3:7] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert b.index_of((2, 1)) == 5
     assert b.degree_start(2) == 3
-    assert list(b.indices_through_degree(1)) == [0, 1, 2]
+    assert list(indices_through_degree(b, 1)) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("word", [(1.7,), (2.0,), ("1",), (1, 2.9)])
@@ -102,7 +104,7 @@ def test_right_shift_appends():
 
 def test_shifts_are_isometries_with_orthogonal_ranges():
     b = FockBasis(2, 4)
-    cut = b.indices_through_degree(3)
+    cut = indices_through_degree(b, 3)
     L1 = left_shift_matrix(b, 1)
     L2 = left_shift_matrix(b, 2)
     G11 = (L1.T @ L1)[np.ix_(cut, cut)]
@@ -124,7 +126,7 @@ def test_mult_operator_symbol_and_window():
     V = commutator_inner(max_degree=5)
     op = mult_operator(V)
     assert op.valid_degree == 3
-    sym = op.symbol()
+    sym = symbol(op)
     assert max_coeff_diff(sym, V, 5) == 0.0
 
 
@@ -147,6 +149,39 @@ def test_isometry_defect_window_enforced():
     assert isometry_defect(op, 3) < 1e-14
     with pytest.raises(ValidityWindowError):
         isometry_defect(op, 4)
+
+
+@pytest.mark.parametrize("limit", [-1, -2, 2.5, True])
+def test_isometry_defect_refuses_a_bad_degree_limit(limit):
+    # -1 read no column (0.0) and -2 wrapped round to every column (1.0)
+    op = mult_operator(commutator_inner(max_degree=8))
+    with pytest.raises(ValueError):
+        isometry_defect(op, limit)
+    if limit < 0:
+        with pytest.raises(ValueError):
+            op.restricted(limit)
+
+
+@pytest.mark.parametrize("f", [
+    NcSeries.constant(0.5, 2, 4), NcSeries.monomial((1,), 2, 4),
+    commutator_inner(max_degree=5), NcSeries.monomial((2, 1, 2, 2), 2, 4),
+    NcSeries(2, 1, 1, 3, {})], ids=["const", "z1", "V", "top", "zero"])
+def test_validity_window_matches_the_inline_forms(f):
+    m = f.degree()
+    assert validity_window(f) == f.max_degree - min(m, f.max_degree)
+    for N in range(7):
+        got = validity_window(f, N)
+        assert got == N - min(m, N)
+        # truncated at N, as outer_defect and the split's B read it
+        hN = f.truncate(N)
+        assert validity_window(hN, N) == max(N - hN.degree(), 0)
+        # _blaschke_defect only asks whether a column degree is valid
+        assert (got >= 1) == (N - m >= 1)
+        if m <= N:
+            # inner_outer's N - m and N - outer.degree()
+            assert got == N - m
+        else:
+            assert got == 0
 
 
 def test_commutator_inner_is_isometric_on_window():
@@ -222,5 +257,5 @@ def test_column_indices_layout():
     b = FockBasis(2, 2)
     f = NcSeries(2, 1, 2, 2, {(): np.array([[1.0, 0.0]])})
     op = mult_operator(f, b)
-    idx = op.column_indices(0)
+    idx = column_indices(op, 0)
     assert list(idx) == [0, 1]

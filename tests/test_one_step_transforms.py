@@ -33,6 +33,8 @@ from nchardy.transforms import (
     idempotent_split,
 )
 
+from fock_helpers import indices_through_degree
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nchardy.__file__)))
 
 
@@ -128,7 +130,7 @@ def loop_eigenvector_shift(h, V, w, r, basis):
         out += term
     Mr = mult_operator(rescale(V, r), basis).mat
     res_vec = Mr.conj().T @ out - np.conj(w) * out
-    cut = basis.indices_through_degree(basis.max_degree - n)
+    cut = indices_through_degree(basis, basis.max_degree - n)
     return out, float(np.linalg.norm(res_vec[cut]))
 
 

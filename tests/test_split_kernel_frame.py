@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nchardy import factorization
+from nchardy import factorization, fockspace
 from nchardy.classical import atomic_singular, blaschke_product, jordan_pair
 from nchardy.evaluate import MatrixPoint
 from nchardy.factorization import (
@@ -54,6 +54,7 @@ from dense_wandering import (
     wandering_projection,
     wandering_vectors,
 )
+from fock_helpers import indices_through_degree, symbol
 
 N = 8
 TS = (0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -89,7 +90,7 @@ def reference_defect(theta, pairs, N, extra_frame):
     Pperp = np.eye(basis.dim, dtype=complex) - frame @ frame.conj().T
     QK = reference_kernel_frame(pairs, N, extra_frame, theta.d)
     PK = QK @ QK.conj().T
-    cut = basis.indices_through_degree(window)
+    cut = indices_through_degree(basis, window)
     return float(np.linalg.norm((Pperp - PK)[np.ix_(cut, cut)], 2))
 
 
@@ -359,7 +360,7 @@ def test_vec_to_series_keeps_every_nonzero_block(make, args):
                                   for w in basis.words[:40:3]})
     for f in (theta, wide):
         op = mult_operator(f, basis)
-        assert_same_terms(op.symbol(), loop_vec_to_series(
+        assert_same_terms(symbol(op), loop_vec_to_series(
             op.mat[:, :f.cols], basis, f.rows, f.cols))
 
 
@@ -417,6 +418,32 @@ def test_split_takes_a_coordinate_frame_as_given(monkeypatch, t):
                           N) == 0.0
     # only the range frame of the Blaschke defect takes an SVD
     assert len(calls) == 1
+
+
+def test_split_builds_no_multiplication_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense multiplication operator built")
+
+    monkeypatch.setattr(fockspace, "mult_operator", refuse)
+    monkeypatch.setattr(factorization, "mult_operator", refuse)
+    for t in (0.3, 0.65, 1.0):
+        theta, pairs, frame = blaschke_times_sigma((1,), t)
+        res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
+        assert res.flags == []
+        assert max_coeff_diff(res.blaschke, NcSeries.monomial((1,), 2, N),
+                              N) == 0.0
+
+
+def test_a_full_rank_sketch_is_drawn_again_wider():
+    # 1 + d r = 8 columns exceed the first sketch's 6, and all but the
+    # vacuum are wandering: the first sketch has full rank and misses one
+    z1 = NcSeries.monomial((1,), 7, 2)
+    basis = FockBasis(7, 2)
+    e0 = np.eye(basis.dim)[:, :1]
+    res = blaschke_singular_split(z1, [], N=2, extra_frame=e0)
+    assert res.flags == ["sampling-insufficient"]
+    assert res.defects["wandering_count"] == 7
+    assert dense_wandering_vector(e0.astype(complex), basis)[0] == 7
 
 
 def test_split_of_a_zero_rank_frame_takes_the_no_pairs_path():

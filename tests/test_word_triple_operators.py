@@ -22,6 +22,7 @@ from nchardy.factorization import inner_outer
 from nchardy.fockspace import (
     RANK_REL,
     FockBasis,
+    _mult_columns,
     mult_operator,
 )
 from nchardy.kernels import (
@@ -32,6 +33,8 @@ from nchardy.kernels import (
 )
 from nchardy.ncseries import NcSeries, rescale, series_mul
 from nchardy.transforms import semigroup_inner
+
+from fock_helpers import column_indices
 
 
 def loop_mult_operator(f, basis):
@@ -149,6 +152,20 @@ def test_mult_operator_matches_word_loop(f, basis_N):
     assert (op.rows, op.cols) == (f.rows, f.cols)
 
 
+@pytest.mark.parametrize("d, N", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_column_scatter_is_the_leading_columns_of_mult_operator(d, N, p, q):
+    rng = np.random.default_rng(10 * d + 3 * p + q)
+    basis = FockBasis(d, N)
+    for deg in (0, N - 1, N):
+        f = random_series(rng, d, N, p, q, deg=deg)
+        M = mult_operator(f, basis).mat
+        for k in range(N + 1):
+            cols = _mult_columns(f, basis, k)
+            assert cols.dtype == M.dtype
+            assert np.array_equal(cols, M[:, :basis.degree_start(k + 1) * q])
+
+
 def test_dense_inner_fills_every_word():
     assert len(dense_inner().coeffs) == 364
 
@@ -201,7 +218,7 @@ def test_mult_operator_is_multiplicative_on_window(d, N, deg_f, deg_g,
     basis = FockBasis(d, N)
     window = N - deg_f - deg_g
     Mg = mult_operator(g, basis)
-    cols = Mg.column_indices(window)
+    cols = column_indices(Mg, window)
     lhs = mult_operator(f, basis).mat @ Mg.mat[:, cols]
     rhs = mult_operator(series_mul(f, g), basis).mat[:, cols]
     scale = 1.0 + np.abs(rhs).max()

@@ -45,12 +45,7 @@ def _disk_coeffs(p):
 
 
 def _coeffs_to_series(c, N):
-    coeffs = {}
-    for j, val in enumerate(c):
-        if j > N:
-            break
-        if val != 0.0:
-            coeffs[(1,) * j] = complex(val)
+    coeffs = {(1,) * j: complex(val) for j, val in enumerate(c[:N + 1])}
     return NcSeries(1, 1, 1, N, coeffs)
 
 

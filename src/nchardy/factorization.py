@@ -111,17 +111,17 @@ class FactorizationResult:
 
 
 def autocorrelation(H, m=None):
-    """t_s(H) = sum_m coeff(H, m)^H coeff(H, m s) for |s| <= m.
+    """t_s(H) = sum_mu H_mu^H H_{mu s} over all of H, for |s| <= m.
 
     These matrices are blind to inner factors on the left: if H = B F with
     B inner then t_s(H) = t_s(F), which is what makes them the right data
     for recovering the outer part.
     """
-    if m is None:
-        m = H.degree()
-    basis = FockBasis(H.d, m)
-    t = autocorrelation_stack(coeff_stack(H, basis), H.d, m)
-    return dict(zip(basis.words, t))
+    deg = H.degree()
+    m = deg if m is None else m
+    basis = FockBasis(H.d, max(m, deg))
+    t = autocorrelation_stack(coeff_stack(H, basis), H.d, basis.max_degree)
+    return dict(zip(basis.words[:basis.degree_start(m + 1)], t))
 
 
 class _OuterProblem:
@@ -507,7 +507,7 @@ def blaschke_defect(theta, pairs, N=None, col_degree=None, window=None,
 def _blaschke_defect(theta, QK, basis, col_degree=None, window=None):
     """blaschke_defect against the orthonormal kernel frame QK over the
     basis: theta's columns are one scatter, the window a leading slice."""
-    if not any(np.any(m) for m in theta.coeffs.values()):
+    if not theta.coeffs:
         raise ValueError("Blaschke defect of the zero series")
     N = basis.max_degree
     valid = validity_window(theta, N)
@@ -588,7 +588,7 @@ def _wandering_vector(QK, basis):
     while True:
         G = (np.eye(n) if n <= b else
              np.random.default_rng(0).standard_normal((n, b)))
-        X = np.zeros((basis.dim, G.shape[1]), dtype=complex)
+        X = np.zeros((basis.dim, G.shape[1]), dtype=np.result_type(QK, G))
         X[0] = G[0]
         KG = QK @ G[1:].reshape(d, r, -1)
         X[cat[one]] = KG[s[one] - 1, mu[one]]
@@ -708,7 +708,7 @@ def bso_factor(H, N=None, pairs=(), extra_frame=None, rng=None,
         defects["note"] = "wandering dimension != 1; split not attempted"
         return BsoResult(io.inner, None, io.outer, io.wandering_dim,
                          defects, ["sampling-insufficient"])
-    if io.inner.degree() == 0 and len(io.inner.coeffs) <= 1:
+    if io.inner.degree() == 0:
         # constant inner: nothing to split
         defects = dict(io.defects)
         one = NcSeries.constant(1.0, H.d, io.inner.max_degree)

@@ -135,7 +135,6 @@ def szego_kernel(Z, y, v, N):
 
     The coefficient at word w is (Z^w v)* y = v* (Z^w)* y, so that the
     pairing against a polynomial f of degree <= N gives y* f(Z) v exactly.
-    Exact zeros are not stored.
     """
     if not isinstance(Z, MatrixPoint):
         Z = MatrixPoint(Z)
@@ -145,7 +144,7 @@ def szego_kernel(Z, y, v, N):
         raise ShapeMismatchError(
             f"vectors must have length {Z.n}, got {y.size} and {v.size}")
     c = _adjoint_word_vectors(Z, y, N) @ v.conj()
-    coeffs = {w: m for w, m in zip(FockBasis(Z.d, N).words, c) if m != 0.0}
+    coeffs = dict(zip(FockBasis(Z.d, N).words, c))
     return KernelVector(NcSeries(Z.d, 1, 1, N, coeffs), Z, y, v)
 
 

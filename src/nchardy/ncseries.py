@@ -36,6 +36,17 @@ PRUNE_REL = 1e-15
 INVERT_REL = 1e-12
 
 
+def _nonzero(coeffs):
+    """coeffs without its all-zero blocks, found by one reduction over the
+    stacked blocks; coeffs itself when there are none."""
+    if not coeffs:
+        return coeffs
+    keep = np.stack(list(coeffs.values())).any(axis=(1, 2))
+    if keep.all():
+        return coeffs
+    return {w: m for (w, m), k in zip(coeffs.items(), keep) if k}
+
+
 def word_key(w):
     """Sort key implementing the degree-then-lex order on letter tuples."""
     return (len(w), w)
@@ -139,10 +150,11 @@ class NcSeries:
     integer) and copies every coefficient into a complex array, which must
     be finite.  Series
     built from checked ones go through ``_of``, which checks only the
-    ranges of the four sizes and adopts its dict as it is.  A derived
-    series owns its dict and may share coefficient arrays with its
-    source; no library code writes into a stored array, and ``copy()`` is
-    the one deep copy.
+    ranges of the four sizes and adopts its dict.  Both drop every
+    all-zero block, so a series stores exactly its nonzero coefficients.
+    A derived series owns its dict and may share coefficient arrays with
+    its source; no library code writes into a stored array, and
+    ``copy()`` is the one deep copy.
     """
 
     __slots__ = ("d", "rows", "cols", "max_degree", "coeffs")
@@ -159,16 +171,16 @@ class NcSeries:
                 raise ValueError(
                     f"word {w} longer than max_degree {self.max_degree}")
             store[w] = _as_matrix(m, self.rows, self.cols)
-        self.coeffs = store
+        self.coeffs = _nonzero(store)
 
     @classmethod
     def _of(cls, d, rows, cols, max_degree, coeffs):
         """Adopt coeffs, a fresh dict of complex (rows, cols) arrays on
         words in 1..d of length <= max_degree, without checking or copying
-        them."""
+        them; all-zero blocks are dropped."""
         f = object.__new__(cls)
         f._set_sizes(d, rows, cols, max_degree)
-        f.coeffs = coeffs
+        f.coeffs = _nonzero(coeffs)
         return f
 
     def _set_sizes(self, d, rows, cols, max_degree):
@@ -326,8 +338,6 @@ def series_add(f, g):
     for w, m in g.coeffs.items():
         if len(w) <= n:
             out[w] = out[w] + m if w in out else m
-    # exact-zero sums are dropped so f + (-f) is the empty series
-    out = {w: m for w, m in out.items() if np.any(m)}
     return NcSeries._of(f.d, f.rows, f.cols, n, out)
 
 
@@ -358,7 +368,6 @@ def series_mul(f, g, max_degree=None):
                 out[w] += prod
             else:
                 out[w] = prod
-    out = {w: m for w, m in out.items() if np.any(m)}
     return NcSeries._of(f.d, f.rows, g.cols, max_degree, out)
 
 
@@ -385,7 +394,6 @@ def shift_adjoint_apply(omega, H, out_degree=None):
                 coeffs[b] = coeffs[b] + term
             else:
                 coeffs[b] = term
-    coeffs = {w: m for w, m in coeffs.items() if np.any(m)}
     return NcSeries._of(H.d, H.rows, H.cols, out_degree, coeffs)
 
 
@@ -398,10 +406,7 @@ def rescale(f, r):
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"rescale parameter {r} outside [0, 1]")
-    if r == 0.0:
-        out = {w: m for w, m in f.coeffs.items() if not w}
-    else:
-        out = {w: (r ** len(w)) * m for w, m in f.coeffs.items()}
+    out = {w: (r ** len(w)) * m for w, m in f.coeffs.items()}
     return NcSeries._of(f.d, f.rows, f.cols, f.max_degree, out)
 
 

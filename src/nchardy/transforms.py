@@ -20,6 +20,7 @@ from .evaluate import evaluate_batch, random_points
 from .fockspace import FockBasis, series_to_vec, vec_to_series
 from .ncseries import (
     NcSeries,
+    _int_size,
     h2_norm,
     max_coeff_diff,
     rescale,
@@ -143,9 +144,9 @@ def cayley_herglotz(B, N=None):
 def herglotz_min_real(H, rng=None, num_samples=50):
     """Smallest eigenvalue of Re H(Z) over num_samples random points of
     row norm 0.6 and sizes 1, 2, 3 in turn (sampling evidence for the
-    Herglotz property; nonnegative up to tolerance).  Zero sample points
-    raise ValueError, since their minimum would read +inf."""
-    if num_samples < 1:
+    Herglotz property; nonnegative up to tolerance).  num_samples must be
+    an int >= 1: zero sample points would leave the minimum at +inf."""
+    if _int_size("num_samples", num_samples) < 1:
         raise ValueError("herglotz_min_real needs at least one sample point")
     rng = np.random.default_rng(0) if rng is None else rng
     worst = np.inf
@@ -184,7 +185,7 @@ def semigroup_inner(B, t, N=None):
     total = term
     for k in range(1, N + 1):
         term = series_mul(term, G, N).scale(-t / k)
-        if not any(np.any(m) for m in term.coeffs.values()):
+        if not term.coeffs:
             break
         total = total + term
     return total.scale(np.exp(-t * h0))
@@ -215,8 +216,9 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
         U = I + J (E' - P) = P E' + (I - P)(I - E'),   J = 2P - I,
 
     has U_0 = I and satisfies U E' = P E' = P U through degree N, since
-    E'^2 = E'.  So S = U C0^{-1} is invertible and S E S^{-1} = P; the
-    residual of that conjugation is checked and returned.  Exactly
+    E'^2 = E'.  So S = U C0^{-1} is invertible and S E S^{-1} = P; read
+    off E, S_0 = C0^{-1} and S_w = J C0^{-1} E_w for w nonempty.  The
+    residual of the conjugation is checked and returned.  Exactly
     idempotent inputs come out with machine-precision residuals.
     """
     n = E.rows
@@ -248,13 +250,11 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
 
     P = np.zeros((n, n))
     P[:m, :m] = np.eye(m)
-    C0inv = NcSeries.constant(np.linalg.inv(C0), E.d, N)
-    Ep = series_mul(series_mul(C0inv, En, N), NcSeries.constant(C0, E.d, N),
-                    N)
-    J = 2 * P - np.eye(n)
-    coeffs = {w: J @ M for w, M in Ep.coeffs.items() if w}
-    coeffs[()] = np.eye(n, dtype=complex)
-    S = series_mul(NcSeries._of(E.d, n, n, N, coeffs), C0inv, N)
+    C0inv = np.linalg.inv(C0)
+    JC0inv = (2 * P - np.eye(n)) @ C0inv
+    coeffs = {w: JC0inv @ M for w, M in En.coeffs.items() if w}
+    coeffs[()] = C0inv
+    S = NcSeries._of(E.d, n, n, N, coeffs)
     conj = series_mul(series_mul(S, En, N), series_invert(S, N), N)
     resid = max_coeff_diff(conj, NcSeries.constant(P, E.d, N), N)
     if resid > STRAIGHTEN_THRESHOLD:

@@ -771,7 +771,8 @@ def test_gram_certificate_is_sound_and_tight():
 
 @settings(max_examples=30, deadline=None)
 @given(polynomials(d=2, max_deg=2).filter(
-    lambda f: max(abs(m[0, 0]) for m in f.coeffs.values()) >= 0.1),
+    lambda f: max((abs(m[0, 0]) for m in f.coeffs.values()),
+                  default=0.0) >= 0.1),
     st.integers(0, 2))
 def test_inner_outer_of_scalar_polynomial_has_wandering_dim_one(f, extra):
     N = f.degree() + extra

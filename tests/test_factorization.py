@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nchardy import factorization
 from nchardy.classical import atomic_singular, blaschke_product, jordan_pair
 from nchardy.errors import (
     NotInvertibleError,
@@ -56,6 +57,15 @@ def test_autocorrelation_hand_values():
     assert t[(1,)][0, 0] == pytest.approx(0.5)
     assert t[(2,)][0, 0] == pytest.approx(0.0)
     assert t[(1, 1)][0, 0] == pytest.approx(0.0)
+
+
+def test_autocorrelation_below_the_degree_reads_all_of_h():
+    # t_s(H) = sum_mu H_mu^H H_{mu s} runs over every mu, however short s
+    H = NcSeries(1, 1, 1, 2, {(): 1.0, (1,): 1.0, (1, 1): 1.0})
+    t = autocorrelation(H, 1)
+    assert list(t) == [(), (1,)]
+    assert t[()][0, 0] == 3.0
+    assert t[(1,)][0, 0] == 2.0
 
 
 def test_autocorrelation_blind_to_left_inner_factor():
@@ -320,6 +330,25 @@ def test_split_mixed_branch_recovers_both_factors():
     # is exact only through degree N - 1
     assert max_coeff_diff(res.singular, sig, N - 1) < 1e-14
     assert res.defects["reconstruction_error"] < 1e-14
+
+
+def test_split_sketches_a_real_frame_in_real_arithmetic(monkeypatch):
+    # the benchmark's split: z1 sigma_t against the real coordinate frame
+    seen = []
+    rank = factorization.numerical_rank
+
+    def spy(Y):
+        seen.append(Y.dtype)
+        return rank(Y)
+
+    monkeypatch.setattr(factorization, "numerical_rank", spy)
+    N = 8
+    theta = series_mul(z1(N), semigroup_inner(z1(N), 0.5, N), N)
+    res = blaschke_singular_split(theta, [], N=N,
+                                  extra_frame=analytic_complement_frame(N))
+    assert seen and all(dt == np.float64 for dt in seen)
+    assert res.flags == []
+    assert max_coeff_diff(res.blaschke, z1(N), N) == 0.0
 
 
 def test_split_takes_the_wandering_vector_at_a_small_defect():

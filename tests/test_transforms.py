@@ -220,6 +220,13 @@ def test_herglotz_min_real_refuses_zero_sample_points(num_samples):
     assert herglotz_min_real(H, num_samples=1) == -5.0
 
 
+@pytest.mark.parametrize("num_samples", [2.5, True, "3"])
+def test_herglotz_min_real_refuses_non_integer_sample_counts(num_samples):
+    H = NcSeries(2, 1, 1, 2, {(): -5.0})
+    with pytest.raises(ValueError, match="not an integer"):
+        herglotz_min_real(H, num_samples=num_samples)
+
+
 def test_semigroup_constant_term_and_law():
     z1 = NcSeries.monomial((1,), 2, 8)
     t, s = 0.5, 0.25

@@ -26,11 +26,17 @@ from .evaluate import (
     pair_from_json_dict,
     point_from_json_dict,
     vector_from_json,
-    vector_to_json,
 )
 from .factorization import blaschke_singular_split, bso_factor
 from .kernels import SingularityPair, szego_kernel
-from .ncseries import _floats_from_json, from_json_dict, h2_norm, to_json_dict
+from .ncseries import (
+    _complex_from_json,
+    _complex_to_json,
+    _object_with_keys,
+    from_json_dict,
+    h2_norm,
+    to_json_dict,
+)
 from .transforms import (
     IDEMPOTENT_GATE,
     crofoot,
@@ -59,24 +65,20 @@ def _parse_complex(text, name):
 
 
 def _series_from_file(path, degree):
-    doc = _load_json(path, "series")
-    s = from_json_dict(doc)
+    """The series document at path, sized to --degree when it is given."""
+    s = from_json_dict(_load_json(path, "series"))
     if degree is not None:
-        if degree < 1:
-            raise SchemaError("degree must be >= 1", "degree")
         s = s.truncate(degree).with_max_degree(degree)
     return s
 
 
 def _pairs_from_file(path):
-    doc = _load_json(path, "pairs")
+    """The singularity pairs at path; none when no file is given."""
+    doc = _load_json(path, "pairs") if path else []
     if not isinstance(doc, list):
         raise SchemaError("pairs document must be a list", "pairs")
-    out = []
-    for i, obj in enumerate(doc):
-        Z, y = pair_from_json_dict(obj, f"pairs[{i}]")
-        out.append(SingularityPair(Z, y))
-    return out
+    return [SingularityPair(*pair_from_json_dict(obj, f"pairs[{i}]"))
+            for i, obj in enumerate(doc)]
 
 
 def _emit(report, out, force, started):
@@ -100,15 +102,11 @@ def _emit(report, out, force, started):
 
 
 def _json_default(obj):
-    """The reports' one encoder: a complex number is [re, im], so a
-    complex array is a nested list of [re, im] pairs."""
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    """The reports' one encoder: complex values take ncseries' JSON form,
+    [re, im] pairs."""
+    if np.iscomplexobj(obj):
+        return _complex_to_json(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -123,13 +121,19 @@ def _run(body):
 
     The body takes the command's parameters except --out and --force and
     returns its report and whether the outcome is diagnostic.  The runner
-    times it, emits the report and maps errors to the exit codes above.
+    checks the integer options against their floors, runs and times the
+    body, writes the report's "command" and "timestamp", emits it and
+    maps errors to the exit codes above.
     """
     @functools.wraps(body)
     def callback(out, force, **params):
         started = time.perf_counter()
         try:
+            for name, low in (("degree", 1), ("samples", 1), ("seed", 0)):
+                if params.get(name) is not None and params[name] < low:
+                    raise SchemaError(f"{name} must be >= {low}", name)
             report, diagnostic = body(**params)
+            report["command"] = click.get_current_context().command.name
             _emit(report, out, force, started)
         except DiagnosticError as exc:
             _fail({"message": str(exc), "diagnostic": True}, 2)
@@ -175,15 +179,6 @@ split_options = _options(
 )
 
 
-def _split_args(pairs_path, samples, seed):
-    """Singularity pairs and split keyword arguments from split_options."""
-    if samples < 1:
-        raise SchemaError("samples must be >= 1", "samples")
-    pairs = _pairs_from_file(pairs_path) if pairs_path else []
-    return pairs, {"rng": np.random.default_rng(seed),
-                   "num_samples": samples}
-
-
 @click.group()
 def main():
     """Free Hardy-space computations on JSON documents."""
@@ -198,13 +193,12 @@ def main():
 def factor(series_path, pairs_path, samples, seed, degree):
     """Inner-outer plus Blaschke/singular split with defect report."""
     H = _series_from_file(series_path, degree)
-    pairs, kwargs = _split_args(pairs_path, samples, seed)
-    res = bso_factor(H, N=degree, pairs=pairs, **kwargs)
+    res = bso_factor(H, pairs=_pairs_from_file(pairs_path),
+                     rng=np.random.default_rng(seed), num_samples=samples)
     report = {
-        "command": "factor",
         "inputs": {"series": to_json_dict(H),
                    "pairs": pairs_path or None},
-        "parameters": {"degree": degree or H.max_degree, "seed": seed,
+        "parameters": {"degree": H.max_degree, "seed": seed,
                        "samples": samples},
         "outputs": {
             "blaschke": to_json_dict(res.blaschke),
@@ -232,9 +226,8 @@ def eval_cmd(series_path, point_path, degree):
     Z = point_from_json_dict(point)
     val = evaluate(f, Z)
     report = {
-        "command": "eval",
         "inputs": {"series": to_json_dict(f), "point": point},
-        "parameters": {"degree": degree or f.max_degree},
+        "parameters": {"degree": f.max_degree},
         "outputs": {
             "value": val,
             "row_norm": Z.row_norm(),
@@ -255,17 +248,14 @@ def eval_cmd(series_path, point_path, degree):
 def kernel(point_path, y_path, v_path, degree):
     """Materialize a Szego kernel vector at a point."""
     N = degree if degree is not None else 8
-    if N < 1:
-        raise SchemaError("degree must be >= 1", "degree")
     point = _load_json(point_path, "point")
     Z = point_from_json_dict(point)
     y = vector_from_json(_load_json(y_path, "y"), Z.n, "y")
     v = vector_from_json(_load_json(v_path, "v"), Z.n, "v")
     K = szego_kernel(Z, y, v, N)
     report = {
-        "command": "kernel",
         "inputs": {"point": point,
-                   "y": vector_to_json(y), "v": vector_to_json(v)},
+                   "y": y, "v": v},
         "parameters": {"degree": N},
         "outputs": {"kernel": to_json_dict(K.series),
                     "h2_norm": h2_norm(K.series)},
@@ -283,14 +273,14 @@ def kernel(point_path, y_path, v_path, degree):
 def classify(series_path, pairs_path, samples, seed, degree):
     """Blaschke/singular classification of an inner series."""
     theta = _series_from_file(series_path, degree)
-    pairs, kwargs = _split_args(pairs_path, samples, seed)
-    sp = blaschke_singular_split(theta, pairs, N=degree, **kwargs)
+    sp = blaschke_singular_split(theta, _pairs_from_file(pairs_path),
+                                 rng=np.random.default_rng(seed),
+                                 num_samples=samples)
     defect = sp.defects.get("blaschke_defect")
     report = {
-        "command": "classify",
         "inputs": {"series": to_json_dict(theta),
                    "pairs": pairs_path or None},
-        "parameters": {"degree": degree or theta.max_degree,
+        "parameters": {"degree": theta.max_degree,
                        "seed": seed, "samples": samples},
         "outputs": {
             "blaschke": to_json_dict(sp.blaschke),
@@ -317,11 +307,10 @@ def _mobius_command(name, transform):
     def cmd(series_path, w_text, degree):
         theta = _series_from_file(series_path, degree)
         w = _parse_complex(w_text, "w")
-        res = transform(theta, w, degree or theta.max_degree)
+        res = transform(theta, w)
         report = {
-            "command": name,
             "inputs": {"series": to_json_dict(theta), "w": w},
-            "parameters": {"degree": degree or theta.max_degree},
+            "parameters": {"degree": theta.max_degree},
             "outputs": {name: to_json_dict(res)},
             "defects": {"window0_defect": abs(h2_norm(res) ** 2 - 1.0)},
         }
@@ -346,12 +335,10 @@ _mobius_command("crofoot", crofoot)
 def semigroup(series_path, t_val, degree):
     """Singular inner exp(-t H_B) from an inner B."""
     B = _series_from_file(series_path, degree)
-    N = degree or B.max_degree
-    Bt = semigroup_inner(B, t_val, N)
+    Bt = semigroup_inner(B, t_val)
     report = {
-        "command": "semigroup",
         "inputs": {"series": to_json_dict(B), "t": t_val},
-        "parameters": {"degree": N},
+        "parameters": {"degree": B.max_degree},
         "outputs": {"semigroup_inner": to_json_dict(Bt),
                     "constant_term": Bt.scalar_coeff(())},
         "defects": {"window0_defect": abs(h2_norm(Bt) ** 2 - 1.0)},
@@ -373,12 +360,10 @@ def idempotent(series_path, tol, degree):
     # residual falls below a negative gate; 0 asks for exactness
     if tol is not None and not 0 <= tol < np.inf:
         raise SchemaError(f"tol must be finite and >= 0, got {tol}", "tol")
-    sp = idempotent_split(E, N=degree,
-                          gate=IDEMPOTENT_GATE if tol is None else tol)
+    sp = idempotent_split(E, gate=IDEMPOTENT_GATE if tol is None else tol)
     report = {
-        "command": "idempotent",
         "inputs": {"series": to_json_dict(E)},
-        "parameters": {"degree": degree or E.max_degree, "gate": tol},
+        "parameters": {"degree": E.max_degree, "gate": tol},
         "outputs": {
             "S": to_json_dict(sp.S),
             "P": sp.P,
@@ -396,21 +381,17 @@ def idempotent(series_path, tol, degree):
 @_run
 def compare_classical(poly_path, degree):
     """Cross-check the d=1 pipeline against classical factorization."""
-    doc = _load_json(poly_path, "poly")
-    if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
-        raise SchemaError("poly document must have exactly the key "
-                          "'coeffs'", "poly")
+    doc = _object_with_keys(_load_json(poly_path, "poly"), ("coeffs",),
+                            "poly", "poly document")
     raw = doc["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("coeffs must be a nonempty list", "poly.coeffs")
-    arr = _floats_from_json(raw, "poly.coeffs", "coefficient")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise SchemaError("each coefficient must be [re, im]", "poly.coeffs")
-    rep = compare_with_nc(arr[:, 0] + 1j * arr[:, 1], N=degree)
+    rep = compare_with_nc(_complex_from_json(raw, "poly.coeffs",
+                                             "coefficient", (len(raw),)),
+                          N=degree)
     pairs_out = [{k: v for k, v in jp.items() if k != "pair"}
                  for jp in rep["jordan_pairs"]]
     report = {
-        "command": "compare-classical",
         "inputs": {"poly": doc},
         "parameters": {"degree": degree},
         "outputs": {

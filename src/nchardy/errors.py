@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from NcError so callers can catch one
-type at the CLI boundary.  Diagnostic outcomes (e.g. sampling that was too
-thin to classify an inner function) are NOT exceptions; they are flagged
-fields on result objects.
+type at the CLI boundary.  Evidence too thin for a clean verdict (a split
+with no singularity data, or insufficient sampling) is a flag on the
+result object (``flags``, ``diagnostic``); a numerical construction that
+collapsed (spectral_outer's solve, the wandering certificate, the outer
+defect, idempotent_split) raises DiagnosticError.  The CLI exits 2 on both.
 """
 
 

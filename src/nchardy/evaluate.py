@@ -17,7 +17,13 @@ from .errors import (
     SchemaError,
     ShapeMismatchError,
 )
-from .ncseries import _floats_from_json, _matrix_from_json, h2_norm
+from .ncseries import (
+    _complex_from_json,
+    _complex_to_json,
+    _int_field,
+    _object_with_keys,
+    h2_norm,
+)
 
 # Row norms above this trigger an AdmissibilityWarning: still inside the
 # ball, but close enough to the boundary that truncation tails decay slowly.
@@ -124,6 +130,9 @@ def _word_powers(Zs, words):
 
 def _check_row_norms(Zs):
     """Batched admissibility gate over a stack of points."""
+    if not np.isfinite(Zs).all():
+        raise InadmissiblePointError("point has non-finite entries",
+                                     row_norm=float("nan"))
     rn = _row_norms(Zs)
     bad = np.flatnonzero(~(rn < 1.0))
     if bad.size:
@@ -192,54 +201,30 @@ def tail_bound(f, s):
 # -- JSON interchange -------------------------------------------------
 
 def point_to_json_dict(Z):
-    return {
-        "d": Z.d,
-        "n": Z.n,
-        "Z": [[[[float(x.real), float(x.imag)] for x in row] for row in m]
-              for m in Z.mats],
-    }
+    return {"d": Z.d, "n": Z.n, "Z": _complex_to_json(Z.mats)}
 
 
 def point_from_json_dict(obj, path="point"):
-    if not isinstance(obj, dict):
-        raise SchemaError("point document must be an object", path)
-    if set(obj) != {"d", "n", "Z"}:
-        raise SchemaError("point must have exactly keys d, n, Z", path)
-    d, n = obj["d"], obj["n"]
-    for name, val in (("d", d), ("n", n)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise SchemaError(f"{name} must be a positive integer",
-                              f"{path}.{name}")
+    _object_with_keys(obj, ("d", "n", "Z"), path, "point document")
+    d, n = _int_field(obj, "d", 1, path), _int_field(obj, "n", 1, path)
     if not isinstance(obj["Z"], list) or len(obj["Z"]) != d:
         raise SchemaError(f"Z must be a list of {d} matrices", f"{path}.Z")
-    mats = []
-    for k, mj in enumerate(obj["Z"]):
-        m = _matrix_from_json(mj, f"{path}.Z[{k}]")
-        if m.shape != (n, n):
-            raise SchemaError(f"matrix shape {m.shape} != ({n}, {n})",
-                              f"{path}.Z[{k}]")
-        mats.append(m)
-    return MatrixPoint(mats)
+    return MatrixPoint([
+        _complex_from_json(m, f"{path}.Z[{k}]", "matrix", (n, n))
+        for k, m in enumerate(obj["Z"])])
 
 
 def vector_from_json(obj, n, path):
-    arr = _floats_from_json(obj, path, "vector")
-    if arr.shape != (n, 2):
-        raise SchemaError(
-            f"vector must have shape {n} x 2, got {arr.shape}", path)
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _complex_from_json(obj, path, "vector", (n,))
 
 
 def vector_to_json(y):
-    return [[float(x.real), float(x.imag)] for x in np.asarray(y).reshape(-1)]
+    return _complex_to_json(np.reshape(y, -1))
 
 
 def pair_from_json_dict(obj, path="pair"):
     """A (point, vector) pair: {"Z": <point>, "y": [[re, im], ...]}."""
-    if not isinstance(obj, dict):
-        raise SchemaError("pair document must be an object", path)
-    if set(obj) != {"Z", "y"}:
-        raise SchemaError("pair must have exactly keys Z, y", path)
+    _object_with_keys(obj, ("Z", "y"), path, "pair document")
     Z = point_from_json_dict(obj["Z"], f"{path}.Z")
     y = vector_from_json(obj["y"], Z.n, f"{path}.y")
     return Z, y

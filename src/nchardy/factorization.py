@@ -60,6 +60,7 @@ from .kernels import (
 from .ncseries import (
     NcSeries,
     _int_size,
+    _pow2_normalized,
     h2_norm,
     max_coeff_diff,
     phase_normalize,
@@ -236,20 +237,22 @@ def spectral_outer(H):
     positive), by the Levenberg-Marquardt solve `_lm` on the exact
     Jacobian: Nielsen's gain-ratio damping, and stops at a zero residual,
     at relative reductions of |r|^2 or a relative step within LM_TOL, or
-    after LM_MAX_NFEV residuals.  The solve runs on H / |H|_2 and scales
-    F back, so no step depends on the scale of H; the zero series is a
-    ValueError.  The one start sqrt(t_empty) is the constant of maximal
-    vacuum mass, which steers the iteration onto the outer branch.  On
-    the normalised scale a residual above 1e-11 raises DiagnosticError
-    naming it, and coefficients below 1e-14 are dropped.
+    after LM_MAX_NFEV residuals.  The solve runs on H / |H|_2, with H
+    first scaled by a power of two, and scales F back, so no step depends
+    on the scale of H; the zero series is a ValueError.  The one start
+    sqrt(t_empty) is the constant of maximal vacuum mass, which steers
+    the iteration onto the outer branch.  On the normalised scale a
+    residual above 1e-11 raises DiagnosticError naming it, and
+    coefficients below 1e-14 are dropped.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("spectral factorization needs square "
                                  "coefficients")
-    n = H.rows
-    norm = h2_norm(H)
-    if norm == 0.0:
+    if not H.coeffs:
         raise ValueError("cannot factor the zero series")
+    n = H.rows
+    H, e = _pow2_normalized(H)
+    norm = h2_norm(H)
     prob = _OuterProblem(H.scale(1.0 / norm), H.degree())
     t0 = prob.target[0]
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
@@ -268,7 +271,7 @@ def spectral_outer(H):
         F = -F
     coeffs = {w: norm * M for w, M in zip(prob.basis.words, F)
               if np.any(np.abs(M) > 1e-14)}
-    return NcSeries._of(H.d, n, n, prob.m, coeffs)
+    return NcSeries._of(H.d, n, n, prob.m, coeffs)._ldexp(e)
 
 
 def inner_outer(H, N=None):
@@ -286,8 +289,10 @@ def inner_outer(H, N=None):
     The data t(H) are gathered once, and both the certificate and the
     outer defect come from the tree Cholesky of fockspace's
     toeplitz_vacuum_schur: no Gram matrix of H is built and no eigen-solve
-    is larger than q x q.
+    is larger than q x q.  H is first scaled by a power of two, which is
+    exact, so the factorization holds at any finite scale.
     """
+    H, e = _pow2_normalized(H)
     Hp = H.prune()
     if not Hp.coeffs:
         raise ValueError("cannot factor the zero series")
@@ -307,12 +312,13 @@ def inner_outer(H, N=None):
         inner = NcSeries.constant(np.eye(H.rows), H.d, N)
         defects = {"inner_defect": 0.0, "outer_defect": 0.0,
                    "reconstruction_error": 0.0}
-        return FactorizationResult(inner, HN.copy(), H.rows, defects, N)
+        return FactorizationResult(inner, HN._ldexp(e).copy(), H.rows,
+                                   defects, N)
 
     F = spectral_outer(HN)
     B = series_mul(HN, series_invert(F.with_max_degree(N), N), N).prune()
     B, u = phase_normalize(B)
-    outer = F.with_max_degree(N).scale(u).prune()
+    outer = F.with_max_degree(N).scale(u)
     recon = max_coeff_diff(series_mul(B, outer, N), HN, N)
     valid = validity_window(HN)
     t = toeplitz_data(HN)
@@ -322,9 +328,9 @@ def inner_outer(H, N=None):
         "inner_defect": inner_defect(B),
         "outer_defect": _outer_defect(t, H.d, outer.coeff(()),
                                       validity_window(outer)),
-        "reconstruction_error": recon,
+        "reconstruction_error": float(np.ldexp(recon, e)),
     }
-    return FactorizationResult(B, outer, H.rows, defects, valid)
+    return FactorizationResult(B, outer._ldexp(e), H.rows, defects, valid)
 
 
 def _certify_wandering(t, d, window):
@@ -359,14 +365,15 @@ def outer_defect(h, N=None):
     the vacuum's Schur complement in G.  S comes from the tree Cholesky of
     fockspace.toeplitz_vacuum_schur, so no Gram matrix is built.
     Column-valued h reports the best vacuum direction; square h has to
-    reach every one, so the worst is reported.
+    reach every one, so the worst is reported.  h is first scaled by a
+    power of two, which the defect does not see.
     """
     if N is None:
         N = h.max_degree
     if h.cols != 1 and h.rows != h.cols:
         raise ShapeMismatchError(
             "outer defect expects scalar, column, or square h")
-    hN = h.truncate(N)
+    hN = _pow2_normalized(h)[0].truncate(N)
     return _outer_defect(toeplitz_data(hN), h.d, hN.coeff(()),
                          validity_window(hN, N))
 
@@ -392,11 +399,12 @@ def solve_vacuum(f, r, N=None):
     the Fock space truncated at N.
 
     The truncated operator is block lower triangular with f(0) on its
-    diagonal, so the residual only says whether f(0) vanishes: it is 0 up
-    to rounding (which grows with N) whenever f(0) != 0, and exactly 1
-    when f(0) = 0, for every N and r.  It does not certify the outer
-    property: the non-outer z - 1/2 reads 1e-13 at N = 10.  outer_defect
-    measures cyclicity (sqrt(3)/2 on z - 1/2).
+    diagonal.  For f(0) != 0 the solution is the series inverse g of
+    f(r.) through degree N, and the residual |f(r.) g - 1|_2 is 0 up to
+    rounding; for f(0) = 0 the vacuum row vanishes and it is exactly 1.
+    So it does not certify the outer property: the non-outer z - 1/2
+    reads rounding at every N.  outer_defect measures cyclicity
+    (sqrt(3)/2 on z - 1/2).
     """
     if not f.is_scalar():
         raise ShapeMismatchError("solve_vacuum expects a scalar series")
@@ -404,12 +412,10 @@ def solve_vacuum(f, r, N=None):
         raise ValueError(f"radius {r} outside [0, 1)")
     if N is None:
         N = f.max_degree
-    basis = FockBasis(f.d, N)
-    op = mult_operator(rescale(f.truncate(N), r), basis)
-    e0 = np.zeros(basis.dim, dtype=complex)
-    e0[0] = 1.0
-    x, _, _, _ = np.linalg.lstsq(op.mat, e0, rcond=None)
-    return float(np.linalg.norm(op.mat @ x - e0))
+    fr = rescale(f.truncate(N), r)
+    if () not in fr.coeffs:
+        return 1.0
+    return h2_norm(series_mul(fr, series_invert(fr, N), N) - 1.0)
 
 
 # -- classification ---------------------------------------------------

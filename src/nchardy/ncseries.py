@@ -326,6 +326,14 @@ class NcSeries:
         return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
                             out)
 
+    def _ldexp(self, e):
+        """2^e times this series, exact wherever the result is normal."""
+        if not e:
+            return self
+        return NcSeries._of(self.d, self.rows, self.cols, self.max_degree, {
+            w: np.ldexp(np.ascontiguousarray(m).view(float), e).view(complex)
+            for w, m in self.coeffs.items()})
+
 
 def series_add(f, g):
     """Coefficientwise sum; result truncated at min(N_f, N_g)."""
@@ -410,10 +418,20 @@ def rescale(f, r):
     return NcSeries._of(f.d, f.rows, f.cols, f.max_degree, out)
 
 
+def _pow2_normalized(f):
+    """(g, e) with f = 2^e g exactly and g's largest entry modulus in
+    [1/2, 1), so squares of g's entries stay in range; (f, 0) for f = 0."""
+    top = max((np.abs(m).max() for m in f.coeffs.values()), default=0.0)
+    e = int(np.frexp(top)[1])
+    return f._ldexp(-e), e
+
+
 def h2_norm(f):
-    """Root sum of squared Frobenius norms of the coefficients."""
-    return math.sqrt(sum(float(np.sum(np.abs(m) ** 2))
-                         for m in f.coeffs.values()))
+    """Root sum of squared Frobenius norms of the coefficients, summed on
+    f's power-of-two rescaling, so no square leaves the float range."""
+    g, e = _pow2_normalized(f)
+    return math.ldexp(math.sqrt(sum(float(np.sum(np.abs(m) ** 2))
+                                    for m in g.coeffs.values())), e)
 
 
 def series_inner(f, g):
@@ -517,8 +535,11 @@ def max_coeff_diff(f, g, through_degree=None):
 
 # -- JSON interchange -------------------------------------------------
 
-def _matrix_to_json(m):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+def _complex_to_json(a):
+    """The package's one JSON form of complex data: nested [re, im] lists
+    for a complex scalar, vector, matrix or stack."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _floats_from_json(obj, path, what):
@@ -527,7 +548,7 @@ def _floats_from_json(obj, path, what):
     Each entry is checked once: it must be an int or a float, not a bool,
     so "1.5" and true are refused with the entry's own path instead of
     read as 1.5 and 1.0.  A ragged nesting or a non-finite entry is
-    refused at path; the caller checks the shape.
+    refused at path.
     """
     def walk(x, here):
         if isinstance(x, list):
@@ -546,12 +567,34 @@ def _floats_from_json(obj, path, what):
     return arr
 
 
-def _matrix_from_json(obj, path):
-    arr = _floats_from_json(obj, path, "matrix")
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise SchemaError(
-            f"matrix must have shape rows x cols x 2, got {arr.shape}", path)
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+def _complex_from_json(obj, path, what, shape):
+    """The complex array of the given shape that obj encodes as nested
+    [re, im] pairs; every entry, and then the shape, is checked."""
+    arr = _floats_from_json(obj, path, what)
+    if arr.shape != (*shape, 2):
+        raise SchemaError(f"{what} must have shape {(*shape, 2)} ([re, im] "
+                          f"pairs), got {arr.shape}", path)
+    # a view, not re + 1j * im, so each part keeps its bits (-0.0 too)
+    return arr.view(complex)[..., 0]
+
+
+def _object_with_keys(obj, keys, path, what):
+    """obj, checked to be a JSON object with exactly the given keys."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be an object", path)
+    if set(obj) != set(keys):
+        raise SchemaError(f"{what} must have exactly the keys "
+                          f"{', '.join(keys)}, not {sorted(obj)}", path)
+    return obj
+
+
+def _int_field(obj, name, low, path):
+    """obj[name], checked to be an integer (not a bool) >= low."""
+    val = obj[name]
+    if isinstance(val, bool) or not isinstance(val, int) or val < low:
+        raise SchemaError(f"{name} must be an integer >= {low}",
+                          f"{path}.{name}")
+    return val
 
 
 def to_json_dict(f):
@@ -562,56 +605,37 @@ def to_json_dict(f):
         "cols": f.cols,
         "max_degree": f.max_degree,
         "coeffs": [
-            {"word": list(w), "matrix": _matrix_to_json(f.coeffs[w])}
+            {"word": list(w), "matrix": _complex_to_json(f.coeffs[w])}
             for w in f.support()
         ],
     }
 
 
-_SERIES_KEYS = {"d", "rows", "cols", "max_degree", "coeffs"}
-
-
 def from_json_dict(obj, path="series"):
-    if not isinstance(obj, dict):
-        raise SchemaError("series document must be an object", path)
-    unknown = set(obj) - _SERIES_KEYS
-    if unknown:
-        raise SchemaError(f"unknown keys {sorted(unknown)}", path)
-    missing = _SERIES_KEYS - set(obj)
-    if missing:
-        raise SchemaError(f"missing keys {sorted(missing)}", path)
-    d, rows, cols, n = obj["d"], obj["rows"], obj["cols"], obj["max_degree"]
-    for name, val, low in (("d", d, 1), ("rows", rows, 1), ("cols", cols, 1),
-                           ("max_degree", n, 0)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < low:
-            raise SchemaError(f"{name} must be an integer >= {low}",
-                              f"{path}.{name}")
+    _object_with_keys(obj, ("d", "rows", "cols", "max_degree", "coeffs"),
+                      path, "series document")
+    d, rows, cols, n = (_int_field(obj, name, low, path) for name, low in
+                        (("d", 1), ("rows", 1), ("cols", 1),
+                         ("max_degree", 0)))
     if not isinstance(obj["coeffs"], list):
         raise SchemaError("coeffs must be a list", f"{path}.coeffs")
     coeffs = {}
     for i, item in enumerate(obj["coeffs"]):
         here = f"{path}.coeffs[{i}]"
-        if not isinstance(item, dict) or set(item) != {"word", "matrix"}:
-            raise SchemaError("entry must have keys word, matrix", here)
+        _object_with_keys(item, ("word", "matrix"), here, "entry")
         word = item["word"]
-        if (not isinstance(word, list)
-                or any(not isinstance(a, int) or isinstance(a, bool)
-                       for a in word)):
-            raise SchemaError("word must be a list of integers",
+        if not isinstance(word, list) or any(
+                isinstance(a, bool) or not isinstance(a, int)
+                or not 1 <= a <= d for a in word):
+            raise SchemaError(f"word must be a list of letters in 1..{d}",
                               f"{here}.word")
         w = tuple(word)
-        if any(not 1 <= a <= d for a in w):
-            raise SchemaError(f"letters outside 1..{d}", f"{here}.word")
         if len(w) > n:
             raise SchemaError("word longer than max_degree", f"{here}.word")
         if w in coeffs:
             raise SchemaError(f"duplicate word {list(w)}", f"{here}.word")
-        m = _matrix_from_json(item["matrix"], f"{here}.matrix")
-        if m.shape != (rows, cols):
-            raise SchemaError(
-                f"matrix shape {m.shape} != ({rows}, {cols})",
-                f"{here}.matrix")
-        coeffs[w] = m
+        coeffs[w] = _complex_from_json(item["matrix"], f"{here}.matrix",
+                                       "matrix", (rows, cols))
     # every letter, length and shape is checked above
     return NcSeries._of(d, rows, cols, n, coeffs)
 

@@ -336,7 +336,8 @@ def test_series_matrix_refuses_a_non_number(runner, paths, bad):
 
 @pytest.mark.parametrize("bad", ["2", True])
 def test_point_matrix_refuses_a_non_number(runner, paths, bad):
-    doc = json.loads(open(paths["pt"]).read())
+    with open(paths["pt"]) as fh:
+        doc = json.load(fh)
     doc["Z"][0][0][1][0] = bad
     p = write_json(paths["tmp"] / "pt_bad.json", doc)
     res, out = run_json(runner, ["eval", "--series", paths["H"],
@@ -364,7 +365,8 @@ def test_poly_coefficient_refuses_a_non_number(runner, paths, bad):
 
 
 def test_eval_rejects_non_finite_point(runner, paths):
-    doc = json.loads(open(paths["pt"]).read())
+    with open(paths["pt"]) as fh:
+        doc = json.load(fh)
     doc["Z"][1][0][0][0] = float("nan")
     bad = write_json(paths["tmp"] / "bad_pt.json", doc)
     res, out = run_json(runner, [
@@ -481,5 +483,46 @@ def test_point_file_read_once(runner, paths, monkeypatch, command):
                 "--v", paths["v"]]
     res, doc = run_json(runner, args)
     assert res.exit_code == 0
-    assert doc["inputs"]["point"] == json.loads(open(paths["pt"]).read())
+    with open(paths["pt"]) as fh:
+        assert doc["inputs"]["point"] == json.load(fh)
     assert sorted(reads) == sorted(args[2::2])
+
+
+def command_args(paths):
+    """A valid invocation of every command, less the shared options."""
+    return {
+        "factor": ["--series", paths["z1"]],
+        "eval": ["--series", paths["H"], "--point", paths["pt"]],
+        "kernel": ["--point", paths["pt"], "--y", paths["y"],
+                   "--v", paths["v"]],
+        "classify": ["--series", paths["z1"]],
+        "frostman": ["--series", paths["z1"], "--w", "0.3"],
+        "crofoot": ["--series", paths["z1"], "--w", "0.3"],
+        "semigroup": ["--series", paths["z1"], "--t", "1.0"],
+        "idempotent": ["--series", paths["E"]],
+        "compare-classical": ["--poly", paths["poly"]],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_report_command_is_the_invoked_name(runner, paths, command):
+    res, doc = run_json(runner, [command, *command_args(paths)[command]])
+    assert res.exit_code in (0, 2)
+    assert doc["command"] == command
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_degree_below_one_rejected(runner, paths, command, degree):
+    res, doc = run_json(runner, [command, *command_args(paths)[command],
+                                 "--degree", degree])
+    assert res.exit_code == 1
+    assert doc["error"]["path"] == "degree"
+
+
+@pytest.mark.parametrize("command", ["factor", "classify"])
+def test_negative_seed_rejected(runner, paths, command):
+    res, doc = run_json(runner, [command, *command_args(paths)[command],
+                                 "--seed", "-1"])
+    assert res.exit_code == 1
+    assert doc["error"]["path"] == "seed"

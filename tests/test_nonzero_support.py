@@ -23,7 +23,7 @@ from nchardy.fockspace import FockBasis, coeff_stack, vec_to_series
 from nchardy.kernels import check_inner
 from nchardy.ncseries import (
     NcSeries,
-    _matrix_to_json,
+    _complex_to_json,
     from_json_dict,
     rescale,
     series_invert,
@@ -69,7 +69,7 @@ def test_classify_refuses_both_documents_alike(tmp_path):
     plain, padded = near_inner_with_a_stored_zero()
     doc = to_json_dict(plain)
     docs = [doc, dict(doc, coeffs=doc["coeffs"] + [
-        {"word": [2] * 8, "matrix": _matrix_to_json(np.zeros((1, 1)))}])]
+        {"word": [2] * 8, "matrix": _complex_to_json(np.zeros((1, 1)))}])]
     messages = []
     for i, d in enumerate(docs):
         p = tmp_path / f"s{i}.json"
@@ -84,7 +84,7 @@ def test_classify_refuses_both_documents_alike(tmp_path):
 def test_the_report_echo_leaves_out_an_input_zero(tmp_path):
     doc = to_json_dict(NcSeries(2, 1, 1, 3, {(1,): 0.5}))
     padded = dict(doc, coeffs=doc["coeffs"] + [
-        {"word": [2, 2], "matrix": _matrix_to_json(np.zeros((1, 1)))}])
+        {"word": [2, 2], "matrix": _complex_to_json(np.zeros((1, 1)))}])
     p = tmp_path / "s.json"
     p.write_text(json.dumps(padded))
     point = tmp_path / "pt.json"
@@ -138,7 +138,7 @@ def test_no_operation_stores_a_zero_block(case, c, r, k):
     f = NcSeries(d, n, n, N, a)
     g = from_json_dict({
         "d": d, "rows": n, "cols": n, "max_degree": N,
-        "coeffs": [{"word": list(w), "matrix": _matrix_to_json(np.array(m))}
+        "coeffs": [{"word": list(w), "matrix": _complex_to_json(np.array(m))}
                    for w, m in b.items()]})
     one = NcSeries.identity(n, d, N)
     basis = FockBasis(d, N)

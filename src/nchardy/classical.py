@@ -13,6 +13,7 @@ import numpy as np
 from .errors import BoundaryRootError, ShapeMismatchError
 from .evaluate import MatrixPoint, evaluate
 from .factorization import inner_outer
+from .fockspace import FockBasis, coeff_stack
 from .kernels import SingularityPair, _left_null_direction, sing_membership
 from .ncseries import (
     NcSeries,
@@ -33,11 +34,7 @@ def _disk_coeffs(p):
         if p.d != 1 or not p.is_scalar():
             raise ShapeMismatchError("expected a scalar series in one "
                                      "variable")
-        deg = p.degree()
-        c = np.zeros(deg + 1, dtype=complex)
-        for w, m in p.coeffs.items():
-            c[len(w)] = m[0, 0]
-        return c
+        return coeff_stack(p, FockBasis(1, p.degree())).reshape(-1)
     c = np.asarray(p, dtype=complex).reshape(-1)
     if c.size == 0:
         raise ValueError("empty coefficient vector")

@@ -165,9 +165,7 @@ def evaluate_batch(f, Zs, check_admissible=True):
     B, _, n, _ = Zs.shape
     if check_admissible and B:
         _check_row_norms(Zs)
-    words = list(f.coeffs)
-    C = np.array([f.coeffs[w] for w in words], dtype=complex).reshape(
-        len(words), f.rows, f.cols)
+    words, C = f.support(), f.C
     vals = np.zeros((B, f.rows, n, f.cols, n), dtype=complex)
     for lo in range(0, B if words else 0, EVAL_CHUNK):
         powers = _word_powers(Zs[lo:lo + EVAL_CHUNK], words)

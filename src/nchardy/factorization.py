@@ -37,7 +37,6 @@ from .errors import (
 from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
-    _degree_starts,
     _mult_columns,
     autocorrelation_stack,
     coeff_stack,
@@ -59,6 +58,7 @@ from .kernels import (
 )
 from .ncseries import (
     NcSeries,
+    _code_table,
     _int_size,
     _pow2_normalized,
     h2_norm,
@@ -248,7 +248,7 @@ def spectral_outer(H):
     if H.rows != H.cols:
         raise ShapeMismatchError("spectral factorization needs square "
                                  "coefficients")
-    if not H.coeffs:
+    if not H.codes.size:
         raise ValueError("cannot factor the zero series")
     n = H.rows
     H, e = _pow2_normalized(H)
@@ -269,9 +269,9 @@ def spectral_outer(H):
     F[0] = 0.5 * (F[0] + F[0].conj().T)
     if n == 1 and F[0, 0, 0].real < 0:
         F = -F
-    coeffs = {w: norm * M for w, M in zip(prob.basis.words, F)
-              if np.any(np.abs(M) > 1e-14)}
-    return NcSeries._of(H.d, n, n, prob.m, coeffs)._ldexp(e)
+    codes = np.flatnonzero((np.abs(F) > 1e-14).any(axis=(1, 2)))
+    return NcSeries._of(H.d, n, n, prob.m, codes,
+                        norm * F[codes])._ldexp(e)
 
 
 def inner_outer(H, N=None):
@@ -294,7 +294,7 @@ def inner_outer(H, N=None):
     """
     H, e = _pow2_normalized(H)
     Hp = H.prune()
-    if not Hp.coeffs:
+    if not Hp.codes.size:
         raise ValueError("cannot factor the zero series")
     if N is None:
         N = H.max_degree
@@ -413,7 +413,7 @@ def solve_vacuum(f, r, N=None):
     if N is None:
         N = f.max_degree
     fr = rescale(f.truncate(N), r)
-    if () not in fr.coeffs:
+    if not fr.coeff(()).any():
         return 1.0
     return h2_norm(series_mul(fr, series_invert(fr, N), N) - 1.0)
 
@@ -440,7 +440,7 @@ def _combined_kernel_frame(pairs, N, extra_frame, d):
         QK = sing_space_complement(pairs, N=N)
         if QK.shape[1]:
             cols.append(QK)
-    dim = _degree_starts(d, N)[-1]
+    dim = int(_code_table(d, N)[0][-1])
     if extra_frame is not None and np.size(extra_frame):
         if np.shape(extra_frame)[0] != dim:
             raise ShapeMismatchError(
@@ -513,7 +513,7 @@ def blaschke_defect(theta, pairs, N=None, col_degree=None, window=None,
 def _blaschke_defect(theta, QK, basis, col_degree=None, window=None):
     """blaschke_defect against the orthonormal kernel frame QK over the
     basis: theta's columns are one scatter, the window a leading slice."""
-    if not theta.coeffs:
+    if not theta.codes.size:
         raise ValueError("Blaschke defect of the zero series")
     N = basis.max_degree
     valid = validity_window(theta, N)

@@ -28,19 +28,23 @@ import itertools
 import numpy as np
 
 from .errors import ShapeMismatchError, ValidityWindowError
-from .ncseries import NcSeries, _check_letters, _int_size, rescale
+from .ncseries import (
+    NcSeries,
+    _cat_codes,
+    _check_letters,
+    _code_table,
+    _int_size,
+    _lengths,
+    rescale,
+)
 
 # Relative singular-value threshold for numerical rank decisions.
 RANK_REL = 1e-10
 
 
-def _degree_starts(d, m):
-    """Index of the first word of each length 0..m+1 over d letters."""
-    return [0] + list(itertools.accumulate(d ** j for j in range(m + 1)))
-
-
 class FockBasis:
-    """Degree-then-lex enumeration of words of length <= max_degree."""
+    """Degree-then-lex enumeration of words of length <= max_degree; the
+    index of a word is its ncseries word code."""
 
     def __init__(self, d, max_degree):
         self.d = _int_size("alphabet size", d)
@@ -55,7 +59,7 @@ class FockBasis:
                       for w in itertools.product(letters, repeat=n)]
         self.index = {w: i for i, w in enumerate(self.words)}
         self.dim = len(self.words)
-        self._starts = _degree_starts(self.d, self.max_degree)
+        self._starts = _code_table(self.d, self.max_degree)[0]
 
     def index_of(self, word):
         w = _check_letters(word)
@@ -67,7 +71,7 @@ class FockBasis:
 
     def degree_start(self, k):
         """Index of the first word of length k."""
-        return self._starts[k]
+        return int(self._starts[k])
 
     def __repr__(self):
         return f"FockBasis(d={self.d}, N={self.max_degree}, dim={self.dim})"
@@ -77,20 +81,14 @@ def series_to_vec(f, basis):
     """Stack the coefficients of f into a (dim * rows, cols) array.
 
     Layout is word-major: the block at rows [i*p, (i+1)*p) is the
-    coefficient at basis word i.
+    coefficient at basis word i.  A word past the basis degree is refused.
     """
-    if f.d != basis.d:
-        raise ShapeMismatchError(
-            f"series alphabet d={f.d} != basis alphabet d={basis.d}")
-    p, q = f.rows, f.cols
-    v = np.zeros((basis.dim * p, q), dtype=complex)
-    for w, m in f.coeffs.items():
-        i = basis.index.get(w)
-        if i is None:
-            raise ValueError(
-                f"series word {w} exceeds basis degree {basis.max_degree}")
-        v[i * p:(i + 1) * p, :] = m
-    return v
+    A = coeff_stack(f, basis)
+    if f.degree() > basis.max_degree:
+        w = f.support()[np.searchsorted(f.codes, basis.dim)]
+        raise ValueError(
+            f"series word {w} exceeds basis degree {basis.max_degree}")
+    return A.reshape(-1, f.cols)
 
 
 def vec_to_series(v, basis, rows=1, cols=None):
@@ -104,16 +102,21 @@ def vec_to_series(v, basis, rows=1, cols=None):
         raise ShapeMismatchError(
             f"vector shape {v.shape} != ({basis.dim * rows}, {cols})")
     blocks = v.reshape(basis.dim, rows, cols)
-    coeffs = {basis.words[i]: blocks[i].copy()
-              for i in np.flatnonzero(blocks.any(axis=(1, 2)))}
-    return NcSeries._of(basis.d, rows, cols, basis.max_degree, coeffs)
+    codes = np.flatnonzero(blocks.any(axis=(1, 2)))
+    return NcSeries._of(basis.d, rows, cols, basis.max_degree, codes,
+                        blocks[codes])
 
 
 def coeff_stack(f, basis):
-    """Coefficients of f over the basis words as a (dim, rows, cols) stack;
-    words past the basis degree are dropped."""
-    v = series_to_vec(f.truncate(basis.max_degree), basis)
-    return v.reshape(basis.dim, f.rows, f.cols)
+    """Coefficients of f over the basis words as a (dim, rows, cols) stack,
+    one scatter by code; words past the basis degree are dropped."""
+    if f.d != basis.d:
+        raise ShapeMismatchError(
+            f"series alphabet d={f.d} != basis alphabet d={basis.d}")
+    k = np.searchsorted(f.codes, basis.dim)
+    A = np.zeros((basis.dim, f.rows, f.cols), dtype=complex)
+    A[f.codes[:k]] = f.C[:k]
+    return A
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,19 +124,18 @@ def word_triples(d, m):
     """Index triples (s, mu, mu s) over FockBasis(d, m) words, |mu s| <= m.
 
     Every concatenation of two words that stays within degree m appears
-    once, as three read-only intp arrays of basis indices.  The index of
-    mu s is rank arithmetic: lex order inside a degree is base-d order.
+    once, as three read-only intp arrays of basis indices, which are word
+    codes: the index of mu s is ncseries._cat_codes of mu and s.
     """
-    starts = _degree_starts(d, m)
+    starts, pows = _code_table(d, m)
     s_idx, mu_idx, cat_idx = [], [], []
     for ls in range(m + 1):
-        rs = np.arange(d ** ls)
+        cs = np.arange(starts[ls], starts[ls + 1])
         for lm in range(m + 1 - ls):
-            rm = np.arange(d ** lm)
-            s_idx.append(np.tile(starts[ls] + rs, rm.size))
-            mu_idx.append(np.repeat(starts[lm] + rm, rs.size))
-            cat_idx.append(starts[lm + ls]
-                           + (rm[:, None] * rs.size + rs).reshape(-1))
+            cm = np.arange(starts[lm], starts[lm + 1])
+            s_idx.append(np.tile(cs, cm.size))
+            mu_idx.append(np.repeat(cm, cs.size))
+            cat_idx.append(_cat_codes(pows, ls, mu_idx[-1], s_idx[-1]))
     out = tuple(np.concatenate(parts).astype(np.intp)
                 for parts in (s_idx, mu_idx, cat_idx))
     for a in out:
@@ -182,8 +184,8 @@ def _elimination_triples(d, b):
     nonempty, as read-only intp arrays."""
     s, mu, cat = word_triples(d, b)
     keep = mu > 0
-    out = (np.searchsorted(_degree_starts(d, b), mu[keep], side="right") - 1,
-           s[keep], mu[keep], cat[keep])
+    out = (_lengths(mu[keep], _code_table(d, b)[0]), s[keep], mu[keep],
+           cat[keep])
     for a in out:
         a.flags.writeable = False
     return out
@@ -242,7 +244,7 @@ def _off_diagonal_bound(t, d, k):
     t_s at w[|s|:] when w starts with s, and as t_s^H at the longer word
     s w.  So every block row's sum of norms is at most off (block
     Gershgorin)."""
-    n = _degree_starts(d, min(_stack_degree(d, len(t)), k))[-1]
+    n = _code_table(d, min(_stack_degree(d, len(t)), k))[0][-1]
     return 2.0 * float(np.linalg.svd(t[1:n], compute_uv=False)[:, 0].sum())
 
 

@@ -28,7 +28,6 @@ from .evaluate import (
     random_point,
 )
 from .fockspace import (
-    FockBasis,
     _check_degree_limit,
     orthonormal_frame,
     toeplitz_data,
@@ -114,12 +113,11 @@ class KernelVector:
 
 def _adjoint_word_vectors(Z, y, m):
     """(Z^w)* y for every word w of length <= m, as the rows of a (D_m, n)
-    array in FockBasis order.
+    array in word-code order (ncseries), which is FockBasis order.
 
-    Appending a letter gives (Z^{ua})* y = Z_a* (Z^u)* y.  Each degree of
-    FockBasis is in lex order, so ua sits at d * rank(u) + a - 1 and each
-    degree is one batched product of the last: row (u, a) is
-    ((Z^u)* y)^T conj(Z_a).
+    Appending a letter gives (Z^{ua})* y = Z_a* (Z^u)* y.  In code order
+    the words ua of one degree run u-major, a-minor, so each degree is one
+    batched product of the last: row (u, a) is ((Z^u)* y)^T conj(Z_a).
     """
     Zc = np.conj(np.array(Z.mats))
     level = y[None, :]
@@ -144,8 +142,10 @@ def szego_kernel(Z, y, v, N):
         raise ShapeMismatchError(
             f"vectors must have length {Z.n}, got {y.size} and {v.size}")
     c = _adjoint_word_vectors(Z, y, N) @ v.conj()
-    coeffs = dict(zip(FockBasis(Z.d, N).words, c))
-    return KernelVector(NcSeries(Z.d, 1, 1, N, coeffs), Z, y, v)
+    if not np.isfinite(c).all():
+        raise ValueError("kernel coefficients are non-finite")
+    series = NcSeries._of(Z.d, 1, 1, N, np.arange(c.size), c[:, None, None])
+    return KernelVector(series, Z, y, v)
 
 
 def szego_gram(Z, W, v, u):

@@ -1,22 +1,28 @@
 """Words in a free monoid and truncated NC power series.
 
 A word is a finite tuple of letters from {1..d}; the empty tuple is the
-monoid unit.  An :class:`NcSeries` stores complex p x q matrix coefficients
-indexed by words of length <= max_degree in a sparse map.  Words are ordered
-degree-then-lexicographically everywhere (storage, JSON output, phase
-conventions), so results are reproducible.
-
-Internally coefficients are keyed by plain tuples of ints for speed; the
-:class:`Word` wrapper carries the alphabet size and is the public face of the
-monoid operations.
+monoid unit.  The word a_1 ... a_l has the integer code a_1 d^(l-1) + ...
++ a_l, its value as a base-d numeral with the digits 1..d.  The words of
+length l fill the codes from start_l = 1 + d + ... + d^(l-1) on in lex
+order, so a code is the word's Fock-basis index (fockspace.FockBasis),
+code order is the degree-then-lex order used everywhere (storage, JSON,
+phase conventions), and the code of uv is code(u) d^|v| + code(v).  Codes
+are int64, so a truncation order N needs d^(N+1) < 2^63: d = 2 reaches
+N = 61, and d = 1 codes are lengths.  This module is the one home of the
+code arithmetic.  An :class:`NcSeries` holds one sorted code array and one
+coefficient stack, so every operation is array work; letter tuples appear
+only at the boundary (``NcSeries(...)``, ``coeff``, ``support``, the
+``coeffs`` view, JSON).  :class:`Word` is the public face of the monoid.
 
 A series is checked once, where it enters (``NcSeries(...)`` and
 ``from_json_dict``); the series the library derives from it are adopted
-as built, under the ownership rule stated on :class:`NcSeries`.
+as built, under the read-only rule stated on :class:`NcSeries`.
 """
 
+import functools
 import json
 import math
+import types
 
 import numpy as np
 
@@ -36,15 +42,111 @@ PRUNE_REL = 1e-15
 INVERT_REL = 1e-12
 
 
-def _nonzero(coeffs):
-    """coeffs without its all-zero blocks, found by one reduction over the
-    stacked blocks; coeffs itself when there are none."""
-    if not coeffs:
-        return coeffs
-    keep = np.stack(list(coeffs.values())).any(axis=(1, 2))
-    if keep.all():
-        return coeffs
-    return {w: m for (w, m), k in zip(coeffs.items(), keep) if k}
+def _check_code_range(d, n):
+    if d > 1 and (n >= 62 or d ** (n + 1) >= 2 ** 63):
+        raise ValueError(f"max_degree {n} over d={d} letters needs "
+                         f"d^(N+1) < 2^63 for int64 word codes")
+
+
+@functools.lru_cache(maxsize=None)
+def _code_table(d, n):
+    """(starts, pows), read-only int64: starts[l] = start_l for l <= n + 1
+    and pows[l] = d^l for l <= n."""
+    _check_code_range(d, n)
+    pows = np.array([d ** k for k in range(n + 1)], dtype=np.int64)
+    starts = np.concatenate(([0], pows.cumsum()))
+    starts.flags.writeable = pows.flags.writeable = False
+    return starts, pows
+
+
+def _bound(f):
+    """A bound on deg f (a code is at least its word's length), which
+    keeps d = 1 tables as long as the degree, not as N."""
+    return min(f.max_degree, int(f.codes[-1])) if f.codes.size else 0
+
+
+def _lengths(codes, starts):
+    return starts.searchsorted(codes, side="right") - 1
+
+
+def _cat_codes(pows, lv, cu, cv):
+    """Codes of the words uv, from the codes of u and v and |v|."""
+    return cu * pows[lv] + cv
+
+
+def _encode(words, d):
+    codes = []
+    for w in words:
+        code = 0
+        for a in w:
+            code = code * d + a
+        codes.append(code)
+    return np.array(codes, dtype=np.int64)
+
+
+def _decode(codes, d, starts, pows):
+    """Letter j of the word of length l and lex rank o = code - start_l is
+    o // d^(l-1-j) mod d, plus 1."""
+    lens = _lengths(codes, starts)
+    expo = np.maximum(lens[:, None] - 1 - np.arange(lens.max(initial=0)), 0)
+    digits = ((codes - starts[lens])[:, None] // pows[expo]) % d + 1
+    return [tuple(row[:k]) for row, k in zip(digits.tolist(), lens.tolist())]
+
+
+def _sorted_terms(d, rows, cols, words, blocks):
+    """(codes, C) of checked words and blocks, in code order."""
+    codes = _encode(words, d)
+    order = codes.argsort()
+    C = np.array(blocks, dtype=complex).reshape(len(blocks), rows, cols)
+    return codes[order], C[order]
+
+
+def _through(f, n):
+    """f's codes and blocks of the words of length <= n."""
+    if n >= f.max_degree:
+        return f.codes, f.C
+    k = f.codes.searchsorted(_code_table(f.d, min(n, _bound(f)))[0][-1])
+    return f.codes[:k], f.C[:k]
+
+
+def _union(a, b):
+    """The sorted union of two sorted unique code arrays (by sorting:
+    np.union1d's hash-based unique costs about 1.5 MB of RSS on first
+    use in a process)."""
+    c = np.concatenate((a, b))
+    c.sort()
+    keep = np.ones(c.size, dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=keep[1:])
+    return c[keep]
+
+
+def _nonzero(codes, C):
+    """codes and C without the all-zero blocks, found by one mask."""
+    keep = C.any(axis=(1, 2))
+    return (codes, C) if keep.all() else (codes[keep], C[keep])
+
+
+def _sum_by_code(codes, terms):
+    """(sorted unique codes, sums) of the terms of each code, each summed
+    in the order given from its first term, as out[w] = out[w] + term
+    would, -0.0 included (np.add.at into zeros and np.add.reduceat are
+    not).  Each code's terms run down one column padded with -0.0, the
+    identity of +, and np.add.accumulate sums every column in order.
+    Codes that already increase come back as they are."""
+    if (codes[1:] > codes[:-1]).all():
+        return codes, terms
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    new = np.empty(codes.size, dtype=bool)
+    new[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    first = new.nonzero()[0]
+    column = new.cumsum() - 1
+    rank = np.arange(codes.size) - first[column]
+    T = np.full((rank.max() + 1, first.size) + terms.shape[1:],
+                complex(-0.0, -0.0))
+    T[rank, column] = terms[order]
+    return codes[first], np.add.accumulate(T)[-1]
 
 
 def word_key(w):
@@ -71,6 +173,18 @@ def _int_size(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
+
+
+def _degree_arg(name, value, d, default=None):
+    """default for None, else value as a truncation order: an int >= 0
+    whose codes over d letters fit in int64."""
+    if value is None:
+        return default
+    n = _int_size(name, value)
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0")
+    _check_code_range(d, n)
+    return n
 
 
 class Word:
@@ -142,45 +256,49 @@ class NcSeries:
     ----------
     d : alphabet size.
     rows, cols : coefficient shape p x q.
-    max_degree : truncation order N; stored words have length <= N.
+    max_degree : truncation order N; stored words have length <= N, and
+        d^(N+1) < 2^63.
     coeffs : optional map {letter-tuple: array-like (p, q)}.  Missing words
         are zero.  Scalars are accepted for 1x1 series.
 
-    The constructor checks every size and letter (each an int or numpy
-    integer) and copies every coefficient into a complex array, which must
-    be finite.  Series
-    built from checked ones go through ``_of``, which checks only the
-    ranges of the four sizes and adopts its dict.  Both drop every
-    all-zero block, so a series stores exactly its nonzero coefficients.
-    A derived series owns its dict and may share coefficient arrays with
-    its source; no library code writes into a stored array, and
-    ``copy()`` is the one deep copy.
+    A series holds ``codes``, the sorted int64 codes of its stored words,
+    and ``C``, their complex (nnz, p, q) stack.  The constructor checks
+    every size and letter (each an int or numpy integer), encodes each
+    word once and copies every coefficient, which must be finite.  Series
+    built from checked ones go through ``_of``, which checks only the four
+    sizes and adopts its two arrays.  Both drop every all-zero block, so a
+    series stores exactly its nonzero coefficients, and both make the two
+    arrays read-only: derived series share them, nothing writes into them,
+    and ``copy()`` is the one deep copy.  ``coeffs`` is a read-only
+    {word: block} view in code order for the JSON boundary and tests.
     """
 
-    __slots__ = ("d", "rows", "cols", "max_degree", "coeffs")
+    __slots__ = ("d", "rows", "cols", "max_degree", "codes", "C")
 
     def __init__(self, d, rows, cols, max_degree, coeffs=None):
         for name, size in (("alphabet size", d), ("rows", rows),
                            ("cols", cols), ("max_degree", max_degree)):
             _int_size(name, size)
         self._set_sizes(d, rows, cols, max_degree)
-        store = {}
+        words, blocks = [], []
         for w, m in (coeffs or {}).items():
             w = _check_letters(w, self.d)
             if len(w) > self.max_degree:
                 raise ValueError(
                     f"word {w} longer than max_degree {self.max_degree}")
-            store[w] = _as_matrix(m, self.rows, self.cols)
-        self.coeffs = _nonzero(store)
+            words.append(w)
+            blocks.append(_as_matrix(m, self.rows, self.cols))
+        self._set_terms(*_sorted_terms(self.d, self.rows, self.cols, words,
+                                       blocks))
 
     @classmethod
-    def _of(cls, d, rows, cols, max_degree, coeffs):
-        """Adopt coeffs, a fresh dict of complex (rows, cols) arrays on
-        words in 1..d of length <= max_degree, without checking or copying
-        them; all-zero blocks are dropped."""
+    def _of(cls, d, rows, cols, max_degree, codes, C):
+        """Adopt codes, sorted unique int64 codes of words of length <=
+        max_degree, and C, their complex (nnz, rows, cols) stack, without
+        checking or copying them; all-zero blocks are dropped."""
         f = object.__new__(cls)
         f._set_sizes(d, rows, cols, max_degree)
-        f.coeffs = _nonzero(coeffs)
+        f._set_terms(codes, C)
         return f
 
     def _set_sizes(self, d, rows, cols, max_degree):
@@ -191,10 +309,15 @@ class NcSeries:
                              "at least 1 x 1")
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
+        _check_code_range(d, max_degree)
         self.d = int(d)
         self.rows = int(rows)
         self.cols = int(cols)
         self.max_degree = int(max_degree)
+
+    def _set_terms(self, codes, C):
+        self.codes, self.C = _nonzero(codes, C)
+        self.codes.flags.writeable = self.C.flags.writeable = False
 
     # -- constructors -------------------------------------------------
 
@@ -222,9 +345,24 @@ class NcSeries:
 
     # -- basic accessors ----------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Read-only {word: block} view in code order."""
+        return types.MappingProxyType(dict(zip(self.support(), self.C)))
+
+    def _block(self, word):
+        """The stored block at a lookup word, or None."""
+        w = _check_letters(word)
+        if len(w) > self.max_degree or not all(1 <= a <= self.d for a in w):
+            return None
+        code = _encode([w], self.d)[0]
+        i = self.codes.searchsorted(code)
+        found = i < self.codes.size and self.codes[i] == code
+        return self.C[i] if found else None
+
     def coeff(self, word):
         """Coefficient matrix at word (zeros if absent).  Returns a copy."""
-        m = self.coeffs.get(_check_letters(word))
+        m = self._block(word)
         if m is None:
             return np.zeros((self.rows, self.cols), dtype=complex)
         return m.copy()
@@ -233,16 +371,19 @@ class NcSeries:
         """Coefficient of a 1x1 series as a python complex."""
         if self.rows != 1 or self.cols != 1:
             raise ShapeMismatchError("scalar_coeff needs a 1x1 series")
-        m = self.coeffs.get(_check_letters(word))
+        m = self._block(word)
         return complex(0.0) if m is None else complex(m[0, 0])
 
     def support(self):
         """Stored words in degree-then-lex order."""
-        return sorted(self.coeffs, key=word_key)
+        return _decode(self.codes, self.d, *_code_table(self.d, _bound(self)))
 
     def degree(self):
         """Largest word length carrying a stored coefficient (0 if none)."""
-        return max((len(w) for w in self.coeffs), default=0)
+        if not self.codes.size:
+            return 0
+        starts = _code_table(self.d, _bound(self))[0]
+        return int(_lengths(self.codes[-1], starts))
 
     def is_scalar(self):
         return self.rows == 1 and self.cols == 1
@@ -250,36 +391,35 @@ class NcSeries:
     def copy(self):
         """Deep copy: no coefficient array is shared."""
         return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
-                            {w: m.copy() for w, m in self.coeffs.items()})
+                            self.codes, self.C.copy())
 
     def truncate(self, n):
         """Drop words longer than n and clamp max_degree to n."""
-        kept = {w: m for w, m in self.coeffs.items() if len(w) <= n}
-        return NcSeries._of(self.d, self.rows, self.cols,
-                            min(self.max_degree, n), kept)
+        n = min(self.max_degree, _degree_arg("degree", n, self.d))
+        return NcSeries._of(self.d, self.rows, self.cols, n,
+                            *_through(self, n))
 
     def with_max_degree(self, n):
         """Same coefficients, larger truncation bound."""
+        n = _int_size("max_degree", n)
         if n < self.degree():
             raise ValueError("requested bound below the stored degree")
-        return NcSeries._of(self.d, self.rows, self.cols, n,
-                            dict(self.coeffs))
+        return NcSeries._of(self.d, self.rows, self.cols, n, self.codes,
+                            self.C)
 
     def prune(self):
         """Drop coefficients with Frobenius norm <= PRUNE_REL * (largest
-        norm)."""
-        if not self.coeffs:
-            return self.copy()
-        norms = {w: np.linalg.norm(m) for w, m in self.coeffs.items()}
-        top = max(norms.values())
-        kept = {w: m for w, m in self.coeffs.items()
-                if norms[w] > PRUNE_REL * top}
+        norm), compared on _pow2_normalized's exact rescaling, so that no
+        square leaves the float range at any scale."""
+        g, _ = _pow2_normalized(self)
+        norms = np.sqrt((np.abs(g.C) ** 2).sum(axis=(1, 2)))
+        keep = norms > PRUNE_REL * norms.max(initial=0.0)
         return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
-                            kept)
+                            self.codes[keep], self.C[keep])
 
     def __repr__(self):
         return (f"NcSeries(d={self.d}, shape=({self.rows},{self.cols}), "
-                f"N={self.max_degree}, terms={len(self.coeffs)})")
+                f"N={self.max_degree}, terms={self.codes.size})")
 
     # -- arithmetic ---------------------------------------------------
 
@@ -321,32 +461,37 @@ class NcSeries:
         return self.scale(scalar)
 
     def scale(self, scalar):
-        scalar = complex(scalar)
-        out = {w: scalar * m for w, m in self.coeffs.items()}
         return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
-                            out)
+                            self.codes, complex(scalar) * self.C)
 
     def _ldexp(self, e):
         """2^e times this series, exact wherever the result is normal."""
         if not e:
             return self
-        return NcSeries._of(self.d, self.rows, self.cols, self.max_degree, {
-            w: np.ldexp(np.ascontiguousarray(m).view(float), e).view(complex)
-            for w, m in self.coeffs.items()})
+        C = np.ldexp(np.ascontiguousarray(self.C).view(float), e)
+        return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
+                            self.codes, C.view(complex))
 
 
-def series_add(f, g):
-    """Coefficientwise sum; result truncated at min(N_f, N_g)."""
+def _check_shapes(f, g):
     f._check_compatible(g)
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise ShapeMismatchError(
             f"shapes ({f.rows},{f.cols}) and ({g.rows},{g.cols}) differ")
+
+
+def series_add(f, g):
+    """Coefficientwise sum; result truncated at min(N_f, N_g).  f and g
+    fill two rows over the union of their codes, padded with -0.0, the
+    identity of +, so one addition gives every f_w + g_w."""
+    _check_shapes(f, g)
     n = min(f.max_degree, g.max_degree)
-    out = {w: m for w, m in f.coeffs.items() if len(w) <= n}
-    for w, m in g.coeffs.items():
-        if len(w) <= n:
-            out[w] = out[w] + m if w in out else m
-    return NcSeries._of(f.d, f.rows, f.cols, n, out)
+    (cf, Cf), (cg, Cg) = _through(f, n), _through(g, n)
+    codes = _union(cf, cg)
+    T = np.full((2, codes.size, f.rows, f.cols), complex(-0.0, -0.0))
+    T[0, codes.searchsorted(cf)] = Cf
+    T[1, codes.searchsorted(cg)] = Cg
+    return NcSeries._of(f.d, f.rows, f.cols, n, codes, T[0] + T[1])
 
 
 def series_mul(f, g, max_degree=None):
@@ -354,55 +499,46 @@ def series_mul(f, g, max_degree=None):
 
     Matrix coefficients multiply; cols(f) must equal rows(g).  Words beyond
     the truncation bound (default min(N_f, N_g)) are silently dropped, which
-    is exactly the information a validity window tracks downstream.
+    is exactly the information a validity window tracks downstream.  The
+    pairs with |u| + |v| <= N are one batched matmul, and each word sums
+    its terms in f's word order.
     """
     f._check_compatible(g)
     if f.cols != g.rows:
         raise ShapeMismatchError(
             f"inner dims differ: cols(f)={f.cols}, rows(g)={g.rows}")
-    if max_degree is None:
-        max_degree = min(f.max_degree, g.max_degree)
-    out = {}
-    for u, fu in f.coeffs.items():
-        lu = len(u)
-        if lu > max_degree:
-            continue
-        for v, gv in g.coeffs.items():
-            if lu + len(v) > max_degree:
-                continue
-            w = u + v
-            prod = fu @ gv
-            if w in out:
-                out[w] += prod
-            else:
-                out[w] = prod
-    return NcSeries._of(f.d, f.rows, g.cols, max_degree, out)
+    n = _degree_arg("max_degree", max_degree, f.d,
+                    min(f.max_degree, g.max_degree))
+    starts, pows = _code_table(f.d, max(_bound(f), _bound(g)))
+    lf, lg = _lengths(f.codes, starts), _lengths(g.codes, starts)
+    iu, jv = (lf[:, None] + lg <= n).nonzero()
+    codes = _cat_codes(pows, lg[jv], f.codes[iu], g.codes[jv])
+    return NcSeries._of(f.d, f.rows, g.cols, n,
+                        *_sum_by_code(codes, f.C[iu] @ g.C[jv]))
 
 
 def shift_adjoint_apply(omega, H, out_degree=None):
     """Coefficients of omega(L)* applied to H: F_b = sum_a conj(om_a) H_{ab}.
 
     omega scalar, H scalar or matrix-valued; the result keeps H's shape.
+    w = ab with |b| = |w| - |a| exactly when (code(w) - start_|b|) // d^|b|
+    is code(a), and then code(b) = code(w) - code(a) d^|b|; each b sums
+    its terms in H's word order.
     """
     if not omega.is_scalar():
         raise ShapeMismatchError("adjoint application needs a scalar symbol")
-    if out_degree is None:
-        out_degree = H.max_degree
-    coeffs = {}
-    for w, Hm in H.coeffs.items():
-        for a, om in omega.coeffs.items():
-            la = len(a)
-            if la > len(w) or w[:la] != a:
-                continue
-            b = w[la:]
-            if len(b) > out_degree:
-                continue
-            term = np.conj(om[0, 0]) * Hm
-            if b in coeffs:
-                coeffs[b] = coeffs[b] + term
-            else:
-                coeffs[b] = term
-    return NcSeries._of(H.d, H.rows, H.cols, out_degree, coeffs)
+    H._check_compatible(omega)
+    n = _degree_arg("out_degree", out_degree, H.d, H.max_degree)
+    starts, pows = _code_table(H.d, max(_bound(H), _bound(omega)))
+    lb = _lengths(H.codes, starts)[:, None] - _lengths(omega.codes, starts)
+    iw, ja = ((lb >= 0) & (lb <= n)).nonzero()
+    lb, cw, ca = lb[iw, ja], H.codes[iw], omega.codes[ja]
+    step = pows[lb]
+    pre = (cw - starts[lb]) // step == ca
+    iw, ja = iw[pre], ja[pre]
+    codes = cw[pre] - ca[pre] * step[pre]
+    terms = np.conj(omega.C[ja]) * H.C[iw]
+    return NcSeries._of(H.d, H.rows, H.cols, n, *_sum_by_code(codes, terms))
 
 
 def rescale(f, r):
@@ -414,15 +550,17 @@ def rescale(f, r):
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"rescale parameter {r} outside [0, 1]")
-    out = {w: (r ** len(w)) * m for w, m in f.coeffs.items()}
-    return NcSeries._of(f.d, f.rows, f.cols, f.max_degree, out)
+    starts = _code_table(f.d, _bound(f))[0]
+    powers = np.array([r ** k for k in range(starts.size - 1)], dtype=complex)
+    factors = powers[_lengths(f.codes, starts)]
+    return NcSeries._of(f.d, f.rows, f.cols, f.max_degree, f.codes,
+                        factors[:, None, None] * f.C)
 
 
 def _pow2_normalized(f):
     """(g, e) with f = 2^e g exactly and g's largest entry modulus in
     [1/2, 1), so squares of g's entries stay in range; (f, 0) for f = 0."""
-    top = max((np.abs(m).max() for m in f.coeffs.values()), default=0.0)
-    e = int(np.frexp(top)[1])
+    e = int(np.frexp(np.abs(f.C).max(initial=0.0))[1])
     return f._ldexp(-e), e
 
 
@@ -430,23 +568,18 @@ def h2_norm(f):
     """Root sum of squared Frobenius norms of the coefficients, summed on
     f's power-of-two rescaling, so no square leaves the float range."""
     g, e = _pow2_normalized(f)
-    return math.ldexp(math.sqrt(sum(float(np.sum(np.abs(m) ** 2))
-                                    for m in g.coeffs.values())), e)
+    squares = (np.abs(g.C) ** 2).sum(axis=(1, 2)).tolist()
+    return math.ldexp(math.sqrt(sum(squares)), e)
 
 
 def series_inner(f, g):
     """Coefficient pairing sum_w <f_w, g_w>_Frobenius, conjugate-linear in
     the first argument.  Words outside the common support contribute zero."""
-    f._check_compatible(g)
-    if (f.rows, f.cols) != (g.rows, g.cols):
-        raise ShapeMismatchError(
-            f"shapes ({f.rows},{f.cols}) and ({g.rows},{g.cols}) differ")
-    fc, gc = f.coeffs, g.coeffs
-    acc = 0.0 + 0.0j
-    for w in fc if len(fc) <= len(gc) else gc:
-        if w in fc and w in gc:
-            acc += np.sum(np.conj(fc[w]) * gc[w])
-    return complex(acc)
+    _check_shapes(f, g)
+    _, i, j = np.intersect1d(f.codes, g.codes, assume_unique=True,
+                             return_indices=True)
+    pairs = (np.conj(f.C[i]) * g.C[j]).sum(axis=(1, 2)).tolist()
+    return complex(sum(pairs, 0j))
 
 
 def series_invert(f, max_degree=None):
@@ -455,17 +588,16 @@ def series_invert(f, max_degree=None):
     Requires a square constant term with sigma_min above INVERT_REL
     sigma_max, a floor that does not depend on f's scale.  The inverse g
     follows the degree recursion g_w = -f_0^{-1} sum_{uv=w, u != empty}
-    f_u g_v: at each degree, each nonconstant word u of f pairs with each
-    stored word v of g at the degree less |u|, the terms of each word
-    w = uv are summed in f's word order, and -f_0^{-1} is applied in
-    sorted word order.  Only stored (nonzero) words of g are visited, so
-    sparse inputs stay sparse.
+    f_u g_v.  Each level of g, once found, is paired in one batched
+    product with every nonconstant word u of f that keeps |uv| within the
+    bound; a degree gathers its pairs, sums the terms of each word w = uv
+    in f's word order and applies -f_0^{-1} to the level at once.  Only
+    stored (nonzero) words of g are paired, so sparse inputs stay sparse.
     """
     if f.rows != f.cols:
         raise ShapeMismatchError("only square series can be inverted")
-    if max_degree is None:
-        max_degree = f.max_degree
-    f0 = f.coeffs.get(())
+    n = _degree_arg("max_degree", max_degree, f.d, f.max_degree)
+    f0 = f._block(())
     if f0 is None:
         raise NotInvertibleError("constant term is zero", smallest_sigma=0.0)
     svals = np.linalg.svd(f0, compute_uv=False)
@@ -474,26 +606,37 @@ def series_invert(f, max_degree=None):
         raise NotInvertibleError(
             f"constant term numerically singular (sigma_min={smin:.3e})",
             smallest_sigma=smin)
-    f0inv = np.linalg.inv(f0)
-    f_plus = [(u, fu) for u, fu in f.coeffs.items() if u]
-    g = {(): f0inv}
-    levels = [[()]]
-    for deg in range(1, max_degree + 1):
-        acc = {}
-        for u, fu in f_plus:
-            if len(u) <= deg:
-                for v in levels[deg - len(u)]:
-                    term = fu @ g[v]
-                    w = u + v
-                    acc[w] = acc[w] + term if w in acc else term
-        level = []
-        for w in sorted(acc):
-            gw = -(f0inv @ acc[w])
-            if np.any(gw):
-                g[w] = gw
-                level.append(w)
-        levels.append(level)
-    return NcSeries._of(f.d, f.rows, f.cols, max_degree, g)
+    f0inv, p = np.linalg.inv(f0), f.rows
+    starts, pows = _code_table(f.d, n)
+    # f's words of each length lu in 1..n: rows a:b of cu and fu
+    at = f.codes.searchsorted(starts).tolist()
+    cu, fu = f.codes[at[1]:at[-1], None], f.C[at[1]:at[-1], None]
+    rows = [(lu, at[lu] - at[1], at[lu + 1] - at[1])
+            for lu in range(1, n + 1) if at[lu + 1] > at[lu]]
+    codes, blocks, pairs = [np.zeros(1, dtype=np.int64)], [f0inv[None]], []
+    for deg in range(1, n + 1):
+        # the level just found, with the u of length <= n - (deg - 1)
+        k = at[n - deg + 2] - at[1]
+        pairs.append((_cat_codes(pows, deg - 1, cu[:k], codes[-1]),
+                      fu[:k] @ blocks[-1]))
+        cs, terms = [codes[0][:0]], [blocks[0][:0]]
+        for lu, a, b in rows:
+            if lu > deg:
+                break
+            c, t = pairs[deg - lu]
+            if c.size:
+                cs.append(c[a:b].reshape(-1))
+                terms.append(t[a:b].reshape(-1, p, p))
+        # no pairs leave the level empty, and pairs with one length of u
+        # give distinct words w; only several lengths can meet
+        level, acc = (cs[-1], terms[-1]) if len(cs) <= 2 else _sum_by_code(
+            np.concatenate(cs), np.concatenate(terms))
+        gw = -(f0inv @ acc)
+        keep = gw.any(axis=(1, 2))
+        codes.append(level[keep])
+        blocks.append(gw[keep])
+    return NcSeries._of(f.d, p, p, n, np.concatenate(codes),
+                        np.concatenate(blocks))
 
 
 def phase_normalize(f):
@@ -503,34 +646,30 @@ def phase_normalize(f):
 
     Returns (g, u) with f = u * g and |u| = 1.
     """
-    top = max((np.max(np.abs(m)) for m in f.coeffs.values()), default=0.0)
+    mags = np.abs(f.C).reshape(-1)
+    top = mags.max(initial=0.0)
     if top == 0.0:
         return f.copy(), complex(1.0)
-    for w in f.support():
-        m = f.coeffs[w]
-        flat = m.reshape(-1)
-        idx = np.where(np.abs(flat) > 1e-13 * top)[0]
-        if idx.size:
-            entry = complex(flat[idx[0]])
-            u = entry / abs(entry)
-            return f.scale(1.0 / u), u
-    return f.copy(), complex(1.0)
+    entry = complex(f.C.reshape(-1)[np.argmax(mags > 1e-13 * top)])
+    u = entry / abs(entry)
+    return f.scale(1.0 / u), u
 
 
 def max_coeff_diff(f, g, through_degree=None):
     """Largest entrywise coefficient deviation |f_w - g_w| over words of
     length <= through_degree (default: the smaller truncation bound)."""
-    if through_degree is None:
-        through_degree = min(f.max_degree, g.max_degree)
-    words = {w for c in (f.coeffs, g.coeffs) for w in c
-             if len(w) <= through_degree}
-    f0 = np.zeros((f.rows, f.cols), dtype=complex)
-    g0 = np.zeros((g.rows, g.cols), dtype=complex)
-    err = 0.0
-    for w in words:
-        diff = f.coeffs.get(w, f0) - g.coeffs.get(w, g0)
-        err = max(err, float(np.max(np.abs(diff))))
-    return err
+    f._check_compatible(g)
+    n = min(f.max_degree, g.max_degree) if through_degree is None else \
+        _int_size("through_degree", through_degree)
+    if n < 0:
+        return 0.0
+    (cf, Cf), (cg, Cg) = _through(f, n), _through(g, n)
+    codes = _union(cf, cg)
+    F = np.zeros((codes.size, f.rows, f.cols), dtype=complex)
+    G = np.zeros((codes.size, g.rows, g.cols), dtype=complex)
+    F[codes.searchsorted(cf)] = Cf
+    G[codes.searchsorted(cg)] = Cg
+    return float(np.abs(F - G).max(initial=0.0))
 
 
 # -- JSON interchange -------------------------------------------------
@@ -605,8 +744,8 @@ def to_json_dict(f):
         "cols": f.cols,
         "max_degree": f.max_degree,
         "coeffs": [
-            {"word": list(w), "matrix": _complex_to_json(f.coeffs[w])}
-            for w in f.support()
+            {"word": list(w), "matrix": _complex_to_json(m)}
+            for w, m in zip(f.support(), f.C)
         ],
     }
 
@@ -619,7 +758,7 @@ def from_json_dict(obj, path="series"):
                          ("max_degree", 0)))
     if not isinstance(obj["coeffs"], list):
         raise SchemaError("coeffs must be a list", f"{path}.coeffs")
-    coeffs = {}
+    words, blocks, seen = [], [], set()
     for i, item in enumerate(obj["coeffs"]):
         here = f"{path}.coeffs[{i}]"
         _object_with_keys(item, ("word", "matrix"), here, "entry")
@@ -632,12 +771,15 @@ def from_json_dict(obj, path="series"):
         w = tuple(word)
         if len(w) > n:
             raise SchemaError("word longer than max_degree", f"{here}.word")
-        if w in coeffs:
+        if w in seen:
             raise SchemaError(f"duplicate word {list(w)}", f"{here}.word")
-        coeffs[w] = _complex_from_json(item["matrix"], f"{here}.matrix",
-                                       "matrix", (rows, cols))
+        seen.add(w)
+        words.append(w)
+        blocks.append(_complex_from_json(item["matrix"], f"{here}.matrix",
+                                         "matrix", (rows, cols)))
     # every letter, length and shape is checked above
-    return NcSeries._of(d, rows, cols, n, coeffs)
+    return NcSeries._of(d, rows, cols, n,
+                        *_sorted_terms(d, rows, cols, words, blocks))
 
 
 def save_series(f, fileobj_or_path):

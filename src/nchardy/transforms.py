@@ -80,7 +80,7 @@ def crofoot(theta, w, N=None):
 
 def homogeneous_degree(V):
     """Common length of the support words, or None if mixed."""
-    lengths = {len(w) for w in V.coeffs}
+    lengths = {len(w) for w in V.support()}
     if len(lengths) == 1:
         return lengths.pop()
     return None
@@ -185,7 +185,7 @@ def semigroup_inner(B, t, N=None):
     total = term
     for k in range(1, N + 1):
         term = series_mul(term, G, N).scale(-t / k)
-        if not term.coeffs:
+        if not term.codes.size:
             break
         total = total + term
     return total.scale(np.exp(-t * h0))
@@ -252,9 +252,10 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
     P[:m, :m] = np.eye(m)
     C0inv = np.linalg.inv(C0)
     JC0inv = (2 * P - np.eye(n)) @ C0inv
-    coeffs = {w: JC0inv @ M for w, M in En.coeffs.items() if w}
-    coeffs[()] = C0inv
-    S = NcSeries._of(E.d, n, n, N, coeffs)
+    rest = En.codes > 0
+    S = NcSeries._of(E.d, n, n, N,
+                     np.concatenate(([0], En.codes[rest])),
+                     np.concatenate((C0inv[None], JC0inv @ En.C[rest])))
     conj = series_mul(series_mul(S, En, N), series_invert(S, N), N)
     resid = max_coeff_diff(conj, NcSeries.constant(P, E.d, N), N)
     if resid > STRAIGHTEN_THRESHOLD:

@@ -338,7 +338,7 @@ def spectral_corpus():
         out.append(random_series(rng, d, deg, deg))
     for deg in (1, 2):
         H = random_series(rng, 2, deg, deg, 2, 2, density=0.5)
-        H.coeffs[()] = H.coeffs[()] + 3.0 * np.eye(2)
+        H = H + NcSeries.constant(3.0 * np.eye(2), 2, H.max_degree)
         out.append(H)
     out.append(frostman(commutator_inner(max_degree=5), 0.3 - 0.2j, 5))
     return out
@@ -550,7 +550,7 @@ def test_outer_defect_matches_svd_frame():
     for d, deg, N in ((2, 2, 5), (3, 1, 3), (1, 2, 6)):
         cases.append(random_series(rng, d, deg, N))
     H = random_series(rng, 2, 1, 4, 2, 2)
-    H.coeffs[()] = H.coeffs[()] + 3.0 * np.eye(2)
+    H = H + NcSeries.constant(3.0 * np.eye(2), 2, H.max_degree)
     cases.append(H)
     cases.append(random_series(rng, 2, 1, 4, 2, 1))
     for h in cases:
@@ -570,7 +570,7 @@ def outer_defect_corpus():
         cases.append(random_series(rng, d, deg, N, 3, 1))
         for n in (2, 3):
             H = random_series(rng, d, deg, N, n, n)
-            H.coeffs[()] = H.coeffs[()] + 3.0 * np.eye(n)
+            H = H + NcSeries.constant(3.0 * np.eye(n), d, H.max_degree)
             cases.append(H)
     return cases
 

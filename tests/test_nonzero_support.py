@@ -3,7 +3,8 @@
 NcSeries(...) and the private adopter NcSeries._of drop every all-zero
 block (ncseries._nonzero), so degree() and every gate read off it count
 only nonzero words, whichever way the series was built.  No other module
-writes a series' coefficients or names the rule.
+writes a series' coefficients or names the rule, and none reads the
+read-only coeffs view: library code works on the codes and the stack.
 """
 
 import ast
@@ -32,7 +33,8 @@ from nchardy.ncseries import (
 )
 from nchardy.transforms import eigenvector_shift, homogeneous_degree
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nchardy"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nchardy"
 
 
 def stores_no_zero(f):
@@ -210,3 +212,20 @@ def test_the_walker_finds_the_rule_in_ncseries():
     ids=lambda p: p.name)
 def test_only_ncseries_writes_coefficients(path):
     assert not coeffs_writes_and_rule_names(path)
+
+
+def coeffs_reads(path):
+    """Lines that read .coeffs at all."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.lineno for node in ast.walk(tree) if _is_coeffs(node)}
+
+
+def test_the_read_walker_finds_the_tracer_count():
+    assert coeffs_reads(ROOT / "benchmark" / "tracer.py")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "ncseries.py"),
+    ids=lambda p: p.name)
+def test_only_ncseries_reads_the_coeffs_view(path):
+    assert not coeffs_reads(path)

@@ -58,7 +58,6 @@ from .kernels import (
 )
 from .ncseries import (
     NcSeries,
-    _code_table,
     _int_size,
     _pow2_normalized,
     h2_norm,
@@ -440,7 +439,7 @@ def _combined_kernel_frame(pairs, N, extra_frame, d):
         QK = sing_space_complement(pairs, N=N)
         if QK.shape[1]:
             cols.append(QK)
-    dim = int(_code_table(d, N)[0][-1])
+    dim = FockBasis(d, N).dim
     if extra_frame is not None and np.size(extra_frame):
         if np.shape(extra_frame)[0] != dim:
             raise ShapeMismatchError(

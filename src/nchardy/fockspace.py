@@ -1,7 +1,8 @@
 """Truncated full Fock space over d letters and multiplication operators.
 
-The basis enumerates all words of length <= N in degree-then-lex order, so
-the truncated space has dimension D = 1 + d + ... + d^N.  Left and right
+The basis is a view of the ncseries code table; words are decoded on read.
+It indexes the words of length <= N in degree-then-lex order, so the
+truncated space has dimension D = 1 + d + ... + d^N.  Left and right
 creation operators act by prepending/appending a letter and annihilate the
 top degree.  Multiplying by a series f compresses f applied to the left
 creation tuple; the resulting matrix is exact on columns whose degree stays
@@ -23,7 +24,6 @@ gives the extreme eigenvalues inside a bracket read off t itself.
 """
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -31,8 +31,10 @@ from .errors import ShapeMismatchError, ValidityWindowError
 from .ncseries import (
     NcSeries,
     _cat_codes,
-    _check_letters,
+    _code_of,
     _code_table,
+    _decode,
+    _degree_arg,
     _int_size,
     _lengths,
     rescale,
@@ -43,29 +45,32 @@ RANK_REL = 1e-10
 
 
 class FockBasis:
-    """Degree-then-lex enumeration of words of length <= max_degree; the
-    index of a word is its ncseries word code."""
+    """A view of the ncseries code table: the words of length <= max_degree
+    in code order, decoded on read; the index of a word is its code."""
 
     def __init__(self, d, max_degree):
         self.d = _int_size("alphabet size", d)
-        self.max_degree = _int_size("max_degree", max_degree)
         if self.d < 1:
             raise ValueError("alphabet size must be >= 1")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        # product enumerates each degree in lex order
-        letters = range(1, self.d + 1)
-        self.words = [w for n in range(self.max_degree + 1)
-                      for w in itertools.product(letters, repeat=n)]
-        self.index = {w: i for i, w in enumerate(self.words)}
-        self.dim = len(self.words)
-        self._starts = _code_table(self.d, self.max_degree)[0]
+        self.max_degree = _degree_arg(
+            "max_degree", _int_size("max_degree", max_degree), self.d)
+        self._starts, self._pows = _code_table(self.d, self.max_degree)
+        self.dim = int(self._starts[-1])
+
+    @property
+    def words(self):
+        """Every basis word as a letter tuple, in index order."""
+        return _decode(np.arange(self.dim), self.d, self._starts, self._pows)
+
+    @property
+    def index(self):
+        """{word: index} over every basis word."""
+        return {w: i for i, w in enumerate(self.words)}
 
     def index_of(self, word):
-        w = _check_letters(word)
-        i = self.index.get(w)
+        i = _code_of(word, self.d, self.max_degree)
         if i is None:
-            raise KeyError(f"word {w} not in basis (d={self.d}, "
+            raise KeyError(f"word {tuple(word)} not in basis (d={self.d}, "
                            f"N={self.max_degree})")
         return i
 

@@ -254,20 +254,24 @@ class SingularityPair:
         return f"SingularityPair(level={self.level})"
 
 
-def sing_residual(H, Z, y):
-    """The raw quantity ||y* H(Z)|| driving the membership test."""
+def _sing_test(A, y):
+    """(is_member, residual, scale) for an evaluated A = H(Z): the
+    residual ||y* A|| against SING_TOL * scale, scale = ||y|| (1 + ||A||)."""
     y = np.asarray(y, dtype=complex).reshape(-1)
-    A = evaluate(H, Z)
     num = float(np.linalg.norm(y.conj() @ A))
     scale = float(np.linalg.norm(y)) * (1.0 + float(np.linalg.norm(A, 2)))
-    return num, scale
+    return num <= SING_TOL * scale, num, scale
+
+
+def sing_residual(H, Z, y):
+    """The raw quantity ||y* H(Z)|| driving the membership test."""
+    return _sing_test(evaluate(H, Z), y)[1:]
 
 
 def sing_membership(H, Z, y):
     """(is_member, residual): residual test ||y* H(Z)|| against
     SING_TOL * ||y|| * (1 + ||H(Z)||)."""
-    num, scale = sing_residual(H, Z, y)
-    return num <= SING_TOL * scale, num
+    return _sing_test(evaluate(H, Z), y)[:2]
 
 
 def sing_closure_direct_sum(p1, p2, c=1.0):
@@ -413,9 +417,9 @@ def _harvest_members(H, Z, roots, members, max_members):
         Zt = Z.scale(t)
         if not Zt.row_norm() < 1.0:
             continue
-        y = _left_null_direction(evaluate(H, Zt))
-        ok, _ = sing_membership(H, Zt, y)
-        if ok:
+        A = evaluate(H, Zt)
+        y = _left_null_direction(A)
+        if _sing_test(A, y)[0]:
             members.append(SingularityPair(Zt, y))
             if len(members) >= max_members:
                 return True
@@ -428,8 +432,8 @@ def search_singularities(H, level, trials=50, rng=None, max_members=10):
     Trials alternate between strictly triangular and Ginibre draws; for
     each direction Z at row norm 0.995 the exact scalings t with
     det(H(tZ)) = 0 are found by polynomial root extraction, and each root
-    inside the disk gives a candidate point tZ whose left null vector is
-    re-verified through sing_membership.  Returns the verified
+    inside the disk gives a candidate point tZ whose left null vector
+    must pass sing_membership's residual test.  Returns the verified
     SingularityPair objects, at most max_members, possibly none:
     polynomial symbols can be pointwise invertible on the whole ball at a
     given level, and the scan can miss a locus that is there.

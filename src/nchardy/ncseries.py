@@ -53,7 +53,7 @@ def _code_table(d, n):
     """(starts, pows), read-only int64: starts[l] = start_l for l <= n + 1
     and pows[l] = d^l for l <= n."""
     _check_code_range(d, n)
-    pows = np.array([d ** k for k in range(n + 1)], dtype=np.int64)
+    pows = d ** np.arange(n + 1, dtype=np.int64)
     starts = np.concatenate(([0], pows.cumsum()))
     starts.flags.writeable = pows.flags.writeable = False
     return starts, pows
@@ -82,6 +82,17 @@ def _encode(words, d):
             code = code * d + a
         codes.append(code)
     return np.array(codes, dtype=np.int64)
+
+
+def _code_of(word, d, n):
+    """The code of a lookup word, or None when it is longer than n or has a
+    letter outside 1..d; a letter that is not an integer raises."""
+    if not all(isinstance(a, (int, np.integer)) for a in word):
+        raise ValueError(f"a letter of {word!r} is not an integer")
+    w = tuple(map(int, word))
+    if len(w) > n or not all(1 <= a <= d for a in w):
+        return None
+    return int(_encode([w], d)[0])
 
 
 def _decode(codes, d, starts, pows):
@@ -154,15 +165,11 @@ def word_key(w):
     return (len(w), w)
 
 
-def _check_letters(letters, d=None):
-    """The letters as ints, checked raw: 1.7 or '1' raises, not truncates.
-    Given d, each letter must lie in 1..d; a lookup word (no d) may hold
-    any integers, and one outside the alphabet just finds nothing."""
+def _check_letters(letters, d):
+    """The letters as ints, each an int or numpy integer in 1..d, checked
+    raw: 1.7 or '1' raises, not truncates."""
     for a in letters:
-        if d is None:
-            if not isinstance(a, (int, np.integer)):
-                raise ValueError(f"letter {a!r} is not an integer")
-        elif not isinstance(a, (int, np.integer)) or not 1 <= a <= d:
+        if not isinstance(a, (int, np.integer)) or not 1 <= a <= d:
             raise ValueError(f"letter {a!r} outside alphabet 1..{d}")
     return tuple(map(int, letters))
 
@@ -352,10 +359,9 @@ class NcSeries:
 
     def _block(self, word):
         """The stored block at a lookup word, or None."""
-        w = _check_letters(word)
-        if len(w) > self.max_degree or not all(1 <= a <= self.d for a in w):
+        code = _code_of(word, self.d, self.max_degree)
+        if code is None:
             return None
-        code = _encode([w], self.d)[0]
         i = self.codes.searchsorted(code)
         found = i < self.codes.size and self.codes[i] == code
         return self.C[i] if found else None
@@ -395,7 +401,10 @@ class NcSeries:
 
     def truncate(self, n):
         """Drop words longer than n and clamp max_degree to n."""
-        n = min(self.max_degree, _degree_arg("degree", n, self.d))
+        n = _int_size("degree", n)
+        if n < 0:
+            raise ValueError("degree must be >= 0")
+        n = min(self.max_degree, n)
         return NcSeries._of(self.d, self.rows, self.cols, n,
                             *_through(self, n))
 

@@ -79,11 +79,11 @@ def crofoot(theta, w, N=None):
 
 
 def homogeneous_degree(V):
-    """Common length of the support words, or None if mixed."""
-    lengths = {len(w) for w in V.support()}
-    if len(lengths) == 1:
-        return lengths.pop()
-    return None
+    """Common length of the support words, or None if mixed: codes grow
+    with length, so the first code must have the top length."""
+    n = V.degree()
+    ok = V.codes.size and V.codes[0] >= FockBasis(V.d, n).degree_start(n)
+    return n if ok else None
 
 
 def eigenvector_shift(h, V, w, r, basis=None):
@@ -219,8 +219,11 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
     E'^2 = E'.  So S = U C0^{-1} is invertible and S E S^{-1} = P; read
     off E, S_0 = C0^{-1} and S_w = J C0^{-1} E_w for w nonempty.  The
     residual of the conjugation is checked and returned.  Exactly
-    idempotent inputs come out with machine-precision residuals.
+    idempotent inputs come out with machine-precision residuals.  The
+    gate must be finite and >= 0: NaN would pass every input.
     """
+    if not 0 <= gate < np.inf:
+        raise ValueError(f"gate must be finite and >= 0, got {gate}")
     n = E.rows
     if E.cols != n:
         raise ShapeMismatchError("idempotent must have square coefficients")

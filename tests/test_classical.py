@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import nchardy.classical as classical
+import nchardy.kernels as kernels
 from nchardy.classical import (
     atomic_singular,
     blaschke_product,
@@ -12,6 +14,7 @@ from nchardy.classical import (
 )
 from nchardy.errors import BoundaryRootError, ShapeMismatchError
 from nchardy.evaluate import evaluate
+from nchardy.kernels import sing_membership
 from nchardy.ncseries import (
     NcSeries,
     h2_norm,
@@ -179,3 +182,24 @@ def test_compare_with_nc_random_corpus_small():
             assert jp["member"]
         done += 1
     assert done == 8
+
+
+def test_each_jordan_pair_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def counting(H, Z, *args, **kwargs):
+        calls.append(Z)
+        return evaluate(H, Z, *args, **kwargs)
+
+    monkeypatch.setattr(classical, "evaluate", counting)
+    monkeypatch.setattr(kernels, "evaluate", counting)
+    c = np.convolve([-0.5, 1.0], [0.25, 1.0])
+    report = compare_with_nc(list(c), N=10)
+    pairs = report["jordan_pairs"]
+    assert len(pairs) == 2 and len(calls) == 2
+    monkeypatch.undo()
+    series = poly_series(c, 10)
+    for jp in pairs:
+        member, resid = sing_membership(series, jp["pair"].Z, jp["pair"].y)
+        assert jp["member"] is member and member
+        assert jp["residual"] == resid

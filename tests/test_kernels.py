@@ -314,3 +314,24 @@ def test_kernel_shape_validation():
         szego_kernel(Z, [1.0], [1.0, 0.0], 4)
     with pytest.raises(ValueError):
         SingularityPair(Z, [0.0, 0.0])
+
+
+def test_each_root_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def counting(H, Z, *args, **kwargs):
+        calls.append(Z)
+        return evaluate(H, Z, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "evaluate", counting)
+    H = NcSeries(1, 1, 1, 1, {(): -0.5, (1,): 1.0})
+    members = search_singularities(H, 1, trials=4)
+    # the null direction and the membership test read one H(tZ)
+    assert len(members) == 4 and len(calls) == 4
+    monkeypatch.undo()
+    for pair in members:
+        A = evaluate(H, pair.Z)
+        assert pair.y.tobytes() == kernels._left_null_direction(A).tobytes()
+        assert abs(pair.Z.mats[0][0, 0] - 0.5) < 1e-15
+        ok, resid = sing_membership(H, pair.Z, pair.y)
+        assert ok and resid == kernels.sing_residual(H, pair.Z, pair.y)[0]

@@ -348,3 +348,12 @@ def test_idempotent_gate_rejects_non_idempotent():
     with pytest.raises(NotIdempotentError) as info:
         idempotent_split(E)
     assert info.value.residual > 0.1
+
+
+@pytest.mark.parametrize("gate", [np.nan, np.inf, -1.0])
+def test_idempotent_gate_must_be_finite_and_nonnegative(gate):
+    E = NcSeries(2, 2, 2, 4, {(): np.array([[1.0, 0.0], [0.0, 0.5]]),
+                              (1,): np.array([[0.0, 1.0], [0.0, 0.0]])})
+    for series in (E, NcSeries.identity(2, 2, 4)):
+        with pytest.raises(ValueError, match="gate must be finite"):
+            idempotent_split(series, gate=gate)

@@ -20,6 +20,7 @@ from .errors import (
 from .ncseries import (
     _complex_from_json,
     _complex_to_json,
+    _horner_plan,
     _int_field,
     _object_with_keys,
     h2_norm,
@@ -29,8 +30,9 @@ from .ncseries import (
 # ball, but close enough to the boundary that truncation tails decay slowly.
 ADMISSIBLE_WARN = 0.99
 
-# Points per batched evaluation step: bounds the word-product cache, which
-# holds one n x n matrix per point for every suffix of a support word.
+# Points per batched evaluation step: bounds the two Horner levels a step
+# holds at once, at most (d + 2) p q n^2 complex numbers per point and
+# node of the wider level.
 EVAL_CHUNK = 256
 
 
@@ -113,19 +115,58 @@ def random_point(rng, d, n, row_norm):
     return MatrixPoint(Zs[0])
 
 
-def _word_powers(Zs, words):
-    """Stacked products Z^w over a batch Zs of shape (B, d, n, n), one
-    (B, n, n) array per word, sharing suffix work across words.  The
-    cache is a plain local, freed on return: a self-referencing closure
-    over it would wait for the cyclic garbage collector."""
-    B, _, n, _ = Zs.shape
-    cache = {(): np.broadcast_to(np.eye(n, dtype=complex), (B, n, n))}
-    for w in words:
-        # shortest suffix first, so each product finds its tail cached
-        for k in range(len(w) - 1, -1, -1):
-            if w[k:] not in cache:
-                cache[w[k:]] = Zs[:, w[k] - 1] @ cache[w[k + 1:]]
-    return [cache[w] for w in words]
+def _coefficient_blocks(f, count, at, n):
+    """f_u (x) I at every node u of f's prefix tree, each held as the
+    (p q n, n) matrix H[(i, j, l), k] = f_u[i, j] delta_lk: one
+    (p q n, count, n) array, zero at the prefixes f does not store."""
+    Fc = np.zeros((f.rows, f.cols, count), dtype=complex)
+    Fc[:, :, at] = f.C.transpose(1, 2, 0)
+    return (Fc[:, :, None, :, None] * np.eye(n)[:, None]).reshape(
+        -1, count, n)
+
+
+def _horner(F, top, levels, Zs):
+    """G_empty at every point of Zs by NC Horner over a prefix tree,
+
+        G_u = f_u (x) I + sum_a (I (x) Z_a) G_ua,
+
+    from the longest words down.  Each G_u is held as its (p q n, n)
+    matrix H_u[(i, j, l), k] = G_u[(i, k), (j, l)], so that
+
+        H_u = [H_u1 ... H_ud  f_u (x) I] @ [Z_1^T; ...; Z_d^T; I],
+
+    and a level is one batched product per point, its nodes stacked in
+    the rows.  A level keeps only the blocks some node of it uses, a
+    child missing from the tree leaves its block zero, and a level whose
+    slots are a slice takes the product of the level above in place.
+    F holds the blocks f_u (x) I, top and levels are
+    ncseries._prefix_levels'; returns H_empty, of shape (B, p q n, n), or
+    (p q n, 1, n) for a constant.
+    """
+    B, d, n, _ = Zs.shape
+    R = np.empty((B, d + 1, n, n), dtype=complex)
+    R[:, :d] = Zs.swapaxes(-1, -2)
+    R[:, d] = np.eye(n)
+    Rs = {}
+    lo, m = top
+    H = F[:, lo:lo + m]  # the longest words: the same at every point
+    Y = None
+    for lo, m, blocks, slots in levels:
+        k = len(blocks)
+        below = np.zeros((B, F.shape[0], m * k, n), dtype=complex)
+        if blocks[-1] == d:
+            below[:, :, k - 1::k] = F[:, lo:lo + m]
+        if Y is None:
+            below[:, :, slots] = H
+        elif isinstance(slots, slice):
+            # a view: rows (i, j, l, u) step evenly by k n
+            np.matmul(Y, Rs[up], out=below[:, :, slots].reshape(B, -1, n))
+        else:
+            below[:, :, slots] = (Y @ Rs[up]).reshape(B, F.shape[0], -1, n)
+        if blocks not in Rs:
+            Rs[blocks] = R[:, list(blocks)].reshape(B, k * n, n)
+        Y, up = below.reshape(B, -1, k * n), blocks
+    return H if Y is None else Y @ Rs[up]
 
 
 def _check_row_norms(Zs):
@@ -149,10 +190,11 @@ def evaluate_batch(f, Zs, check_admissible=True):
     """f(Z) = sum_w fhat_w (x) Z^w at every point of a stack at once.
 
     Zs has shape (B, d, n, n): B points of one size n over the alphabet of
-    f.  Returns the values as one (B, rows*n, cols*n) array.  The stack is
-    evaluated EVAL_CHUNK points at a time; a chunk shares one cache of
-    word products built with batched matmuls, and one einsum contracts it
-    with the coefficients.
+    f.  Returns the values as one (B, rows*n, cols*n) array.  The values
+    come from NC Horner over the prefix tree of f's words, built from
+    f.codes once per support (ncseries._horner_plan): one batched matrix
+    product per word length, EVAL_CHUNK points at a time, so a step holds
+    at most two levels of the tree.
 
     With check_admissible, raises InadmissiblePointError if any point lies
     outside the open unit row ball and warns when a row norm exceeds
@@ -165,12 +207,14 @@ def evaluate_batch(f, Zs, check_admissible=True):
     B, _, n, _ = Zs.shape
     if check_admissible and B:
         _check_row_norms(Zs)
-    words, C = f.support(), f.C
     vals = np.zeros((B, f.rows, n, f.cols, n), dtype=complex)
-    for lo in range(0, B if words else 0, EVAL_CHUNK):
-        powers = _word_powers(Zs[lo:lo + EVAL_CHUNK], words)
-        vals[lo:lo + EVAL_CHUNK] = np.einsum("wij,wbkl->bikjl", C,
-                                             np.array(powers))
+    count, at, top, levels = _horner_plan(f)
+    if B and count:
+        F = _coefficient_blocks(f, count, at, n)
+        for lo in range(0, B, EVAL_CHUNK):
+            H = _horner(F, top, levels, Zs[lo:lo + EVAL_CHUNK])
+            vals[lo:lo + EVAL_CHUNK] = H.reshape(
+                -1, f.rows, f.cols, n, n).transpose(0, 1, 4, 2, 3)
     return vals.reshape(B, f.rows * n, f.cols * n)
 
 

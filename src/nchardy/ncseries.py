@@ -74,6 +74,73 @@ def _cat_codes(pows, lv, cu, cv):
     return cu * pows[lv] + cv
 
 
+def _horner_plan(f):
+    """_prefix_levels of f's stored words.  The tree depends only on the
+    support, so every series with f's codes shares one plan (a series
+    and its Cayley transform, say, or each draw of a semigroup)."""
+    return _prefix_levels(f.codes.tobytes(), f.d, _bound(f))
+
+
+@functools.lru_cache(maxsize=32)
+def _prefix_levels(key, d, bound):
+    """The prefix tree of the words whose int64 codes fill the bytes key,
+    for evaluation by levels (NC Horner): (count, at, top, levels), with
+    read-only arrays and tuples, as every caller shares it.
+
+    The count nodes are the sorted codes of every prefix of a word (w
+    less its last k letters has the code (code(w) - start_k) // d^k).
+    at places each word among them, and the longest words fill the nodes
+    top = (first, node count).  levels lists every shorter length from
+    the longest down as (first, node count, blocks, slots).  Each node of
+    the level owns len(blocks) column blocks, in the order of the tuple
+    blocks: a - 1 for each letter a that ends a node of the level above,
+    and d, last, for the node's own coefficient when the level stores a
+    word.  Node ua of the level above, with u the i-th node of this
+    level, fills block i len(blocks) + (place of a - 1 in blocks) of this
+    level; slots holds those blocks, as a slice when the i-th node of the
+    level above fills block i len(blocks) + j for one j.  No codes give
+    no nodes and top None."""
+    codes = np.frombuffer(key, dtype=np.int64)
+    if not codes.size:
+        return 0, codes, None, ()
+    starts, pows = _code_table(d, bound)
+    lens = _lengths(codes, starts)
+    k = np.arange(1, int(lens[-1]) + 1)
+    drop = (codes[:, None] - starts[k]) // pows[k]
+    nodes = _union(codes, drop[k <= lens[:, None]])
+    lev = _lengths(nodes, starts)
+    top = int(lev[-1])
+    first = nodes.searchsorted(starts[:top + 2])
+    # every node but the root, with its parent's level and its letter
+    up = nodes[1:] - 1
+    pl, letter = lev[1:] - 1, up % d
+    used = np.zeros((top + 1, d + 1), dtype=bool)
+    used[pl, letter] = True
+    used[lens, d] = True
+    place = used.cumsum(axis=1) - 1
+    width = place[:, d] + 1
+    slots = (nodes.searchsorted(up // d) - first[pl]) * width[pl] \
+        + place[pl, letter]
+    slots.flags.writeable = False
+    # a level's slots are a slice when they step by its width throughout
+    # and it has one node per node of the level above
+    jump = (slots[1:] - slots[:-1] != width[pl[1:]]) & (pl[1:] == pl[:-1])
+    irregular = np.bincount(pl[1:][jump], minlength=top + 1).tolist()
+    first, width, used = first.tolist(), width.tolist(), used.tolist()
+    levels = []
+    for l in range(top - 1, -1, -1):
+        m, k = first[l + 1] - first[l], width[l]
+        below = slots[first[l + 1] - 1:first[l + 2] - 1]
+        if not irregular[l] and below.size == m:
+            below = slice(int(below[0]), m * k, k)
+        levels.append((first[l], m, tuple(a for a, u in enumerate(used[l])
+                                          if u), below))
+    at = nodes.searchsorted(codes)
+    at.flags.writeable = False
+    return (nodes.size, at, (first[top], first[top + 1] - first[top]),
+            tuple(levels))
+
+
 def _encode(words, d):
     codes = []
     for w in words:
@@ -422,7 +489,10 @@ class NcSeries:
         square leaves the float range at any scale."""
         g, _ = _pow2_normalized(self)
         norms = np.sqrt((np.abs(g.C) ** 2).sum(axis=(1, 2)))
-        keep = norms > PRUNE_REL * norms.max(initial=0.0)
+        # g lacks the blocks that the rescaling underflows to zero, which
+        # lie far below the cut: keep g's words above it
+        keep = self.codes.searchsorted(
+            g.codes[norms > PRUNE_REL * norms.max(initial=0.0)])
         return NcSeries._of(self.d, self.rows, self.cols, self.max_degree,
                             self.codes[keep], self.C[keep])
 

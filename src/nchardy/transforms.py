@@ -144,8 +144,12 @@ def cayley_herglotz(B, N=None):
 def herglotz_min_real(H, rng=None, num_samples=50):
     """Smallest eigenvalue of Re H(Z) over num_samples random points of
     row norm 0.6 and sizes 1, 2, 3 in turn (sampling evidence for the
-    Herglotz property; nonnegative up to tolerance).  num_samples must be
-    an int >= 1: zero sample points would leave the minimum at +inf."""
+    Herglotz property; nonnegative up to tolerance).  H must be square,
+    as cayley_herglotz's values are, and num_samples an int >= 1: zero
+    sample points would leave the minimum at +inf."""
+    if H.rows != H.cols:
+        raise ShapeMismatchError("herglotz_min_real needs square "
+                                 "coefficients")
     if _int_size("num_samples", num_samples) < 1:
         raise ValueError("herglotz_min_real needs at least one sample point")
     rng = np.random.default_rng(0) if rng is None else rng

@@ -69,10 +69,16 @@ class DictSeries:
 
     def prune(self):
         """Drop coefficients with Frobenius norm <= PRUNE_REL * (largest
-        norm)."""
+        norm), the norms taken after scaling every entry by the power of
+        two that brings the largest modulus into [1/2, 1), as
+        NcSeries.prune does: at 1e-170 a raw norm underflows to 0."""
         if not self.coeffs:
             return self.copy()
-        norms = {w: np.linalg.norm(m) for w, m in self.coeffs.items()}
+        e = int(np.frexp(max(np.abs(m).max()
+                             for m in self.coeffs.values()))[1])
+        norms = {w: np.linalg.norm(np.ldexp(m.real, -e)
+                                   + 1j * np.ldexp(m.imag, -e))
+                 for w, m in self.coeffs.items()}
         top = max(norms.values())
         kept = {w: m for w, m in self.coeffs.items()
                 if norms[w] > PRUNE_REL * top}
@@ -287,8 +293,9 @@ def series_to_vec(f, basis):
             f"series alphabet d={f.d} != basis alphabet d={basis.d}")
     p, q = f.rows, f.cols
     v = np.zeros((basis.dim * p, q), dtype=complex)
+    index = basis.index
     for w, m in f.coeffs.items():
-        i = basis.index.get(w)
+        i = index.get(w)
         if i is None:
             raise ValueError(
                 f"series word {w} exceeds basis degree {basis.max_degree}")
@@ -307,7 +314,8 @@ def vec_to_series(v, basis, rows=1, cols=None):
         raise ShapeMismatchError(
             f"vector shape {v.shape} != ({basis.dim * rows}, {cols})")
     blocks = v.reshape(basis.dim, rows, cols)
-    coeffs = {basis.words[i]: blocks[i].copy()
+    words = basis.words
+    coeffs = {words[i]: blocks[i].copy()
               for i in np.flatnonzero(blocks.any(axis=(1, 2)))}
     return DictSeries._of(basis.d, rows, cols, basis.max_degree, coeffs)
 

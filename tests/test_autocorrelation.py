@@ -72,9 +72,10 @@ def right_shift_matrix(basis, k):
     words: built from word_triples it would compare that code with
     itself."""
     R = np.zeros((basis.dim, basis.dim))
+    index = basis.index
     for j, w in enumerate(basis.words):
         if len(w) < basis.max_degree:
-            R[basis.index[w + (k,)], j] = 1.0
+            R[index[w + (k,)], j] = 1.0
     return R
 
 
@@ -90,9 +91,10 @@ def toeplitz_gram(f, k):
     t, m, q = toeplitz_data(f), f.degree(), f.cols
     basis, index = FockBasis(f.d, k), FockBasis(f.d, m).index
     G = np.zeros((basis.dim, q, basis.dim, q), dtype=complex)
+    at = basis.index
     for i, w in enumerate(basis.words):
         for n in range(min(m, len(w)) + 1):
-            j = basis.index[w[n:]]
+            j = at[w[n:]]
             G[i, :, j] = t[index[w[:n]]]
             if n:
                 G[j, :, i] = t[index[w[:n]]].conj().T
@@ -219,13 +221,13 @@ def triangular_outer_defect(h, N):
 
 @pytest.mark.parametrize("d, m", [(1, 4), (2, 3), (3, 2)])
 def test_word_triples_enumerate_every_concatenation(d, m):
-    basis = FockBasis(d, m)
+    words = FockBasis(d, m).words
     s, mu, cat = word_triples(d, m)
-    got = {(basis.words[a], basis.words[b]) for a, b in zip(mu, s)}
-    want = {(x, y) for x in basis.words for y in basis.words
+    got = {(words[a], words[b]) for a, b in zip(mu, s)}
+    want = {(x, y) for x in words for y in words
             if len(x) + len(y) <= m}
     assert got == want and len(s) == len(want)
-    assert all(basis.words[c] == basis.words[a] + basis.words[b]
+    assert all(words[c] == words[a] + words[b]
                for a, b, c in zip(mu, s, cat))
     assert s.dtype == np.intp and not s.flags.writeable
     assert word_triples(d, m)[0] is s

@@ -201,8 +201,8 @@ def test_evaluate_batch_admissibility_gate():
 
 
 def test_evaluate_batch_frees_its_word_products_on_return():
-    # the per-chunk cache of word products can reach megabytes; left in a
-    # reference cycle, it lives until the cyclic collector happens to run
+    # the Horner levels of a chunk can reach megabytes; left in a
+    # reference cycle, they live until the cyclic collector happens to run
     f = NcSeries(2, 1, 1, 3, {(): 1.0, (1, 2): 0.5, (2, 1, 1): 0.25})
     Zs, = random_points(np.random.default_rng(20), 2, (2, 2, 2), 0.5)
     gc.collect()

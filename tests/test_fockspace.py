@@ -87,9 +87,10 @@ def right_shift_matrix(basis, k):
     words: built from word_triples it would compare that code with
     itself."""
     R = np.zeros((basis.dim, basis.dim))
+    index = basis.index
     for j, w in enumerate(basis.words):
         if len(w) < basis.max_degree:
-            R[basis.index[w + (k,)], j] = 1.0
+            R[index[w + (k,)], j] = 1.0
     return R
 
 

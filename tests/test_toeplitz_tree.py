@@ -48,9 +48,10 @@ def gram_from_data(t, d, m, k):
     basis, index = FockBasis(d, k), FockBasis(d, m).index
     q = t.shape[1]
     G = np.zeros((basis.dim, q, basis.dim, q), dtype=complex)
+    at = basis.index
     for i, w in enumerate(basis.words):
         for n in range(min(m, len(w)) + 1):
-            j = basis.index[w[n:]]
+            j = at[w[n:]]
             G[i, :, j] = t[index[w[:n]]]
             if n:
                 G[j, :, i] = t[index[w[:n]]].conj().T

@@ -210,6 +210,17 @@ def test_herglotz_min_real_positive_for_contractive_symbol():
     assert worst > 0.04
 
 
+@pytest.mark.parametrize("rows, cols", [(1, 2), (2, 1), (2, 3)])
+def test_herglotz_min_real_refuses_non_square_series(rows, cols):
+    # Re H(Z) = (A + A^H) / 2 needs a square value; cayley_herglotz
+    # refuses the same shapes
+    H = NcSeries(2, rows, cols, 2, {(): np.ones((rows, cols))})
+    with pytest.raises(ShapeMismatchError, match="square"):
+        herglotz_min_real(H, num_samples=3)
+    with pytest.raises(ShapeMismatchError, match="square"):
+        cayley_herglotz(H)
+
+
 @pytest.mark.parametrize("num_samples", [0, -2])
 def test_herglotz_min_real_refuses_zero_sample_points(num_samples):
     # no sample point would leave the minimum at +inf and pass any > 0 check

@@ -42,14 +42,15 @@ def loop_mult_operator(f, basis):
     p, q = f.rows, f.cols
     N = basis.max_degree
     M = np.zeros((basis.dim * p, basis.dim * q), dtype=complex)
+    words, index = basis.words, basis.index
     for alpha, m in f.coeffs.items():
         la = len(alpha)
         if la > N:
             continue
-        for j, beta in enumerate(basis.words):
+        for j, beta in enumerate(words):
             if la + len(beta) > N:
                 continue
-            i = basis.index[alpha + beta]
+            i = index[alpha + beta]
             M[i * p:(i + 1) * p, j * q:(j + 1) * q] += m
     return M, N - min(f.degree(), N)
 
@@ -62,9 +63,10 @@ def left_shift_matrix(basis, k):
 def loop_left_shift_matrix(basis, k):
     """Reference: L_k word by word."""
     L = np.zeros((basis.dim, basis.dim))
+    index = basis.index
     for j, w in enumerate(basis.words):
         if len(w) < basis.max_degree:
-            L[basis.index[(k,) + w], j] = 1.0
+            L[index[(k,) + w], j] = 1.0
     return L
 
 
@@ -72,6 +74,7 @@ def loop_sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
     """Reference: kernel columns filled word by word."""
     d = pairs[0].Z.d
     basis = FockBasis(d, N)
+    index = basis.index
     cols = []
     for pair in pairs:
         vs = probes if probes is not None else standard_probes(pair.level)
@@ -79,7 +82,7 @@ def loop_sing_space_complement(pairs, probes=None, N=8, rel=RANK_REL):
             K = szego_kernel(pair.Z, pair.y, v, N)
             vec = np.zeros(basis.dim, dtype=complex)
             for w, m in K.series.coeffs.items():
-                vec[basis.index[w]] = m[0, 0]
+                vec[index[w]] = m[0, 0]
             cols.append(vec)
     A = np.array(cols).T
     Q, R, _ = scipy.linalg.qr(A, mode="economic", pivoting=True)

@@ -8,7 +8,10 @@ the outer factor's coefficients, with an exact Jacobian and residual rows
 asking for a Hermitian vacuum, recovers it to machine precision and the
 inner factor follows by division.  The solver is the numpy `_lm` below
 (Moré 1978, with Nielsen's gain-ratio damping and MINPACK's stop tests),
-so the package runs on numpy alone.  The same data give the NC Toeplitz
+so the package runs on numpy alone.  The Jacobian is affine in the
+outer factor's coefficients, so each step builds it as one scatter over
+a plan cached per (d, m, n) from the index triples, and reads the
+residual from the same matrix.  The same data give the NC Toeplitz
 Gram of the columns H z^v, whose tree Cholesky
 (fockspace.toeplitz_vacuum_schur) certifies the wandering dimension and
 gives the outer defect without building the Gram.  The inner defect and
@@ -25,6 +28,8 @@ Blaschke part (the NC Beurling theorem of Arias-Popescu).  Every split
 with kernel data takes that path; the defect is reported, never decided
 on.
 """
+
+import functools
 
 import numpy as np
 
@@ -58,6 +63,7 @@ from .kernels import (
 )
 from .ncseries import (
     NcSeries,
+    _degree_arg,
     _int_size,
     _pow2_normalized,
     h2_norm,
@@ -115,13 +121,61 @@ def autocorrelation(H, m=None):
 
     These matrices are blind to inner factors on the left: if H = B F with
     B inner then t_s(H) = t_s(F), which is what makes them the right data
-    for recovering the outer part.
+    for recovering the outer part.  m defaults to deg(H); it must be an
+    int >= 0 (2.5 or -1 is a ValueError).
     """
     deg = H.degree()
-    m = deg if m is None else m
+    m = _degree_arg("m", m, H.d, deg)
     basis = FockBasis(H.d, max(m, deg))
     t = autocorrelation_stack(coeff_stack(H, basis), H.d, basis.max_degree)
     return dict(zip(basis.words[:basis.degree_start(m + 1)], t))
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobian_plan(d, m, n):
+    """_OuterProblem's Jacobian over d letters, degree m and n x n
+    coefficients as one scatter: read-only (target, src, weight) arrays
+    and J's shape, so that J(x) = bincount(target, weight * [x, 1][src])
+    reshaped to that shape.
+
+    Over each index triple (s, mu, mu s) of word_triples, dt_s[i, b] takes
+    conj(F_mu[a, i]) dF_{mu s}[a, b] + F_{mu s}[a, b] conj(dF_mu[a, i]), so
+    each entry of J is +-Re or +-Im of one coefficient of F, and two terms
+    meet on one entry only when s is empty and i = b.  The gauge block
+    dF_0 - dF_0^H reads the constant 1 at the end of [x, 1].  Rows follow
+    the residual (per block, real then imaginary parts), columns follow x
+    (per coefficient entry, real then imaginary part).
+    """
+    s, mu, cat = word_triples(d, m)
+    D, nn = FockBasis(d, m).dim, n * n
+    size = 2 * D * nn
+    i, b, a = np.ix_(range(n), range(n), range(n))
+    s, mu, cat = (v.reshape(-1, 1, 1, 1) for v in (s, mu, cat))
+    row, fs, fm = np.broadcast_arrays(
+        2 * nn * s + n * i + b,
+        2 * (nn * cat + n * a + b),  # Re F_{mu s}[a, b] in x
+        2 * (nn * mu + n * a + i))   # Re F_mu[a, i] in x
+    i, b = np.ix_(range(n), range(n))
+    grow, gin, gout = np.broadcast_arrays(
+        2 * nn * D + n * i + b, 2 * (n * i + b), 2 * (n * b + i))
+    one = np.full(grow.shape, size)
+    # (row, column, source, weight): a block's Im rows sit nn below its Re
+    # rows, and an entry's Im column right after its Re column
+    terms = [
+        (row, fs, fm, 1), (row + nn, fs, fm + 1, -1),
+        (row, fs + 1, fm + 1, 1), (row + nn, fs + 1, fm, 1),
+        (row, fm, fs, 1), (row + nn, fm, fs + 1, 1),
+        (row, fm + 1, fs + 1, 1), (row + nn, fm + 1, fs, -1),
+        (grow, gin, one, 1), (grow + nn, gin + 1, one, 1),
+        (grow, gout, one, -1), (grow + nn, gout + 1, one, 1),
+    ]
+    plan = (np.concatenate([(r * size + c).ravel() for r, c, _, _ in terms]),
+            np.concatenate([x.ravel() for _, _, x, _ in terms]),
+            np.concatenate([np.full(r.size, float(w))
+                            for r, _, _, w in terms]))
+    for v in plan:
+        v.flags.writeable = False
+    return plan + ((2 * nn * (D + 1), size),)
 
 
 class _OuterProblem:
@@ -133,6 +187,12 @@ class _OuterProblem:
     F_0 - F_0^H of the vacuum coefficient is one more residual block, after
     t_s(F) - t_s(H) word by word.  Each block lists the real and then the
     imaginary parts of its n x n matrix.
+
+    The Jacobian is one scatter of x over the cached _jacobian_plan.  t_s
+    is a homogeneous quadratic in x and the gauge block is linear, so the
+    residual is read from the same J: r = h (J x) - t(H), with h = 1/2 on
+    the t_s rows and 1 on the gauge rows.  residual(x) keeps the J it
+    builds, and jacobian(x) at a point with the same bits returns it.
     """
 
     def __init__(self, H, m):
@@ -142,38 +202,34 @@ class _OuterProblem:
         self.target = autocorrelation_stack(
             coeff_stack(H, self.basis), H.d, m)
         self.shape = (self.basis.dim, n, n)
+        self._plan = _jacobian_plan(H.d, m, n)
+        t = np.concatenate([self.target, np.zeros((1, n, n))])
+        t = t.reshape(t.shape[0], -1)
+        self._rhs = np.stack([t.real, t.imag], axis=1).reshape(-1)
+        self._half = np.full(self._rhs.size, 0.5)
+        self._half[-2 * n * n:] = 1.0
+        self._xa = np.ones(2 * self.basis.dim * n * n + 1)
+        self._kept = None, None
 
     def decode(self, x):
         return x.view(complex).reshape(self.shape)
 
+    def _build(self, x):
+        target, src, weight, shape = self._plan
+        self._xa[:-1] = x
+        w = weight * self._xa[src]
+        return np.bincount(target, weights=w,
+                           minlength=shape[0] * shape[1]).reshape(shape)
+
     def residual(self, x):
-        F = self.decode(x)
-        r = np.concatenate([
-            autocorrelation_stack(F, self.d, self.m) - self.target,
-            (F[0] - F[0].conj().T)[None]])
-        r = r.reshape(r.shape[0], -1)
-        return np.stack([r.real, r.imag], axis=1).reshape(-1)
+        J = self._build(x)
+        self._kept = x.tobytes(), J
+        return self._half * (J @ x) - self._rhs
 
     def jacobian(self, x):
-        """t_s(F) is sesquilinear: dt_s = sum F_mu^H dF_{mu s} + dF_mu^H
-        F_{mu s} over the triples (s, mu, mu s).  lin[s, i, b, k, a, c] is
-        the coefficient of dF_k[a, c] in dt_s[i, b], anti that of
-        conj(dF_k[a, c]); the gauge block s = dim is dF_0 - dF_0^H.  With
-        dF = dRe + i dIm, the columns of an entry's real and imaginary
-        parts are lin + anti and i (lin - anti)."""
-        F = self.decode(x)
-        D, n, eye = self.basis.dim, self.n, np.eye(self.n)
-        s, mu, cat = word_triples(self.d, self.m)
-        lin = np.zeros((D + 1, n, n, D, n, n), dtype=complex)
-        anti = np.zeros_like(lin)
-        # each (s, mu s) and (s, mu) is one triple, laid out (t, i, b, a, c)
-        lin[s, :, :, cat] = np.einsum("tai,bc->tibac", F[mu].conj(), eye)
-        anti[s, :, :, mu] = np.einsum("tab,ic->tibac", F[cat], eye)
-        lin[D, :, :, 0] = np.einsum("ia,bc->ibac", eye, eye)
-        anti[D, :, :, 0] = -np.einsum("ab,ic->ibac", eye, eye)
-        J = np.stack([lin + anti, 1j * (lin - anti)], axis=-1)
-        J = J.reshape(D + 1, n * n, -1)
-        return np.stack([J.real, J.imag], axis=1).reshape(-1, J.shape[-1])
+        """dr/dx: the J that residual kept, when x has its bits."""
+        key, J = self._kept
+        return J if x.tobytes() == key else self._build(x)
 
 
 def _lm(fun, jac, x0):
@@ -185,15 +241,18 @@ def _lm(fun, jac, x0):
     h.(mu h - J^T r) that the linear model predicts.  The damping follows
     Nielsen's rule: a step with rho > 0 is taken and mu scaled by
     max(1/3, 1 - (2 rho - 1)^3); otherwise mu grows by nu = 2, 4, 8, ...
-    and the step is retried against the same J, so a rejected step costs
-    one residual and no Jacobian.  mu starts at LM_TAU max diag(J^T J).
-    The solve stops, as MINPACK's lmder does, at a zero residual, when the
-    actual and predicted reductions are both within LM_TOL of |r|^2, when
-    the step is within LM_TOL of |x|, or after LM_MAX_NFEV residuals.  It
-    also stops when the damped system is exactly singular: near a solution
-    where J^T J is singular (an outer factor with a zero on the boundary),
-    mu shrinks below its rounding level.  Returns x, fun(x) and the number
-    of residuals evaluated; the caller judges the residual.
+    and the step is retried against the same J.  The trial point x + h is
+    one array, passed to fun and, once accepted, on as x, so with
+    _OuterProblem's kept Jacobian every trial costs one scatter, which
+    serves its residual and, if taken, the next step's J.  mu starts at
+    LM_TAU max diag(J^T J).  The solve stops, as MINPACK's lmder does,
+    at a zero residual, when the actual and predicted reductions are both
+    within LM_TOL of |r|^2, when the step is within LM_TOL of |x|, or
+    after LM_MAX_NFEV residuals.  It also stops when the damped system is
+    exactly singular: near a solution where J^T J is singular (an outer
+    factor with a zero on the boundary), mu shrinks below its rounding
+    level.  Returns x, fun(x) and the number of residuals evaluated; the
+    caller judges the residual.
     """
     x, r = x0, fun(x0)
     f, nfev, mu = r @ r, 1, None
@@ -201,17 +260,18 @@ def _lm(fun, jac, x0):
         J = jac(x)
         A, g = J.T @ J, J.T @ r
         if mu is None:
-            mu = LM_TAU * A.diagonal().max()
+            mu, eye = LM_TAU * A.diagonal().max(), np.eye(len(A))
         nu = 2.0
         while True:
             try:
-                h = np.linalg.solve(A + mu * np.eye(len(A)), -g)
+                h = np.linalg.solve(A + mu * eye, -g)
             except np.linalg.LinAlgError:
                 return x, r, nfev
             if (nfev >= LM_MAX_NFEV
                     or np.linalg.norm(h) <= LM_TOL * np.linalg.norm(x)):
                 return x, r, nfev
-            r_new = fun(x + h)
+            x_new = x + h
+            r_new = fun(x_new)
             nfev += 1
             f_new = r_new @ r_new
             act, pred = f - f_new, h @ (mu * h - g)
@@ -221,7 +281,7 @@ def _lm(fun, jac, x0):
             if small:
                 return x, r, nfev
             mu, nu = mu * nu, 2 * nu
-        x, r, f = x + h, r_new, f_new
+        x, r, f = x_new, r_new, f_new
         if small:
             break
         mu *= max(1 / 3, 1 - (2 * act / pred - 1) ** 3)
@@ -236,13 +296,15 @@ def spectral_outer(H):
     positive), by the Levenberg-Marquardt solve `_lm` on the exact
     Jacobian: Nielsen's gain-ratio damping, and stops at a zero residual,
     at relative reductions of |r|^2 or a relative step within LM_TOL, or
-    after LM_MAX_NFEV residuals.  The solve runs on H / |H|_2, with H
-    first scaled by a power of two, and scales F back, so no step depends
-    on the scale of H; the zero series is a ValueError.  The one start
-    sqrt(t_empty) is the constant of maximal vacuum mass, which steers
-    the iteration onto the outer branch.  On the normalised scale a
-    residual above 1e-11 raises DiagnosticError naming it, and
-    coefficients below 1e-14 are dropped.
+    after LM_MAX_NFEV residuals; each residual is one scatter of the
+    cached _jacobian_plan, whose J also serves the step.  The solve runs
+    on H / |H|_2, with H first scaled by a power of two, and scales F
+    back, so no step depends on the scale of H; the zero series is a
+    ValueError.  The one start sqrt(t_empty) is the constant of maximal
+    vacuum mass, which steers the iteration onto the outer branch.  On
+    the normalised scale a residual above 1e-11 raises DiagnosticError
+    naming it and the number of residuals evaluated, and coefficients
+    below 1e-14 are dropped.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("spectral factorization needs square "
@@ -257,13 +319,13 @@ def spectral_outer(H):
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
     init = np.zeros(prob.shape, dtype=complex)
     init[0] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    x, r, _ = _lm(prob.residual, prob.jacobian,
-                  init.reshape(-1).view(float))
+    x, r, nfev = _lm(prob.residual, prob.jacobian,
+                     init.reshape(-1).view(float))
     err = float(np.max(np.abs(r)))
     if err > 1e-11:
         raise DiagnosticError(
             f"autocorrelation factorization did not converge "
-            f"(residual {err:.3e})")
+            f"(residual {err:.3e}) after {nfev} residual evaluations")
     F = prob.decode(x).copy()
     F[0] = 0.5 * (F[0] + F[0].conj().T)
     if n == 1 and F[0, 0, 0].real < 0:
@@ -538,10 +600,12 @@ def singular_test(S, rng=None, num_samples=200):
 
     Checks S at the origin first (a necessary condition), then the minimum
     of sigma_min(S(Z)) over num_samples random points of row norm 0.7 and
-    sizes 1, 2, 3 in turn, then sigma_min of the multiplication operator
-    at the radii 0.5 and 0.9 on its validity window, the square root of
-    the smallest eigenvalue of the rescaled symbol's NC Toeplitz Gram from
-    fockspace.toeplitz_min_eig, after check_inner at its default gate.
+    sizes 1, 2, 3 in turn (random_points scales them to that norm, so
+    evaluate_batch skips its admissibility gate), then sigma_min of the
+    multiplication operator at the radii 0.5 and 0.9 on its validity
+    window, the square root of the smallest eigenvalue of the rescaled
+    symbol's NC Toeplitz Gram from fockspace.toeplitz_min_eig, after
+    check_inner at its default gate.
     num_samples is an int (a bool or 2.5 is a ValueError).  The verdict
     "singular" means every minimum stayed above SINGULAR_SIGMA_TOL; it is
     sampling evidence, not a proof, so zero sample points raise ValueError.
@@ -558,7 +622,8 @@ def singular_test(S, rng=None, num_samples=200):
     min_sigma = np.inf
     for Zs in random_points(rng, S.d, np.resize((1, 2, 3), num_samples),
                             0.7):
-        sv = np.linalg.svd(evaluate_batch(S, Zs), compute_uv=False)
+        sv = np.linalg.svd(evaluate_batch(S, Zs, check_admissible=False),
+                           compute_uv=False)
         min_sigma = min(min_sigma, float(sv[:, -1].min()))
     report["min_sample_sigma"] = float(min_sigma)
     for r in (0.5, 0.9):

@@ -144,9 +144,11 @@ def cayley_herglotz(B, N=None):
 def herglotz_min_real(H, rng=None, num_samples=50):
     """Smallest eigenvalue of Re H(Z) over num_samples random points of
     row norm 0.6 and sizes 1, 2, 3 in turn (sampling evidence for the
-    Herglotz property; nonnegative up to tolerance).  H must be square,
-    as cayley_herglotz's values are, and num_samples an int >= 1: zero
-    sample points would leave the minimum at +inf."""
+    Herglotz property; nonnegative up to tolerance).  random_points
+    scales the points to that norm, so evaluate_batch skips its
+    admissibility gate.  H must be square, as cayley_herglotz's values
+    are, and num_samples an int >= 1: zero sample points would leave the
+    minimum at +inf."""
     if H.rows != H.cols:
         raise ShapeMismatchError("herglotz_min_real needs square "
                                  "coefficients")
@@ -156,7 +158,7 @@ def herglotz_min_real(H, rng=None, num_samples=50):
     worst = np.inf
     for Zs in random_points(rng, H.d, np.resize((1, 2, 3), num_samples),
                             0.6):
-        A = evaluate_batch(H, Zs)
+        A = evaluate_batch(H, Zs, check_admissible=False)
         vals = np.linalg.eigvalsh(0.5 * (A + A.conj().swapaxes(-1, -2)))
         worst = min(worst, float(vals[:, 0].min()))
     return worst

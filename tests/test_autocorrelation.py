@@ -521,6 +521,16 @@ def test_spectral_outer_refuses_a_solve_that_never_converges(monkeypatch):
     assert f"(residual {errs[0]:.3e})" in str(info.value)
 
 
+def test_a_failed_solve_names_its_residual_count(monkeypatch):
+    def stuck(fun, jac, x0):
+        return x0, fun(x0), 17
+
+    monkeypatch.setattr(factorization, "_lm", stuck)
+    H = NcSeries(2, 1, 1, 2, {(): 1.0, (1,): -0.5, (1, 2): 0.25})
+    with pytest.raises(DiagnosticError, match="after 17 residual evaluations"):
+        spectral_outer(H)
+
+
 @pytest.mark.parametrize("s", [1e-13, 1e-8, 1.0, 1e4])
 def test_inner_outer_is_scale_invariant(s):
     # at s = 1e-13, |H|_2^2 lies below any absolute gate or cut; the inner

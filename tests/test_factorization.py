@@ -68,6 +68,14 @@ def test_autocorrelation_below_the_degree_reads_all_of_h():
     assert t[(1,)][0, 0] == 2.0
 
 
+@pytest.mark.parametrize("m", [2.5, -1, True, "2"])
+def test_autocorrelation_refuses_a_degree_that_is_not_an_int_ge_0(m):
+    # below deg H = 3, so no basis of degree m is built to refuse it
+    H = NcSeries(2, 1, 1, 3, {(): 1.0, (1, 2, 1): 0.5})
+    with pytest.raises(ValueError, match="^m "):
+        autocorrelation(H, m)
+
+
 def test_autocorrelation_blind_to_left_inner_factor():
     V = commutator_inner(max_degree=3)
     F = NcSeries(2, 1, 1, 3, {(): 1.0, (1,): -0.5})

@@ -10,6 +10,8 @@ smallest eigenvalue gives to rounding against the least singular value of
 the reference's dense multiplication operator.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from nchardy.transforms import (
     herglotz_min_real,
     semigroup_inner,
 )
+
+evaluate_module = importlib.import_module("nchardy.evaluate")
 
 # interleaved sizes; 13 points, not a multiple of the three sizes
 SIZES = (2, 1, 3, 3, 1, 2, 2, 3, 1, 1, 3, 2, 2)
@@ -137,6 +141,25 @@ def test_sampling_matches_per_point_path(name, t):
     assert herglotz_min_real(H, rng=np.random.default_rng(seed + 1),
                              num_samples=25) == per_point_herglotz_min_real(
         H, np.random.default_rng(seed + 1), 25)
+
+
+def test_sampling_skips_the_admissibility_gate(monkeypatch):
+    # random_points scales every point to row norm 0.7 or 0.6 exactly, so
+    # re-deriving those norms can only cost time
+    S = semigroup_inner(GENERATORS["V"], 0.5, 8)
+    H = cayley_herglotz(S)
+    gated = (singular_test(S, rng=np.random.default_rng(4), num_samples=30),
+             herglotz_min_real(H, rng=np.random.default_rng(5),
+                               num_samples=20))
+
+    def refuse(Zs):
+        raise AssertionError("sampled points gated again")
+
+    monkeypatch.setattr(evaluate_module, "_check_row_norms", refuse)
+    got = (singular_test(S, rng=np.random.default_rng(4), num_samples=30),
+           herglotz_min_real(H, rng=np.random.default_rng(5),
+                             num_samples=20))
+    assert got == gated
 
 
 def test_singular_test_builds_no_multiplication_operator(monkeypatch):

@@ -137,13 +137,18 @@ def poly_factor_classical(p, N=None):
 
 
 def atomic_singular(t, N):
-    """exp(-t (1+z)/(1-z)): the atomic singular inner at the point 1.
+    """sigma_t(z) = exp(-t (1+z)/(1-z)): the atomic singular inner at the
+    point 1, through degree N.
 
-    Constant term e^{-t}; inner with no zeros in the disk.  Built through
-    the semigroup construction, so it is the same object the general
-    machinery produces at d = 1.
+    Constant term e^{-t}; inner with no zeros in the disk.  Built by the
+    semigroup construction on B = z, which at d = 1 reads the Taylor
+    series of sigma_t directly: the coefficient of z^n is
+    e^{-t} L_n^{(-1)}(2t), from the exponential recurrence f_0 = e^{-t},
+    f_n = (-2t/n) sum_{k=1}^{n} k f_{n-k} (the Laguerre generating
+    function, Szegő, Orthogonal Polynomials, (5.1.9)).  So it is the same
+    object the general machinery produces at d = 1.
     """
-    z = NcSeries.monomial((1,), 1, N)
+    z = NcSeries.monomial((1,), 1, max(N, 1)).truncate(N)
     return semigroup_inner(z, t, N)
 
 

@@ -30,6 +30,7 @@ on.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -188,6 +189,7 @@ class _OuterProblem:
     t_s(F) - t_s(H) word by word.  Each block lists the real and then the
     imaginary parts of its n x n matrix.
 
+    target is the (dim, n, n) stack of the t_s(H) over FockBasis(d, m).
     The Jacobian is one scatter of x over the cached _jacobian_plan.  t_s
     is a homogeneous quadratic in x and the gauge block is linear, so the
     residual is read from the same J: r = h (J x) - t(H), with h = 1/2 on
@@ -195,12 +197,11 @@ class _OuterProblem:
     builds, and jacobian(x) at a point with the same bits returns it.
     """
 
-    def __init__(self, H, m):
+    def __init__(self, H, m, target):
         n = self.n = H.rows
         self.d, self.m = H.d, m
         self.basis = FockBasis(H.d, m)
-        self.target = autocorrelation_stack(
-            coeff_stack(H, self.basis), H.d, m)
+        self.target = target
         self.shape = (self.basis.dim, n, n)
         self._plan = _jacobian_plan(H.d, m, n)
         t = np.concatenate([self.target, np.zeros((1, n, n))])
@@ -311,10 +312,19 @@ def spectral_outer(H):
                                  "coefficients")
     if not H.codes.size:
         raise ValueError("cannot factor the zero series")
-    n = H.rows
     H, e = _pow2_normalized(H)
-    norm = h2_norm(H)
-    prob = _OuterProblem(H.scale(1.0 / norm), H.degree())
+    return _spectral_outer(H, toeplitz_data(H))._ldexp(e)
+
+
+def _spectral_outer(H, t):
+    """spectral_outer of a nonzero square H whose largest entry modulus is
+    in [1/2, 1), from its data t = toeplitz_data(H).  tr t_empty is
+    |H|_2^2, so the solve's target t(H / |H|_2) is t / tr t_empty, and
+    inner_outer passes the t it certifies with instead of building it
+    again."""
+    n = H.rows
+    mass = float(np.trace(t[0]).real)
+    prob = _OuterProblem(H, H.degree(), t / mass)
     t0 = prob.target[0]
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
     init = np.zeros(prob.shape, dtype=complex)
@@ -331,8 +341,7 @@ def spectral_outer(H):
     if n == 1 and F[0, 0, 0].real < 0:
         F = -F
     codes = np.flatnonzero((np.abs(F) > 1e-14).any(axis=(1, 2)))
-    return NcSeries._of(H.d, n, n, prob.m, codes,
-                        norm * F[codes])._ldexp(e)
+    return NcSeries._of(H.d, n, n, prob.m, codes, math.sqrt(mass) * F[codes])
 
 
 def inner_outer(H, N=None):
@@ -347,11 +356,12 @@ def inner_outer(H, N=None):
     window N - deg(H) is well conditioned, so the columns H z^v are
     independent there.  Square matrix H reports its size.  Defects are
     always reported; as t(F) = t(H), H's data serve F's outer defect too.
-    The data t(H) are gathered once, and both the certificate and the
-    outer defect come from the tree Cholesky of fockspace's
-    toeplitz_vacuum_schur: no Gram matrix of H is built and no eigen-solve
-    is larger than q x q.  H is first scaled by a power of two, which is
-    exact, so the factorization holds at any finite scale.
+    The data t(H) are gathered once: the outer solve's target is read
+    from them, and both the certificate and the outer defect come from
+    the tree Cholesky of fockspace's toeplitz_vacuum_schur, so no Gram
+    matrix of H is built and no eigen-solve is larger than q x q.  The
+    certificate runs before the solve.  H is first scaled by a power of
+    two, which is exact, so the factorization holds at any finite scale.
     """
     H, e = _pow2_normalized(H)
     Hp = H.prune()
@@ -376,15 +386,15 @@ def inner_outer(H, N=None):
         return FactorizationResult(inner, HN._ldexp(e).copy(), H.rows,
                                    defects, N)
 
-    F = spectral_outer(HN)
+    t = toeplitz_data(HN)
+    valid = validity_window(HN)
+    if HN.is_scalar():
+        _certify_wandering(t, H.d, valid)
+    F = _spectral_outer(HN, t)
     B = series_mul(HN, series_invert(F.with_max_degree(N), N), N).prune()
     B, u = phase_normalize(B)
     outer = F.with_max_degree(N).scale(u)
     recon = max_coeff_diff(series_mul(B, outer, N), HN, N)
-    valid = validity_window(HN)
-    t = toeplitz_data(HN)
-    if HN.is_scalar():
-        _certify_wandering(t, H.d, valid)
     defects = {
         "inner_defect": inner_defect(B),
         "outer_defect": _outer_defect(t, H.d, outer.coeff(()),

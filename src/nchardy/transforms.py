@@ -2,8 +2,13 @@
 
 Frostman shifts compose an inner with a disk automorphism and stay inner;
 Crofoot multipliers implement the matching change of model space.  The
-Cayley transform turns an inner into a Herglotz-class function whose
-exponentials form a semigroup of singular inners.  The idempotent
+Cayley transform H_B turns an inner B into a Herglotz-class function
+whose exponentials form a semigroup of singular inners.  For scalar B,
+exp(-t H_B) = sigma_t o B with sigma_t(x) = exp(-t (1+x)/(1-x)), so the
+semigroup is the Taylor series of sigma_t at B(0), by the exponential
+recurrence of its weights (Laguerre values at B(0) = 0; Szegő,
+Orthogonal Polynomials, (5.1.9)), summed against the powers of
+B - B(0), with no Cayley transform built.  The idempotent
 straightening conjugates a series-valued idempotent to a constant
 projection by one intertwiner series.  Every transform is computed in
 the series algebra; none builds a Fock-space operator.
@@ -14,6 +19,7 @@ import numpy as np
 from .errors import (
     DiagnosticError,
     NotIdempotentError,
+    NotInvertibleError,
     ShapeMismatchError,
 )
 from .evaluate import evaluate_batch, random_points
@@ -21,6 +27,7 @@ from .fockspace import FockBasis, series_to_vec, vec_to_series
 from .ncseries import (
     NcSeries,
     _int_size,
+    _sum_by_code,
     h2_norm,
     max_coeff_diff,
     rescale,
@@ -167,14 +174,24 @@ def herglotz_min_real(H, rng=None, num_samples=50):
 def semigroup_inner(B, t, N=None):
     """exp(-t H_B) as a series: the singular-inner semigroup through B.
 
-    With h0 the scalar constant term of H = H_B, the series G = H - h0 has
-    no constant term, so G^k starts at degree k and vanishes at order N
-    once k > N.  Since h0 commutes with G,
+    For a scalar B the Cayley transform H_B = (1 - B)^{-1} (1 + B) is a
+    function of B alone, so exp(-t H_B) = sigma_t o B, with sigma_t(x) =
+    exp(-t (1 + x)/(1 - x)) the atomic singular inner of the disk.  Write
+    B = b0 + c D with b0 = B(0), c = 1 - b0 (which must be nonzero) and D
+    without constant term.  Then sigma_t(b0 + c y) = exp(g(y)) with
 
-        exp(-t H) = e^{-t h0} sum_{k <= N} (-t G)^k / k!
+        g_0 = -t (1 + b0)/c,   g_k = -2t/c  (k >= 1),
 
-    holds exactly through degree N, and the sum stops early once a term
-    truncates to zero.
+    and its Taylor weights follow the exponential recurrence
+
+        f_0 = e^{g_0},   f_n = (1/n) sum_{k=1}^{n} k g_k f_{n-k}.
+
+    At b0 = 0 they are e^{-t} L_n^{(-1)}(2t), by the Laguerre generating
+    function (Szegő, Orthogonal Polynomials, (5.1.9)).  D^m starts at
+    degree m l, with l the length of D's shortest word, so the sum of
+    f_m D^m over m <= N / l is exact through degree N: N / l - 1
+    products give the powers, and one sum by word code adds the terms in
+    m order.  Neither the Cayley transform nor a series inverse is built.
     """
     if not B.is_scalar():
         raise ShapeMismatchError("semigroup construction expects a scalar "
@@ -184,17 +201,31 @@ def semigroup_inner(B, t, N=None):
                          ">= 0")
     if N is None:
         N = B.max_degree
-    H = cayley_herglotz(B, N)
-    h0 = H.scalar_coeff(())
-    G = H - h0
-    term = NcSeries.constant(1.0, B.d, N)
-    total = term
-    for k in range(1, N + 1):
-        term = series_mul(term, G, N).scale(-t / k)
-        if not term.codes.size:
-            break
-        total = total + term
-    return total.scale(np.exp(-t * h0))
+    Bn = B.with_max_degree(N)
+    b0 = Bn.scalar_coeff(())
+    c = 1.0 - b0
+    if c == 0:
+        raise NotInvertibleError("1 - B(0) is zero, so B has no Cayley "
+                                 "transform", smallest_sigma=0.0)
+    rest = Bn.codes > 0
+    D = NcSeries._of(B.d, 1, 1, N, Bn.codes[rest], Bn.C[rest] / c)
+    powers = [D]
+    if D.codes.size:
+        # the length of D's shortest word, which has the smallest code
+        basis, low = FockBasis(B.d, N), 1
+        while D.codes[0] >= basis.degree_start(low + 1):
+            low += 1
+        for _ in range(N // low - 1):
+            powers.append(series_mul(powers[-1], D, N))
+    g = -2.0 * t / c
+    f = [complex(np.exp(-t * (1.0 + b0) / c))]
+    for n in range(1, len(powers) + 1):
+        f.append(g * sum(k * f[n - k] for k in range(1, n + 1)) / n)
+    codes = np.concatenate([np.zeros(1, dtype=np.int64)]
+                           + [P.codes for P in powers])
+    terms = np.concatenate([np.full((1, 1, 1), f[0])]
+                           + [fm * P.C for fm, P in zip(f[1:], powers)])
+    return NcSeries._of(B.d, 1, 1, N, *_sum_by_code(codes, terms))
 
 
 class IdempotentSplit:

@@ -34,6 +34,7 @@ from nchardy.factorization import (
 )
 from nchardy.fockspace import (
     FockBasis,
+    autocorrelation_stack,
     coeff_stack,
     isometry_defect,
     mult_operator,
@@ -353,11 +354,17 @@ def test_spectral_outer_matches_finite_difference_solver(H):
     assert max_coeff_diff(got, want, H.degree()) <= 1e-12
 
 
+def outer_problem(H, m):
+    """The outer problem matching t_s(H) for |s| <= m."""
+    return _OuterProblem(H, m, autocorrelation_stack(
+        coeff_stack(H, FockBasis(H.d, m)), H.d, m))
+
+
 @pytest.mark.parametrize("rows, d, deg", [(1, 2, 2), (1, 3, 1), (2, 2, 1),
                                           (3, 1, 2)])
 def test_outer_jacobian_matches_finite_differences(rows, d, deg):
     rng = np.random.default_rng(rows + d + deg)
-    prob = _OuterProblem(random_series(rng, d, deg, deg, rows, rows), deg)
+    prob = outer_problem(random_series(rng, d, deg, deg, rows, rows), deg)
     x = rng.standard_normal(2 * prob.basis.dim * rows * rows)
     J = prob.jacobian(x)
     h = 1e-6
@@ -380,7 +387,7 @@ def scipy_spectral_outer(H):
     """spectral_outer as it was before `_lm`: the same start, retries, gate
     and Hermitian post-step around scipy's MINPACK Levenberg-Marquardt."""
     n = H.rows
-    prob = _OuterProblem(H, H.degree())
+    prob = outer_problem(H, H.degree())
     t0 = prob.target[0]
     scale = max(1.0, float(np.linalg.norm(t0)))
     vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
@@ -454,7 +461,7 @@ def outer_problem_at_its_solution():
     """1 + z1/2 - z2/4 is outer with a real vacuum: its coefficients solve
     the outer problem with an exactly zero residual."""
     H = NcSeries(2, 1, 1, 1, {(): 1.0, (1,): 0.5, (2,): -0.25})
-    prob = _OuterProblem(H, 1)
+    prob = outer_problem(H, 1)
     x = coeff_stack(H, prob.basis).reshape(-1).view(float).copy()
     return prob, x
 

@@ -1,7 +1,12 @@
 """One-variable factorization against textbook oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nchardy.classical as classical
 import nchardy.kernels as kernels
@@ -112,6 +117,30 @@ def test_atomic_singular_matches_closed_form():
         val = evaluate(S, [np.array([[complex(t)]])])[0, 0]
         want = np.exp(-(1.0 + t) / (1.0 - t))
         assert val == pytest.approx(want, abs=1e-5)
+
+
+def laguerre_weight(n, t):
+    """e^{-t} L_n^{(-1)}(2t) = e^{-t} sum_{k=1}^{n} C(n-1, k-1) (-2t)^k / k!
+    (1 for n = 0), the n-th Taylor coefficient of exp(-t (1+z)/(1-z))
+    (Szego, Orthogonal Polynomials, (5.1.9)).  The alternating sum is
+    taken in exact rationals of the float t, so the one rounding left is
+    the product with e^{-t}.  scipy.special.eval_genlaguerre returns NaN
+    at alpha = -1."""
+    if n == 0:
+        return math.exp(-t)
+    x = Fraction(-2 * t)
+    total = sum(math.comb(n - 1, k - 1) * x ** k / math.factorial(k)
+                for k in range(1, n + 1))
+    return float(total) * math.exp(-t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 3.0))
+def test_atomic_singular_taylor_weights_are_laguerre_values(N, t):
+    S = atomic_singular(t, N)
+    got = [S.scalar_coeff((1,) * n) for n in range(N + 1)]
+    want = [laguerre_weight(n, t) for n in range(N + 1)]
+    assert np.abs(np.array(got) - np.array(want)).max() <= 1e-13
 
 
 def test_jordan_pair_bindings():

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 import nchardy.factorization as factorization
 from nchardy.factorization import _jacobian_plan, _OuterProblem, spectral_outer
-from nchardy.fockspace import FockBasis, autocorrelation_stack, word_triples
+from nchardy.fockspace import (
+    FockBasis,
+    autocorrelation_stack,
+    coeff_stack,
+    word_triples,
+)
 from nchardy.ncseries import NcSeries
 
 
@@ -60,7 +65,8 @@ def outer_problem(d, m, n, seed):
     H = NcSeries(d, n, n, m, {
         w: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for w in words if not w or rng.random() < 0.7})
-    prob = _OuterProblem(H, m)
+    prob = _OuterProblem(H, m, autocorrelation_stack(
+        coeff_stack(H, FockBasis(d, m)), d, m))
     return prob, rng.standard_normal(2 * prob.basis.dim * n * n)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nchardy.errors import (
     DiagnosticError,
     NotIdempotentError,
+    NotInvertibleError,
     ShapeMismatchError,
 )
 from nchardy.evaluate import evaluate, random_point
@@ -253,8 +254,38 @@ def test_semigroup_identity_at_zero_and_domain():
     B0 = semigroup_inner(z1, 0.0, 5)
     assert max_coeff_diff(B0, NcSeries.constant(1.0, 2, 5), 5) < 1e-15
     for t in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with pytest.raises(ValueError, match="t = .* finite and >= 0"):
             semigroup_inner(z1, t, 5)
+
+
+@pytest.mark.parametrize("B", [
+    NcSeries.constant(1.0, 2, 4),
+    NcSeries(2, 1, 1, 4, {(): 1.0, (1,): 0.5, (2, 1): -0.25}),
+    NcSeries(1, 1, 1, 4, {(): 1.0, (1,): 1.0}),
+], ids=["one", "one_plus_d2", "one_plus_z"])
+def test_semigroup_refuses_b0_equal_to_one(B):
+    # 1 - B(0) = 0: B has no Cayley transform
+    with pytest.raises(NotInvertibleError) as info:
+        semigroup_inner(B, 0.5, 4)
+    assert info.value.smallest_sigma == 0.0
+
+
+def test_semigroup_refuses_non_scalar_symbols():
+    for B in (NcSeries.identity(2, 2, 3),
+              NcSeries(2, 1, 2, 3, {(1,): np.ones((1, 2))})):
+        with pytest.raises(ShapeMismatchError, match="scalar"):
+            semigroup_inner(B, 0.5, 3)
+
+
+@pytest.mark.parametrize("N", [2.5, "3", True])
+def test_semigroup_refuses_non_integer_orders(N):
+    with pytest.raises(ValueError, match="not an integer"):
+        semigroup_inner(NcSeries.monomial((1,), 2, 2), 0.5, N)
+
+
+def test_semigroup_refuses_an_order_below_the_degree():
+    with pytest.raises(ValueError, match="below the stored degree"):
+        semigroup_inner(NcSeries.monomial((1, 2, 1), 2, 3), 0.5, 2)
 
 
 def expm_semigroup(B, t, N):
@@ -281,14 +312,22 @@ def test_semigroup_matches_dense_expm(B, t, N):
 
 @st.composite
 def generators(draw):
-    """Monomial inners z^w and the commutator V, at an order N <= 6."""
+    """Monomial inners z^w and the commutator V, at an order N <= 6, each
+    either as it is or Frostman-shifted by |w| <= 0.95, which moves B(0)
+    to -w."""
     if draw(st.booleans()):
         N = draw(st.integers(2, 6))
-        return commutator_inner(max_degree=N), N
-    d = draw(st.integers(1, 3))
-    word = tuple(draw(st.lists(st.integers(1, d), min_size=1, max_size=3)))
-    N = draw(st.integers(len(word), 6))
-    return NcSeries.monomial(word, d, N), N
+        B = commutator_inner(max_degree=N)
+    else:
+        d = draw(st.integers(1, 3))
+        word = tuple(draw(st.lists(st.integers(1, d), min_size=1,
+                                   max_size=3)))
+        N = draw(st.integers(len(word), 6))
+        B = NcSeries.monomial(word, d, N)
+    if draw(st.booleans()):
+        r, turn = draw(st.floats(0.0, 0.95)), draw(st.floats(0.0, 1.0))
+        B = frostman(B, r * np.exp(2j * np.pi * turn), N)
+    return B, N
 
 
 unit = st.floats(0.0, 1.0)
@@ -317,6 +356,18 @@ def test_semigroup_at_zero_is_exactly_one(gen):
 def test_semigroup_d1_constant_is_exp_minus_t(N, t):
     S = semigroup_inner(NcSeries.monomial((1,), 1, N), t, N)
     assert abs(S.scalar_coeff(()) - np.exp(-t)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), unit, st.floats(0.0, 0.95), unit)
+def test_semigroup_d1_constant_is_sigma_t_at_b0(N, t, r, turn):
+    # B(0) = -w for the Frostman shift of z, and exp(-t H_B) has the
+    # constant term sigma_t(B(0)) = exp(-t (1 + b0)/(1 - b0))
+    w = r * np.exp(2j * np.pi * turn)
+    B = frostman(NcSeries.monomial((1,), 1, N), w, N)
+    S = semigroup_inner(B, t, N)
+    want = np.exp(-t * (1.0 - w) / (1.0 + w))
+    assert abs(S.scalar_coeff(()) - want) <= 1e-12
 
 
 def test_semigroup_h2_mass_stays_below_one():

@@ -49,9 +49,9 @@ def _coeffs_to_series(c, N):
 def blaschke_product(zeros, N):
     """Taylor series of the finite Blaschke product with the given zeros.
 
-    Each nonzero a contributes (|a|/a)(a - z)/(1 - conj(a) z); a zero at
-    the origin contributes z itself.  Zeros on or outside the unit circle
-    have no Blaschke factor and raise BoundaryRootError.
+    Each nonzero a contributes (|a|/a)(a - z)/(1 - conj(a) z), with
+    coefficients |a| and (|a|/a)(|a|^2 - 1) conj(a)^(m-1) at z^m; a = 0
+    gives z.  Zeros on or outside the circle raise BoundaryRootError.
     """
     out = NcSeries.constant(1.0, 1, N)
     for a in zeros:
@@ -63,10 +63,8 @@ def blaschke_product(zeros, N):
         if a == 0.0:
             fac = NcSeries.monomial((1,), 1, N)
         else:
-            geo = {(1,) * k: np.conj(a) ** k for k in range(N + 1)}
-            inv = NcSeries(1, 1, 1, N, geo)
-            lin = _coeffs_to_series([a, -1.0], N)
-            fac = series_mul(lin, inv, N).scale(abs(a) / a)
+            tail = (abs(a) ** 2 - 1.0) * np.conj(a) ** np.arange(N)
+            fac = _coeffs_to_series(np.r_[abs(a), abs(a) / a * tail], N)
         out = series_mul(out, fac, N)
     return out
 

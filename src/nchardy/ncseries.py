@@ -578,9 +578,9 @@ def series_mul(f, g, max_degree=None):
 
     Matrix coefficients multiply; cols(f) must equal rows(g).  Words beyond
     the truncation bound (default min(N_f, N_g)) are silently dropped, which
-    is exactly the information a validity window tracks downstream.  The
-    pairs with |u| + |v| <= N are one batched matmul, and each word sums
-    its terms in f's word order.
+    is exactly the information a validity window tracks downstream.  Only
+    the pairs with |u| + |v| <= N are formed, g's first words for each u;
+    one batched matmul gives them, and each word sums in f's word order.
     """
     f._check_compatible(g)
     if f.cols != g.rows:
@@ -590,7 +590,9 @@ def series_mul(f, g, max_degree=None):
                     min(f.max_degree, g.max_degree))
     starts, pows = _code_table(f.d, max(_bound(f), _bound(g)))
     lf, lg = _lengths(f.codes, starts), _lengths(g.codes, starts)
-    iu, jv = (lf[:, None] + lg <= n).nonzero()
+    cnt = lg.searchsorted(n - lf, side="right")
+    iu = np.repeat(np.arange(f.codes.size), cnt)
+    jv = np.arange(iu.size) - (cnt.cumsum() - cnt)[iu]
     codes = _cat_codes(pows, lg[jv], f.codes[iu], g.codes[jv])
     return NcSeries._of(f.d, f.rows, g.cols, n,
                         *_sum_by_code(codes, f.C[iu] @ g.C[jv]))

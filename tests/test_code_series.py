@@ -4,9 +4,11 @@ An NcSeries holds a sorted int64 code array and one coefficient stack.
 Every operation below is run on it and on the dict reference of
 dict_series.py, fed the same coefficients as dicts in sorted word order,
 and the two must agree bit for bit: the same support, the same blocks
-(tobytes, -0.0 included) and the same JSON.  The tests after them pin the
-int64 range guard, the read-only arrays, the integer degree arguments and
-prune at extreme scales.
+(tobytes, -0.0 included) and the same JSON.  Products and inverses also
+run on full-support operands, where truncation drops the largest share
+of the word pairs.  The tests after them pin the int64 range guard, the
+read-only arrays, the integer degree arguments and prune at extreme
+scales.
 """
 
 import functools
@@ -38,6 +40,7 @@ from nchardy.ncseries import (
     shift_adjoint_apply,
     to_json_dict,
 )
+from nchardy.transforms import frostman
 
 # exact values make sums cancel and keep signed zeros; the floats make
 # rounding depend on the order of every sum
@@ -95,6 +98,23 @@ def cases(draw):
     return f, g, h, omega
 
 
+@st.composite
+def full_support_cases(draw):
+    """f and g, Frostman shifts of the unit linear form at d in {2, 3},
+    with every word through their orders: the operands on which a
+    product keeps the smallest share of its word pairs."""
+    d = draw(st.sampled_from([2, 3]))
+    degrees = st.integers(1, 6 if d == 2 else 4)
+
+    def shift(n):
+        # |w| >= 0.1 keeps the inverse's growth (1/|w|)^n in range
+        w = draw(st.floats(0.1, 0.7)) * np.exp(2j * np.pi * draw(parts))
+        z = NcSeries(d, 1, 1, n, {(a,): d ** -0.5 for a in range(1, d + 1)})
+        return frostman(z, w, n)
+
+    return shift(draw(degrees)), shift(draw(degrees)), None, None
+
+
 def as_dict(f):
     """The dict reference of f, its words in sorted order."""
     return ref.DictSeries(f.d, f.rows, f.cols, f.max_degree,
@@ -145,8 +165,10 @@ def degree_choices(n):
     return [None, *range(max(n - 1, 0), n + 3)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(cases(), st.sampled_from([0.0, 1.0, 3.0]))
+# twice the examples of the other tests, so cases() keeps its share
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(cases(), full_support_cases()),
+       st.sampled_from([0.0, 1.0, 3.0]))
 def test_products_and_inverses_agree_bitwise(case, c):
     f, g, _, _ = case
     F, G = as_dict(f), as_dict(g)

@@ -258,15 +258,31 @@ def test_semigroup_identity_at_zero_and_domain():
             semigroup_inner(z1, t, 5)
 
 
-@pytest.mark.parametrize("B", [
+B0_EQUAL_TO_ONE = [
     NcSeries.constant(1.0, 2, 4),
     NcSeries(2, 1, 1, 4, {(): 1.0, (1,): 0.5, (2, 1): -0.25}),
     NcSeries(1, 1, 1, 4, {(): 1.0, (1,): 1.0}),
-], ids=["one", "one_plus_d2", "one_plus_z"])
+]
+B0_IDS = ["one", "one_plus_d2", "one_plus_z"]
+
+
+@pytest.mark.parametrize("B", B0_EQUAL_TO_ONE, ids=B0_IDS)
 def test_semigroup_refuses_b0_equal_to_one(B):
     # 1 - B(0) = 0: B has no Cayley transform
     with pytest.raises(NotInvertibleError) as info:
         semigroup_inner(B, 0.5, 4)
+    assert info.value.smallest_sigma == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: frostman(NcSeries.constant(2.0, 2, 4), 0.5),
+    lambda: crofoot(NcSeries.constant(2.0, 2, 4), 0.5),
+    *[lambda B=B: cayley_herglotz(B) for B in B0_EQUAL_TO_ONE],
+], ids=["frostman", "crofoot", *("cayley_" + i for i in B0_IDS)])
+def test_transforms_refuse_a_zero_denominator_constant(build):
+    # 1 - conj(w) theta(0) = 0 or 1 - B(0) = 0: nothing to invert
+    with pytest.raises(NotInvertibleError) as info:
+        build()
     assert info.value.smallest_sigma == 0.0
 
 

@@ -638,7 +638,8 @@ def singular_test(S, rng=None, num_samples=200):
     report["min_sample_sigma"] = float(min_sigma)
     for r in (0.5, 0.9):
         Sr = rescale(S, r)
-        lam = toeplitz_min_eig(toeplitz_data(Sr), S.d, validity_window(Sr))
+        k = validity_window(Sr)
+        lam = toeplitz_min_eig(toeplitz_data(Sr, k), S.d, k)
         report["r_grid"][r] = float(np.sqrt(max(lam, 0.0)))
     report["singular"] = bool(
         s0 > tol and min_sigma > tol

@@ -148,28 +148,45 @@ def word_triples(d, m):
     return out
 
 
-def autocorrelation_stack(A, d, m):
-    """t_s = sum_mu A_mu^H A_{mu s} for every word s of length <= m.
+def autocorrelation_stack(A, d, m, k=None):
+    """t_s = sum_mu A_mu^H A_{mu s} for every word s of length <= min(m, k)
+    (k defaults to m).
 
     A is a (dim, p, q) stack of coefficients over FockBasis(d, m) words;
-    the result is the (dim, q, q) stack of the t_s in the same order.
+    the result is the stack of the t_s in the same order, (dim, q, q) at
+    k >= m.  word_triples lists s by length, so the triples with |s| <= k
+    are a prefix of its arrays, and a smaller k gives the first rows of
+    the full stack bit for bit.
     """
     s, mu, cat = word_triples(d, m)
-    t = np.zeros((A.shape[0], A.shape[2], A.shape[2]), dtype=complex)
+    n = A.shape[0]
+    k = m if k is None else _int_size("k", k)
+    if k < 0:
+        raise ValueError(f"autocorrelation length k = {k} is negative")
+    if k < m:
+        starts, pows = _code_table(d, m)
+        n = int(starts[k + 1])
+        # the triples with |s| = l number d^l times the words of length
+        # <= m - l
+        end = sum(int(pows[l] * starts[m + 1 - l]) for l in range(k + 1))
+        s, mu, cat = s[:end], mu[:end], cat[:end]
+    t = np.zeros((n, A.shape[2], A.shape[2]), dtype=complex)
     np.add.at(t, s, A[mu].conj().transpose(0, 2, 1) @ A[cat])
     return t
 
 
-def toeplitz_data(f):
-    """The autocorrelations t_s(f), |s| <= deg(f), of which every block of
-    f's NC Toeplitz Gram is one or the adjoint of one.
+def toeplitz_data(f, k=None):
+    """The autocorrelations t_s(f), |s| <= min(deg f, k) (k defaults to
+    deg f), of which every block of f's NC Toeplitz Gram on |v| <= k is
+    one or the adjoint of one.
 
-    A (dim, q, q) stack over FockBasis(f.d, deg f) words, q = cols(f),
-    with t_empty made exactly Hermitian so that the Gram is exactly
-    Hermitian; t_s vanishes for longer s.
+    A stack over the FockBasis(f.d, min(deg f, k)) words, each q x q with
+    q = cols(f), with t_empty made exactly Hermitian so that the Gram is
+    exactly Hermitian; t_s vanishes for |s| > deg f.  Each row is the same
+    bit for bit whatever k.
     """
     m = f.degree()
-    t = autocorrelation_stack(coeff_stack(f, FockBasis(f.d, m)), f.d, m)
+    t = autocorrelation_stack(coeff_stack(f, FockBasis(f.d, m)), f.d, m, k)
     t[0] = 0.5 * (t[0] + t[0].conj().T)
     return t
 
@@ -198,8 +215,10 @@ def _elimination_triples(d, b):
 
 def toeplitz_vacuum_schur(t, d, k, shift=0.0):
     """Cholesky factor C of the vacuum's Schur complement C C^H in
-    G - shift I, for G the NC Toeplitz Gram of f on |v| <= k with data
-    t = toeplitz_data(f) over d letters.
+    G - shift I, for G the NC Toeplitz Gram of f on |v| <= k with data t
+    over d letters.  t holds every t_s with |s| <= min(deg f, k), as
+    toeplitz_data(f, j) does for j >= k or None; its degree is read off
+    len(t).
 
     Block (w, v) of G vanishes unless one word is a suffix of the other,
     at most m = deg f letters shorter.  Eliminating the longest words
@@ -255,14 +274,17 @@ def _off_diagonal_bound(t, d, k):
 
 def toeplitz_max_bound(t, d, k):
     """lambda_max(t_empty) + off (_off_diagonal_bound): the top of the
-    largest eigenvalue's bracket, for the Gram of toeplitz_min_eig."""
+    largest eigenvalue's bracket, for the Gram of toeplitz_min_eig.  t
+    holds every t_s with |s| <= min(deg f, k), as toeplitz_data(f, j)
+    does for j >= k or None; its degree is read off len(t)."""
     return float(np.linalg.eigvalsh(t[0])[-1]) + _off_diagonal_bound(t, d, k)
 
 
 def toeplitz_min_eig(t, d, k):
     """Smallest eigenvalue of the NC Toeplitz Gram G on |v| <= k with data
-    t = toeplitz_data(f) over d letters; the largest is
-    -toeplitz_min_eig(-t, d, k).
+    t over d letters; the largest is -toeplitz_min_eig(-t, d, k).  t holds
+    every t_s with |s| <= min(deg f, k), as toeplitz_data(f, j) does for
+    j >= k or None; its degree is read off len(t).
 
     G's vacuum block is t_empty and the rest of G has norm at most off
     (_off_diagonal_bound), so the answer lies in [c - off, c] for

@@ -59,13 +59,15 @@ def inner_defect(theta, degree_limit=None):
     fockspace.toeplitz_min_eig on theta's data t and on -t: no Gram is
     built, and an exact inner (t_s = 0 for s != empty) or window 0 needs
     no tree call, nor the lambda_max side when the top of its bracket
-    (fockspace.toeplitz_max_bound) less 1 is <= 1 - lambda_min.
+    (fockspace.toeplitz_max_bound) less 1 is <= 1 - lambda_min.  Only
+    the t_s with |s| <= degree_limit are computed, which is all the Gram
+    reads: t_empty alone at window 0.
     """
     valid = validity_window(theta)
     if degree_limit is None:
         degree_limit = valid
     _check_degree_limit(degree_limit, valid)
-    t = toeplitz_data(theta)
+    t = toeplitz_data(theta, degree_limit)
     low = 1.0 - toeplitz_min_eig(t, theta.d, degree_limit)
     if toeplitz_max_bound(t, theta.d, degree_limit) - 1.0 <= low:
         return low

@@ -602,24 +602,33 @@ def shift_adjoint_apply(omega, H, out_degree=None):
     """Coefficients of omega(L)* applied to H: F_b = sum_a conj(om_a) H_{ab}.
 
     omega scalar, H scalar or matrix-valued; the result keeps H's shape.
-    w = ab with |b| = |w| - |a| exactly when (code(w) - start_|b|) // d^|b|
-    is code(a), and then code(b) = code(w) - code(a) d^|b|; each b sums
-    its terms in H's word order.
+    For each |b| <= out_degree, w = ab exactly when a's code (code(w) -
+    start_|b|) // d^|b| is among omega's codes, found by searchsorted, and
+    then code(b) = code(w) - code(a) d^|b|.  Each length of b is summed on
+    its own, each b in H's word order: one sum over all lengths would pad
+    every b to the term count of the empty word.
     """
     if not omega.is_scalar():
         raise ShapeMismatchError("adjoint application needs a scalar symbol")
     H._check_compatible(omega)
     n = _degree_arg("out_degree", out_degree, H.d, H.max_degree)
-    starts, pows = _code_table(H.d, max(_bound(H), _bound(omega)))
-    lb = _lengths(H.codes, starts)[:, None] - _lengths(omega.codes, starts)
-    iw, ja = ((lb >= 0) & (lb <= n)).nonzero()
-    lb, cw, ca = lb[iw, ja], H.codes[iw], omega.codes[ja]
-    step = pows[lb]
-    pre = (cw - starts[lb]) // step == ca
-    iw, ja = iw[pre], ja[pre]
-    codes = cw[pre] - ca[pre] * step[pre]
-    terms = np.conj(omega.C[ja]) * H.C[iw]
-    return NcSeries._of(H.d, H.rows, H.cols, n, *_sum_by_code(codes, terms))
+    starts, pows = _code_table(H.d, _bound(H))
+    lw = _lengths(H.codes, starts)
+    codes = [np.zeros(0, dtype=np.int64)]
+    C = [np.zeros((0, H.rows, H.cols), dtype=complex)]
+    for lb in range(min(n, int(lw.max(initial=-1))) + 1):
+        iw = (lw >= lb).nonzero()[0]
+        pre = (H.codes[iw] - starts[lb]) // pows[lb]
+        ja = omega.codes.searchsorted(pre)
+        hit = ja < omega.codes.size
+        hit[hit] = omega.codes[ja[hit]] == pre[hit]
+        iw, ja = iw[hit], ja[hit]
+        cb, Cb = _sum_by_code(H.codes[iw] - pre[hit] * pows[lb],
+                              np.conj(omega.C[ja]) * H.C[iw])
+        codes.append(cb)
+        C.append(Cb)
+    return NcSeries._of(H.d, H.rows, H.cols, n, np.concatenate(codes),
+                        np.concatenate(C))
 
 
 def rescale(f, r):

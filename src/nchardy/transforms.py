@@ -14,6 +14,8 @@ projection by one intertwiner series.  Every transform is computed in
 the series algebra; none builds a Fock-space operator.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -39,6 +41,9 @@ from .ncseries import (
 # Residual gates for the idempotent straightening.
 IDEMPOTENT_GATE = 1e-9
 STRAIGHTEN_THRESHOLD = 1e-10
+
+# Generators whose powers semigroup_inner keeps (see _sigma_powers).
+SIGMA_CACHE_SIZE = 8
 
 
 def _check_disk(w):
@@ -135,6 +140,8 @@ def eigenvector_shift(h, V, w, r, basis=None):
 def cayley_herglotz(B, N=None):
     """(1 - B)^{-1} (1 + B): the half-plane side of the Cayley transform.
 
+    Since 1 + B = 2 - (1 - B), it is 2 (1 - B)^{-1} - 1 exactly through
+    degree N, for matrix B too: one series inverse and no product.
     Needs 1 - B(0) invertible; inner B with that property map to functions
     of nonnegative real part on the ball (check with herglotz_min_real).
     """
@@ -143,9 +150,8 @@ def cayley_herglotz(B, N=None):
                                  "coefficients")
     if N is None:
         N = B.max_degree
-    Bn = B.with_max_degree(N)
     one = NcSeries.identity(B.rows, B.d, N)
-    return series_mul(series_invert(one - Bn, N), one + Bn, N)
+    return series_invert(one - B.with_max_degree(N), N)._ldexp(1) - one
 
 
 def herglotz_min_real(H, rng=None, num_samples=50):
@@ -189,9 +195,15 @@ def semigroup_inner(B, t, N=None):
     At b0 = 0 they are e^{-t} L_n^{(-1)}(2t), by the Laguerre generating
     function (Szegő, Orthogonal Polynomials, (5.1.9)).  D^m starts at
     degree m l, with l the length of D's shortest word, so the sum of
-    f_m D^m over m <= N / l is exact through degree N: N / l - 1
-    products give the powers, and one sum by word code adds the terms in
-    m order.  Neither the Cayley transform nor a series inverse is built.
+    f_m D^m over m <= N / l is exact through degree N: one sum by word
+    code adds the terms in m order.  Only the weights depend on t: the
+    powers of D are cached per generator (_sigma_powers keeps the last
+    SIGMA_CACHE_SIZE = 8, keyed on B's code and coefficient bytes, d and
+    N), so another t on the same B costs the weights and the sum.  An
+    entry holds fewer than N D_N words, D_N = 1 + d + ... + d^N, at 24
+    bytes each: 0.44 MB for a full-support generator at d = 2, N = 10, so
+    under 4 MB for eight of them.  Neither the Cayley transform nor a
+    series inverse is built.
     """
     if not B.is_scalar():
         raise ShapeMismatchError("semigroup construction expects a scalar "
@@ -202,30 +214,48 @@ def semigroup_inner(B, t, N=None):
     if N is None:
         N = B.max_degree
     Bn = B.with_max_degree(N)
+    b0, c, codes, powers = _sigma_powers(Bn.codes.tobytes(),
+                                         Bn.C.tobytes(), B.d, N)
+    g = -2.0 * t / c
+    f = [complex(np.exp(-t * (1.0 + b0) / c))]
+    for n in range(1, len(powers) + 1):
+        f.append(g * sum(k * f[n - k] for k in range(1, n + 1)) / n)
+    terms = np.concatenate([np.full((1, 1, 1), f[0])]
+                           + [fm * P for fm, P in zip(f[1:], powers)])
+    return NcSeries._of(B.d, 1, 1, N, *_sum_by_code(codes, terms))
+
+
+@functools.lru_cache(maxsize=SIGMA_CACHE_SIZE)
+def _sigma_powers(codes, coeffs, d, N):
+    """(b0, c, codes, powers) for the scalar generator B whose int64 codes
+    and complex coefficients fill the bytes codes and coeffs, over d
+    letters at order N: b0 = B(0), c = 1 - b0, the coefficient stacks of
+    D, D^2, ... through degree N for D = (B - b0)/c, and their codes after
+    a 0 for the constant term, concatenated.  The arrays are read-only, as
+    every caller shares them.  c = 0 raises NotInvertibleError, which the
+    cache does not store, so every such call raises.
+    """
+    Bn = NcSeries._of(d, 1, 1, N, np.frombuffer(codes, dtype=np.int64),
+                      np.frombuffer(coeffs, dtype=complex).reshape(-1, 1, 1))
     b0 = Bn.scalar_coeff(())
     c = 1.0 - b0
     if c == 0:
         raise NotInvertibleError("1 - B(0) is zero, so B has no Cayley "
                                  "transform", smallest_sigma=0.0)
     rest = Bn.codes > 0
-    D = NcSeries._of(B.d, 1, 1, N, Bn.codes[rest], Bn.C[rest] / c)
+    D = NcSeries._of(d, 1, 1, N, Bn.codes[rest], Bn.C[rest] / c)
     powers = [D]
     if D.codes.size:
         # the length of D's shortest word, which has the smallest code
-        basis, low = FockBasis(B.d, N), 1
+        basis, low = FockBasis(d, N), 1
         while D.codes[0] >= basis.degree_start(low + 1):
             low += 1
         for _ in range(N // low - 1):
             powers.append(series_mul(powers[-1], D, N))
-    g = -2.0 * t / c
-    f = [complex(np.exp(-t * (1.0 + b0) / c))]
-    for n in range(1, len(powers) + 1):
-        f.append(g * sum(k * f[n - k] for k in range(1, n + 1)) / n)
     codes = np.concatenate([np.zeros(1, dtype=np.int64)]
                            + [P.codes for P in powers])
-    terms = np.concatenate([np.full((1, 1, 1), f[0])]
-                           + [fm * P.C for fm, P in zip(f[1:], powers)])
-    return NcSeries._of(B.d, 1, 1, N, *_sum_by_code(codes, terms))
+    codes.flags.writeable = False
+    return b0, c, codes, tuple(P.C for P in powers)
 
 
 class IdempotentSplit:

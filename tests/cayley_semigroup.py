@@ -1,17 +1,29 @@
 """The Cayley-plus-exponential-series semigroup that the composition
-with sigma_t replaced, kept as the reference for
-tests/test_sigma_composition.py.
+with sigma_t replaced, and the Cayley transform as inverse times product,
+kept as references for tests/test_sigma_composition.py and
+tests/test_transforms.py.
 
-It is nchardy.transforms' earlier semigroup_inner without its argument
-checks: the Cayley transform H_B = (1 - B)^{-1} (1 + B), then the
-exponential series of G = H_B - H_B(0), one product per power of G.
-term_scale bounds the terms that sum adds, which sets its rounding.
+semigroup_inner is nchardy.transforms' earlier semigroup_inner without
+its argument checks: the Cayley transform H_B = (1 - B)^{-1} (1 + B),
+then the exponential series of G = H_B - H_B(0), one product per power
+of G.  term_scale bounds the terms that sum adds, which sets its
+rounding.  cayley_herglotz is the transform in the form the package
+computed it before 2 (1 - B)^{-1} - 1.
 """
 
 import numpy as np
 
-from nchardy.ncseries import NcSeries, series_mul
-from nchardy.transforms import cayley_herglotz
+from nchardy.ncseries import NcSeries, series_invert, series_mul
+
+
+def cayley_herglotz(B, N=None):
+    """(1 - B)^{-1} (1 + B) through degree N (default N_B): one series
+    inverse and one product."""
+    if N is None:
+        N = B.max_degree
+    Bn = B.with_max_degree(N)
+    one = NcSeries.identity(B.rows, B.d, N)
+    return series_mul(series_invert(one - Bn, N), one + Bn, N)
 
 
 def semigroup_inner(B, t, N=None):

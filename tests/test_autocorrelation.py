@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import nchardy.factorization as factorization
 import nchardy.fockspace as fockspace
+import nchardy.kernels as kernels
 from nchardy.errors import DiagnosticError, NotInnerError, ValidityWindowError
 from nchardy.factorization import (
     GRAM_COND_MIN,
@@ -41,6 +42,7 @@ from nchardy.fockspace import (
     orthonormal_frame,
     toeplitz_data,
     toeplitz_min_eig,
+    validity_window,
     word_triples,
 )
 from nchardy.kernels import check_inner, inner_defect
@@ -645,6 +647,51 @@ def test_inner_defect_matches_dense_isometry_defect(theta):
     else:
         with pytest.raises(NotInnerError):
             check_inner(theta)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (2, 1)])
+def test_windowed_data_are_a_prefix_of_the_full_data(d, rows, cols):
+    rng = np.random.default_rng(10 * d + rows + cols)
+    deg = 4 if d < 3 else 3
+    f = random_series(rng, d, deg, deg + 1, rows, cols)
+    full = toeplitz_data(f)
+    A = coeff_stack(f, FockBasis(d, deg))
+    stack = autocorrelation_stack(A, d, deg)
+    for k in range(deg + 2):
+        n = FockBasis(d, min(deg, k)).dim
+        t = toeplitz_data(f, k)
+        assert t.shape == (n, cols, cols)
+        assert t.tobytes() == full[:n].tobytes()
+        assert autocorrelation_stack(A, d, deg, k).tobytes() == \
+            stack[:n].tobytes()
+    with pytest.raises(ValueError, match="negative"):
+        toeplitz_data(f, -1)
+
+
+@pytest.mark.parametrize("theta", inner_corpus())
+def test_windowed_data_leave_defects_and_reports_unchanged(theta,
+                                                           monkeypatch):
+    """inner_defect and singular_test read t only through their windows,
+    so the window-limited data give the full data's results bit for
+    bit."""
+    def run():
+        valid = validity_window(theta)
+        defects = [inner_defect(theta, k) for k in range(valid + 1)]
+        try:
+            report = singular_test(theta, num_samples=6)
+        except NotInnerError as exc:
+            report = exc.defect
+        return repr((defects, report))
+
+    windowed = run()
+
+    def full_data(f, k=None):
+        return toeplitz_data(f)
+
+    monkeypatch.setattr(kernels, "toeplitz_data", full_data)
+    monkeypatch.setattr(factorization, "toeplitz_data", full_data)
+    assert run() == windowed
 
 
 def test_certificates_build_no_multiplication_operator(monkeypatch):

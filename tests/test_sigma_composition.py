@@ -17,6 +17,12 @@ coefficient can cancel exactly (the z1z2 word of sigma_3 o B for B the
 Frostman shift of the commutator by w = 1/2 is exactly 0 on the Cayley
 route and 3e-17 here), so there the words one side lacks are held to the
 same rounding bound.
+
+The powers of B - B(0) are cached per generator, so the cache tests
+check that a warm result is bitwise the cold one and that nothing but an
+identical generator, at the same d and N, shares an entry.
+cayley_herglotz, now 2 (1 - B)^{-1} - 1, is held to the inverse-times-
+product form of tests/cayley_semigroup.py.
 """
 
 import inspect
@@ -28,9 +34,11 @@ from hypothesis import strategies as st
 
 import nchardy.ncseries as ncseries
 import nchardy.transforms as transforms
+from nchardy.errors import NotInvertibleError
 from nchardy.ncseries import NcSeries, commutator_inner, max_coeff_diff
-from nchardy.transforms import frostman, semigroup_inner
+from nchardy.transforms import cayley_herglotz, frostman, semigroup_inner
 
+from cayley_semigroup import cayley_herglotz as cayley_product
 from cayley_semigroup import semigroup_inner as cayley_semigroup
 from cayley_semigroup import term_scale
 
@@ -93,6 +101,8 @@ def test_semigroup_builds_no_cayley_transform_or_inverse(B, monkeypatch):
     for module in (transforms, ncseries):
         monkeypatch.setattr(module, "series_invert", refuse)
     monkeypatch.setattr(transforms, "cayley_herglotz", refuse)
+    # build the powers again under the patches
+    transforms._sigma_powers.cache_clear()
     got = semigroup_inner(B, 0.7, 8)
     assert np.array_equal(got.codes, want.codes)
     assert np.array_equal(got.C, want.C)
@@ -102,3 +112,93 @@ def test_semigroup_signature_is_unchanged():
     params = inspect.signature(semigroup_inner).parameters
     assert list(params) == ["B", "t", "N"]
     assert params["N"].default is None
+
+
+def bits(S):
+    return S.codes.tobytes(), S.C.tobytes()
+
+
+CACHED = [
+    NcSeries.monomial((1,), 2, 8),
+    commutator_inner(max_degree=8),
+    frostman(NcSeries.monomial((1, 2), 3, 6), 0.6 - 0.3j, 6),
+]
+
+
+@pytest.mark.parametrize("B", CACHED, ids=["z1", "V", "frostman_z1z2"])
+def test_a_warm_cache_gives_the_cold_result(B):
+    transforms._sigma_powers.cache_clear()
+    cold = [bits(semigroup_inner(B, t, B.max_degree)) for t in (0.3, 1.1)]
+    warm = [bits(semigroup_inner(B, t, B.max_degree)) for t in (0.3, 1.1)]
+    info = transforms._sigma_powers.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    transforms._sigma_powers.cache_clear()
+    again = [bits(semigroup_inner(B, t, B.max_degree)) for t in (0.3, 1.1)]
+    assert cold == warm == again
+
+
+def test_generators_that_differ_get_their_own_entries():
+    B = frostman(NcSeries.monomial((1,), 2, 6), 0.4 + 0.2j, 6)
+    # one bit of one coefficient, one more degree, one more letter
+    C = B.C.copy()
+    C[3, 0, 0] = np.nextafter(C[3, 0, 0].real, 1.0) + 1j * C[3, 0, 0].imag
+    bit = NcSeries._of(2, 1, 1, 6, B.codes, C)
+    wider = NcSeries._of(3, 1, 1, 6, B.codes, B.C)
+    variants = [(B, 6), (bit, 6), (B, 7), (wider, 6)]
+    transforms._sigma_powers.cache_clear()
+    results = [bits(semigroup_inner(X, 0.8, N)) for X, N in variants]
+    assert transforms._sigma_powers.cache_info().currsize == 4
+    assert len(set(results)) == 4
+    for (X, N), got in zip(variants, results):
+        transforms._sigma_powers.cache_clear()
+        assert bits(semigroup_inner(X, 0.8, N)) == got
+
+
+def test_b0_equal_to_one_raises_on_every_call():
+    B = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): 0.5})
+    transforms._sigma_powers.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotInvertibleError):
+            semigroup_inner(B, 0.5, 4)
+    assert transforms._sigma_powers.cache_info().currsize == 0
+
+
+def test_cached_powers_are_read_only():
+    B = commutator_inner(max_degree=8)
+    semigroup_inner(B, 0.5, 8)
+    _, _, codes, powers = transforms._sigma_powers(
+        B.codes.tobytes(), B.C.tobytes(), B.d, 8)
+    assert len(powers) == 4
+    for a in (codes, *powers):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+@st.composite
+def matrix_symbols(draw):
+    """(B, N): a 2 x 2 polynomial over d in {1, 2, 3} letters, N <= 6,
+    with ||B(0)|| <= 0.9 and a few words of norm <= 0.5 elsewhere."""
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def block(norm):
+        M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return norm * M / np.linalg.norm(M, 2)
+
+    coeffs = {(): block(0.9 * rng.random())}
+    for _ in range(draw(st.integers(1, 4))):
+        word = tuple(rng.integers(1, d + 1, rng.integers(1, N + 1)))
+        coeffs[word] = block(0.5 * rng.random())
+    return NcSeries(d, 2, 2, N, coeffs), N
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(scalar_symbols(), matrix_symbols()))
+def test_cayley_transform_matches_inverse_times_product(gen):
+    B, N = gen
+    got = cayley_herglotz(B, N)
+    want = cayley_product(B, N)
+    assert np.array_equal(got.codes, want.codes)
+    assert max_coeff_diff(got, want, N) <= 1e-13 * np.abs(want.C).max()

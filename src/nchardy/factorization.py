@@ -9,12 +9,13 @@ asking for a Hermitian vacuum, recovers it to machine precision and the
 inner factor follows by division.  The solver is the numpy `_lm` below
 (Moré 1978, with Nielsen's gain-ratio damping and MINPACK's stop tests),
 so the package runs on numpy alone.  The Jacobian is affine in the
-outer factor's coefficients, so each step builds it as one scatter over
-a plan cached per (d, m, n) from the index triples, and reads the
-residual from the same matrix.  The same data give the NC Toeplitz
-Gram of the columns H z^v, whose tree Cholesky
-(fockspace.toeplitz_vacuum_schur) certifies the wandering dimension and
-gives the outer defect without building the Gram.  The inner defect and
+outer factor's coefficients, so each trial point builds it as one
+scatter over a plan cached per (d, m, n) from the index triples, and
+reads the residual from the same matrix: `_lm` calls one function that
+returns both.  The same data give the NC Toeplitz Gram of the columns
+H z^v, whose tree Cholesky (fockspace.toeplitz_vacuum_schur) certifies
+the wandering dimension and gives the outer defect without building the
+Gram.  The inner defect and
 the singular test's r-grid are extreme eigenvalues of the inner factor's
 own NC Toeplitz Gram, bracketed from its data and bisected with the same
 Cholesky (fockspace.toeplitz_min_eig).
@@ -134,7 +135,7 @@ def autocorrelation(H, m=None):
 
 @functools.lru_cache(maxsize=None)
 def _jacobian_plan(d, m, n):
-    """_OuterProblem's Jacobian over d letters, degree m and n x n
+    """_outer_system's Jacobian over d letters, degree m and n x n
     coefficients as one scatter: read-only (target, src, weight) arrays
     and J's shape, so that J(x) = bincount(target, weight * [x, 1][src])
     reshaped to that shape.
@@ -179,86 +180,64 @@ def _jacobian_plan(d, m, n):
     return plan + ((2 * nn * (D + 1), size),)
 
 
-class _OuterProblem:
-    """t_s(F) = t_s(H) for |s| <= m, with its exact Jacobian.
+def _outer_system(d, m, target):
+    """fun(x) -> (r, J): the residual of t_s(F) = t_s(H), |s| <= m, and
+    its exact Jacobian.
 
-    F is an n x n series of degree m whose (dim, n, n) coefficient stack
-    has the parameters as its float view: x.view(complex) is F.  t_s
-    cannot see a constant unitary on the left, so the anti-Hermitian part
-    F_0 - F_0^H of the vacuum coefficient is one more residual block, after
-    t_s(F) - t_s(H) word by word.  Each block lists the real and then the
-    imaginary parts of its n x n matrix.
+    F is an n x n series of degree m over d letters whose (dim, n, n)
+    coefficient stack has the parameters as its float view: x.view(complex)
+    is F.  t_s cannot see a constant unitary on the left, so the
+    anti-Hermitian part F_0 - F_0^H of the vacuum coefficient is one more
+    residual block, after t_s(F) - t_s(H) word by word.  Each block lists
+    the real and then the imaginary parts of its n x n matrix.  target is
+    the (dim, n, n) stack of the t_s(H) over FockBasis(d, m).
 
-    target is the (dim, n, n) stack of the t_s(H) over FockBasis(d, m).
-    The Jacobian is one scatter of x over the cached _jacobian_plan.  t_s
-    is a homogeneous quadratic in x and the gauge block is linear, so the
+    J is one scatter of x over the cached _jacobian_plan.  t_s is a
+    homogeneous quadratic in x and the gauge block is linear, so the
     residual is read from the same J: r = h (J x) - t(H), with h = 1/2 on
-    the t_s rows and 1 on the gauge rows.  residual(x) keeps the J it
-    builds, and jacobian(x) at a point with the same bits returns it.
+    the t_s rows and 1 on the gauge rows.
     """
+    n = target.shape[1]
+    index, src, weight, shape = _jacobian_plan(d, m, n)
+    t = np.concatenate([target, np.zeros((1, n, n))])
+    t = t.reshape(t.shape[0], -1)
+    rhs = np.stack([t.real, t.imag], axis=1).reshape(-1)
+    half = np.full(rhs.size, 0.5)
+    half[-2 * n * n:] = 1.0
+    xa = np.ones(shape[1] + 1)
 
-    def __init__(self, H, m, target):
-        n = self.n = H.rows
-        self.d, self.m = H.d, m
-        self.basis = FockBasis(H.d, m)
-        self.target = target
-        self.shape = (self.basis.dim, n, n)
-        self._plan = _jacobian_plan(H.d, m, n)
-        t = np.concatenate([self.target, np.zeros((1, n, n))])
-        t = t.reshape(t.shape[0], -1)
-        self._rhs = np.stack([t.real, t.imag], axis=1).reshape(-1)
-        self._half = np.full(self._rhs.size, 0.5)
-        self._half[-2 * n * n:] = 1.0
-        self._xa = np.ones(2 * self.basis.dim * n * n + 1)
-        self._kept = None, None
+    def fun(x):
+        xa[:-1] = x
+        J = np.bincount(index, weights=weight * xa[src],
+                        minlength=shape[0] * shape[1]).reshape(shape)
+        return half * (J @ x) - rhs, J
 
-    def decode(self, x):
-        return x.view(complex).reshape(self.shape)
-
-    def _build(self, x):
-        target, src, weight, shape = self._plan
-        self._xa[:-1] = x
-        w = weight * self._xa[src]
-        return np.bincount(target, weights=w,
-                           minlength=shape[0] * shape[1]).reshape(shape)
-
-    def residual(self, x):
-        J = self._build(x)
-        self._kept = x.tobytes(), J
-        return self._half * (J @ x) - self._rhs
-
-    def jacobian(self, x):
-        """dr/dx: the J that residual kept, when x has its bits."""
-        key, J = self._kept
-        return J if x.tobytes() == key else self._build(x)
+    return fun
 
 
-def _lm(fun, jac, x0):
-    """Minimize |fun(x)|^2 from x0 by Levenberg-Marquardt with the exact
-    Jacobian jac (Moré 1978).
+def _lm(fun, x0):
+    """Minimize |r(x)|^2 from x0 by Levenberg-Marquardt with the exact
+    Jacobian, for fun(x) returning r(x) and J(x) (Moré 1978).
 
     A trial step solves (J^T J + mu I) h = -J^T r at the current point;
     its gain ratio rho is the actual decrease of |r|^2 over the decrease
     h.(mu h - J^T r) that the linear model predicts.  The damping follows
     Nielsen's rule: a step with rho > 0 is taken and mu scaled by
     max(1/3, 1 - (2 rho - 1)^3); otherwise mu grows by nu = 2, 4, 8, ...
-    and the step is retried against the same J.  The trial point x + h is
-    one array, passed to fun and, once accepted, on as x, so with
-    _OuterProblem's kept Jacobian every trial costs one scatter, which
-    serves its residual and, if taken, the next step's J.  mu starts at
-    LM_TAU max diag(J^T J).  The solve stops, as MINPACK's lmder does,
-    at a zero residual, when the actual and predicted reductions are both
-    within LM_TOL of |r|^2, when the step is within LM_TOL of |x|, or
-    after LM_MAX_NFEV residuals.  It also stops when the damped system is
-    exactly singular: near a solution where J^T J is singular (an outer
-    factor with a zero on the boundary), mu shrinks below its rounding
-    level.  Returns x, fun(x) and the number of residuals evaluated; the
-    caller judges the residual.
+    and the step is retried against the same J.  Each trial point costs
+    one call of fun, whose J is the next step's J if the step is taken.
+    mu starts at LM_TAU max diag(J^T J).  The solve stops, as MINPACK's
+    lmder does, at a zero residual, when the actual and predicted
+    reductions are both within LM_TOL of |r|^2, when the step is within
+    LM_TOL of |x|, or after LM_MAX_NFEV calls of fun.  It also stops when
+    the damped system is exactly singular: near a solution where J^T J is
+    singular (an outer factor with a zero on the boundary), mu shrinks
+    below its rounding level.  Returns x, r(x) and the number of calls of
+    fun; the caller judges the residual.
     """
-    x, r = x0, fun(x0)
+    x, (r, J) = x0, fun(x0)
     f, nfev, mu = r @ r, 1, None
     while f > 0:
-        J = jac(x)
         A, g = J.T @ J, J.T @ r
         if mu is None:
             mu, eye = LM_TAU * A.diagonal().max(), np.eye(len(A))
@@ -272,7 +251,7 @@ def _lm(fun, jac, x0):
                     or np.linalg.norm(h) <= LM_TOL * np.linalg.norm(x)):
                 return x, r, nfev
             x_new = x + h
-            r_new = fun(x_new)
+            r_new, J_new = fun(x_new)
             nfev += 1
             f_new = r_new @ r_new
             act, pred = f - f_new, h @ (mu * h - g)
@@ -282,7 +261,7 @@ def _lm(fun, jac, x0):
             if small:
                 return x, r, nfev
             mu, nu = mu * nu, 2 * nu
-        x, r, f = x_new, r_new, f_new
+        x, r, J, f = x_new, r_new, J_new, f_new
         if small:
             break
         mu *= max(1 / 3, 1 - (2 * act / pred - 1) ** 3)
@@ -322,26 +301,29 @@ def _spectral_outer(H, t):
     |H|_2^2, so the solve's target t(H / |H|_2) is t / tr t_empty, and
     inner_outer passes the t it certifies with instead of building it
     again."""
-    n = H.rows
+    n, m = H.rows, H.degree()
     mass = float(np.trace(t[0]).real)
-    prob = _OuterProblem(H, H.degree(), t / mass)
-    t0 = prob.target[0]
-    vals, vecs = np.linalg.eigh(0.5 * (t0 + t0.conj().T))
-    init = np.zeros(prob.shape, dtype=complex)
+    target = t / mass
+    shape = (len(t), n, n)
+    # toeplitz_data makes t_empty exactly Hermitian, and the real mass
+    # keeps it so
+    vals, vecs = np.linalg.eigh(target[0])
+    init = np.zeros(shape, dtype=complex)
     init[0] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    x, r, nfev = _lm(prob.residual, prob.jacobian,
+    x, r, nfev = _lm(_outer_system(H.d, m, target),
                      init.reshape(-1).view(float))
     err = float(np.max(np.abs(r)))
     if err > 1e-11:
         raise DiagnosticError(
             f"autocorrelation factorization did not converge "
             f"(residual {err:.3e}) after {nfev} residual evaluations")
-    F = prob.decode(x).copy()
+    F = x.view(complex).reshape(shape)
+    # the gauge rows hold F_0 Hermitian only to the residual gate
     F[0] = 0.5 * (F[0] + F[0].conj().T)
     if n == 1 and F[0, 0, 0].real < 0:
         F = -F
     codes = np.flatnonzero((np.abs(F) > 1e-14).any(axis=(1, 2)))
-    return NcSeries._of(H.d, n, n, prob.m, codes, math.sqrt(mass) * F[codes])
+    return NcSeries._of(H.d, n, n, m, codes, math.sqrt(mass) * F[codes])
 
 
 def inner_outer(H, N=None):
@@ -363,6 +345,8 @@ def inner_outer(H, N=None):
     certificate runs before the solve.  H is first scaled by a power of
     two, which is exact, so the factorization holds at any finite scale.
     """
+    if H.rows != H.cols:
+        raise ShapeMismatchError("only scalar or square series supported")
     H, e = _pow2_normalized(H)
     Hp = H.prune()
     if not Hp.codes.size:
@@ -373,9 +357,6 @@ def inner_outer(H, N=None):
     if m > N:
         raise ValidityWindowError(f"degree {m} exceeds truncation {N}")
     HN = Hp.truncate(N).with_max_degree(N) if Hp.max_degree != N else Hp
-
-    if H.rows != H.cols:
-        raise ShapeMismatchError("only scalar or square series supported")
 
     if m == 0:
         # a constant is outer exactly when it is invertible
@@ -570,7 +551,8 @@ def blaschke_defect(theta, pairs, N=None, col_degree=None, window=None,
     evidence; 1 with no pairs just restates that the orthocomplement is
     nontrivial.  Genuine kernel data can only fill more of the
     orthocomplement, but thin sampling reports large defects honestly
-    rather than guessing.
+    rather than guessing.  col_degree and window are ints >= 0 (2.5 or
+    True is a ValueError).
     """
     if not theta.is_scalar():
         raise ShapeMismatchError("classification expects a scalar inner")
@@ -590,8 +572,10 @@ def _blaschke_defect(theta, QK, basis, col_degree=None, window=None):
     valid = validity_window(theta, N)
     if col_degree is None:
         col_degree = valid if valid >= 1 else min(3, N)
+    col_degree = _int_size("col_degree", col_degree)
     if window is None:
         window = col_degree if valid >= 1 else max(col_degree - 1, 0)
+    window = _int_size("window", window)
     if col_degree < 0 or window < 0:
         raise ValueError(f"column degree {col_degree} and window {window} "
                          f"must be >= 0")

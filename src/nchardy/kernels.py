@@ -35,7 +35,7 @@ from .fockspace import (
     toeplitz_min_eig,
     validity_window,
 )
-from .ncseries import NcSeries, series_mul
+from .ncseries import NcSeries, _degree_arg, series_mul
 
 # Default residual tolerance for singularity membership.
 SING_TOL = 1e-8
@@ -135,6 +135,7 @@ def szego_kernel(Z, y, v, N):
 
     The coefficient at word w is (Z^w v)* y = v* (Z^w)* y, so that the
     pairing against a polynomial f of degree <= N gives y* f(Z) v exactly.
+    N is an int >= 0 (2.5 or -1 is a ValueError).
     """
     if not isinstance(Z, MatrixPoint):
         Z = MatrixPoint(Z)
@@ -143,6 +144,7 @@ def szego_kernel(Z, y, v, N):
     if y.size != Z.n or v.size != Z.n:
         raise ShapeMismatchError(
             f"vectors must have length {Z.n}, got {y.size} and {v.size}")
+    N = _degree_arg("N", N, Z.d)
     c = _adjoint_word_vectors(Z, y, N) @ v.conj()
     if not np.isfinite(c).all():
         raise ValueError("kernel coefficients are non-finite")
@@ -265,11 +267,6 @@ def _sing_test(A, y):
     return num <= SING_TOL * scale, num, scale
 
 
-def sing_residual(H, Z, y):
-    """The raw quantity ||y* H(Z)|| driving the membership test."""
-    return _sing_test(evaluate(H, Z), y)[1:]
-
-
 def sing_membership(H, Z, y):
     """(is_member, residual): residual test ||y* H(Z)|| against
     SING_TOL * ||y|| * (1 + ||H(Z)||)."""
@@ -321,11 +318,12 @@ def sing_space_complement(pairs, probes=None, N=8):
     word vectors per pair.  orthonormal_frame's SVD with the relative
     threshold RANK_REL trims the span.  The result approximates the
     orthocomplement of the singularity space from below; more pairs can
-    only grow it.
+    only grow it.  N is an int >= 0, as for szego_kernel.
     """
     if not pairs:
         raise ValueError("need at least one singularity pair")
     d = pairs[0].Z.d
+    N = _degree_arg("N", N, d)
     cols = []
     for pair in pairs:
         if pair.Z.d != d:

@@ -24,7 +24,11 @@ from nchardy.factorization import (
     spectral_outer,
 )
 from nchardy.fockspace import FockBasis
-from nchardy.kernels import SingularityPair
+from nchardy.kernels import (
+    SingularityPair,
+    sing_space_complement,
+    szego_kernel,
+)
 from nchardy.ncseries import (
     NcSeries,
     commutator_inner,
@@ -192,6 +196,19 @@ def test_inner_outer_rejects_zero_and_rectangular():
         inner_outer(rect)
 
 
+@pytest.mark.parametrize("H", [
+    NcSeries(2, 2, 1, 3, {(): [[1.0], [0.5]], (1, 2, 1): [[0.25], [0.0]]}),
+    NcSeries(2, 2, 1, 3, {}),
+], ids=["degree-3", "zero"])
+def test_inner_outer_refuses_a_column_before_reading_it(H):
+    # the shape is checked first: the degree exceeds N = 2 and the zero
+    # series cannot be factored, but a 2 x 1 series is refused for its shape
+    with pytest.raises(ShapeMismatchError):
+        inner_outer(H, 2)
+    with pytest.raises(ShapeMismatchError):
+        spectral_outer(H)
+
+
 def test_outer_defect_separates_outer_from_inner():
     out = NcSeries(2, 1, 1, 8, {(): 1.0, (1,): -0.5})
     assert outer_defect(out) == pytest.approx(0.003383, abs=1e-5)
@@ -265,6 +282,31 @@ def test_blaschke_defect_rejects_zero_and_bad_window():
     for limits in ({"window": -1}, {"col_degree": -1}):
         with pytest.raises(ValueError, match="must be >= 0"):
             blaschke_defect(z1(4), [], N=4, extra_frame=E, **limits)
+
+
+def half_z2_pair():
+    """(0, 1/2) at level 1, with y = 1."""
+    return SingularityPair([[[0.0]], [[0.5]]], [1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: blaschke_defect(z1(4), [], N=4, col_degree=2.5),
+     "col_degree 2.5 is not an integer"),
+    (lambda: blaschke_defect(z1(4), [], N=4, window=1.5),
+     "window 1.5 is not an integer"),
+    (lambda: blaschke_defect(z1(4), [], N=4, col_degree=True),
+     "col_degree True is not an integer"),
+    (lambda: szego_kernel(half_z2_pair().Z, [1.0], [1.0], 2.5),
+     "N 2.5 is not an integer"),
+    (lambda: szego_kernel(half_z2_pair().Z, [1.0], [1.0], -1),
+     "N must be >= 0"),
+    (lambda: sing_space_complement([half_z2_pair()], N=2.5),
+     "N 2.5 is not an integer"),
+], ids=["col_degree-float", "window-float", "col_degree-bool",
+        "szego-float", "szego-negative", "complement-float"])
+def test_degree_arguments_are_checked_integers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_blaschke_defect_requires_scalar():

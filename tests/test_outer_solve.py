@@ -1,0 +1,110 @@
+"""The one-callable outer solve against the two-callback solve it
+replaced.
+
+`_lm(fun, x0)` takes one function returning the residual and its
+Jacobian.  tests/kept_jacobian.py keeps the earlier `_OuterProblem`, whose
+residual callback kept the J it built for the Jacobian callback, and
+`_lm(fun, jac, x0)`.  Both run the same arithmetic in the same order, so
+spectral_outer and inner_outer must agree with them bit for bit:
+coefficients, codes, defects, errors and the number of residuals
+evaluated.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kept_jacobian
+import nchardy.factorization as factorization
+from nchardy.errors import NcError
+from nchardy.factorization import inner_outer, spectral_outer
+from nchardy.fockspace import FockBasis
+from nchardy.ncseries import NcSeries
+
+
+@st.composite
+def square_series(draw):
+    """n x n series over d letters of degree <= 3 on a random support with
+    the vacuum and a top-degree word: Gaussian or small-integer entries,
+    the constant term sometimes made dominant."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    deg = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    words = FockBasis(d, deg).words
+    top = [w for w in words if len(w) == deg]
+    keep = {(), top[rng.integers(len(top))]}
+    keep |= {w for w in words if rng.random() < 0.5}
+    if draw(st.booleans()):
+        def entry():
+            return rng.standard_normal((n, n)) \
+                + 1j * rng.standard_normal((n, n))
+    else:
+        def entry():
+            return rng.integers(-2, 3, (n, n)) \
+                + 1j * rng.integers(-2, 3, (n, n))
+    coeffs = {w: entry() for w in sorted(keep, key=lambda w: (len(w), w))}
+    if draw(st.booleans()):
+        coeffs[()] = coeffs[()] + 3.0 * np.eye(n)
+    return NcSeries(d, n, n, deg + draw(st.integers(0, 2)), coeffs)
+
+
+def outcome(run, H):
+    """run(H) as bytes and reprs, with the residual counts of its solves;
+    a refusal gives its type and message instead."""
+    counts = []
+
+    def counting(lm):
+        def counting_lm(*args):
+            out = lm(*args)
+            counts.append(out[2])
+            return out
+        return counting_lm
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (factorization, kept_jacobian):
+            mp.setattr(module, "_lm", counting(module._lm))
+        try:
+            got = run(H)
+        except (NcError, ValueError) as exc:
+            return type(exc).__name__, str(exc), counts
+    return got, counts
+
+
+def series_bits(f):
+    return (f.d, f.rows, f.cols, f.max_degree, f.codes.tobytes(),
+            f.C.tobytes())
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_series())
+def test_spectral_outer_is_bitwise_the_two_callback_solve(H):
+    want = outcome(kept_jacobian.spectral_outer, H)
+    got = outcome(spectral_outer, H)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    (F, nfev), counts = want
+    assert series_bits(got[0]) == series_bits(F)
+    assert got[1] == counts == [nfev]
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_series())
+def test_inner_outer_is_bitwise_the_two_callback_solve(H):
+    def reference(H):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factorization, "_spectral_outer",
+                       lambda H, t: kept_jacobian._spectral_outer(H, t)[0])
+            return inner_outer(H)
+
+    def bits(res):
+        return (series_bits(res.inner), series_bits(res.outer),
+                res.wandering_dim, res.valid_degree, repr(res.defects))
+
+    want, got = outcome(reference, H), outcome(inner_outer, H)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    assert bits(got[0]) == bits(want[0])
+    assert got[1] == want[1]

@@ -17,6 +17,8 @@ from .fockspace import FockBasis, coeff_stack
 from .kernels import SingularityPair, _left_null_direction, _sing_test
 from .ncseries import (
     NcSeries,
+    _degree_arg,
+    _int_size,
     max_coeff_diff,
     phase_normalize,
     series_mul,
@@ -91,7 +93,8 @@ def poly_factor_classical(p, N=None):
     Blaschke zeros, those outside fold into the outer polynomial, and any
     root within BOUNDARY_MARGIN of the circle raises BoundaryRootError.
     The returned pieces satisfy p = phase * blaschke * outer with outer(0)
-    real positive, and the singular part of a polynomial is trivial.
+    real positive, and the singular part of a polynomial is trivial.  N,
+    the truncation order, is an int >= 0 (default max(deg p, 1)).
     """
     c = _disk_coeffs(p)
     deg_all = c.size - 1
@@ -99,8 +102,7 @@ def poly_factor_classical(p, N=None):
         c = c[:-1]
     if c.size == 1 and c[0] == 0.0:
         raise ValueError("cannot factor the zero polynomial")
-    if N is None:
-        N = max(deg_all, 1)
+    N = _degree_arg("N", N, 1, max(deg_all, 1))
     k0 = 0
     while c[k0] == 0.0:
         k0 += 1
@@ -157,13 +159,13 @@ def jordan_pair(w, multiplicity):
     eps < 1 - |w|, and the block must not degenerate, which needs
     eps < |w| as well when scaling matters; eps is half the stricter of
     the two bounds, and which one binds is reported in the returned dict.
-    Any polynomial vanishing at w to this multiplicity has (W, y) in its
-    singularity locus for a suitable left null direction y.
+    Any polynomial vanishing at w to this multiplicity, an int >= 1, has
+    (W, y) in its singularity locus for a suitable left null direction y.
     """
     w = complex(w)
     if not abs(w) < 1.0:
         raise ValueError(f"zero |w| = {abs(w):.4f} not inside the disk")
-    m = int(multiplicity)
+    m = _int_size("multiplicity", multiplicity)
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
     eps = (1.0 - abs(w)) / 2.0

@@ -170,7 +170,7 @@ def _horner(F, top, levels, Zs):
 
 
 def _check_row_norms(Zs):
-    """Batched admissibility gate over a stack of points."""
+    """Batched admissibility gate over a stack of points: their row norms."""
     if not np.isfinite(Zs).all():
         raise InadmissiblePointError("point has non-finite entries",
                                      row_norm=float("nan"))
@@ -180,10 +180,7 @@ def _check_row_norms(Zs):
         r = float(rn[bad[0]])
         raise InadmissiblePointError(
             f"row norm {r:.6f} is not below 1", row_norm=r)
-    if rn.max() > ADMISSIBLE_WARN:
-        warnings.warn(
-            f"row norm {rn.max():.6f} close to the boundary; truncation "
-            f"tails decay slowly", AdmissibilityWarning)
+    return rn
 
 
 def evaluate_batch(f, Zs, check_admissible=True):
@@ -206,7 +203,11 @@ def evaluate_batch(f, Zs, check_admissible=True):
             f"points need shape (B, {f.d}, n, n), got {Zs.shape}")
     B, _, n, _ = Zs.shape
     if check_admissible and B:
-        _check_row_norms(Zs)
+        worst = _check_row_norms(Zs).max()
+        if worst > ADMISSIBLE_WARN:
+            warnings.warn(
+                f"row norm {worst:.6f} close to the boundary; truncation "
+                f"tails decay slowly", AdmissibilityWarning)
     vals = np.zeros((B, f.rows, n, f.cols, n), dtype=complex)
     count, at, top, levels = _horner_plan(f)
     if B and count:

@@ -1,12 +1,13 @@
 """Inner-outer factorization and Blaschke/singular classification.
 
 Everything inner-outer reads is one layer of autocorrelation data
-t_s(H) = sum_m conj(H_m) H_{ms}, gathered over the index triples of
-fockspace.word_triples.  The data depend only on the outer part, and only
-up to a constant unitary on the left, so a Levenberg-Marquardt solve over
-the outer factor's coefficients, with an exact Jacobian and residual rows
-asking for a Hermitian vacuum, recovers it to machine precision and the
-inner factor follows by division.  The solver is the numpy `_lm` below
+t_s(H) = sum_m conj(H_m) H_{ms}, the coefficients of H(L)* H, summed over
+H's stored words and their stored prefixes m (fockspace.toeplitz_data).
+The data depend only on the outer part, and only up to a constant unitary
+on the left, so a Levenberg-Marquardt solve over the outer factor's
+coefficients, with an exact Jacobian and residual rows asking for a
+Hermitian vacuum, recovers it to machine precision and the inner factor
+follows by division.  The solver is the numpy `_lm` below
 (Moré 1978, with Nielsen's gain-ratio damping and MINPACK's stop tests),
 so the package runs on numpy alone.  The Jacobian is affine in the
 outer factor's coefficients, so each trial point builds it as one
@@ -45,8 +46,6 @@ from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
     _mult_columns,
-    autocorrelation_stack,
-    coeff_stack,
     mult_operator,
     numerical_rank,
     orthonormal_frame,
@@ -124,13 +123,14 @@ def autocorrelation(H, m=None):
     These matrices are blind to inner factors on the left: if H = B F with
     B inner then t_s(H) = t_s(F), which is what makes them the right data
     for recovering the outer part.  m defaults to deg(H); it must be an
-    int >= 0 (2.5 or -1 is a ValueError).
+    int >= 0 (2.5 or -1 is a ValueError).  A dict view of
+    fockspace.toeplitz_data(H, m), t_empty exactly Hermitian, with zero
+    blocks for deg(H) < |s| <= m.
     """
-    deg = H.degree()
-    m = _degree_arg("m", m, H.d, deg)
-    basis = FockBasis(H.d, max(m, deg))
-    t = autocorrelation_stack(coeff_stack(H, basis), H.d, basis.max_degree)
-    return dict(zip(basis.words[:basis.degree_start(m + 1)], t))
+    m = _degree_arg("m", m, H.d, H.degree())
+    t, basis = toeplitz_data(H, m), FockBasis(H.d, m)
+    pad = np.zeros((basis.dim - len(t),) + t.shape[1:], dtype=complex)
+    return dict(zip(basis.words, np.concatenate((t, pad))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,7 +338,7 @@ def inner_outer(H, N=None):
     window N - deg(H) is well conditioned, so the columns H z^v are
     independent there.  Square matrix H reports its size.  Defects are
     always reported; as t(F) = t(H), H's data serve F's outer defect too.
-    The data t(H) are gathered once: the outer solve's target is read
+    The data t(H) are computed once: the outer solve's target is read
     from them, and both the certificate and the outer defect come from
     the tree Cholesky of fockspace's toeplitz_vacuum_schur, so no Gram
     matrix of H is built and no eigen-solve is larger than q x q.  The

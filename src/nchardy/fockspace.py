@@ -15,10 +15,12 @@ Every Fock-space matrix is built from the cached index triples
 scatter of them, and a right shift R_k a gather of those with s = (k,),
 so the split's wandering vector is one thin product of the shifts with
 its kernel frame (factorization._wandering_vector).  Where only a Gram
-matters, no dense operator and no Gram is built: the triples give the
-autocorrelations t_s of a symbol as one gather, of which every block of
-the NC Toeplitz Gram is one or the adjoint of one, and a Cholesky along
-the suffix tree works on a state shaped like t.  It gives the Gram's
+matters, no dense operator and no Gram is built: the autocorrelations t_s
+of a symbol f are the coefficients of f(L)* f, which pair each stored
+word of f with its stored prefixes by code lookup, as
+ncseries.shift_adjoint_apply does.  Every block of the NC Toeplitz Gram
+is one of them or the adjoint of one, and a Cholesky along the suffix
+tree works on a state shaped like t.  It gives the Gram's
 vacuum Schur complement and its definiteness, and bisection on its shift
 gives the extreme eigenvalues inside a bracket read off t itself.
 """
@@ -37,6 +39,7 @@ from .ncseries import (
     _degree_arg,
     _int_size,
     _lengths,
+    _prefix_pairs,
     rescale,
 )
 
@@ -148,45 +151,26 @@ def word_triples(d, m):
     return out
 
 
-def autocorrelation_stack(A, d, m, k=None):
-    """t_s = sum_mu A_mu^H A_{mu s} for every word s of length <= min(m, k)
-    (k defaults to m).
+def toeplitz_data(f, k=None):
+    """The autocorrelations t_s(f) = sum_a f_a^H f_{as}, |s| <= min(deg f,
+    k) (k defaults to deg f): the coefficients of f(L)* f, of which every
+    block of f's NC Toeplitz Gram on |v| <= k is one or the adjoint of one.
 
-    A is a (dim, p, q) stack of coefficients over FockBasis(d, m) words;
-    the result is the stack of the t_s in the same order, (dim, q, q) at
-    k >= m.  word_triples lists s by length, so the triples with |s| <= k
-    are a prefix of its arrays, and a smaller k gives the first rows of
-    the full stack bit for bit.
+    One batched product over the pairs of ncseries._prefix_pairs, which
+    shift_adjoint_apply sums too, and each t_s adds its terms in the order
+    of a.  A stack over the FockBasis(f.d, min(deg f, k)) words, each q x q
+    with q = cols(f), with t_empty made exactly Hermitian so that the Gram
+    is exactly Hermitian; t_s vanishes for |s| > deg f.  Each row is the
+    same bit for bit whatever k.
     """
-    s, mu, cat = word_triples(d, m)
-    n = A.shape[0]
+    m = f.degree()
     k = m if k is None else _int_size("k", k)
     if k < 0:
         raise ValueError(f"autocorrelation length k = {k} is negative")
-    if k < m:
-        starts, pows = _code_table(d, m)
-        n = int(starts[k + 1])
-        # the triples with |s| = l number d^l times the words of length
-        # <= m - l
-        end = sum(int(pows[l] * starts[m + 1 - l]) for l in range(k + 1))
-        s, mu, cat = s[:end], mu[:end], cat[:end]
-    t = np.zeros((n, A.shape[2], A.shape[2]), dtype=complex)
-    np.add.at(t, s, A[mu].conj().transpose(0, 2, 1) @ A[cat])
-    return t
-
-
-def toeplitz_data(f, k=None):
-    """The autocorrelations t_s(f), |s| <= min(deg f, k) (k defaults to
-    deg f), of which every block of f's NC Toeplitz Gram on |v| <= k is
-    one or the adjoint of one.
-
-    A stack over the FockBasis(f.d, min(deg f, k)) words, each q x q with
-    q = cols(f), with t_empty made exactly Hermitian so that the Gram is
-    exactly Hermitian; t_s vanishes for |s| > deg f.  Each row is the same
-    bit for bit whatever k.
-    """
-    m = f.degree()
-    t = autocorrelation_stack(coeff_stack(f, FockBasis(f.d, m)), f.d, m, k)
+    n = min(m, k)
+    ja, iw, cs = map(np.concatenate, zip(*_prefix_pairs(f, f, n)))
+    t = np.zeros((_code_table(f.d, n)[0][-1], f.cols, f.cols), dtype=complex)
+    np.add.at(t, cs, f.C[ja].conj().transpose(0, 2, 1) @ f.C[iw])
     t[0] = 0.5 * (t[0] + t[0].conj().T)
     return t
 
@@ -403,15 +387,16 @@ def numerical_rank(A):
 
 def orthonormal_frame(columns):
     """Orthonormal basis for the column span, via SVD with the relative
-    cutoff RANK_REL."""
-    A = np.asarray(columns, dtype=complex)
+    cutoff RANK_REL.  Real columns give a real frame."""
+    A = np.asarray(columns)
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
     if A.size == 0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
+        return np.zeros((A.shape[0], 0), dtype=A.dtype)
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
+        return np.zeros((A.shape[0], 0), dtype=A.dtype)
     r = int(np.sum(s > RANK_REL * s[0]))
     return U[:, :r]
 

@@ -15,13 +15,10 @@ t -> det(H(tZ)) inside the disk.
 
 import numpy as np
 
-from .errors import (
-    InadmissiblePointError,
-    NotInnerError,
-    ShapeMismatchError,
-)
+from .errors import NotInnerError, ShapeMismatchError
 from .evaluate import (
     MatrixPoint,
+    _check_row_norms,
     direct_sum_points,
     evaluate,
     evaluate_batch,
@@ -35,7 +32,7 @@ from .fockspace import (
     toeplitz_min_eig,
     validity_window,
 )
-from .ncseries import NcSeries, _degree_arg, series_mul
+from .ncseries import NcSeries, _degree_arg, _int_size, series_mul
 
 # Default residual tolerance for singularity membership.
 SING_TOL = 1e-8
@@ -113,6 +110,15 @@ class KernelVector:
                 f"N={self.series.max_degree})")
 
 
+def _admissible(Z):
+    """Z as a MatrixPoint, refused with InadmissiblePointError unless its
+    row norm is below 1, as evaluate refuses a point."""
+    if not isinstance(Z, MatrixPoint):
+        Z = MatrixPoint(Z)
+    _check_row_norms(np.array(Z.mats)[None])
+    return Z
+
+
 def _adjoint_word_vectors(Z, y, m):
     """(Z^w)* y for every word w of length <= m, as the rows of a (D_m, n)
     array in word-code order (ncseries), which is FockBasis order.
@@ -135,10 +141,10 @@ def szego_kernel(Z, y, v, N):
 
     The coefficient at word w is (Z^w v)* y = v* (Z^w)* y, so that the
     pairing against a polynomial f of degree <= N gives y* f(Z) v exactly.
-    N is an int >= 0 (2.5 or -1 is a ValueError).
+    N is an int >= 0 (2.5 or -1 is a ValueError), and Z a point of the open
+    unit row ball (InadmissiblePointError otherwise).
     """
-    if not isinstance(Z, MatrixPoint):
-        Z = MatrixPoint(Z)
+    Z = _admissible(Z)
     y = np.asarray(y, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
     if y.size != Z.n or v.size != Z.n:
@@ -156,13 +162,11 @@ def szego_gram(Z, W, v, u):
     """G = sum_w Z^w (v u*) (W^w)*, summed in closed form.
 
     Solves the displacement equation G - sum_k Z_k G W_k* = v u*, which is
-    uniquely solvable inside the row ball.  Pairing y* G x gives the exact
+    uniquely solvable inside the row ball, so both points must lie there
+    (InadmissiblePointError otherwise).  Pairing y* G x gives the exact
     (untruncated) inner product of K{Z,y,v} against K{W,x,u}.
     """
-    if not isinstance(Z, MatrixPoint):
-        Z = MatrixPoint(Z)
-    if not isinstance(W, MatrixPoint):
-        W = MatrixPoint(W)
+    Z, W = _admissible(Z), _admissible(W)
     if Z.d != W.d:
         raise ShapeMismatchError(f"points over d={Z.d} and d={W.d}")
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -207,8 +211,7 @@ def model_kernel(theta, Z, y, v, N):
     if not theta.is_scalar():
         raise ShapeMismatchError("model_kernel expects a scalar inner")
     check_inner(theta)
-    if not isinstance(Z, MatrixPoint):
-        Z = MatrixPoint(Z)
+    Z = _admissible(Z)
     K = szego_kernel(Z, y, v, N)
     y_shift = evaluate(theta, Z).conj().T @ np.asarray(y, complex).reshape(-1)
     K_shift = szego_kernel(Z, y_shift, v, N)
@@ -236,11 +239,11 @@ def kernel_direct_sum(k1, k2, c=1.0):
 
 
 class SingularityPair:
-    """A point Z and a nonzero vector y with y* H(Z) = 0 for some H."""
+    """A point Z of the open unit row ball and a nonzero vector y with
+    y* H(Z) = 0 for some H."""
 
     def __init__(self, Z, y):
-        if not isinstance(Z, MatrixPoint):
-            Z = MatrixPoint(Z)
+        Z = _admissible(Z)
         y = np.asarray(y, dtype=complex).reshape(-1)
         if y.size != Z.n:
             raise ShapeMismatchError(
@@ -278,10 +281,7 @@ def sing_closure_direct_sum(p1, p2, c=1.0):
     if p1.Z.d != p2.Z.d:
         raise ShapeMismatchError("pairs over different alphabets")
     Z = direct_sum_points([p1.Z, p2.Z])
-    y = np.concatenate([p1.y, complex(c) * p2.y])
-    if np.linalg.norm(y) == 0.0:
-        raise ValueError("weighted stack collapsed to zero")
-    return SingularityPair(Z, y)
+    return SingularityPair(Z, np.concatenate([p1.y, complex(c) * p2.y]))
 
 
 def sing_closure_similarity(pair, S):
@@ -297,10 +297,6 @@ def sing_closure_similarity(pair, S):
         raise ShapeMismatchError(f"similarity must be {n} x {n}")
     Sinv = np.linalg.inv(S)
     Z_new = MatrixPoint([Sinv @ M @ S for M in pair.Z.mats])
-    rn = Z_new.row_norm()
-    if not rn < 1.0:
-        raise InadmissiblePointError(
-            f"conjugated point has row norm {rn:.6f}", row_norm=rn)
     return SingularityPair(Z_new, S.conj().T @ pair.y)
 
 
@@ -436,10 +432,14 @@ def search_singularities(H, level, trials=50, rng=None, max_members=10):
     must pass sing_membership's residual test.  Returns the verified
     SingularityPair objects, at most max_members, possibly none:
     polynomial symbols can be pointwise invertible on the whole ball at a
-    given level, and the scan can miss a locus that is there.
+    given level, and the scan can miss a locus that is there.  level is
+    an int >= 1 and trials an int.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("singularity search needs a square series")
+    if _int_size("level", level) < 1:
+        raise ValueError("level must be >= 1")
+    _int_size("trials", trials)
     if rng is None:
         rng = np.random.default_rng(0)
     members = []

@@ -598,35 +598,46 @@ def series_mul(f, g, max_degree=None):
                         *_sum_by_code(codes, f.C[iu] @ g.C[jv]))
 
 
+def _prefix_pairs(omega, H, n):
+    """The splits w = ab of H's stored words with |b| <= n and a stored in
+    omega, one (ja, iw, cb) per length of b from 0 up: a's index in omega,
+    w's in H and b's code, in H's word order, so each b meets its prefixes
+    a in their order.  One searchsorted over the candidates (w, |b|) finds
+    a's code (code(w) - start_|b|) // d^|b| among omega's, and then code(b)
+    = code(w) - code(a) d^|b|.  shift_adjoint_apply sums a length at a
+    time: a stack of every pair's terms, 11 |H| at N = 10, page-faults."""
+    starts, pows = _code_table(H.d, _bound(H))
+    # H's codes rise with length, so the words of length >= l are a tail
+    first = H.codes.searchsorted(starts[:min(n, _bound(H)) + 1]).tolist()
+    pre = [(H.codes[f:] - starts[l]) // pows[l] for l, f in enumerate(first)]
+    cand = np.concatenate(pre)
+    ja = omega.codes.searchsorted(cand)
+    # a code past omega's last meets the sentinel -1, which no code equals
+    hit = np.append(omega.codes, -1)[ja] == cand
+    out, i = [], 0
+    for l, (f, p) in enumerate(zip(first, pre)):
+        h = hit[i:i + p.size]
+        iw = f + h.nonzero()[0]
+        out.append((ja[i:i + p.size][h], iw, H.codes[iw] - p[h] * pows[l]))
+        i += p.size
+    return out
+
+
 def shift_adjoint_apply(omega, H, out_degree=None):
     """Coefficients of omega(L)* applied to H: F_b = sum_a conj(om_a) H_{ab}.
 
     omega scalar, H scalar or matrix-valued; the result keeps H's shape.
-    For each |b| <= out_degree, w = ab exactly when a's code (code(w) -
-    start_|b|) // d^|b| is among omega's codes, found by searchsorted, and
-    then code(b) = code(w) - code(a) d^|b|.  Each length of b is summed on
-    its own, each b in H's word order: one sum over all lengths would pad
-    every b to the term count of the empty word.
+    The pairs (a, ab) with |b| <= out_degree come from _prefix_pairs.
+    Each length of b is summed on its own, each b in H's word order: one
+    sum over all lengths would pad every b to the term count of the empty
+    word.
     """
     if not omega.is_scalar():
         raise ShapeMismatchError("adjoint application needs a scalar symbol")
     H._check_compatible(omega)
     n = _degree_arg("out_degree", out_degree, H.d, H.max_degree)
-    starts, pows = _code_table(H.d, _bound(H))
-    lw = _lengths(H.codes, starts)
-    codes = [np.zeros(0, dtype=np.int64)]
-    C = [np.zeros((0, H.rows, H.cols), dtype=complex)]
-    for lb in range(min(n, int(lw.max(initial=-1))) + 1):
-        iw = (lw >= lb).nonzero()[0]
-        pre = (H.codes[iw] - starts[lb]) // pows[lb]
-        ja = omega.codes.searchsorted(pre)
-        hit = ja < omega.codes.size
-        hit[hit] = omega.codes[ja[hit]] == pre[hit]
-        iw, ja = iw[hit], ja[hit]
-        cb, Cb = _sum_by_code(H.codes[iw] - pre[hit] * pows[lb],
-                              np.conj(omega.C[ja]) * H.C[iw])
-        codes.append(cb)
-        C.append(Cb)
+    codes, C = zip(*(_sum_by_code(cb, np.conj(omega.C[ja]) * H.C[iw])
+                     for ja, iw, cb in _prefix_pairs(omega, H, n)))
     return NcSeries._of(H.d, H.rows, H.cols, n, np.concatenate(codes),
                         np.concatenate(C))
 

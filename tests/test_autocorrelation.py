@@ -6,7 +6,9 @@ way: dense multiplication operators, dense Gram matrices and their
 eigenvalues, SVD frames, right-shift matrices, a
 finite-difference least-squares solve, and scipy's MINPACK
 `least_squares(method="lm")` loop that the numpy `_lm` replaced.  The
-references live here, not in the package.
+data t_s themselves, paired by prefix lookup, must equal bit for bit the
+gather over the index triples that they replaced.  The references live
+here and in gathered_autocorrelation.py, not in the package.
 """
 
 import itertools
@@ -35,7 +37,6 @@ from nchardy.factorization import (
 )
 from nchardy.fockspace import (
     FockBasis,
-    autocorrelation_stack,
     coeff_stack,
     isometry_defect,
     mult_operator,
@@ -57,6 +58,8 @@ from nchardy.ncseries import (
 from nchardy.transforms import frostman, semigroup_inner
 
 from dense_wandering import wandering_projection
+import gathered_autocorrelation as gathered
+from gathered_autocorrelation import autocorrelation_stack
 
 
 def random_series(rng, d, deg, N, rows=1, cols=1, density=0.7):
@@ -680,6 +683,42 @@ def test_inner_defect_matches_dense_isometry_defect(theta):
     else:
         with pytest.raises(NotInnerError):
             check_inner(theta)
+
+
+@st.composite
+def pairing_symbols(draw):
+    """Scalar, column or square symbols over d in {1, 2, 3} with sparse,
+    full or empty support.  Entries mix signed zeros and exact values,
+    which make sums cancel, with Gaussian floats, which make rounding
+    depend on the order of every sum."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    rows, cols = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+    deg = draw(st.integers(0, 4 if d < 3 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    words = FockBasis(d, deg).words
+    support = draw(st.sampled_from(["sparse", "full", "zero"]))
+    if support == "sparse":
+        words = [w for w in words if rng.random() < 0.3]
+    elif support == "zero":
+        words = []
+
+    def part():
+        x = rng.standard_normal((rows, cols))
+        exact = rng.random((rows, cols)) < 0.4
+        x[exact] = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], exact.sum())
+        return x
+
+    return NcSeries(d, rows, cols, deg + draw(st.integers(0, 2)),
+                    {w: part() + 1j * part() for w in words})
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairing_symbols())
+def test_prefix_pairing_equals_the_gathered_data_bitwise(f):
+    for k in [None, *range(f.degree() + 2)]:
+        got, want = toeplitz_data(f, k), gathered.toeplitz_data(f, k)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -157,6 +157,19 @@ def test_jordan_pair_bindings():
         jordan_pair(0.5, 0)
 
 
+@pytest.mark.parametrize("m", [2.5, True, "2", np.float64(2.0)])
+def test_jordan_pair_refuses_a_multiplicity_that_is_not_an_int(m):
+    # int() would make 2.5 a block of size 2 and True one of size 1
+    with pytest.raises(ValueError, match="^multiplicity "):
+        jordan_pair(0.5, m)
+
+
+@pytest.mark.parametrize("N", [2.5, True, "2", -1])
+def test_poly_factor_refuses_an_order_that_is_not_an_int_ge_0(N):
+    with pytest.raises(ValueError, match="^N "):
+        poly_factor_classical([1.0, -0.5], N=N)
+
+
 def test_compare_with_nc_simple_polynomial():
     report = compare_with_nc([1.0, -2.5, 1.0], N=12)
     assert report["wandering_dim"] == 1

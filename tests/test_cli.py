@@ -384,6 +384,29 @@ def test_kernel_rejects_non_finite_vector(runner, paths):
     assert out["error"]["path"] == "y"
 
 
+def outside_point():
+    """A point of row norm 1.3, where the Szego kernel diverges."""
+    return MatrixPoint([np.array([[0.0, 1.3], [0.0, 0.0]]), np.zeros((2, 2))])
+
+
+def test_kernel_refuses_a_point_outside_the_row_ball(runner, paths):
+    pt = write_json(paths["tmp"] / "far.json",
+                    point_to_json_dict(outside_point()))
+    res, out = run_json(runner, [
+        "kernel", "--point", pt, "--y", paths["y"], "--v", paths["v"]])
+    assert res.exit_code == 1
+    assert "row norm 1.300000 is not below 1" in out["error"]["message"]
+
+
+def test_classify_refuses_a_pair_outside_the_row_ball(runner, paths):
+    pp = write_json(paths["tmp"] / "far_pairs.json", [
+        pair_to_json_dict(outside_point(), np.array([1.0, 0.0]))])
+    res, out = run_json(runner, [
+        "classify", "--series", paths["z1"], "--pairs", pp])
+    assert res.exit_code == 1
+    assert "row norm 1.300000 is not below 1" in out["error"]["message"]
+
+
 def test_output_file_append_only(runner, paths):
     out = paths["tmp"] / "report.json"
     args = ["eval", "--series", paths["H"], "--point", paths["pt"],

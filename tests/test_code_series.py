@@ -222,6 +222,24 @@ def test_unary_operations_agree_bitwise(case, r):
 
 
 @settings(max_examples=80, deadline=None)
+@given(full_support_cases(), st.sampled_from(SHAPES), st.data())
+def test_adjoint_application_to_a_full_support_matrix_agrees_bitwise(
+        case, shape, data):
+    # H_w = f_w M + g_w M' over every word through H's order, so every
+    # prefix of every word of H meets omega, now with matrix blocks
+    f, g, _, omega = case
+    M, M2 = data.draw(blocks(*shape)), data.draw(blocks(*shape))
+    n = min(f.max_degree, g.max_degree)
+    H = NcSeries(f.d, *shape, n, {
+        w: f.scalar_coeff(w) * M + g.scalar_coeff(w) * M2
+        for w in basis_words(f.d, n)})
+    W, F = as_dict(omega), as_dict(H)
+    for k in degree_choices(n):
+        agree(shift_adjoint_apply(omega, H, k),
+              ref.shift_adjoint_apply(W, F, k))
+
+
+@settings(max_examples=80, deadline=None)
 @given(cases(), st.integers(0, 8), st.data())
 def test_boundary_converters_and_json_agree_bitwise(case, m, data):
     f, _, _, _ = case

@@ -209,6 +209,10 @@ def test_numerical_rank_and_frame():
     Q = orthonormal_frame(B)
     assert Q.shape == (8, 3)
     assert np.allclose(Q.conj().T @ Q, np.eye(3), atol=1e-12)
+    # real columns give a real frame, with the projector of the complex one
+    Qc = orthonormal_frame(B.astype(complex))
+    assert Q.dtype == np.float64 and Qc.dtype == np.complex128
+    assert np.abs(Q @ Q.T - Qc @ Qc.conj().T).max() <= 1e-14
 
 
 def test_wandering_dimension_single_generator():

@@ -4,9 +4,10 @@ replaced.
 `einsum_jacobian` is the Jacobian the outer problem built on every
 Levenberg-Marquardt step before the plan: two zeroed 6-D arrays filled by
 four einsums over the index triples.  `stack_residual` is the residual it
-read from `autocorrelation_stack`.  The plan adds the same one or two
-terms per entry, so the J of `_outer_system` must agree bitwise, and its
-residual r = h (J x) - t(H) to rounding.
+read from `autocorrelation_stack`, kept in gathered_autocorrelation.py.
+The plan adds the same one or two terms per entry, so the J of
+`_outer_system` must agree bitwise, and its residual r = h (J x) - t(H)
+to rounding.
 """
 
 import numpy as np
@@ -21,13 +22,10 @@ from nchardy.factorization import (
     _outer_system,
     spectral_outer,
 )
-from nchardy.fockspace import (
-    FockBasis,
-    autocorrelation_stack,
-    coeff_stack,
-    word_triples,
-)
+from nchardy.fockspace import FockBasis, coeff_stack, word_triples
 from nchardy.ncseries import NcSeries
+
+from gathered_autocorrelation import autocorrelation_stack
 
 
 def einsum_jacobian(d, m, n, x):

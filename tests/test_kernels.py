@@ -335,3 +335,35 @@ def test_each_root_is_evaluated_once(monkeypatch):
         assert abs(pair.Z.mats[0][0, 0] - 0.5) < 1e-15
         ok, resid = sing_membership(H, pair.Z, pair.y)
         assert ok and resid == float(np.linalg.norm(pair.y.conj() @ A))
+
+
+# points on or outside the row ball: row norm 1.3, exactly 1, and NaN
+OUTSIDE = [
+    MatrixPoint([np.array([[0.0, 1.3], [0.0, 0.0]]), np.zeros((2, 2))]),
+    MatrixPoint([np.eye(2), np.zeros((2, 2))]),
+    MatrixPoint([np.full((2, 2), np.nan), np.zeros((2, 2))]),
+]
+
+
+@pytest.mark.parametrize("Z", OUTSIDE, ids=["1.3", "1", "nan"])
+def test_kernels_refuse_a_point_outside_the_row_ball(Z):
+    # the kernel series diverges there, yet the displacement equation can
+    # still be solvable: at the scalar point 1.3 it gives <K, K> =
+    # 1 / (1 - 1.3^2) = -1.449
+    inside = MatrixPoint([0.1 * np.eye(2), 0.2 * np.eye(2)])
+    e = [1.0, 0.0]
+    for call in (lambda: szego_kernel(Z, e, e, 4),
+                 lambda: szego_gram(Z, inside, e, e),
+                 lambda: szego_gram(inside, Z, e, e),
+                 lambda: SingularityPair(Z, e)):
+        with pytest.raises(InadmissiblePointError):
+            call()
+
+
+@pytest.mark.parametrize("args, name", [
+    ((2.5,), "level"), ((True,), "level"), (("2",), "level"),
+    ((0,), "level"), ((2, 2.5), "trials"), ((2, "3"), "trials"),
+])
+def test_search_refuses_a_level_or_trials_that_is_not_an_int(args, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        search_singularities(BILINEAR, *args)

@@ -406,6 +406,8 @@ def test_pairs_with_a_frame_or_scaled_columns_still_orthonormalize(
     assert len(calls) == 2
     QK = factorization._combined_kernel_frame([], N, 2.0 * frame, 2)
     assert np.abs(QK @ QK.conj().T - frame @ frame.T).max() <= 1e-14
+    # a real frame that needs the SVD comes back real
+    assert QK.dtype == np.float64
 
 
 @pytest.mark.parametrize("t", [0.3, 0.65, 1.0])

@@ -46,7 +46,6 @@ from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
     _mult_columns,
-    mult_operator,
     numerical_rank,
     orthonormal_frame,
     toeplitz_data,
@@ -527,7 +526,7 @@ def crofoot_kernel_frame(theta, w, N=None):
     if N is None:
         N = theta.max_degree
     basis = FockBasis(theta.d, N)
-    M = mult_operator(theta.with_max_degree(N), basis).mat
+    M = _mult_columns(theta.with_max_degree(N), basis, N)
     # null space of M^H: right singular vectors past the numerical rank,
     # cut at max(s) * eps * max(shape)
     _, s, Vh = np.linalg.svd(M.conj().T)
@@ -536,7 +535,7 @@ def crofoot_kernel_frame(theta, w, N=None):
     if not ker.shape[1]:
         raise ValueError(f"no kernel frame at N={N}: theta has the nonzero "
                          f"constant term {theta.coeff(())[0, 0]:.3g}")
-    C = mult_operator(crofoot(theta, w, N), basis).mat
+    C = _mult_columns(crofoot(theta, w, N), basis, N)
     return orthonormal_frame(C @ ker)
 
 
@@ -640,23 +639,22 @@ def _wandering_vector(QK, basis):
     SKETCH_COLS of those n = 1 + d r columns are taken as they are; more
     are combined by a fixed real Gaussian (a range sketch: Halko,
     Martinsson and Tropp, SIAM Rev. 2011), drawn again at twice the width
-    while its rank is full, up to the n columns.  R_k is a gather over the
-    triples (k, w, w k), so no D x D matrix is built.  count is the
+    while its rank is full, up to the n columns.  R_k moves row w to row
+    w k, so all d shifts are one reshape and no D x D matrix is built
+    (_adjoint_word_vectors reads the same order).  count is the
     numerical rank of the projected columns Y and w is Y's largest column,
     normalized: a real coordinate frame gives exact zeros and an exact +-1.
     """
     d, r = basis.d, QK.shape[1]
     n, b = 1 + d * r, SKETCH_COLS
-    # R_k moves row w to row w k; the word (k,) sits at basis index k
-    s, mu, cat = word_triples(d, basis.max_degree)
-    one = (s >= 1) & (s <= d)
+    top = basis.degree_start(basis.max_degree)
     while True:
         G = (np.eye(n) if n <= b else
              np.random.default_rng(0).standard_normal((n, b)))
-        X = np.zeros((basis.dim, G.shape[1]), dtype=np.result_type(QK, G))
-        X[0] = G[0]
         KG = QK @ G[1:].reshape(d, r, -1)
-        X[cat[one]] = KG[s[one] - 1, mu[one]]
+        # the words w k follow the vacuum w-major, k-minor
+        X = np.concatenate((G[:1], KG[:, :top].swapaxes(0, 1).reshape(
+            -1, G.shape[1])))
         Y = X - QK @ (QK.conj().T @ X)
         count = numerical_rank(Y)
         if n <= b or count < b:

@@ -10,14 +10,13 @@ within the validity window N - deg(f), and meaningless beyond it.  Every
 defect-style question therefore carries an explicit degree limit, checked
 against that window; validity_window is its one definition.
 
-Every Fock-space matrix is built from the cached index triples
-(s, mu, mu s) of word concatenations: a multiplication operator is one
-scatter of them, and a right shift R_k a gather of those with s = (k,),
-so the split's wandering vector is one thin product of the shifts with
-its kernel frame (factorization._wandering_vector).  Where only a Gram
-matters, no dense operator and no Gram is built: the autocorrelations t_s
-of a symbol f are the coefficients of f(L)* f, which pair each stored
-word of f with its stored prefixes by code lookup, as
+Every index comes from splitting words w = mu s by code lookup
+(ncseries._prefix_pairs): the columns of a multiplication operator are
+one scatter over the basis words split at a prefix stored in f, and the
+index triples (s, mu, mu s) pair the basis with itself.  Where only a
+Gram matters, no dense operator and no Gram is built: the
+autocorrelations t_s of a symbol f are the coefficients of f(L)* f, which
+pair each stored word of f with its stored prefixes, as
 ncseries.shift_adjoint_apply does.  Every block of the NC Toeplitz Gram
 is one of them or the adjoint of one, and a Cholesky along the suffix
 tree works on a state shaped like t.  It gives the Gram's
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import ShapeMismatchError, ValidityWindowError
 from .ncseries import (
     NcSeries,
-    _cat_codes,
+    _bound,
     _code_of,
     _code_table,
     _decode,
@@ -129,23 +128,13 @@ def coeff_stack(f, basis):
 
 @functools.lru_cache(maxsize=None)
 def word_triples(d, m):
-    """Index triples (s, mu, mu s) over FockBasis(d, m) words, |mu s| <= m.
-
-    Every concatenation of two words that stays within degree m appears
-    once, as three read-only intp arrays of basis indices, which are word
-    codes: the index of mu s is ncseries._cat_codes of mu and s.
-    """
-    starts, pows = _code_table(d, m)
-    s_idx, mu_idx, cat_idx = [], [], []
-    for ls in range(m + 1):
-        cs = np.arange(starts[ls], starts[ls + 1])
-        for lm in range(m + 1 - ls):
-            cm = np.arange(starts[lm], starts[lm + 1])
-            s_idx.append(np.tile(cs, cm.size))
-            mu_idx.append(np.repeat(cm, cs.size))
-            cat_idx.append(_cat_codes(pows, ls, mu_idx[-1], s_idx[-1]))
-    out = tuple(np.concatenate(parts).astype(np.intp)
-                for parts in (s_idx, mu_idx, cat_idx))
+    """Index triples (s, mu, mu s) over FockBasis(d, m) words, |mu s| <= m,
+    as three read-only intp arrays of basis indices (word codes): every
+    concatenation within degree m once, s by length, then mu s ascending.
+    The basis paired with itself by ncseries._prefix_pairs."""
+    c = np.arange(_code_table(d, m)[0][-1])
+    mu, cat, s = map(np.concatenate, zip(*_prefix_pairs(c, c, d, m, m)))
+    out = tuple(a.astype(np.intp) for a in (s, mu, cat))
     for a in out:
         a.flags.writeable = False
     return out
@@ -168,7 +157,8 @@ def toeplitz_data(f, k=None):
     if k < 0:
         raise ValueError(f"autocorrelation length k = {k} is negative")
     n = min(m, k)
-    ja, iw, cs = map(np.concatenate, zip(*_prefix_pairs(f, f, n)))
+    ja, iw, cs = map(np.concatenate, zip(*_prefix_pairs(
+        f.codes, f.codes, f.d, _bound(f), n)))
     t = np.zeros((_code_table(f.d, n)[0][-1], f.cols, f.cols), dtype=complex)
     np.add.at(t, cs, f.C[ja].conj().transpose(0, 2, 1) @ f.C[iw])
     t[0] = 0.5 * (t[0] + t[0].conj().T)
@@ -312,16 +302,18 @@ def _check_degree_limit(degree_limit, valid):
 
 def _mult_columns(f, basis, k):
     """Columns f z^v, |v| <= k, of multiplication by f on the basis, as a
-    (dim * rows, D_k * cols) array: block (mu s, s) is f_mu over the word
-    triples with s among the first D_k words.  Words past N are dropped."""
-    coeffs = coeff_stack(f, basis)
-    D, p, q = coeffs.shape
-    s, mu, cat = word_triples(basis.d, basis.max_degree)
+    (dim * rows, D_k * cols) array: block (mu s, s) is f_mu over the
+    basis words split by ncseries._prefix_pairs into a prefix mu stored
+    in f and a suffix s with |s| <= k."""
+    if f.d != basis.d:
+        raise ShapeMismatchError(
+            f"series alphabet d={f.d} != basis alphabet d={basis.d}")
+    mu, cat, s = map(np.concatenate, zip(*_prefix_pairs(
+        f.codes, np.arange(basis.dim), f.d, basis.max_degree, k)))
     n = basis.degree_start(k + 1)
-    keep = s < n
-    M = np.zeros((D, p, n, q), dtype=complex)
-    M[cat[keep], :, s[keep], :] = coeffs[mu[keep]]
-    return M.reshape(D * p, n * q)
+    M = np.zeros((basis.dim, f.rows, n, f.cols), dtype=complex)
+    M[cat, :, s, :] = f.C[mu]
+    return M.reshape(basis.dim * f.rows, n * f.cols)
 
 
 class OperatorMatrix:

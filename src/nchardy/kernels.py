@@ -172,6 +172,9 @@ def szego_gram(Z, W, v, u):
     v = np.asarray(v, dtype=complex).reshape(-1)
     u = np.asarray(u, dtype=complex).reshape(-1)
     n1, n2 = Z.n, W.n
+    if (v.size, u.size) != (n1, n2):
+        raise ShapeMismatchError(
+            f"v, u must have lengths {n1}, {n2}, got {v.size}, {u.size}")
     A = np.eye(n1 * n2, dtype=complex)
     for k in range(Z.d):
         A -= np.kron(W[k].conj(), Z[k])
@@ -343,10 +346,10 @@ def compress_to_finite(Z, y, p):
     K = span{(Z^w)* y : |w| <= deg p} is invariant enough: with
     X_j = Q* Z_j Q and x = Q* y, every adjoint word of length <= deg p
     satisfies (X^w)* x = Q* (Z^w)* y, so p(X)* x = Q* (p(Z)* y).  A member
-    of the singularity locus stays a member, now at level dim K.
+    of the singularity locus stays a member, now at level dim K.  Z must
+    lie in the open unit row ball (InadmissiblePointError otherwise).
     """
-    if not isinstance(Z, MatrixPoint):
-        Z = MatrixPoint(Z)
+    Z = _admissible(Z)
     y = np.asarray(y, dtype=complex).reshape(-1)
     if np.linalg.norm(y) == 0.0:
         raise ValueError("cannot compress the zero vector")
@@ -432,14 +435,17 @@ def search_singularities(H, level, trials=50, rng=None, max_members=10):
     must pass sing_membership's residual test.  Returns the verified
     SingularityPair objects, at most max_members, possibly none:
     polynomial symbols can be pointwise invertible on the whole ball at a
-    given level, and the scan can miss a locus that is there.  level is
-    an int >= 1 and trials an int.
+    given level, and the scan can miss a locus that is there.  level and
+    max_members are ints >= 1 and trials an int >= 0.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("singularity search needs a square series")
     if _int_size("level", level) < 1:
         raise ValueError("level must be >= 1")
-    _int_size("trials", trials)
+    if _int_size("max_members", max_members) < 1:
+        raise ValueError("max_members must be >= 1")
+    if _int_size("trials", trials) < 0:
+        raise ValueError("trials must be >= 0")
     if rng is None:
         rng = np.random.default_rng(0)
     members = []

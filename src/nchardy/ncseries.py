@@ -598,27 +598,26 @@ def series_mul(f, g, max_degree=None):
                         *_sum_by_code(codes, f.C[iu] @ g.C[jv]))
 
 
-def _prefix_pairs(omega, H, n):
-    """The splits w = ab of H's stored words with |b| <= n and a stored in
-    omega, one (ja, iw, cb) per length of b from 0 up: a's index in omega,
-    w's in H and b's code, in H's word order, so each b meets its prefixes
-    a in their order.  One searchsorted over the candidates (w, |b|) finds
-    a's code (code(w) - start_|b|) // d^|b| among omega's, and then code(b)
-    = code(w) - code(a) d^|b|.  shift_adjoint_apply sums a length at a
-    time: a stack of every pair's terms, 11 |H| at N = 10, page-faults."""
-    starts, pows = _code_table(H.d, _bound(H))
-    # H's codes rise with length, so the words of length >= l are a tail
-    first = H.codes.searchsorted(starts[:min(n, _bound(H)) + 1]).tolist()
-    pre = [(H.codes[f:] - starts[l]) // pows[l] for l, f in enumerate(first)]
+def _prefix_pairs(a, w, d, top, n):
+    """The splits ub of the words with sorted codes w (lengths <= top),
+    with |b| <= n and u among the sorted codes a: one (ja, iw, cb) per |b|
+    from 0 up, the indices of u in a and of ub in w and the code of b, in
+    w's order.  One searchsorted over the candidates finds u's code
+    (code(w) - start_|b|) // d^|b|, and code(b) = code(w) - code(u) d^|b|.
+    A list by length, as one stack of every pair's terms page-faults."""
+    starts, pows = _code_table(d, top)
+    # codes rise with length, so the words of length >= l are a tail
+    first = w.searchsorted(starts[:min(n, top) + 1]).tolist()
+    pre = [(w[f:] - starts[l]) // pows[l] for l, f in enumerate(first)]
     cand = np.concatenate(pre)
-    ja = omega.codes.searchsorted(cand)
-    # a code past omega's last meets the sentinel -1, which no code equals
-    hit = np.append(omega.codes, -1)[ja] == cand
+    ja = a.searchsorted(cand)
+    # a code past a's last meets the sentinel -1, which no code equals
+    hit = np.append(a, -1)[ja] == cand
     out, i = [], 0
     for l, (f, p) in enumerate(zip(first, pre)):
         h = hit[i:i + p.size]
         iw = f + h.nonzero()[0]
-        out.append((ja[i:i + p.size][h], iw, H.codes[iw] - p[h] * pows[l]))
+        out.append((ja[i:i + p.size][h], iw, w[iw] - p[h] * pows[l]))
         i += p.size
     return out
 
@@ -637,7 +636,8 @@ def shift_adjoint_apply(omega, H, out_degree=None):
     H._check_compatible(omega)
     n = _degree_arg("out_degree", out_degree, H.d, H.max_degree)
     codes, C = zip(*(_sum_by_code(cb, np.conj(omega.C[ja]) * H.C[iw])
-                     for ja, iw, cb in _prefix_pairs(omega, H, n)))
+                     for ja, iw, cb in _prefix_pairs(
+                         omega.codes, H.codes, H.d, _bound(H), n)))
     return NcSeries._of(H.d, H.rows, H.cols, n, np.concatenate(codes),
                         np.concatenate(C))
 
@@ -759,7 +759,7 @@ def phase_normalize(f):
 def max_coeff_diff(f, g, through_degree=None):
     """Largest entrywise coefficient deviation |f_w - g_w| over words of
     length <= through_degree (default: the smaller truncation bound)."""
-    f._check_compatible(g)
+    _check_shapes(f, g)
     n = min(f.max_degree, g.max_degree) if through_degree is None else \
         _int_size("through_degree", through_degree)
     if n < 0:

@@ -236,6 +236,9 @@ def test_word_triples_enumerate_every_concatenation(d, m):
     assert got == want and len(s) == len(want)
     assert all(words[c] == words[a] + words[b]
                for a, b, c in zip(mu, s, cat))
+    # s by length, then mu s ascending, as gathered_autocorrelation reads
+    ls = np.array([len(words[b]) for b in s])
+    assert np.all((np.diff(ls) > 0) | (np.diff(ls) == 0) & (np.diff(cat) > 0))
     assert s.dtype == np.intp and not s.flags.writeable
     assert word_triples(d, m)[0] is s
 
@@ -771,7 +774,7 @@ def test_certificates_build_no_multiplication_operator(monkeypatch):
         raise AssertionError("dense multiplication operator built")
 
     monkeypatch.setattr(fockspace, "mult_operator", refuse)
-    monkeypatch.setattr(factorization, "mult_operator", refuse)
+    monkeypatch.setattr(fockspace, "OperatorMatrix", refuse)
     V = commutator_inner(max_degree=8)
     r = inner_outer(1.0 - np.sqrt(2.0) * V)
     assert r.wandering_dim == 1

@@ -314,6 +314,15 @@ def test_kernel_shape_validation():
         szego_kernel(Z, [1.0], [1.0, 0.0], 4)
     with pytest.raises(ValueError):
         SingularityPair(Z, [0.0, 0.0])
+    # the Gram's v and u have the lengths of its two points, 1 and 2 here
+    W = MatrixPoint([[[0.1]], [[0.2]]])
+    e1, e2 = [1.0], [1.0, 0.0]
+    theta = NcSeries.monomial((1,), 2, 3)
+    for call in (lambda: szego_gram(W, Z, e2, e2),
+                 lambda: szego_gram(W, Z, e1, e1),
+                 lambda: model_gram(theta, W, Z, e2, e2)):
+        with pytest.raises(ShapeMismatchError, match="lengths 1, 2"):
+            call()
 
 
 def test_each_root_is_evaluated_once(monkeypatch):
@@ -352,10 +361,12 @@ def test_kernels_refuse_a_point_outside_the_row_ball(Z):
     # 1 / (1 - 1.3^2) = -1.449
     inside = MatrixPoint([0.1 * np.eye(2), 0.2 * np.eye(2)])
     e = [1.0, 0.0]
+    p = NcSeries(2, 1, 1, 2, {(): 1.0, (1, 2): -2.0})
     for call in (lambda: szego_kernel(Z, e, e, 4),
                  lambda: szego_gram(Z, inside, e, e),
                  lambda: szego_gram(inside, Z, e, e),
-                 lambda: SingularityPair(Z, e)):
+                 lambda: SingularityPair(Z, e),
+                 lambda: compress_to_finite(Z, e, p)):
         with pytest.raises(InadmissiblePointError):
             call()
 
@@ -367,3 +378,17 @@ def test_kernels_refuse_a_point_outside_the_row_ball(Z):
 def test_search_refuses_a_level_or_trials_that_is_not_an_int(args, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         search_singularities(BILINEAR, *args)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_members": 0}, "max_members"), ({"max_members": -1}, "max_members"),
+    ({"max_members": 2.5}, "max_members"), ({"trials": -3}, "trials"),
+])
+def test_search_refuses_a_member_cap_below_one_or_negative_trials(kwargs,
+                                                                   name):
+    # z^2 - 1/4 is singular at z = +-1/2, so a search that ran would find
+    # members
+    H = NcSeries(1, 1, 1, 2, {(): -0.25, (1, 1): 1.0})
+    assert search_singularities(H, 1, max_members=1)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        search_singularities(H, 1, **kwargs)

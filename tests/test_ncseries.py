@@ -262,6 +262,15 @@ def test_json_round_trip():
     assert max_coeff_diff(f, g, 4) == 0.0
 
 
+def test_max_coeff_diff_refuses_blocks_of_another_shape():
+    ident = NcSeries(1, 2, 2, 2, {(): np.eye(2)})
+    column = NcSeries(1, 2, 1, 2, {(): [[1.0], [2.0]]})
+    for f, g in ((NcSeries.constant(1.0, 1, 2), ident),
+                 (column, NcSeries.constant(0.0, 1, 2))):
+        with pytest.raises(ShapeMismatchError):
+            max_coeff_diff(f, g)
+
+
 def test_json_file_round_trip(tmp_path):
     f = commutator_inner(max_degree=4)
     path = tmp_path / "v.json"

@@ -15,7 +15,6 @@ import importlib
 import numpy as np
 import pytest
 
-import nchardy.factorization as factorization
 import nchardy.fockspace as fockspace
 from nchardy.evaluate import (
     MatrixPoint,
@@ -167,7 +166,7 @@ def test_singular_test_builds_no_multiplication_operator(monkeypatch):
         raise AssertionError("dense multiplication operator built")
 
     monkeypatch.setattr(fockspace, "mult_operator", refuse)
-    monkeypatch.setattr(factorization, "mult_operator", refuse)
+    monkeypatch.setattr(fockspace, "OperatorMatrix", refuse)
     S = semigroup_inner(commutator_inner(max_degree=8), 0.5, 8)
     assert singular_test(S, num_samples=10)["singular"]
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from nchardy import factorization, fockspace
+from nchardy import fockspace
 from nchardy.factorization import (
     inner_outer,
     outer_defect,
@@ -119,7 +119,7 @@ def test_solve_vacuum_matches_dense_least_squares(monkeypatch):
         raise AssertionError("dense multiplication operator built")
 
     monkeypatch.setattr(fockspace, "mult_operator", refuse)
-    monkeypatch.setattr(factorization, "mult_operator", refuse)
+    monkeypatch.setattr(fockspace, "OperatorMatrix", refuse)
     for (f, r, N), ref in zip(cases, want):
         got = solve_vacuum(f, r, N)
         assert abs(got - ref) <= 1e-12, (f, r, N, got, ref)

@@ -427,13 +427,15 @@ def test_split_builds_no_multiplication_operator(monkeypatch):
         raise AssertionError("dense multiplication operator built")
 
     monkeypatch.setattr(fockspace, "mult_operator", refuse)
-    monkeypatch.setattr(factorization, "mult_operator", refuse)
+    monkeypatch.setattr(fockspace, "OperatorMatrix", refuse)
     for t in (0.3, 0.65, 1.0):
         theta, pairs, frame = blaschke_times_sigma((1,), t)
         res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
         assert res.flags == []
         assert max_coeff_diff(res.blaschke, NcSeries.monomial((1,), 2, N),
                               N) == 0.0
+    # the Crofoot frame is two column scatters
+    assert frostman_shift()[2].shape[1]
 
 
 def test_a_full_rank_sketch_is_drawn_again_wider():

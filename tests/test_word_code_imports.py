@@ -29,3 +29,11 @@ def test_no_other_module_imports_the_word_code_helpers(path):
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert not used & PRIVATE
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "ncseries.py"),
+    ids=lambda p: p.name)
+def test_only_ncseries_names_the_concatenation_code(path):
+    # fockspace pairs words through ncseries._prefix_pairs instead
+    assert "_cat_codes" not in path.read_text()

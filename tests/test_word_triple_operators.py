@@ -1,11 +1,12 @@
-"""Operators built from the word triples against the loops they replaced.
+"""Operators built from word codes against the loops they replaced.
 
-mult_operator (also as the left shifts, multiplication by z_k) and
-sing_space_complement read which word is a concatenation from
-fockspace.word_triples (or its series_to_vec layout).  The tuple-keyed loops they replaced are kept here, not in the
-package, as references; the new code must reproduce them bitwise, except
-that sing_space_complement's frame comes from an SVD rather than the
-reference's pivoted QR, so the two must span the same space.
+mult_operator (also as the left shifts, multiplication by z_k) scatters
+the splits of ncseries._prefix_pairs, and sing_space_complement reads
+the series_to_vec layout.  The tuple-keyed loops they replaced are kept
+here, not in the package, as references; the new code must reproduce
+them bitwise, except that sing_space_complement's frame comes from an SVD
+rather than the reference's pivoted QR, so the two must span the same
+space.
 """
 
 import functools
@@ -160,9 +161,12 @@ def test_mult_operator_matches_word_loop(f, basis_N):
 def test_column_scatter_is_the_leading_columns_of_mult_operator(d, N, p, q):
     rng = np.random.default_rng(10 * d + 3 * p + q)
     basis = FockBasis(d, N)
-    for deg in (0, N - 1, N):
-        f = random_series(rng, d, N, p, q, deg=deg)
-        M = mult_operator(f, basis).mat
+    # deg N + 2 stores words past the basis degree, which no column meets
+    series = [random_series(rng, d, max(deg, N), p, q, deg=deg)
+              for deg in (0, N - 1, N, N + 2)]
+    for f in series + [NcSeries(d, p, q, N, {})]:
+        M = loop_mult_operator(f, basis)[0]
+        assert np.array_equal(mult_operator(f, basis).mat, M)
         for k in range(N + 1):
             cols = _mult_columns(f, basis, k)
             assert cols.dtype == M.dtype
@@ -177,6 +181,9 @@ def test_mult_operator_rejects_alphabet_mismatch():
     f = NcSeries.monomial((1,), 2, 3)
     with pytest.raises(ShapeMismatchError, match="alphabet"):
         mult_operator(f, FockBasis(3, 3))
+    for k in (0, 2):
+        with pytest.raises(ShapeMismatchError, match="alphabet"):
+            _mult_columns(f, FockBasis(1, 3), k)
 
 
 @pytest.mark.parametrize("d, N", [(1, 0), (1, 4), (2, 1), (2, 4), (3, 3)])

@@ -14,12 +14,12 @@ outer factor's coefficients, so each trial point builds it as one
 scatter over a plan cached per (d, m, n) from the index triples, and
 reads the residual from the same matrix: `_lm` calls one function that
 returns both.  The same data give the NC Toeplitz Gram of the columns
-H z^v, whose tree Cholesky (fockspace.toeplitz_vacuum_schur) certifies
-the wandering dimension and gives the outer defect without building the
-Gram.  The inner defect and
-the singular test's r-grid are extreme eigenvalues of the inner factor's
-own NC Toeplitz Gram, bracketed from its data and bisected with the same
-Cholesky (fockspace.toeplitz_min_eig).
+H z^v, and one tree Cholesky of it at two shifts
+(fockspace._tree_elimination) certifies the wandering dimension and
+gives the outer defect, without building the Gram.  The
+inner defect and the singular test's r-grid are extreme eigenvalues of
+the inner factor's own NC Toeplitz Gram, bracketed from its data and
+multisected with the same Cholesky (fockspace.toeplitz_min_eig).
 
 Classification (Blaschke vs singular) is evidence-based: kernel vectors at
 sampled singularity pairs span part of the range orthocomplement, and the
@@ -46,12 +46,12 @@ from .evaluate import evaluate_batch, random_points
 from .fockspace import (
     FockBasis,
     _mult_columns,
+    _tree_elimination,
     numerical_rank,
     orthonormal_frame,
     toeplitz_data,
     toeplitz_max_bound,
     toeplitz_min_eig,
-    toeplitz_vacuum_schur,
     validity_window,
     vec_to_series,
     word_triples,
@@ -337,12 +337,13 @@ def inner_outer(H, N=None):
     window N - deg(H) is well conditioned, so the columns H z^v are
     independent there.  Square matrix H reports its size.  Defects are
     always reported; as t(F) = t(H), H's data serve F's outer defect too.
-    The data t(H) are computed once: the outer solve's target is read
-    from them, and both the certificate and the outer defect come from
-    the tree Cholesky of fockspace's toeplitz_vacuum_schur, so no Gram
-    matrix of H is built and no eigen-solve is larger than q x q.  The
-    certificate runs before the solve.  H is first scaled by a power of
-    two, which is exact, so the factorization holds at any finite scale.
+    The data t(H) are computed once, and so is their tree Cholesky on the
+    window (fockspace._tree_elimination), one pass at the shifts 0 and
+    tau: tau gives the certificate, which is judged before the solve, and
+    0 the outer defect's Schur complement.  The solve's target is read
+    from the same t.  No Gram matrix of H is built and no eigen-solve is
+    larger than q x q.  H is first scaled by a power of two, which is
+    exact, so the factorization holds at any finite scale.
     """
     if H.rows != H.cols:
         raise ShapeMismatchError("only scalar or square series supported")
@@ -368,23 +369,41 @@ def inner_outer(H, N=None):
 
     t = toeplitz_data(HN)
     valid = validity_window(HN)
+    # one tree pass over t at the window: shift 0 for the outer defect,
+    # and for scalar H tau for the certificate
+    shifts = [0.0]
     if HN.is_scalar():
-        _certify_wandering(t, H.d, valid)
+        shifts.append(_certificate_shift(t, H.d, valid))
+    fail, C = _tree_elimination(t, H.d, valid, shifts)
+    if HN.is_scalar():
+        _certify_wandering(t, H.d, valid, fail[1])
     F = _spectral_outer(HN, t)
     B = series_mul(HN, series_invert(F.with_max_degree(N), N), N).prune()
     B, u = phase_normalize(B)
     outer = F.with_max_degree(N).scale(u)
     recon = max_coeff_diff(series_mul(B, outer, N), HN, N)
+    # the pass at shift 0 serves F's outer defect, unless dropping F's
+    # negligible top coefficients widened its window
+    window = validity_window(outer)
+    schur = C[0] if fail[0] < 0 else None
+    if window != valid:
+        schur = _vacuum_schur(t, H.d, window)
     defects = {
         "inner_defect": inner_defect(B),
-        "outer_defect": _outer_defect(t, H.d, outer.coeff(()),
-                                      validity_window(outer)),
+        "outer_defect": _outer_defect(schur, outer.coeff(()), window),
         "reconstruction_error": float(np.ldexp(recon, e)),
     }
     return FactorizationResult(B, outer._ldexp(e), H.rows, defects, valid)
 
 
-def _certify_wandering(t, d, window):
+def _certificate_shift(t, d, window):
+    """tau = GRAM_COND_MIN lambda_max(G) bounded above, for the Gram G of
+    the data t over d letters on the window: its tree Cholesky at tau is
+    the wandering certificate."""
+    return GRAM_COND_MIN * toeplitz_max_bound(t, d, window)
+
+
+def _certify_wandering(t, d, window, fail=None):
     """Certify wandering dimension 1 for a scalar H with NC Toeplitz data
     t = toeplitz_data(H) over d letters, on the Gram G of the columns
     H z^v, |v| <= window.
@@ -394,12 +413,15 @@ def _certify_wandering(t, d, window):
     and over the nonempty words have full numerical rank and their ranks
     differ by exactly 1 (interlacing).  lambda_max is at most
     fockspace.toeplitz_max_bound (block Gershgorin), and the tree Cholesky
-    of G - tau I succeeds exactly when every eigenvalue of G exceeds tau.
+    of G - tau I succeeds exactly when every eigenvalue of G exceeds tau
+    (_certificate_shift).  fail is that pass's verdict when the caller
+    ran it (inner_outer shares its pass with the outer defect): the
+    length of a pivot that is not positive definite, or -1.
     """
-    tau = GRAM_COND_MIN * toeplitz_max_bound(t, d, window)
-    try:
-        toeplitz_vacuum_schur(t, d, window, tau)
-    except np.linalg.LinAlgError:
+    if fail is None:
+        fail = _tree_elimination(
+            t, d, window, [_certificate_shift(t, d, window)])[0][0]
+    if fail >= 0:
         raise DiagnosticError(
             f"wandering dimension not certified: Gram eigenvalue ratio "
             f"not above {GRAM_COND_MIN:.0e} on the window |v| <= {window}")
@@ -414,7 +436,7 @@ def outer_defect(h, N=None):
     vacuum sees only their constant terms, so the residual Gram of the
     vacuum directions is I - h_0 S^{-1} h_0^H, for S = 1 / (G^{-1})_{00}
     the vacuum's Schur complement in G.  S comes from the tree Cholesky of
-    fockspace.toeplitz_vacuum_schur, so no Gram matrix is built.
+    fockspace._tree_elimination at shift 0, so no Gram matrix is built.
     Column-valued h reports the best vacuum direction; square h has to
     reach every one, so the worst is reported.  h is first scaled by a
     power of two, which the defect does not see.
@@ -425,17 +447,25 @@ def outer_defect(h, N=None):
         raise ShapeMismatchError(
             "outer defect expects scalar, column, or square h")
     hN = _pow2_normalized(h)[0].truncate(N)
-    return _outer_defect(toeplitz_data(hN), h.d, hN.coeff(()),
-                         validity_window(hN, N))
+    window = validity_window(hN, N)
+    return _outer_defect(_vacuum_schur(toeplitz_data(hN), h.d, window),
+                         hN.coeff(()), window)
 
 
-def _outer_defect(t, d, h0, window):
-    """outer_defect from h's NC Toeplitz data t over d letters, on the
-    window, and its constant term h0: with S = C C^H the vacuum's Schur
-    complement, the residual is I - Y^H Y for C Y = h0^H."""
-    try:
-        C = toeplitz_vacuum_schur(t, d, window)
-    except np.linalg.LinAlgError:
+def _vacuum_schur(t, d, window):
+    """Cholesky factor of the vacuum's Schur complement in the NC Toeplitz
+    Gram of the data t over d letters on the window, or None when a pivot
+    is not positive definite."""
+    fail, C = _tree_elimination(t, d, window, [0.0])
+    return None if fail[0] >= 0 else C[0]
+
+
+def _outer_defect(C, h0, window):
+    """outer_defect from h's constant term h0 and the Cholesky factor C of
+    the vacuum's Schur complement S = C C^H in the Gram of the columns
+    h z^v on the window (None when they are dependent there): the
+    residual is I - Y^H Y for C Y = h0^H."""
+    if C is None:
         raise DiagnosticError(
             f"outer defect: the columns h z^v are dependent on the window "
             f"|v| <= {window}")

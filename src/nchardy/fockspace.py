@@ -19,9 +19,11 @@ autocorrelations t_s of a symbol f are the coefficients of f(L)* f, which
 pair each stored word of f with its stored prefixes, as
 ncseries.shift_adjoint_apply does.  Every block of the NC Toeplitz Gram
 is one of them or the adjoint of one, and a Cholesky along the suffix
-tree works on a state shaped like t.  It gives the Gram's
-vacuum Schur complement and its definiteness, and bisection on its shift
-gives the extreme eigenvalues inside a bracket read off t itself.
+tree works on a state shaped like t.  One pass runs it for many shifts
+of the Gram at once and gives, per shift, its definiteness and the
+vacuum's Schur complement.  Multisection on the shift, fifteen trial
+shifts a pass on scalar data, gives the extreme eigenvalues inside a
+bracket read off t itself, in about 12 passes where bisection took 48.
 """
 
 import functools
@@ -44,6 +46,11 @@ from .ncseries import (
 
 # Relative singular-value threshold for numerical rank decisions.
 RANK_REL = 1e-10
+
+# The fixed work of a tree pass of k lengths over scalar data costs about
+# as much as PASS_BUDGET (k + 2) block products of one shift (numpy on
+# OpenBLAS, one thread); toeplitz_min_eig sizes its shift count by it.
+PASS_BUDGET = 320
 
 
 class FockBasis:
@@ -175,16 +182,103 @@ def _stack_degree(d, size):
 
 
 @functools.lru_cache(maxsize=None)
-def _elimination_triples(d, b):
-    """(|mu|, s, mu, mu s) for the triples of word_triples(d, b) with mu
-    nonempty, as read-only intp arrays."""
+def _elimination_plan(d, b, width):
+    """(pairs, back) for the triples (s, mu, mu s) of word_triples(d, b)
+    with mu nonempty: pairs lists the mu and then the mu s, one gather,
+    and back[i] = |mu| width - s, so that a length-major state of width
+    blocks per length sends triple i at length l to block
+    l width - back[i], which is S[l - |mu|, s].  Read-only intp arrays."""
     s, mu, cat = word_triples(d, b)
     keep = mu > 0
-    out = (_lengths(mu[keep], _code_table(d, b)[0]), s[keep], mu[keep],
-           cat[keep])
-    for a in out:
+    back = _lengths(mu[keep], _code_table(d, b)[0]) * width - s[keep]
+    pairs = np.concatenate((mu[keep], cat[keep]))
+    for a in (pairs, back):
         a.flags.writeable = False
-    return out
+    return pairs, back
+
+
+def _vacuum_cholesky(S0):
+    """(C, refused): LAPACK's Cholesky factor of each block of the stack
+    S0, NaN where LAPACK refuses the block, and the refused positions.
+    After a refusal, the blocks whose first pivot is <= 0, which LAPACK
+    refuses whatever the rest, are set aside, or else the stack is
+    halved, and each part is tried again: a one-block stack costs one
+    call, and so does each scalar stack after the first."""
+    try:
+        return np.linalg.cholesky(S0), []
+    except np.linalg.LinAlgError:
+        pass
+    C = np.full_like(S0, np.nan)
+    if len(S0) == 1:
+        return C, [0]
+    first = S0[:, 0, 0].real <= 0
+    refused, keep = np.flatnonzero(first).tolist(), np.flatnonzero(~first)
+    for part in ([keep] if refused else np.array_split(keep, 2)):
+        if len(part):
+            C[part], rest = _vacuum_cholesky(S0[part])
+            refused += part[rest].tolist()
+    return C, refused
+
+
+def _tree_elimination(t, d, k, shifts):
+    """The tree Cholesky of toeplitz_vacuum_schur for every shift at once:
+    one pass over G - shift I for G the NC Toeplitz Gram of f on |v| <= k
+    with data t over d letters.
+
+    The shifts ride as an inner axis of the state, so each index triple
+    still updates one block per shift by one batched product, and every
+    shift sees the arithmetic of a one-shift pass bit for bit.  A shift
+    whose pivot is not positive definite leaves the state.  Returns
+    (fail, C): fail[j] is the length at which G - shifts[j] I met such a
+    pivot, or -1, and C[j] is the Cholesky factor of the vacuum's Schur
+    complement where fail[j] is -1 (NaN elsewhere).
+    """
+    m, width = _stack_degree(d, len(t)), len(t)
+    q = t.shape[1]
+    shifts = np.asarray(shifts, dtype=float)
+    fail, live = [-1] * len(shifts), list(range(len(shifts)))
+    # S[l width + s, j]: block (w, w[|s|:]) of G - shifts[j] I left to
+    # eliminate, for each word w of length l that starts with s (entries
+    # with |s| > l are never read)
+    S = np.empty(((k + 1) * width, len(shifts), q, q), dtype=complex)
+    S.reshape(k + 1, width, -1, q, q)[...] = t[:, None]
+    # the diagonals of the pivot blocks S[l width]
+    diag = S[::width].reshape(k + 1, -1, q * q)[..., ::q + 1]
+    np.subtract(diag, shifts[:, None], out=diag)
+    for lev in range(k, 0, -1):
+        # X = C^-1 S[lev] row by row, for the pivot S[lev, 0] = C C^H
+        X = S[lev * width:(lev + 1) * width]
+        for r in range(q):
+            piv = X[0, :, r, r, None].real
+            ok = [p > 0 for p in piv[:, 0].tolist()]
+            if not all(ok):
+                for j, good in zip(live, ok):
+                    if not good:
+                        fail[j] = lev
+                live = [j for j, good in zip(live, ok) if good]
+                if not live:
+                    return fail, np.full((len(shifts), q, q), np.nan,
+                                         dtype=complex)
+                S, piv = S[:, ok], piv[ok]
+                X = S[lev * width:(lev + 1) * width]
+            row = X[:, :, r]
+            np.divide(row, np.sqrt(piv), out=row)
+            for r2 in range(r + 1, q):
+                X[:, :, r2] -= X[0, :, r, r2, None].conj() * row
+        pairs, back = _elimination_plan(d, min(m, lev), width)
+        Y = X[pairs]
+        np.subtract.at(S[lev * width::-1], back,
+                       Y[:len(back)].conj().swapaxes(-1, -2) @ Y[len(back):])
+    # the vacuum is the last pivot, which LAPACK factors
+    C0, refused = _vacuum_cholesky(S[0])
+    for i in refused:
+        fail[live[i]] = 0
+    if len(live) == len(shifts):
+        C = C0
+    else:
+        C = np.full((len(shifts), q, q), np.nan, dtype=complex)
+        C[live] = C0
+    return fail, C
 
 
 def toeplitz_vacuum_schur(t, d, k, shift=0.0):
@@ -210,29 +304,14 @@ def toeplitz_vacuum_schur(t, d, k, shift=0.0):
     sums X_mu^H X_{mu s} over the index triples, sent to length l - |mu|;
     that is O(k m |t|) block products for the k lengths.  The vacuum is
     the last pivot.  A pivot that is not positive definite, and so
-    G - shift I, raises LinAlgError.
+    G - shift I, raises LinAlgError.  The one-shift case of
+    _tree_elimination.
     """
-    m = _stack_degree(d, len(t))
-    q = t.shape[1]
-    # S[l, s]: block (w, w[|s|:]) left to eliminate, for each word w of
-    # length l that starts with s (entries with |s| > l are never read)
-    S = np.repeat(t[None], k + 1, axis=0)
-    S[:, 0] -= shift * np.eye(q)
-    for level in range(k, 0, -1):
-        # X = C^-1 S[level] row by row, for the pivot S[level, 0] = C C^H
-        X = S[level]
-        for r in range(q):
-            piv = X[0, r, r].real
-            if not piv > 0:
-                raise np.linalg.LinAlgError(
-                    f"pivot at length {level} is not positive definite")
-            X[:, r] /= np.sqrt(piv)
-            for r2 in range(r + 1, q):
-                X[:, r2] -= X[0, r, r2].conj() * X[:, r]
-        lens, s, mu, cat = _elimination_triples(d, min(m, level))
-        np.subtract.at(S, (level - lens, s),
-                       X[mu].conj().swapaxes(1, 2) @ X[cat])
-    return np.linalg.cholesky(S[0, 0])
+    fail, C = _tree_elimination(t, d, k, [shift])
+    if fail[0] >= 0:
+        raise np.linalg.LinAlgError(
+            f"pivot at length {fail[0]} is not positive definite")
+    return C[0]
 
 
 def _off_diagonal_bound(t, d, k):
@@ -254,6 +333,22 @@ def toeplitz_max_bound(t, d, k):
     return float(np.linalg.eigvalsh(t[0])[-1]) + _off_diagonal_bound(t, d, k)
 
 
+def _shift_count(t, d, k):
+    """Trial shifts per toeplitz_min_eig pass.  n shifts gain log2(n + 1)
+    bits a pass, so on scalar data it is the most of 15, 7 and 3 (else 1)
+    with n P <= PASS_BUDGET (k + 2), for P block products per shift and
+    pass.  Block data bisect: each q x q product is a BLAS call per shift,
+    and a shift that fails at a later pivot of the vacuum splits LAPACK's
+    batched Cholesky (_vacuum_cholesky)."""
+    if t.shape[1] > 1:
+        return 1
+    m = _stack_degree(d, len(t))
+    products = sum(len(_elimination_plan(d, min(m, lev), len(t))[1])
+                   for lev in range(1, k + 1))
+    return next((n for n in (15, 7, 3)
+                 if n * products <= PASS_BUDGET * (k + 2)), 1)
+
+
 def toeplitz_min_eig(t, d, k):
     """Smallest eigenvalue of the NC Toeplitz Gram G on |v| <= k with data
     t over d letters; the largest is -toeplitz_min_eig(-t, d, k).  t holds
@@ -263,23 +358,30 @@ def toeplitz_min_eig(t, d, k):
     G's vacuum block is t_empty and the rest of G has norm at most off
     (_off_diagonal_bound), so the answer lies in [c - off, c] for
     c = lambda_min(t_empty).  A bracket that is closed to rounding is the
-    answer with no tree call: at window 0, and whenever t_s = 0 for
-    s != empty.  Otherwise it is bisected down to rounding, since
-    toeplitz_vacuum_schur(t, d, k, s) succeeds exactly when every
-    eigenvalue of G exceeds s.  No Gram matrix is built.
+    answer with no tree pass: at window 0, and whenever t_s = 0 for
+    s != empty.  Otherwise it is multisected down to rounding (Barth,
+    Martin and Wilkinson, 1967), since the tree Cholesky of G - s I
+    succeeds exactly when every eigenvalue of G exceeds s: each pass of
+    _tree_elimination tries n evenly spaced interior shifts at once
+    (_shift_count), and the bracket shrinks to the gap between the first
+    failing shift and the shift before it.  Fifteen shifts gain four bits
+    a pass, so a bracket that bisection closes in 48 passes takes 12.
+    No Gram matrix is built.
     """
     c = float(np.linalg.eigvalsh(t[0])[0])
     off = _off_diagonal_bound(t, d, k)
     lo, hi = c - off, c
-    # four ulps of the largest endpoint, so every midpoint is a new point
+    # four ulps of the largest endpoint: a narrower bracket holds too few
+    # floats to split
     tol = 4 * np.finfo(float).eps * (abs(c) + off)
+    n = _shift_count(t, d, k)
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        try:
-            toeplitz_vacuum_schur(t, d, k, mid)
-            lo = mid
-        except np.linalg.LinAlgError:
-            hi = mid
+        step = (hi - lo) / (n + 1)
+        shifts = [lo + i * step for i in range(1, n + 1)]
+        fail = _tree_elimination(t, d, k, shifts)[0]
+        # the first failing shift, or hi when every shift passes
+        j = next((i for i, f in enumerate(fail) if f >= 0), n)
+        lo, hi = ([lo] + shifts)[j], (shifts + [hi])[j]
     return 0.5 * (lo + hi)
 
 

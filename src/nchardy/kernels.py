@@ -15,7 +15,7 @@ t -> det(H(tZ)) inside the disk.
 
 import numpy as np
 
-from .errors import NotInnerError, ShapeMismatchError
+from .errors import AlphabetMismatchError, NotInnerError, ShapeMismatchError
 from .evaluate import (
     MatrixPoint,
     _check_row_norms,
@@ -275,8 +275,14 @@ def _sing_test(A, y):
 
 def sing_membership(H, Z, y):
     """(is_member, residual): residual test ||y* H(Z)|| against
-    SING_TOL * ||y|| * (1 + ||H(Z)||)."""
-    return _sing_test(evaluate(H, Z), y)[:2]
+    SING_TOL * ||y|| * (1 + ||H(Z)||).  y has one entry per row of H(Z):
+    the point's level n for scalar H, rows(H) n in general."""
+    A = evaluate(H, Z)
+    size = np.size(y)
+    if size != A.shape[0]:
+        raise ShapeMismatchError(
+            f"vector length {size} != {A.shape[0]} rows of H(Z)")
+    return _sing_test(A, y)[:2]
 
 
 def sing_closure_direct_sum(p1, p2, c=1.0):
@@ -347,10 +353,16 @@ def compress_to_finite(Z, y, p):
     X_j = Q* Z_j Q and x = Q* y, every adjoint word of length <= deg p
     satisfies (X^w)* x = Q* (Z^w)* y, so p(X)* x = Q* (p(Z)* y).  A member
     of the singularity locus stays a member, now at level dim K.  Z must
-    lie in the open unit row ball (InadmissiblePointError otherwise).
+    lie in the open unit row ball (InadmissiblePointError otherwise), y
+    be as long as its level and p be over its alphabet.
     """
     Z = _admissible(Z)
     y = np.asarray(y, dtype=complex).reshape(-1)
+    if y.size != Z.n:
+        raise ShapeMismatchError(f"vector length {y.size} != level {Z.n}")
+    if p.d != Z.d:
+        raise AlphabetMismatchError(
+            f"polynomial over d={p.d} at a point over d={Z.d}")
     if np.linalg.norm(y) == 0.0:
         raise ValueError("cannot compress the zero vector")
     Q = orthonormal_frame(_adjoint_word_vectors(Z, y, p.degree()).T)

@@ -5,6 +5,7 @@ import pytest
 
 import nchardy.kernels as kernels
 from nchardy.errors import (
+    AlphabetMismatchError,
     InadmissiblePointError,
     NotInnerError,
     ShapeMismatchError,
@@ -392,3 +393,30 @@ def test_search_refuses_a_member_cap_below_one_or_negative_trials(kwargs,
     assert search_singularities(H, 1, max_members=1)
     with pytest.raises(ValueError, match=f"^{name} "):
         search_singularities(H, 1, **kwargs)
+
+
+# a level-2 point over two letters, and vectors one entry too long
+LEVEL2 = MatrixPoint([0.1 * np.eye(2), 0.2 * np.eye(2)])
+Y3 = np.array([1.0, 0.0, 0.0])
+
+
+def test_compress_to_finite_refuses_a_vector_not_as_long_as_the_level():
+    p = NcSeries(2, 1, 1, 2, {(): 1.0, (1, 2): -2.0})
+    with pytest.raises(ShapeMismatchError, match="length 3 != level 2"):
+        compress_to_finite(LEVEL2, Y3, p)
+
+
+def test_sing_membership_refuses_a_vector_not_as_long_as_the_rows():
+    with pytest.raises(ShapeMismatchError, match="length 3 != 2 rows"):
+        sing_membership(BILINEAR, LEVEL2, Y3)
+    # a 2 x 2 symbol has rows(H) n = 4 rows at level 2
+    H = NcSeries(2, 2, 2, 1, {(): np.eye(2), (1,): 0.5 * np.eye(2)})
+    with pytest.raises(ShapeMismatchError, match="length 2 != 4 rows"):
+        sing_membership(H, LEVEL2, [1.0, 0.0])
+    assert sing_membership(H, LEVEL2, np.ones(4))[0] is False
+
+
+def test_compress_to_finite_refuses_a_polynomial_over_another_alphabet():
+    p = NcSeries(3, 1, 1, 1, {(): 1.0, (3,): -2.0})
+    with pytest.raises(AlphabetMismatchError, match="d=3 at a point over d=2"):
+        compress_to_finite(LEVEL2, [1.0, 0.0], p)

@@ -1,5 +1,5 @@
 """The one-callable outer solve against the two-callback solve it
-replaced.
+replaced, and inner_outer's shared tree pass.
 
 `_lm(fun, x0)` takes one function returning the residual and its
 Jacobian.  tests/kept_jacobian.py keeps the earlier `_OuterProblem`, whose
@@ -7,7 +7,8 @@ residual callback kept the J it built for the Jacobian callback, and
 `_lm(fun, jac, x0)`.  Both run the same arithmetic in the same order, so
 spectral_outer and inner_outer must agree with them bit for bit:
 coefficients, codes, defects, errors and the number of residuals
-evaluated.
+evaluated.  inner_outer's one tree pass serves its certificate and its
+outer defect, and its errors keep their order.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import kept_jacobian
 import nchardy.factorization as factorization
-from nchardy.errors import NcError
+from nchardy.errors import DiagnosticError, NcError
 from nchardy.factorization import inner_outer, spectral_outer
 from nchardy.fockspace import FockBasis
 from nchardy.ncseries import NcSeries
@@ -108,3 +109,55 @@ def test_inner_outer_is_bitwise_the_two_callback_solve(H):
         return
     assert bits(got[0]) == bits(want[0])
     assert got[1] == want[1]
+
+
+def test_scalar_inner_outer_makes_one_tree_pass(monkeypatch):
+    passes = []
+    tree = factorization._tree_elimination
+
+    def counting(*args):
+        passes.append(args[3])
+        return tree(*args)
+
+    monkeypatch.setattr(factorization, "_tree_elimination", counting)
+    H = NcSeries(2, 1, 1, 5, {(): 1.0, (1,): -0.5, (2, 1): 0.3j})
+    res = inner_outer(H)
+    # shift 0 for the outer defect, tau for the certificate
+    assert len(passes) == 1 and passes[0][0] == 0.0 and passes[0][1] > 0
+    want = factorization.outer_defect(res.outer)
+    assert res.defects["outer_defect"] == want
+
+
+def test_a_failed_certificate_raises_before_the_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(factorization, "_lm", no_solve)
+    # a shift above every eigenvalue of the Gram fails the certificate
+    monkeypatch.setattr(factorization, "_certificate_shift",
+                        lambda t, d, window: 10.0 * float(t[0, 0, 0].real))
+    H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5, (1, 2): 0.25})
+    with pytest.raises(DiagnosticError, match=(
+            r"^wandering dimension not certified: Gram eigenvalue ratio "
+            r"not above 1e-12 on the window \|v\| <= 2$")):
+        inner_outer(H)
+
+
+def test_a_stuck_solve_raises_before_dependent_columns(monkeypatch):
+    tree = factorization._tree_elimination
+
+    def dependent(t, d, k, shifts):
+        # the outer defect's shift 0 fails at the vacuum; the rest pass
+        fail, C = tree(t, d, k, shifts)
+        return [0] + fail[1:], C
+
+    H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5, (1, 2): 0.25})
+    monkeypatch.setattr(factorization, "_tree_elimination", dependent)
+    with pytest.raises(DiagnosticError, match=(
+            r"^outer defect: the columns h z\^v are dependent on the "
+            r"window \|v\| <= 2$")):
+        inner_outer(H)
+    monkeypatch.setattr(factorization, "_lm",
+                        lambda fun, x0: (x0, fun(x0)[0], 1))
+    with pytest.raises(DiagnosticError, match="did not converge"):
+        inner_outer(H)

@@ -5,9 +5,10 @@ block per prefix; the reference below builds the Gram densely and runs
 LAPACK's Cholesky on it with the vacuum last, which is what inner_outer and
 outer_defect did before.  Both give the vacuum's Schur complement S, and
 the certificate's verdict on G - tau I must not depend on which one runs.
-`toeplitz_min_eig` brackets and bisects the Gram's smallest eigenvalue
-with the tree; dense `eigvalsh` is its reference.  The references live
-here, not in the package.
+`toeplitz_min_eig` brackets and multisects the Gram's smallest eigenvalue
+with the tree; dense `eigvalsh` is its reference.  `_tree_elimination`
+runs one pass for many shifts, and each must be the one-shift pass bit
+for bit.  The references live here, not in the package.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from nchardy.factorization import GRAM_COND_MIN
 from nchardy.fockspace import (
     FockBasis,
     _off_diagonal_bound,
+    _tree_elimination,
     toeplitz_data,
     toeplitz_min_eig,
     toeplitz_vacuum_schur,
@@ -156,6 +158,17 @@ def test_certificate_verdict_matches_dense_cholesky(t, d, m, k):
     assert verdict(lambda: toeplitz_vacuum_schur(t, d, k)) == unshifted
 
 
+@pytest.mark.parametrize("t, d, m, k", certificate_cases())
+def test_shared_pass_certifies_as_the_certificate_alone(t, d, m, k):
+    # inner_outer hands _certify_wandering the verdict at tau of its one
+    # pass over the shifts 0 and tau
+    tau = factorization._certificate_shift(t, d, k)
+    fail = _tree_elimination(t, d, k, [0.0, tau])[0]
+    alone = verdict(lambda: factorization._certify_wandering(t, d, k))
+    assert verdict(lambda: factorization._certify_wandering(
+        t, d, k, fail[1])) == alone
+
+
 def test_certificate_sees_both_sides_of_the_boundary():
     seen = {verdict(lambda t=t: factorization._certify_wandering(t, 2, 3))
             for t in (boundary_data(1e-9), boundary_data(1e-13))}
@@ -260,13 +273,13 @@ def test_inner_defect_skips_a_bisection_that_cannot_matter(monkeypatch,
     theta = make()
     t, k = toeplitz_data(theta), theta.max_degree - theta.degree()
     calls = []
-    tree = fockspace.toeplitz_vacuum_schur
+    tree = fockspace._tree_elimination
 
     def counting(*args):
         calls.append(1)
         return tree(*args)
 
-    monkeypatch.setattr(fockspace, "toeplitz_vacuum_schur", counting)
+    monkeypatch.setattr(fockspace, "_tree_elimination", counting)
     low = 1.0 - toeplitz_min_eig(t, 2, k)
     low_calls = len(calls)
     want = max(low, -1.0 - toeplitz_min_eig(-t, 2, k))
@@ -276,3 +289,53 @@ def test_inner_defect_skips_a_bisection_that_cannot_matter(monkeypatch,
     # with the skip, the lambda_max side makes no tree call
     assert 0 < low_calls < both_calls
     assert len(calls) == (low_calls if skips else both_calls)
+
+
+def one_shift(t, d, k, shift):
+    try:
+        return toeplitz_vacuum_schur(t, d, k, shift)
+    except np.linalg.LinAlgError:
+        return None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2])
+def test_multi_shift_pass_is_one_shift_passes_bit_for_bit(d, q):
+    rng = np.random.default_rng(10 * d + q)
+    for deg in (1, 2):
+        f = random_series(rng, d, deg, deg + 3, q)
+        t = toeplitz_data(f)
+        for k in range(4):
+            vals = np.linalg.eigvalsh(gram_from_data(t, d, deg, k))
+            lam = vals[0]
+            # both sides of lambda_min, near and far, zero, and a shift
+            # above lambda_max that fails at the first pivot; unsorted
+            shifts = lam + lam * np.array(
+                [1e-3, -1e-12, 0.5, -1.0, 1e-12, -1e-3, 3.0 * vals[-1] / lam])
+            fail, C = _tree_elimination(t, d, k, shifts)
+            for j, shift in enumerate(shifts):
+                want = one_shift(t, d, k, shift)
+                assert (fail[j] < 0) == (want is not None), (k, j)
+                if want is not None:
+                    assert C[j].tobytes() == want.tobytes(), (k, j)
+                else:
+                    assert np.isnan(C[j]).all()
+            assert {f < 0 for f in fail} == {True, False}
+
+
+def test_split_singular_min_eig_takes_at_most_13_passes(monkeypatch):
+    theta = split_singular_factor()
+    t = toeplitz_data(theta, 1)
+    calls = []
+    tree = fockspace._tree_elimination
+
+    def counting(*args):
+        calls.append(len(args[3]))
+        return tree(*args)
+
+    monkeypatch.setattr(fockspace, "_tree_elimination", counting)
+    lam = toeplitz_min_eig(t, 2, 1)
+    # bisection took 48 passes; fifteen shifts gain four bits a pass
+    assert 0 < len(calls) <= 13 and set(calls) == {15}
+    want = np.linalg.eigvalsh(gram_from_data(t, 2, 1, 1))[0]
+    assert abs(lam - want) <= 1e-13

@@ -35,6 +35,7 @@ from .ncseries import (
     NcSeries,
     _bound,
     _code_of,
+    _code_stack,
     _code_table,
     _decode,
     _degree_arg,
@@ -127,10 +128,7 @@ def coeff_stack(f, basis):
     if f.d != basis.d:
         raise ShapeMismatchError(
             f"series alphabet d={f.d} != basis alphabet d={basis.d}")
-    k = np.searchsorted(f.codes, basis.dim)
-    A = np.zeros((basis.dim, f.rows, f.cols), dtype=complex)
-    A[f.codes[:k]] = f.C[:k]
-    return A
+    return _code_stack(f, basis.max_degree)
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,12 +323,24 @@ def _off_diagonal_bound(t, d, k):
     return 2.0 * float(np.linalg.svd(t[1:n], compute_uv=False)[:, 0].sum())
 
 
-def toeplitz_max_bound(t, d, k):
-    """lambda_max(t_empty) + off (_off_diagonal_bound): the top of the
-    largest eigenvalue's bracket, for the Gram of toeplitz_min_eig.  t
-    holds every t_s with |s| <= min(deg f, k), as toeplitz_data(f, j)
-    does for j >= k or None; its degree is read off len(t)."""
-    return float(np.linalg.eigvalsh(t[0])[-1]) + _off_diagonal_bound(t, d, k)
+def _gram_bracket(t, d, k):
+    """(lambda_min(t_empty), lambda_max(t_empty), off) for the Gram of
+    toeplitz_min_eig (off from _off_diagonal_bound): each eigenvalue of G
+    lies within off of t_empty's spectrum.  -t has the bracket (-lambda_max,
+    -lambda_min, off), so a caller that asks about both ends, as
+    kernels.inner_defect does, computes it once and passes it on."""
+    vals = np.linalg.eigvalsh(t[0])
+    return float(vals[0]), float(vals[-1]), _off_diagonal_bound(t, d, k)
+
+
+def toeplitz_max_bound(t, d, k, bracket=None):
+    """lambda_max(t_empty) + off: the top of the largest eigenvalue's
+    bracket (_gram_bracket, or the one given), for the Gram of
+    toeplitz_min_eig.  t holds every t_s with |s| <= min(deg f, k), as
+    toeplitz_data(f, j) does for j >= k or None; its degree is read off
+    len(t)."""
+    _, top, off = bracket or _gram_bracket(t, d, k)
+    return top + off
 
 
 def _shift_count(t, d, k):
@@ -349,11 +359,12 @@ def _shift_count(t, d, k):
                  if n * products <= PASS_BUDGET * (k + 2)), 1)
 
 
-def toeplitz_min_eig(t, d, k):
+def toeplitz_min_eig(t, d, k, bracket=None):
     """Smallest eigenvalue of the NC Toeplitz Gram G on |v| <= k with data
     t over d letters; the largest is -toeplitz_min_eig(-t, d, k).  t holds
     every t_s with |s| <= min(deg f, k), as toeplitz_data(f, j) does for
-    j >= k or None; its degree is read off len(t).
+    j >= k or None; its degree is read off len(t).  bracket, when given,
+    is _gram_bracket(t, d, k).
 
     G's vacuum block is t_empty and the rest of G has norm at most off
     (_off_diagonal_bound), so the answer lies in [c - off, c] for
@@ -368,8 +379,7 @@ def toeplitz_min_eig(t, d, k):
     a pass, so a bracket that bisection closes in 48 passes takes 12.
     No Gram matrix is built.
     """
-    c = float(np.linalg.eigvalsh(t[0])[0])
-    off = _off_diagonal_bound(t, d, k)
+    c, _, off = bracket or _gram_bracket(t, d, k)
     lo, hi = c - off, c
     # four ulps of the largest endpoint: a narrower bracket holds too few
     # floats to split

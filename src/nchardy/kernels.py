@@ -26,6 +26,7 @@ from .evaluate import (
 )
 from .fockspace import (
     _check_degree_limit,
+    _gram_bracket,
     orthonormal_frame,
     toeplitz_data,
     toeplitz_max_bound,
@@ -56,7 +57,9 @@ def inner_defect(theta, degree_limit=None):
     fockspace.toeplitz_min_eig on theta's data t and on -t: no Gram is
     built, and an exact inner (t_s = 0 for s != empty) or window 0 needs
     no tree call, nor the lambda_max side when the top of its bracket
-    (fockspace.toeplitz_max_bound) less 1 is <= 1 - lambda_min.  Only
+    (fockspace.toeplitz_max_bound) less 1 is <= 1 - lambda_min.  Both
+    sides share one bracket, t_empty's eigenvalues and the off-diagonal
+    bound, computed once (fockspace._gram_bracket).  Only
     the t_s with |s| <= degree_limit are computed, which is all the Gram
     reads: t_empty alone at window 0.
     """
@@ -64,11 +67,14 @@ def inner_defect(theta, degree_limit=None):
     if degree_limit is None:
         degree_limit = valid
     _check_degree_limit(degree_limit, valid)
-    t = toeplitz_data(theta, degree_limit)
-    low = 1.0 - toeplitz_min_eig(t, theta.d, degree_limit)
-    if toeplitz_max_bound(t, theta.d, degree_limit) - 1.0 <= low:
+    t, d = toeplitz_data(theta, degree_limit), theta.d
+    bracket = _gram_bracket(t, d, degree_limit)
+    low = 1.0 - toeplitz_min_eig(t, d, degree_limit, bracket)
+    if toeplitz_max_bound(t, d, degree_limit, bracket) - 1.0 <= low:
         return low
-    return max(low, -1.0 - toeplitz_min_eig(-t, theta.d, degree_limit))
+    c, top, off = bracket
+    return max(low, -1.0 - toeplitz_min_eig(-t, d, degree_limit,
+                                            (-top, -c, off)))
 
 
 def check_inner(theta):

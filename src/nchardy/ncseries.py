@@ -698,16 +698,7 @@ def series_invert(f, max_degree=None):
     if f.rows != f.cols:
         raise ShapeMismatchError("only square series can be inverted")
     n = _degree_arg("max_degree", max_degree, f.d, f.max_degree)
-    f0 = f._block(())
-    if f0 is None:
-        raise NotInvertibleError("constant term is zero", smallest_sigma=0.0)
-    svals = np.linalg.svd(f0, compute_uv=False)
-    smin, smax = float(svals[-1]), float(svals[0])
-    if smin <= INVERT_REL * smax:
-        raise NotInvertibleError(
-            f"constant term numerically singular (sigma_min={smin:.3e})",
-            smallest_sigma=smin)
-    f0inv, p = np.linalg.inv(f0), f.rows
+    f0inv, p = _constant_inverse(f), f.rows
     starts, pows = _code_table(f.d, n)
     # f's words of each length lu in 1..n: rows a:b of cu and fu
     at = f.codes.searchsorted(starts).tolist()
@@ -738,6 +729,110 @@ def series_invert(f, max_degree=None):
         blocks.append(gw[keep])
     return NcSeries._of(f.d, p, p, n, np.concatenate(codes),
                         np.concatenate(blocks))
+
+
+def _constant_inverse(f):
+    """f_0^{-1} for a square f whose constant term has sigma_min above
+    INVERT_REL sigma_max; a zero or singular f_0 raises."""
+    f0 = f._block(())
+    if f0 is None:
+        raise NotInvertibleError("constant term is zero", smallest_sigma=0.0)
+    svals = np.linalg.svd(f0, compute_uv=False)
+    smin, smax = float(svals[-1]), float(svals[0])
+    if smin <= INVERT_REL * smax:
+        raise NotInvertibleError(
+            f"constant term numerically singular (sigma_min={smin:.3e})",
+            smallest_sigma=smin)
+    return np.linalg.inv(f0)
+
+
+def _code_stack(f, n):
+    """f's words of length <= n in one zero-filled (D_n, p, q) stack
+    indexed by code, D_n the number of such words."""
+    S = np.zeros((int(_code_table(f.d, n)[0][-1]), f.rows, f.cols),
+                 dtype=complex)
+    codes, C = _through(f, n)
+    S[codes] = C
+    return S
+
+
+def _level_counts(f, n):
+    """The number of f's stored words of each length 0..n."""
+    starts = _code_table(f.d, n)[0]
+    return np.diff(f.codes.searchsorted(starts)).tolist()
+
+
+def _stored_levels(f, n):
+    """(k, f_k) for each length k <= n at which f stores a word, f_k the
+    dense (d^k, p, q) stack of that length by code."""
+    n = min(n, _bound(f))
+    starts, S = _code_table(f.d, n)[0].tolist(), _code_stack(f, n)
+    return [(k, S[starts[k]:starts[k + 1]])
+            for k, c in enumerate(_level_counts(f, n)) if c]
+
+
+def _subtract_products(out, l, Q, levels, starts):
+    """out -= Q_{l-k} F_k for each (k, F_k) of levels with k <= l, where
+    Q is a dense stack by code and out is length l's rows.  The pair
+    (u, v) with |u| = l - k and |v| = k lands at code(uv) - start_l =
+    (code(u) - start_{l-k}) d^k + code(v) - start_k, so each k is one
+    broadcast product reshaped onto the (d^{l-k}, d^k) grid of length l."""
+    for k, Fk in levels:
+        if k > l:
+            break
+        u = Q[starts[l - k]:starts[l - k + 1], None]
+        out -= (u @ Fk[None]).reshape(out.shape)
+
+
+def _quotient_fills(H, F, N):
+    """Whether H F^{-1} through N is no larger on dense word-code levels
+    than by sparse terms.  A forward substitution that pairs only stored
+    words forms c_l = |H_l| + sum_{k >= 1} |F_k| c_{l-k} terms at length
+    l, for |f_l| the number of f's stored words of length l (Python
+    ints, so no count overflows); the dense levels hold D_N blocks.
+    Dense is chosen when sum c_l >= D_N, a comparison of two sizes with
+    no constant to tune."""
+    nh, nf = _level_counts(H, N), _level_counts(F, N)
+    ks = [k for k in range(1, N + 1) if nf[k]]
+    c = []
+    for l in range(N + 1):
+        c.append(nh[l] + sum(nf[k] * c[l - k] for k in ks if k <= l))
+    return sum(c) >= int(_code_table(H.d, N)[0][-1])
+
+
+def _right_quotient(H, F, N):
+    """H F^{-1} through degree N by forward substitution on dense word-code
+    levels: Q_w = (H_w - sum_{uv=w, v != empty} Q_u F_v) F_0^{-1}, the
+    power-series quotient recursion (Knuth, TAOCP vol. 2, 4.7).  H is
+    scattered into one zero-filled (D_N, p, q) stack by code; length l
+    then subtracts one broadcast product per stored length k >= 1 of F
+    (_subtract_products) and is multiplied by F_0^{-1}.  F_0 must pass
+    series_invert's check.  The result stores the nonzero codes.  Its
+    stack has D_N blocks whatever the quotient's support, so callers take
+    this path when _quotient_fills says so."""
+    H._check_compatible(F)
+    f0inv = _constant_inverse(F)
+    starts = _code_table(H.d, N)[0].tolist()
+    Q = _code_stack(H, N)
+    # F_0 is stored, so it leads the levels
+    levels = _stored_levels(F, N)[1:]
+    for l in range(N + 1):
+        out = Q[starts[l]:starts[l + 1]]
+        _subtract_products(out, l, Q, levels, starts)
+        out[...] = out @ f0inv
+    return NcSeries._of(H.d, H.rows, F.cols, N, np.arange(Q.shape[0]), Q)
+
+
+def _product_deviation(B, F, H, N):
+    """max |(B F)_w - H_w| over the words of length <= N: the value of
+    max_coeff_diff(series_mul(B, F, N), H, N), with B F formed on dense
+    word-code levels as _right_quotient forms its quotient."""
+    starts = _code_table(H.d, N)[0].tolist()
+    R, Bd = _code_stack(H, N), _code_stack(B, N)
+    levels = _stored_levels(F, N)
+    for l in range(N + 1):
+        _subtract_products(R[starts[l]:starts[l + 1]], l, Bd, levels, starts)
+    return float(np.abs(R).max(initial=0.0))
 
 
 def phase_normalize(f):

@@ -8,7 +8,8 @@ residual callback kept the J it built for the Jacobian callback, and
 spectral_outer and inner_outer must agree with them bit for bit:
 coefficients, codes, defects, errors and the number of residuals
 evaluated.  inner_outer's one tree pass serves its certificate and its
-outer defect, and its errors keep their order.
+outer defect, and its errors keep their order.  A zero of H on the unit
+circle limits the solve to about sqrt(eps), as the last test pins.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ import nchardy.factorization as factorization
 from nchardy.errors import DiagnosticError, NcError
 from nchardy.factorization import inner_outer, spectral_outer
 from nchardy.fockspace import FockBasis
-from nchardy.ncseries import NcSeries
+from nchardy.kernels import INNER_TOL
+from nchardy.ncseries import NcSeries, max_coeff_diff
 
 
 @st.composite
@@ -161,3 +163,22 @@ def test_a_stuck_solve_raises_before_dependent_columns(monkeypatch):
                         lambda fun, x0: (x0, fun(x0)[0], 1))
     with pytest.raises(DiagnosticError, match="did not converge"):
         inner_outer(H)
+
+
+def test_a_zero_on_the_unit_circle_leaves_the_outer_factor_near_sqrt_eps():
+    # H = c (1 + z) over one letter is outer up to the unimodular phase
+    # of c, but the data are flat to first order in F's error at the
+    # zero z = -1: the solve passes its 1e-11 residual gate with F about
+    # 2e-8 off its closed form, and the inner factor keeps two spurious
+    # words of 2.3e-8, above INNER_TOL
+    c = -2.0 - 2.0j
+    H = NcSeries(1, 1, 1, 2, {(): c, (1,): c})
+    res = inner_outer(H)
+    exact = NcSeries(1, 1, 1, 2, {(): c, (1,): c})
+    assert 1e-8 <= max_coeff_diff(res.outer, exact) <= 5e-8
+    assert res.inner.support() == [(), (1,), (1, 1)]
+    spurious = np.abs(res.inner.C[1:, 0, 0])
+    assert ((2e-8 <= spurious) & (spurious <= 3e-8)).all()
+    assert abs(abs(res.inner.scalar_coeff(())) - 1.0) <= 1e-7
+    assert INNER_TOL < res.defects["inner_defect"] <= 3e-8
+    assert res.defects["reconstruction_error"] <= 1e-14

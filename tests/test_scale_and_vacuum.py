@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from nchardy import fockspace
+from nchardy import factorization, fockspace
 from nchardy.factorization import (
     inner_outer,
     outer_defect,
@@ -67,6 +67,25 @@ def test_inner_outer_is_exact_under_power_of_two_scaling(make, k):
     assert res.defects["reconstruction_error"] == math.ldexp(
         ref.defects["reconstruction_error"], k)
     assert res.wandering_dim == ref.wandering_dim == 1
+
+
+@pytest.mark.parametrize("make, dense", [(outer_h, False),
+                                         (non_outer_h, True)])
+def test_the_scaling_cases_cover_both_quotient_paths(monkeypatch, make,
+                                                     dense):
+    # the bitwise scaling test above holds on the dense right quotient of
+    # non_outer_h and on the sparse inverse and product of outer_h
+    seen = []
+    rule = factorization._quotient_fills
+
+    def recording(*args):
+        seen.append(rule(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(factorization, "_quotient_fills", recording)
+    for k in SCALES:
+        inner_outer(ldexp_series(make(), k))
+    assert seen == [dense] * len(SCALES)
 
 
 @pytest.mark.parametrize("k", SCALES)

@@ -24,6 +24,7 @@ from nchardy.fockspace import (
     _off_diagonal_bound,
     _tree_elimination,
     toeplitz_data,
+    toeplitz_max_bound,
     toeplitz_min_eig,
     toeplitz_vacuum_schur,
 )
@@ -289,6 +290,45 @@ def test_inner_defect_skips_a_bisection_that_cannot_matter(monkeypatch,
     # with the skip, the lambda_max side makes no tree call
     assert 0 < low_calls < both_calls
     assert len(calls) == (low_calls if skips else both_calls)
+
+
+def dense_d3_inner():
+    """The inner factor of 1 - sqrt(2) (a . z) over d = 3 at N = 4, a
+    Frostman shift of a unit linear form: every word, window 0."""
+    a = np.array([0.6, 0.48j, -0.64])
+    H = NcSeries(3, 1, 1, 4, {(): 1.0, **{(j + 1,): -np.sqrt(2.0) * a[j]
+                                          for j in range(3)}})
+    return factorization.inner_outer(H).inner
+
+
+@pytest.mark.parametrize("make", [
+    split_singular_factor,
+    dense_d3_inner,
+    lambda: NcSeries(2, 1, 1, 4, {(1,): 1.2, (1, 2): 0.3}),
+], ids=["split_singular", "dense_d3_inner", "dilation"])
+def test_inner_defect_computes_its_bracket_once(monkeypatch, make):
+    theta = make()
+    t, d = toeplitz_data(theta), theta.d
+    k = theta.max_degree - theta.degree()
+    # the defect as two brackets of their own would give it
+    low = 1.0 - toeplitz_min_eig(t, d, k)
+    want = low if toeplitz_max_bound(t, d, k) - 1.0 <= low else \
+        max(low, -1.0 - toeplitz_min_eig(-t, d, k))
+    counts = {"eigvalsh": 0, "off": 0}
+    eigvalsh, off = np.linalg.eigvalsh, fockspace._off_diagonal_bound
+
+    def counting_eigvalsh(*args):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args)
+
+    def counting_off(*args):
+        counts["off"] += 1
+        return off(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(fockspace, "_off_diagonal_bound", counting_off)
+    assert inner_defect(theta) == want
+    assert counts == {"eigvalsh": 1, "off": 1}
 
 
 def one_shift(t, d, k, shift):

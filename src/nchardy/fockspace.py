@@ -138,7 +138,7 @@ def word_triples(d, m):
     concatenation within degree m once, s by length, then mu s ascending.
     The basis paired with itself by ncseries._prefix_pairs."""
     c = np.arange(_code_table(d, m)[0][-1])
-    mu, cat, s = map(np.concatenate, zip(*_prefix_pairs(c, c, d, m, m)))
+    mu, cat, s = _prefix_pairs(c, c, d, m, m)
     out = tuple(a.astype(np.intp) for a in (s, mu, cat))
     for a in out:
         a.flags.writeable = False
@@ -162,8 +162,7 @@ def toeplitz_data(f, k=None):
     if k < 0:
         raise ValueError(f"autocorrelation length k = {k} is negative")
     n = min(m, k)
-    ja, iw, cs = map(np.concatenate, zip(*_prefix_pairs(
-        f.codes, f.codes, f.d, _bound(f), n)))
+    ja, iw, cs = _prefix_pairs(f.codes, f.codes, f.d, _bound(f), n)
     t = np.zeros((_code_table(f.d, n)[0][-1], f.cols, f.cols), dtype=complex)
     np.add.at(t, cs, f.C[ja].conj().transpose(0, 2, 1) @ f.C[iw])
     t[0] = 0.5 * (t[0] + t[0].conj().T)
@@ -420,8 +419,8 @@ def _mult_columns(f, basis, k):
     if f.d != basis.d:
         raise ShapeMismatchError(
             f"series alphabet d={f.d} != basis alphabet d={basis.d}")
-    mu, cat, s = map(np.concatenate, zip(*_prefix_pairs(
-        f.codes, np.arange(basis.dim), f.d, basis.max_degree, k)))
+    mu, cat, s = _prefix_pairs(f.codes, np.arange(basis.dim), f.d,
+                               basis.max_degree, k)
     n = basis.degree_start(k + 1)
     M = np.zeros((basis.dim, f.rows, n, f.cols), dtype=complex)
     M[cat, :, s, :] = f.C[mu]

@@ -12,7 +12,7 @@ N = 61, and d = 1 codes are lengths.  This module is the one home of the
 code arithmetic.  An :class:`NcSeries` holds one sorted code array and one
 coefficient stack, so every operation is array work; letter tuples appear
 only at the boundary (``NcSeries(...)``, ``coeff``, ``support``, the
-``coeffs`` view, JSON).  :class:`Word` is the public face of the monoid.
+``coeffs`` view, JSON).
 
 A series is checked once, where it enters (``NcSeries(...)`` and
 ``from_json_dict``); the series the library derives from it are adopted
@@ -208,8 +208,10 @@ def _sum_by_code(codes, terms):
     """(sorted unique codes, sums) of the terms of each code, each summed
     in the order given from its first term, as out[w] = out[w] + term
     would, -0.0 included (np.add.at into zeros and np.add.reduceat are
-    not).  Each code's terms run down one column padded with -0.0, the
-    identity of +, and np.add.accumulate sums every column in order.
+    not).  Every sum starts from -0.0, the identity of +, and np.add.at
+    applies the terms in index order, so one stable sort and one add give
+    every sum in memory linear in the terms.  Only a NaN that two NaNs
+    make takes its bits from the operand order of numpy's add loop.
     Codes that already increase come back as they are."""
     if (codes[1:] > codes[:-1]).all():
         return codes, terms
@@ -218,18 +220,11 @@ def _sum_by_code(codes, terms):
     new = np.empty(codes.size, dtype=bool)
     new[0] = True
     np.not_equal(codes[1:], codes[:-1], out=new[1:])
-    first = new.nonzero()[0]
     column = new.cumsum() - 1
-    rank = np.arange(codes.size) - first[column]
-    T = np.full((rank.max() + 1, first.size) + terms.shape[1:],
-                complex(-0.0, -0.0))
-    T[rank, column] = terms[order]
-    return codes[first], np.add.accumulate(T)[-1]
-
-
-def word_key(w):
-    """Sort key implementing the degree-then-lex order on letter tuples."""
-    return (len(w), w)
+    out = np.full((int(column[-1]) + 1,) + terms.shape[1:],
+                  complex(-0.0, -0.0))
+    np.add.at(out, column, terms[order])
+    return codes[new], out
 
 
 def _check_letters(letters, d):
@@ -259,55 +254,6 @@ def _degree_arg(name, value, d, default=None):
         raise ValueError(f"{name} must be >= 0")
     _check_code_range(d, n)
     return n
-
-
-class Word:
-    """A word in the letters {1..d}.  Immutable; the unit is Word((), d)."""
-
-    __slots__ = ("letters", "d")
-
-    def __init__(self, letters, d):
-        d = _int_size("alphabet size", d)
-        if d < 1:
-            raise ValueError("alphabet size must be >= 1")
-        object.__setattr__(self, "letters", _check_letters(tuple(letters), d))
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Word)
-            and self.d == other.d
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.letters))
-
-    def __repr__(self):
-        return f"Word({self.letters}, d={self.d})"
-
-    def __mul__(self, other):
-        return word_concat(self, other)
-
-
-def word_concat(a, b):
-    """Concatenation a.b; unit law holds with the empty word."""
-    if a.d != b.d:
-        raise AlphabetMismatchError(
-            f"cannot concatenate words over alphabets d={a.d} and d={b.d}"
-        )
-    return Word(a.letters + b.letters, a.d)
-
-
-def word_reverse(a):
-    """The transpose involution: reverse the letters."""
-    return Word(a.letters[::-1], a.d)
 
 
 def _as_matrix(value, rows, cols):
@@ -600,46 +546,39 @@ def series_mul(f, g, max_degree=None):
 
 def _prefix_pairs(a, w, d, top, n):
     """The splits ub of the words with sorted codes w (lengths <= top),
-    with |b| <= n and u among the sorted codes a: one (ja, iw, cb) per |b|
-    from 0 up, the indices of u in a and of ub in w and the code of b, in
-    w's order.  One searchsorted over the candidates finds u's code
-    (code(w) - start_|b|) // d^|b|, and code(b) = code(w) - code(u) d^|b|.
-    A list by length, as one stack of every pair's terms page-faults."""
+    with |b| <= n and u among the sorted codes a: (ja, iw, cb), the
+    indices of u in a and of ub in w and the code of b, by |b| from 0 up
+    and in w's order within a length.  One searchsorted over the
+    candidates finds u's code (code(w) - start_|b|) // d^|b|, and code(b)
+    = code(w) - code(u) d^|b|."""
     starts, pows = _code_table(d, top)
     # codes rise with length, so the words of length >= l are a tail
-    first = w.searchsorted(starts[:min(n, top) + 1]).tolist()
-    pre = [(w[f:] - starts[l]) // pows[l] for l, f in enumerate(first)]
-    cand = np.concatenate(pre)
+    first = w.searchsorted(starts[:min(n, top) + 1])
+    cnt = w.size - first
+    lb = np.repeat(np.arange(first.size), cnt)
+    iw = np.arange(lb.size) + (first - (cnt.cumsum() - cnt))[lb]
+    cand = (w[iw] - starts[lb]) // pows[lb]
     ja = a.searchsorted(cand)
     # a code past a's last meets the sentinel -1, which no code equals
     hit = np.append(a, -1)[ja] == cand
-    out, i = [], 0
-    for l, (f, p) in enumerate(zip(first, pre)):
-        h = hit[i:i + p.size]
-        iw = f + h.nonzero()[0]
-        out.append((ja[i:i + p.size][h], iw, w[iw] - p[h] * pows[l]))
-        i += p.size
-    return out
+    iw, lb = iw[hit], lb[hit]
+    return ja[hit], iw, w[iw] - cand[hit] * pows[lb]
 
 
 def shift_adjoint_apply(omega, H, out_degree=None):
     """Coefficients of omega(L)* applied to H: F_b = sum_a conj(om_a) H_{ab}.
 
     omega scalar, H scalar or matrix-valued; the result keeps H's shape.
-    The pairs (a, ab) with |b| <= out_degree come from _prefix_pairs.
-    Each length of b is summed on its own, each b in H's word order: one
-    sum over all lengths would pad every b to the term count of the empty
-    word.
+    The pairs (a, ab) with |b| <= out_degree come from _prefix_pairs, and
+    one sum by code adds each b's terms in H's word order.
     """
     if not omega.is_scalar():
         raise ShapeMismatchError("adjoint application needs a scalar symbol")
     H._check_compatible(omega)
     n = _degree_arg("out_degree", out_degree, H.d, H.max_degree)
-    codes, C = zip(*(_sum_by_code(cb, np.conj(omega.C[ja]) * H.C[iw])
-                     for ja, iw, cb in _prefix_pairs(
-                         omega.codes, H.codes, H.d, _bound(H), n)))
-    return NcSeries._of(H.d, H.rows, H.cols, n, np.concatenate(codes),
-                        np.concatenate(C))
+    ja, iw, cb = _prefix_pairs(omega.codes, H.codes, H.d, _bound(H), n)
+    return NcSeries._of(H.d, H.rows, H.cols, n,
+                        *_sum_by_code(cb, np.conj(omega.C[ja]) * H.C[iw]))
 
 
 def rescale(f, r):

@@ -15,7 +15,6 @@ from nchardy.errors import (
 )
 from nchardy.ncseries import (
     NcSeries,
-    Word,
     commutator_inner,
     from_json_dict,
     h2_norm,
@@ -28,30 +27,7 @@ from nchardy.ncseries import (
     series_invert,
     series_mul,
     to_json_dict,
-    word_concat,
-    word_key,
-    word_reverse,
 )
-
-
-def test_word_key_orders_by_degree_then_lex():
-    words = [(2,), (1, 1), (), (1,), (2, 1), (1, 2)]
-    ordered = sorted(words, key=word_key)
-    assert ordered == [(), (1,), (2,), (1, 1), (1, 2), (2, 1)]
-
-
-def test_word_class_concat_reverse_and_validation():
-    a = Word((1, 2), 2)
-    b = Word((2,), 2)
-    assert (a * b).letters == (1, 2, 2)
-    assert word_concat(a, b).letters == (1, 2, 2)
-    assert word_reverse(Word((1, 2, 2), 2)).letters == (2, 2, 1)
-    with pytest.raises(ValueError):
-        Word((0,), 2)
-    with pytest.raises(ValueError):
-        Word((3,), 2)
-    with pytest.raises(AttributeError):
-        a.letters = (1,)
 
 
 @pytest.mark.parametrize("word", [(1.7,), (2.0,), ("1",), (1, 2.9),
@@ -59,8 +35,6 @@ def test_word_class_concat_reverse_and_validation():
 def test_non_integer_letters_raise_instead_of_truncating(word):
     with pytest.raises(ValueError, match="outside alphabet"):
         NcSeries(2, 1, 1, 2, {word: 1.0})
-    with pytest.raises(ValueError, match="outside alphabet"):
-        Word(word, 2)
     with pytest.raises(ValueError, match="outside alphabet"):
         NcSeries.monomial(word, 2)
 
@@ -85,7 +59,6 @@ def test_lookups_of_integer_words_off_the_support_read_zero():
 
 def test_numpy_integer_letters_become_python_ints():
     word = (np.int64(2), np.int32(1))
-    assert Word(word, 2).letters == (2, 1)
     f = NcSeries(2, 1, 1, 2, {word: 1.0})
     assert list(f.coeffs) == [(2, 1)]
     assert all(type(a) is int for a in list(f.coeffs)[0])
@@ -324,11 +297,6 @@ def test_integer_sizes_of_numpy_type_are_accepted():
     f = NcSeries(np.int64(2), np.int32(1), 1, np.int64(2), {(1, 2): 1.0})
     assert (f.d, f.rows, f.cols, f.max_degree) == (2, 1, 1, 2)
     assert type(f.max_degree) is int
-
-
-def test_word_refuses_a_non_integer_alphabet():
-    with pytest.raises(ValueError, match="not an integer"):
-        Word((1,), 2.5)
 
 
 def test_json_rejects_letter_out_of_range():

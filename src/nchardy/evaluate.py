@@ -94,6 +94,8 @@ def random_points(rng, d, sizes, row_norm):
     increasing n.  One standard_normal call reads the stream of successive
     random_point calls: per point and letter, real then imaginary block."""
     sizes = np.asarray(sizes, dtype=int)
+    if (sizes < 1).any():
+        raise ValueError(f"point sizes must be >= 1, got {sizes.min()}")
     counts = 2 * d * sizes ** 2
     starts = np.cumsum(counts) - counts
     flat = rng.standard_normal(int(counts.sum()))

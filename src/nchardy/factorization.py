@@ -11,10 +11,8 @@ H has a zero on the unit circle: the data are then flat to first order
 in F's error, so a residual at rounding leaves F about sqrt(eps) off
 (2e-8 on (-2 - 2i)(1 + z) over one letter at N = 2, whose inner factor
 keeps two spurious words of 2.3e-8).  The inner factor B = H F^-1
-follows by one forward substitution, B_w = (H_w - sum B_u F_v) F_0^-1,
-on dense word-code levels when the quotient fills them and by the
-sparse series_invert and series_mul otherwise (inner_outer).  The
-solver is the numpy `_lm` below
+is one right division, ncseries._right_quotient, which picks its own
+dense or sparse form.  The solver is the numpy `_lm` below
 (Moré 1978, with Nielsen's gain-ratio damping and MINPACK's stop tests),
 so the package runs on numpy alone.  The Jacobian is affine in the
 outer factor's coefficients, so each trial point builds it as one
@@ -74,7 +72,6 @@ from .ncseries import (
     _int_size,
     _pow2_normalized,
     _product_deviation,
-    _quotient_fills,
     _right_quotient,
     h2_norm,
     max_coeff_diff,
@@ -342,17 +339,9 @@ def inner_outer(H, N=None):
     """Factor H into an inner times an outer part.
 
     The outer factor F comes from the autocorrelation data t_s(H), which
-    cannot see the inner factor; the inner factor is B = H F^{-1}, by the
-    forward substitution B_w = (H_w - sum_{uv=w, v != empty} B_u F_v)
-    F_0^{-1}.  Pairing only stored words, it forms c_l = |H_l| + sum_k
-    |F_k| c_{l-k} terms at length l, for |f_l| the stored words of length
-    l; when sum c_l reaches D_N, the number of words of length <= N, the
-    division runs on one dense (D_N, p, p) stack by word code, one
-    broadcast product per length of F and level (ncseries._right_quotient),
-    and so does the product B F behind the reconstruction error, an
-    independent check of B.  Otherwise both stay sparse (series_invert,
-    series_mul), so a sparse quotient, such as the inner factor of
-    1 - sqrt(2) V, never fills a stack of D_N blocks.  The
+    cannot see the inner factor; the inner factor is the right quotient
+    B = H F^{-1} and the reconstruction error checks B F against H, one
+    call each (ncseries._right_quotient, _product_deviation).  The
     wandering dimension is certified, not computed from dense ranks: a
     nonzero scalar H generates a wandering space of dimension 1 (the NC
     Beurling theorem of Arias-Popescu and Popescu), and the truncated
@@ -401,15 +390,9 @@ def inner_outer(H, N=None):
     if HN.is_scalar():
         _certify_wandering(t, H.d, valid, fail[1])
     F = _spectral_outer(HN, t).with_max_degree(N)
-    # B = H F^{-1} and the product B F that checks it, on dense word-code
-    # levels when the quotient fills them
-    dense = _quotient_fills(HN, F, N)
-    B = _right_quotient(HN, F, N) if dense else \
-        series_mul(HN, series_invert(F, N), N)
-    B, u = phase_normalize(B.prune())
+    B, u = phase_normalize(_right_quotient(HN, F, N).prune())
     outer = F.scale(u)
-    recon = _product_deviation(B, outer, HN, N) if dense else \
-        max_coeff_diff(series_mul(B, outer, N), HN, N)
+    recon = _product_deviation(B, outer, HN, N)
     # the pass at shift 0 serves F's outer defect, unless dropping F's
     # negligible top coefficients widened its window
     window = validity_window(outer)
@@ -555,8 +538,9 @@ def _combined_kernel_frame(pairs, N, extra_frame, d):
             raise ShapeMismatchError(
                 f"extra frame has {np.shape(extra_frame)[0]} rows, expected "
                 f"FockBasis({d}, {N}).dim = {dim}")
-        frame = np.asarray(extra_frame)
-        frame = frame.astype(complex if frame.dtype.kind == "c" else float)
+        # read only, so a float or complex frame is not copied
+        frame = np.asarray(extra_frame, dtype=complex if np.iscomplexobj(
+            extra_frame) else float)
         if not np.isfinite(frame).all():
             raise ValueError("extra_frame has non-finite entries")
         cols.append(frame)

@@ -131,12 +131,15 @@ def coeff_stack(f, basis):
     return _code_stack(f, basis.max_degree)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def word_triples(d, m):
     """Index triples (s, mu, mu s) over FockBasis(d, m) words, |mu s| <= m,
     as three read-only intp arrays of basis indices (word codes): every
     concatenation within degree m once, s by length, then mu s ascending.
-    The basis paired with itself by ncseries._prefix_pairs."""
+    The basis paired with itself by ncseries._prefix_pairs.  d must be an
+    int >= 1 and m an int >= 0 (the typed cache refuses True after 1)."""
+    if _int_size("d", d) < 1 or _int_size("m", m) < 0:
+        raise ValueError("word_triples needs d >= 1 and m >= 0")
     c = np.arange(_code_table(d, m)[0][-1])
     mu, cat, s = _prefix_pairs(c, c, d, m, m)
     out = tuple(a.astype(np.intp) for a in (s, mu, cat))
@@ -169,12 +172,30 @@ def toeplitz_data(f, k=None):
     return t
 
 
+def _toeplitz_window(t, d, k):
+    """The window k of an NC Toeplitz Gram with data t over d letters,
+    checked: k an int >= 0, d an int >= 1, and t a (D, q, q) stack with D
+    a Fock dimension (_stack_degree) holding every t_s with |s| <= min(deg
+    f, k), as toeplitz_data(f, j) does for j >= k or None."""
+    if _int_size("k", k) < 0 or _int_size("d", d) < 1:
+        raise ValueError(f"window k = {k} must be >= 0 and d = {d} >= 1")
+    shape = getattr(t, "shape", ())
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise ShapeMismatchError(f"NC Toeplitz data must be a (D, q, q) "
+                                 f"stack, got shape {shape}")
+    _stack_degree(d, shape[0])
+    return int(k)
+
+
 def _stack_degree(d, size):
-    """m such that FockBasis(d, m) has size words."""
+    """m such that FockBasis(d, m) has size words; a size that is no
+    Fock dimension 1 + d + ... + d^m raises ShapeMismatchError."""
     m, dim = 0, 1
     while dim < size:
         m += 1
         dim += d ** m
+    if dim != size:
+        raise ShapeMismatchError(f"{size} is no Fock dimension over d={d}")
     return m
 
 
@@ -281,9 +302,7 @@ def _tree_elimination(t, d, k, shifts):
 def toeplitz_vacuum_schur(t, d, k, shift=0.0):
     """Cholesky factor C of the vacuum's Schur complement C C^H in
     G - shift I, for G the NC Toeplitz Gram of f on |v| <= k with data t
-    over d letters.  t holds every t_s with |s| <= min(deg f, k), as
-    toeplitz_data(f, j) does for j >= k or None; its degree is read off
-    len(t).
+    over d letters (_toeplitz_window).
 
     Block (w, v) of G vanishes unless one word is a suffix of the other,
     at most m = deg f letters shorter.  Eliminating the longest words
@@ -304,7 +323,7 @@ def toeplitz_vacuum_schur(t, d, k, shift=0.0):
     G - shift I, raises LinAlgError.  The one-shift case of
     _tree_elimination.
     """
-    fail, C = _tree_elimination(t, d, k, [shift])
+    fail, C = _tree_elimination(t, d, _toeplitz_window(t, d, k), [shift])
     if fail[0] >= 0:
         raise np.linalg.LinAlgError(
             f"pivot at length {fail[0]} is not positive definite")
@@ -335,9 +354,8 @@ def _gram_bracket(t, d, k):
 def toeplitz_max_bound(t, d, k, bracket=None):
     """lambda_max(t_empty) + off: the top of the largest eigenvalue's
     bracket (_gram_bracket, or the one given), for the Gram of
-    toeplitz_min_eig.  t holds every t_s with |s| <= min(deg f, k), as
-    toeplitz_data(f, j) does for j >= k or None; its degree is read off
-    len(t)."""
+    toeplitz_min_eig (_toeplitz_window)."""
+    k = _toeplitz_window(t, d, k)
     _, top, off = bracket or _gram_bracket(t, d, k)
     return top + off
 
@@ -360,10 +378,9 @@ def _shift_count(t, d, k):
 
 def toeplitz_min_eig(t, d, k, bracket=None):
     """Smallest eigenvalue of the NC Toeplitz Gram G on |v| <= k with data
-    t over d letters; the largest is -toeplitz_min_eig(-t, d, k).  t holds
-    every t_s with |s| <= min(deg f, k), as toeplitz_data(f, j) does for
-    j >= k or None; its degree is read off len(t).  bracket, when given,
-    is _gram_bracket(t, d, k).
+    t over d letters (_toeplitz_window); the largest is
+    -toeplitz_min_eig(-t, d, k).  bracket, when given, is
+    _gram_bracket(t, d, k).
 
     G's vacuum block is t_empty and the rest of G has norm at most off
     (_off_diagonal_bound), so the answer lies in [c - off, c] for
@@ -378,6 +395,7 @@ def toeplitz_min_eig(t, d, k, bracket=None):
     a pass, so a bracket that bisection closes in 48 passes takes 12.
     No Gram matrix is built.
     """
+    k = _toeplitz_window(t, d, k)
     c, _, off = bracket or _gram_bracket(t, d, k)
     lo, hi = c - off, c
     # four ulps of the largest endpoint: a narrower bracket holds too few

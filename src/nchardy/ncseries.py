@@ -740,15 +740,16 @@ def _quotient_fills(H, F, N):
 
 
 def _right_quotient(H, F, N):
-    """H F^{-1} through degree N by forward substitution on dense word-code
-    levels: Q_w = (H_w - sum_{uv=w, v != empty} Q_u F_v) F_0^{-1}, the
-    power-series quotient recursion (Knuth, TAOCP vol. 2, 4.7).  H is
-    scattered into one zero-filled (D_N, p, q) stack by code; length l
-    then subtracts one broadcast product per stored length k >= 1 of F
-    (_subtract_products) and is multiplied by F_0^{-1}.  F_0 must pass
-    series_invert's check.  The result stores the nonzero codes.  Its
-    stack has D_N blocks whatever the quotient's support, so callers take
-    this path when _quotient_fills says so."""
+    """H F^{-1} through degree N, the package's one right division (F_0
+    must pass series_invert's check).  Where _quotient_fills finds fewer
+    sparse terms than words, it is series_mul(H, series_invert(F, N), N),
+    which fills no stack of D_N blocks.  Otherwise it is the quotient
+    recursion Q_w = (H_w - sum_{uv=w, v != empty} Q_u F_v) F_0^{-1}
+    (Knuth, TAOCP vol. 2, 4.7) on one zero-filled (D_N, p, q) stack of H
+    by code: length l subtracts one broadcast product per stored length
+    k >= 1 of F (_subtract_products) and is multiplied by F_0^{-1}."""
+    if not _quotient_fills(H, F, N):
+        return series_mul(H, series_invert(F, N), N)
     H._check_compatible(F)
     f0inv = _constant_inverse(F)
     starts = _code_table(H.d, N)[0].tolist()
@@ -763,10 +764,13 @@ def _right_quotient(H, F, N):
 
 
 def _product_deviation(B, F, H, N):
-    """max |(B F)_w - H_w| over the words of length <= N: the value of
-    max_coeff_diff(series_mul(B, F, N), H, N), with B F formed on dense
-    word-code levels as _right_quotient forms its quotient."""
+    """max |(B F)_w - H_w| over the words of length <= N, the check of a
+    right quotient B = H F^{-1}.  Where |B| |F|, the most pairs series_mul
+    could form, is below D_N, it is max_coeff_diff(series_mul(B, F, N),
+    H, N); otherwise B F is formed on dense levels as in _right_quotient."""
     starts = _code_table(H.d, N)[0].tolist()
+    if B.codes.size * F.codes.size < starts[-1]:
+        return max_coeff_diff(series_mul(B, F, N), H, N)
     R, Bd = _code_stack(H, N), _code_stack(B, N)
     levels = _stored_levels(F, N)
     for l in range(N + 1):

@@ -29,6 +29,7 @@ from .fockspace import FockBasis, series_to_vec, vec_to_series
 from .ncseries import (
     NcSeries,
     _int_size,
+    _right_quotient,
     _sum_by_code,
     h2_norm,
     max_coeff_diff,
@@ -46,30 +47,31 @@ STRAIGHTEN_THRESHOLD = 1e-10
 SIGMA_CACHE_SIZE = 8
 
 
-def _check_disk(w):
+def _disk_terms(name, theta, w, N):
+    """(w, th, 1 - conj(w) th) for the transform name of the scalar theta
+    by the disk point w: w checked, th = theta at order N (by default
+    theta's own)."""
+    if not theta.is_scalar():
+        raise ShapeMismatchError(f"{name} expects a scalar series")
     w = complex(w)
     if not abs(w) < 1.0:
         raise ValueError(f"shift parameter |w| = {abs(w):.4f} not inside "
                          "the unit disk")
-    return w
+    th = theta.with_max_degree(theta.max_degree if N is None else N)
+    return w, th, 1.0 - th.scale(np.conj(w))
 
 
 def frostman(theta, w, N=None):
     """Frostman shift (1 - conj(w) theta)^{-1} (theta - w).
 
     Composes theta with the disk automorphism moving w to 0; inner inputs
-    give inner outputs.  Full multiplicative support in general, so the
-    result is an order-N truncation.
+    give inner outputs.  The order of the product is immaterial, so it is
+    one right division (ncseries._right_quotient).  Full multiplicative
+    support in general, so the result is an order-N truncation.
     """
-    if not theta.is_scalar():
-        raise ShapeMismatchError("frostman shift expects a scalar series")
-    w = _check_disk(w)
-    if N is None:
-        N = theta.max_degree
-    th = theta.with_max_degree(N)
-    one = NcSeries.constant(1.0, theta.d, N)
-    denom = one - th.scale(np.conj(w))
-    return series_mul(series_invert(denom, N), th - one.scale(w), N)
+    w, th, denom = _disk_terms("frostman shift", theta, w, N)
+    # both factors are series in theta, so they commute
+    return _right_quotient(th - w, denom, th.max_degree)
 
 
 def crofoot(theta, w, N=None):
@@ -78,16 +80,8 @@ def crofoot(theta, w, N=None):
     Intertwines the model spaces of theta and of its Frostman shift; the
     kernel identity it satisfies is exercised in the kernel tests.
     """
-    if not theta.is_scalar():
-        raise ShapeMismatchError("crofoot multiplier expects a scalar "
-                                 "series")
-    w = _check_disk(w)
-    if N is None:
-        N = theta.max_degree
-    th = theta.with_max_degree(N)
-    one = NcSeries.constant(1.0, theta.d, N)
-    denom = one - th.scale(np.conj(w))
-    return series_invert(denom, N).scale(np.sqrt(1.0 - abs(w) ** 2))
+    w, _, denom = _disk_terms("crofoot multiplier", theta, w, N)
+    return series_invert(denom).scale(np.sqrt(1.0 - abs(w) ** 2))
 
 
 def homogeneous_degree(V):
@@ -306,14 +300,12 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
 
     E0 = En.coeff(())
     U, sig, Vh = np.linalg.svd(E0)
-    if sig.size and sig[0] > 0:
-        m = int(np.sum(sig > 1e-10 * sig[0]))
-    else:
-        m = 0
+    # n >= 1, and E_0 = 0 gives m = 0
+    m = int(np.sum(sig > 1e-10 * sig[0]))
     k = n - m
     C0 = np.concatenate([U[:, :m], Vh.conj().T[:, m:]], axis=1)
-    smin = np.linalg.svd(C0, compute_uv=False)[-1] if n else 0.0
-    if n and smin < 1e-8:
+    smin = np.linalg.svd(C0, compute_uv=False)[-1]
+    if smin < 1e-8:
         raise DiagnosticError(
             f"range/kernel basis of the constant term is ill conditioned "
             f"(sigma_min = {smin:.3e})")
@@ -326,7 +318,7 @@ def idempotent_split(E, N=None, gate=IDEMPOTENT_GATE):
     S = NcSeries._of(E.d, n, n, N,
                      np.concatenate(([0], En.codes[rest])),
                      np.concatenate((C0inv[None], JC0inv @ En.C[rest])))
-    conj = series_mul(series_mul(S, En, N), series_invert(S, N), N)
+    conj = _right_quotient(series_mul(S, En, N), S, N)
     resid = max_coeff_diff(conj, NcSeries.constant(P, E.d, N), N)
     if resid > STRAIGHTEN_THRESHOLD:
         raise DiagnosticError(

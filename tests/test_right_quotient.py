@@ -1,18 +1,21 @@
-"""The dense right quotient H F^-1 against the sparse inverse and product.
+"""The package's one right division H F^-1 and its check.
 
 `ncseries._right_quotient` divides by forward substitution on one dense
-stack of word-code levels; `series_mul(H, series_invert(F, N), N)` is the
-sparse reference it must match, to 1e-13 of the quotient's largest
-entry.  `_product_deviation` forms B F on the same levels for the
-reconstruction error and must match `max_coeff_diff` of the sparse
-product.  `inner_outer` takes the dense path only when
-`_quotient_fills` says the sparse recursion would form at least as many
-terms as there are words: the tests pin which inputs go where, that the
-two paths give the same factorization, and that sparse inputs allocate
-no dense stack.
+stack of word-code levels when `_quotient_fills` says the sparse
+recursion would form at least as many terms as there are words, and by
+`series_mul(H, series_invert(F, N), N)` otherwise; both branches must
+match that sparse reference to 1e-13 of the quotient's largest entry.
+`_product_deviation` forms B F on the same dense levels when |B| |F|
+reaches the number of words, and by `series_mul` otherwise; both must
+match `max_coeff_diff` of the sparse product.  The tests pin which
+inputs go where, that both branches give the same factorization, that
+`inner_outer` makes one call of each, that sparse inputs allocate no
+dense stack, and that the choice stays inside ncseries.
 """
 
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -21,10 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nchardy.factorization as factorization
+import nchardy.ncseries as ncseries
 from nchardy.errors import NotInvertibleError
 from nchardy.fockspace import FockBasis
 from nchardy.ncseries import (
     NcSeries,
+    _code_table,
     _product_deviation,
     _quotient_fills,
     _right_quotient,
@@ -68,16 +73,29 @@ def biggest(f):
     return float(np.abs(f.C).max(initial=0.0))
 
 
+def quotient_on(fills, H, F, n):
+    """_right_quotient(H, F, n) with _quotient_fills forced to fills: True
+    takes the dense levels, False the sparse inverse and product."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ncseries, "_quotient_fills", lambda *args: fills)
+        return _right_quotient(H, F, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(quotients())
 def test_right_quotient_matches_the_sparse_inverse_and_product(case):
     H, F, n = case
     want = series_mul(H, series_invert(F, n), n)
-    got = _right_quotient(H, F, n)
-    assert (got.d, got.rows, got.cols, got.max_degree) == \
-        (want.d, want.rows, want.cols, want.max_degree)
-    assert not (got.C == 0).all(axis=(1, 2)).any()
-    assert max_coeff_diff(got, want) <= 1e-13 * max(biggest(want), 1e-300)
+    for dense in (True, False):
+        got = quotient_on(dense, H, F, n)
+        if not dense:
+            assert got.codes.tobytes() == want.codes.tobytes()
+            assert got.C.tobytes() == want.C.tobytes()
+        assert (got.d, got.rows, got.cols, got.max_degree) == \
+            (want.d, want.rows, want.cols, want.max_degree)
+        assert not (got.C == 0).all(axis=(1, 2)).any()
+        assert max_coeff_diff(got, want) <= \
+            1e-13 * max(biggest(want), 1e-300)
 
 
 @settings(max_examples=100, deadline=None)
@@ -94,12 +112,14 @@ def test_product_deviation_matches_the_sparse_product(case):
 
 def test_right_quotient_refuses_a_singular_constant_term():
     H = NcSeries(2, 1, 1, 3, {(1,): 1.0})
-    with pytest.raises(NotInvertibleError, match="constant term is zero"):
-        _right_quotient(H, NcSeries(2, 1, 1, 3, {(2,): 1.0}), 3)
     H2 = NcSeries(2, 2, 2, 3, {(1,): np.eye(2)})
     F2 = NcSeries(2, 2, 2, 3, {(): np.diag([1.0, 1e-13]), (2,): np.eye(2)})
-    with pytest.raises(NotInvertibleError, match="numerically singular"):
-        _right_quotient(H2, F2, 3)
+    for fills in (True, False):
+        with pytest.raises(NotInvertibleError,
+                           match="constant term is zero"):
+            quotient_on(fills, H, NcSeries(2, 1, 1, 3, {(2,): 1.0}), 3)
+        with pytest.raises(NotInvertibleError, match="numerically singular"):
+            quotient_on(fills, H2, F2, 3)
 
 
 def generic_h():
@@ -140,6 +160,81 @@ def outer_of(H):
     return factorization.spectral_outer(H).with_max_degree(H.max_degree)
 
 
+def counted(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends name to calls."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+ONE_OF_EACH = pytest.mark.parametrize("make, dense", [
+    (generic_h, True), (lambda: worked_example(10), False)],
+    ids=["generic_d2_deg2", "worked_example"])
+
+
+@ONE_OF_EACH
+def test_product_deviation_takes_the_side_of_its_size_rule(monkeypatch,
+                                                           make, dense):
+    H = make()
+    N, F = H.max_degree, outer_of(H)
+    B = _right_quotient(H, F, N)
+    words = int(_code_table(H.d, N)[0][-1])
+    assert (B.codes.size * F.codes.size >= words) is dense
+    want = max_coeff_diff(series_mul(B, F, N), H, N)
+    calls = []
+    counted(monkeypatch, ncseries, "series_mul", calls)
+    got = _product_deviation(B, F, H, N)
+    if dense:
+        assert calls == []
+        assert abs(got - want) <= 1e-13
+    else:
+        assert calls == ["series_mul"]
+        assert got == want
+
+
+@ONE_OF_EACH
+def test_inner_outer_divides_once_and_checks_once(monkeypatch, make, dense):
+    calls, fills = [], []
+    for name in ("_right_quotient", "_product_deviation"):
+        counted(monkeypatch, factorization, name, calls)
+    rule = ncseries._quotient_fills
+
+    def recording(*args):
+        fills.append(rule(*args))
+        return fills[-1]
+
+    monkeypatch.setattr(ncseries, "_quotient_fills", recording)
+    res = factorization.inner_outer(make())
+    assert res.defects["reconstruction_error"] <= 1e-13
+    assert calls == ["_right_quotient", "_product_deviation"]
+    assert fills == [dense]
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nchardy"
+QUOTIENT_HELPERS = {"_quotient_fills", "_stored_levels", "_subtract_products"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "ncseries.py"),
+    ids=lambda p: p.name)
+def test_only_ncseries_names_the_quotient_helpers(path):
+    # the dense-or-sparse choice of a right quotient and of its check
+    # lives behind _right_quotient and _product_deviation
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & QUOTIENT_HELPERS
+
+
 @pytest.mark.parametrize("make, dense", [
     *((m, True) for m in DENSE.values()),
     *((m, False) for m in SPARSE.values())],
@@ -155,8 +250,8 @@ def test_the_size_rule_sends_filled_quotients_to_the_dense_path(make,
 def test_both_paths_give_the_same_factorization(monkeypatch, make):
     H = make()
     ref = factorization.inner_outer(H)
-    rule = factorization._quotient_fills
-    monkeypatch.setattr(factorization, "_quotient_fills",
+    rule = ncseries._quotient_fills
+    monkeypatch.setattr(ncseries, "_quotient_fills",
                         lambda *args: not rule(*args))
     res = factorization.inner_outer(H)
     assert res.outer.codes.tobytes() == ref.outer.codes.tobytes()
@@ -171,13 +266,13 @@ def test_both_paths_give_the_same_factorization(monkeypatch, make):
 
 def test_a_dense_path_input_calls_no_series_invert(monkeypatch):
     calls = []
-    invert = factorization.series_invert
+    invert = ncseries.series_invert
 
     def counting(*args):
         calls.append(1)
         return invert(*args)
 
-    monkeypatch.setattr(factorization, "series_invert", counting)
+    monkeypatch.setattr(ncseries, "series_invert", counting)
     res = factorization.inner_outer(generic_h())
     assert res.defects["reconstruction_error"] <= 1e-13
     assert calls == []

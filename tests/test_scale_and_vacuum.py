@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from nchardy import factorization, fockspace
+from nchardy import fockspace, ncseries
 from nchardy.factorization import (
     inner_outer,
     outer_defect,
@@ -76,13 +76,13 @@ def test_the_scaling_cases_cover_both_quotient_paths(monkeypatch, make,
     # the bitwise scaling test above holds on the dense right quotient of
     # non_outer_h and on the sparse inverse and product of outer_h
     seen = []
-    rule = factorization._quotient_fills
+    rule = ncseries._quotient_fills
 
     def recording(*args):
         seen.append(rule(*args))
         return seen[-1]
 
-    monkeypatch.setattr(factorization, "_quotient_fills", recording)
+    monkeypatch.setattr(ncseries, "_quotient_fills", recording)
     for k in SCALES:
         inner_outer(ldexp_series(make(), k))
     assert seen == [dense] * len(SCALES)

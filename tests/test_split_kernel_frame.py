@@ -466,3 +466,23 @@ def test_split_refuses_a_non_finite_frame(bad):
     frame[3, 0] = bad
     with pytest.raises(ValueError, match="extra_frame"):
         blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
+
+
+@pytest.mark.parametrize("make, args", [
+    (blaschke_times_sigma, ((1,), 0.5)), (frostman_shift, ())],
+    ids=["coordinate_frame", "crofoot_frame"])
+def test_split_reads_the_callers_frame_in_place(make, args):
+    theta, pairs, frame = make(*args)
+    before = frame.copy()
+    # an orthonormal float or complex frame is taken as it is, not copied
+    assert factorization._combined_kernel_frame([], N, frame, 2) is frame
+    res = blaschke_singular_split(theta, pairs, N=N, extra_frame=frame)
+    ref = blaschke_singular_split(theta, pairs, N=N,
+                                  extra_frame=before.copy())
+    assert frame.tobytes() == before.tobytes()
+    for got, want in ((res.blaschke, ref.blaschke),
+                      (res.singular, ref.singular)):
+        assert got.codes.tobytes() == want.codes.tobytes()
+        assert got.C.tobytes() == want.C.tobytes()
+    assert repr(res.defects) == repr(ref.defects)
+    assert res.flags == ref.flags

@@ -435,3 +435,44 @@ def test_idempotent_gate_must_be_finite_and_nonnegative(gate):
     for series in (E, NcSeries.identity(2, 2, 4)):
         with pytest.raises(ValueError, match="gate must be finite"):
             idempotent_split(series, gate=gate)
+
+
+def shifted_inputs():
+    """(theta, N): the commutator inner, whose Frostman quotient takes
+    the sparse inverse and product, and a full-support d = 3 symbol,
+    whose quotient fills the dense word-code levels."""
+    dense = NcSeries(3, 1, 1, 4, {(1,): 0.3, (2,): 0.2j, (3,): -0.4,
+                                  (1, 2): 0.1, (3, 1): -0.2j})
+    return [(commutator_inner(max_degree=5), 5),
+            (commutator_inner(max_degree=8), 8), (dense, 4)]
+
+
+def disk_denominator(theta, w, N):
+    th = theta.with_max_degree(N)
+    one = NcSeries.constant(1.0, theta.d, N)
+    return th, one, one - th.scale(np.conj(w))
+
+
+@pytest.mark.parametrize("theta, N", shifted_inputs(),
+                         ids=["V_N5", "V_N8", "dense_d3"])
+@pytest.mark.parametrize("w", [0.3 + 0.2j, -0.7j, 0.0])
+def test_crofoot_is_bitwise_the_scaled_inverse(theta, N, w):
+    _, _, denom = disk_denominator(theta, w, N)
+    want = series_invert(denom, N).scale(np.sqrt(1.0 - abs(w) ** 2))
+    got = crofoot(theta, w, N)
+    assert (got.d, got.max_degree) == (want.d, want.max_degree)
+    assert got.codes.tobytes() == want.codes.tobytes()
+    assert got.C.tobytes() == want.C.tobytes()
+
+
+@pytest.mark.parametrize("theta, N", shifted_inputs(),
+                         ids=["V_N5", "V_N8", "dense_d3"])
+@pytest.mark.parametrize("w", [0.3 + 0.2j, -0.7j, 0.0])
+def test_frostman_is_the_left_quotient_too(theta, N, w):
+    # the two factors commute, so the right quotient equals the left one
+    th, one, denom = disk_denominator(theta, w, N)
+    want = series_mul(series_invert(denom, N), th - one.scale(w), N)
+    got = frostman(theta, w, N)
+    assert got.max_degree == want.max_degree == N
+    scale = float(np.abs(want.C).max())
+    assert max_coeff_diff(got, want, N) <= 1e-15 * scale

@@ -13,12 +13,13 @@ class NcError(Exception):
     """Base class for all library errors."""
 
 
-class AlphabetMismatchError(NcError):
-    """Two objects built over different free alphabets were combined."""
-
-
 class ShapeMismatchError(NcError):
     """Coefficient shapes (or vector lengths) are incompatible."""
+
+
+class AlphabetMismatchError(ShapeMismatchError):
+    """Two objects built over different free alphabets were combined: a
+    shape mismatch in the number of letters."""
 
 
 class ValidityWindowError(NcError):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     AdmissibilityWarning,
+    AlphabetMismatchError,
     InadmissiblePointError,
     SchemaError,
     ShapeMismatchError,
@@ -23,6 +24,7 @@ from .ncseries import (
     _complex_to_json,
     _horner_plan,
     _int_field,
+    _int_size,
     _object_with_keys,
     h2_norm,
 )
@@ -71,7 +73,7 @@ class MatrixPoint:
 def direct_sum_points(points):
     """Letterwise block-diagonal sum of points over the same alphabet."""
     if len({Z.d for Z in points}) > 1:
-        raise ShapeMismatchError("points over different alphabets")
+        raise AlphabetMismatchError("points over different alphabets")
     n_total = sum(Z.n for Z in points)
     M = np.zeros((points[0].d, n_total, n_total), dtype=complex)
     off = 0
@@ -92,7 +94,13 @@ def random_points(rng, d, sizes, row_norm):
     """Ginibre tuples scaled to a prescribed row norm, one of size n per
     entry n of sizes, as one (B, d, n, n) stack per distinct size in
     increasing n.  One standard_normal call reads the stream of successive
-    random_point calls: per point and letter, real then imaginary block."""
+    random_point calls: per point and letter, real then imaginary block.
+    d and every size must be ints >= 1."""
+    if _int_size("d", d) < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    # an integer array holds ints already; anything else is checked per size
+    if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu"):
+        sizes = [_int_size("point size", n) for n in sizes]
     sizes = np.asarray(sizes, dtype=int)
     if (sizes < 1).any():
         raise ValueError(f"point sizes must be >= 1, got {sizes.min()}")

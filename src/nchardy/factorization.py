@@ -12,16 +12,18 @@ in F's error, so a residual at rounding leaves F about sqrt(eps) off
 (2e-8 on (-2 - 2i)(1 + z) over one letter at N = 2, whose inner factor
 keeps two spurious words of 2.3e-8).  The inner factor B = H F^-1
 is one right division, ncseries._right_quotient, which picks its own
-dense or sparse form.  The solver is the numpy `_lm` below
-(Moré 1978, with Nielsen's gain-ratio damping and MINPACK's stop tests),
-so the package runs on numpy alone.  The Jacobian is affine in the
-outer factor's coefficients, so each trial point builds it as one
-scatter over a plan cached per (d, m, n) from the index triples, and
-reads the residual from the same matrix: `_lm` calls one function that
-returns both.  The same data give the NC Toeplitz Gram of the columns
-H z^v, and one tree Cholesky of it at two shifts
+dense or sparse form; the reconstruction error checks it by series_mul,
+a product that shares no kernel with the quotient.  The solver is the
+numpy `_lm` below (Moré 1978, with Nielsen's gain-ratio damping and
+MINPACK's stop tests), so the package runs on numpy alone.  The
+Jacobian is affine in the outer factor's coefficients, so each trial
+point builds it as one scatter over a plan cached per (d, m, n) from the
+index triples, and reads the residual from the same matrix: `_lm` calls
+one function that returns both.  The same data give the NC Toeplitz Gram
+of the columns H z^v, and one tree Cholesky of it at two shifts
 (fockspace._tree_elimination) certifies the wandering dimension and
-gives the outer defect, without building the Gram.  The
+gives the outer defect, without building the Gram: its last pivot is
+the vacuum, whose factor is that of the Schur complement.  The
 inner defect and the singular test's r-grid are extreme eigenvalues of
 the inner factor's own NC Toeplitz Gram, bracketed from its data and
 multisected with the same Cholesky (fockspace.toeplitz_min_eig).
@@ -71,7 +73,6 @@ from .ncseries import (
     _degree_arg,
     _int_size,
     _pow2_normalized,
-    _product_deviation,
     _right_quotient,
     h2_norm,
     max_coeff_diff,
@@ -340,8 +341,9 @@ def inner_outer(H, N=None):
 
     The outer factor F comes from the autocorrelation data t_s(H), which
     cannot see the inner factor; the inner factor is the right quotient
-    B = H F^{-1} and the reconstruction error checks B F against H, one
-    call each (ncseries._right_quotient, _product_deviation).  The
+    B = H F^{-1} (ncseries._right_quotient), and the reconstruction error
+    checks series_mul(B, F) against H, a product that shares no kernel
+    with the quotient, so a fault in one does not cancel in the other.  The
     wandering dimension is certified, not computed from dense ranks: a
     nonzero scalar H generates a wandering space of dimension 1 (the NC
     Beurling theorem of Arias-Popescu and Popescu), and the truncated
@@ -352,7 +354,8 @@ def inner_outer(H, N=None):
     The data t(H) are computed once, and so is their tree Cholesky on the
     window (fockspace._tree_elimination), one pass at the shifts 0 and
     tau: tau gives the certificate, which is judged before the solve, and
-    0 the outer defect's Schur complement.  The solve's target is read
+    0 the factor of the outer defect's Schur complement, read off the
+    vacuum, the pass's last pivot.  The solve's target is read
     from the same t.  No Gram matrix of H is built and no eigen-solve is
     larger than q x q.  H is first scaled by a power of two, which is
     exact, so the factorization holds at any finite scale.
@@ -392,16 +395,15 @@ def inner_outer(H, N=None):
     F = _spectral_outer(HN, t).with_max_degree(N)
     B, u = phase_normalize(_right_quotient(HN, F, N).prune())
     outer = F.scale(u)
-    recon = _product_deviation(B, outer, HN, N)
+    recon = max_coeff_diff(series_mul(B, outer, N), HN, N)
     # the pass at shift 0 serves F's outer defect, unless dropping F's
     # negligible top coefficients widened its window
     window = validity_window(outer)
-    schur = C[0] if fail[0] < 0 else None
     if window != valid:
-        schur = _vacuum_schur(t, H.d, window)
+        C = _tree_elimination(t, H.d, window, [0.0])[1]
     defects = {
         "inner_defect": inner_defect(B),
-        "outer_defect": _outer_defect(schur, outer.coeff(()), window),
+        "outer_defect": _outer_defect(C[0], outer.coeff(()), window),
         "reconstruction_error": float(np.ldexp(recon, e)),
     }
     return FactorizationResult(B, outer._ldexp(e), H.rows, defects, valid)
@@ -459,24 +461,17 @@ def outer_defect(h, N=None):
             "outer defect expects scalar, column, or square h")
     hN = _pow2_normalized(h)[0].truncate(N)
     window = validity_window(hN, N)
-    return _outer_defect(_vacuum_schur(toeplitz_data(hN), h.d, window),
-                         hN.coeff(()), window)
-
-
-def _vacuum_schur(t, d, window):
-    """Cholesky factor of the vacuum's Schur complement in the NC Toeplitz
-    Gram of the data t over d letters on the window, or None when a pivot
-    is not positive definite."""
-    fail, C = _tree_elimination(t, d, window, [0.0])
-    return None if fail[0] >= 0 else C[0]
+    C = _tree_elimination(toeplitz_data(hN), h.d, window, [0.0])[1]
+    return _outer_defect(C[0], hN.coeff(()), window)
 
 
 def _outer_defect(C, h0, window):
     """outer_defect from h's constant term h0 and the Cholesky factor C of
     the vacuum's Schur complement S = C C^H in the Gram of the columns
-    h z^v on the window (None when they are dependent there): the
-    residual is I - Y^H Y for C Y = h0^H."""
-    if C is None:
+    h z^v on the window (NaN, as fockspace._tree_elimination leaves it,
+    when they are dependent there): the residual is I - Y^H Y for
+    C Y = h0^H."""
+    if np.isnan(C).any():
         raise DiagnosticError(
             f"outer defect: the columns h z^v are dependent on the window "
             f"|v| <= {window}")

@@ -30,7 +30,11 @@ import functools
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ValidityWindowError
+from .errors import (
+    AlphabetMismatchError,
+    ShapeMismatchError,
+    ValidityWindowError,
+)
 from .ncseries import (
     NcSeries,
     _bound,
@@ -126,7 +130,7 @@ def coeff_stack(f, basis):
     """Coefficients of f over the basis words as a (dim, rows, cols) stack,
     one scatter by code; words past the basis degree are dropped."""
     if f.d != basis.d:
-        raise ShapeMismatchError(
+        raise AlphabetMismatchError(
             f"series alphabet d={f.d} != basis alphabet d={basis.d}")
     return _code_stack(f, basis.max_degree)
 
@@ -215,29 +219,6 @@ def _elimination_plan(d, b, width):
     return pairs, back
 
 
-def _vacuum_cholesky(S0):
-    """(C, refused): LAPACK's Cholesky factor of each block of the stack
-    S0, NaN where LAPACK refuses the block, and the refused positions.
-    After a refusal, the blocks whose first pivot is <= 0, which LAPACK
-    refuses whatever the rest, are set aside, or else the stack is
-    halved, and each part is tried again: a one-block stack costs one
-    call, and so does each scalar stack after the first."""
-    try:
-        return np.linalg.cholesky(S0), []
-    except np.linalg.LinAlgError:
-        pass
-    C = np.full_like(S0, np.nan)
-    if len(S0) == 1:
-        return C, [0]
-    first = S0[:, 0, 0].real <= 0
-    refused, keep = np.flatnonzero(first).tolist(), np.flatnonzero(~first)
-    for part in ([keep] if refused else np.array_split(keep, 2)):
-        if len(part):
-            C[part], rest = _vacuum_cholesky(S0[part])
-            refused += part[rest].tolist()
-    return C, refused
-
-
 def _tree_elimination(t, d, k, shifts):
     """The tree Cholesky of toeplitz_vacuum_schur for every shift at once:
     one pass over G - shift I for G the NC Toeplitz Gram of f on |v| <= k
@@ -263,9 +244,12 @@ def _tree_elimination(t, d, k, shifts):
     # the diagonals of the pivot blocks S[l width]
     diag = S[::width].reshape(k + 1, -1, q * q)[..., ::q + 1]
     np.subtract(diag, shifts[:, None], out=diag)
-    for lev in range(k, 0, -1):
-        # X = C^-1 S[lev] row by row, for the pivot S[lev, 0] = C C^H
-        X = S[lev * width:(lev + 1) * width]
+    C = np.full((len(shifts), q, q), np.nan, dtype=complex)
+    for lev in range(k, -1, -1):
+        # X = C^-1 S[lev] row by row, for the pivot S[lev, 0] = C C^H; the
+        # vacuum's rows are its pivot alone, so there X = C^H
+        rows = slice(lev * width, lev * width + (width if lev else 1))
+        X = S[rows]
         for r in range(q):
             piv = X[0, :, r, r, None].real
             ok = [p > 0 for p in piv[:, 0].tolist()]
@@ -275,27 +259,25 @@ def _tree_elimination(t, d, k, shifts):
                         fail[j] = lev
                 live = [j for j, good in zip(live, ok) if good]
                 if not live:
-                    return fail, np.full((len(shifts), q, q), np.nan,
-                                         dtype=complex)
-                S, piv = S[:, ok], piv[ok]
-                X = S[lev * width:(lev + 1) * width]
+                    return fail, C
+                # the rows of this length and the shorter ones are left
+                S, piv = S[:rows.stop, ok], piv[ok]
+                X = S[rows]
             row = X[:, :, r]
             np.divide(row, np.sqrt(piv), out=row)
             for r2 in range(r + 1, q):
                 X[:, :, r2] -= X[0, :, r, r2, None].conj() * row
-        pairs, back = _elimination_plan(d, min(m, lev), width)
-        Y = X[pairs]
-        np.subtract.at(S[lev * width::-1], back,
-                       Y[:len(back)].conj().swapaxes(-1, -2) @ Y[len(back):])
-    # the vacuum is the last pivot, which LAPACK factors
-    C0, refused = _vacuum_cholesky(S[0])
-    for i in refused:
-        fail[live[i]] = 0
-    if len(live) == len(shifts):
-        C = C0
-    else:
-        C = np.full((len(shifts), q, q), np.nan, dtype=complex)
-        C[live] = C0
+        if lev:
+            pairs, back = _elimination_plan(d, min(m, lev), width)
+            Y = X[pairs]
+            np.subtract.at(S[lev * width::-1], back,
+                           Y[:len(back)].conj().swapaxes(-1, -2)
+                           @ Y[len(back):])
+    # the vacuum's rows hold C^H on and above the diagonal, and rounding
+    # left by the row updates below it
+    for r in range(1, q):
+        X[0, :, r, :r] = 0
+    C[live] = X[0].conj().swapaxes(-1, -2)
     return fail, C
 
 
@@ -319,8 +301,9 @@ def toeplitz_vacuum_schur(t, d, k, shift=0.0):
     length is one q x q Cholesky of its pivot, X_s = C^-1 S_s, and the
     sums X_mu^H X_{mu s} over the index triples, sent to length l - |mu|;
     that is O(k m |t|) block products for the k lengths.  The vacuum is
-    the last pivot.  A pivot that is not positive definite, and so
-    G - shift I, raises LinAlgError.  The one-shift case of
+    the last pivot, eliminated the same way: its rows are its pivot
+    alone, so there X = C^H.  A pivot that is not positive definite, and
+    so G - shift I, raises LinAlgError.  The one-shift case of
     _tree_elimination.
     """
     fail, C = _tree_elimination(t, d, _toeplitz_window(t, d, k), [shift])
@@ -364,9 +347,8 @@ def _shift_count(t, d, k):
     """Trial shifts per toeplitz_min_eig pass.  n shifts gain log2(n + 1)
     bits a pass, so on scalar data it is the most of 15, 7 and 3 (else 1)
     with n P <= PASS_BUDGET (k + 2), for P block products per shift and
-    pass.  Block data bisect: each q x q product is a BLAS call per shift,
-    and a shift that fails at a later pivot of the vacuum splits LAPACK's
-    batched Cholesky (_vacuum_cholesky)."""
+    pass.  Block data bisect, since each q x q product is a BLAS call per
+    shift."""
     if t.shape[1] > 1:
         return 1
     m = _stack_degree(d, len(t))
@@ -435,7 +417,7 @@ def _mult_columns(f, basis, k):
     basis words split by ncseries._prefix_pairs into a prefix mu stored
     in f and a suffix s with |s| <= k."""
     if f.d != basis.d:
-        raise ShapeMismatchError(
+        raise AlphabetMismatchError(
             f"series alphabet d={f.d} != basis alphabet d={basis.d}")
     mu, cat, s = _prefix_pairs(f.codes, np.arange(basis.dim), f.d,
                                basis.max_degree, k)

@@ -174,7 +174,7 @@ def szego_gram(Z, W, v, u):
     """
     Z, W = _admissible(Z), _admissible(W)
     if Z.d != W.d:
-        raise ShapeMismatchError(f"points over d={Z.d} and d={W.d}")
+        raise AlphabetMismatchError(f"points over d={Z.d} and d={W.d}")
     v = np.asarray(v, dtype=complex).reshape(-1)
     u = np.asarray(u, dtype=complex).reshape(-1)
     n1, n2 = Z.n, W.n
@@ -292,9 +292,8 @@ def sing_membership(H, Z, y):
 
 
 def sing_closure_direct_sum(p1, p2, c=1.0):
-    """(Z+W, y + c x): direct sums with weighted stacking stay singular."""
-    if p1.Z.d != p2.Z.d:
-        raise ShapeMismatchError("pairs over different alphabets")
+    """(Z+W, y + c x): direct sums with weighted stacking stay singular.
+    Pairs over different alphabets raise AlphabetMismatchError."""
     Z = direct_sum_points([p1.Z, p2.Z])
     return SingularityPair(Z, np.concatenate([p1.y, complex(c) * p2.y]))
 
@@ -338,7 +337,7 @@ def sing_space_complement(pairs, probes=None, N=8):
     cols = []
     for pair in pairs:
         if pair.Z.d != d:
-            raise ShapeMismatchError(
+            raise AlphabetMismatchError(
                 f"pairs over alphabets d={d} and d={pair.Z.d}")
         U = _adjoint_word_vectors(pair.Z, pair.y, N)
         vs = probes if probes is not None else standard_probes(pair.level)

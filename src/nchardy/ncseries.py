@@ -19,6 +19,7 @@ A series is checked once, where it enters (``NcSeries(...)`` and
 as built, under the read-only rule stated on :class:`NcSeries`.
 """
 
+import cmath
 import functools
 import json
 import math
@@ -454,10 +455,16 @@ class NcSeries:
                 f"series over d={self.d} combined with d={other.d}")
 
     def _promote(self, other):
-        """Lift a scalar to a constant series at this truncation order."""
-        value = other * np.eye(self.rows) if self.rows == self.cols \
-            else other
-        return NcSeries.constant(value, self.d, self.max_degree)
+        """Lift a finite scalar to a constant series at this truncation
+        order: other times the identity, or 1 x 1 when this series is not
+        square (series_add then refuses it)."""
+        value = complex(other)
+        if not cmath.isfinite(value):
+            raise ValueError(f"scalar {other!r} is not finite")
+        n = self.rows if self.rows == self.cols else 1
+        return NcSeries._of(self.d, n, n, self.max_degree,
+                            np.zeros(1, dtype=np.int64),
+                            (value * np.eye(n))[None])
 
     def __add__(self, other):
         if np.isscalar(other):
@@ -467,9 +474,9 @@ class NcSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, NcSeries):
-            other = self._promote(other)
-        return self + (-1.0) * other
+        if isinstance(other, NcSeries):
+            return self + (-1.0) * other
+        return series_add(self, self._promote(-other))
 
     def __rsub__(self, other):
         return (-1.0) * self + other
@@ -761,21 +768,6 @@ def _right_quotient(H, F, N):
         _subtract_products(out, l, Q, levels, starts)
         out[...] = out @ f0inv
     return NcSeries._of(H.d, H.rows, F.cols, N, np.arange(Q.shape[0]), Q)
-
-
-def _product_deviation(B, F, H, N):
-    """max |(B F)_w - H_w| over the words of length <= N, the check of a
-    right quotient B = H F^{-1}.  Where |B| |F|, the most pairs series_mul
-    could form, is below D_N, it is max_coeff_diff(series_mul(B, F, N),
-    H, N); otherwise B F is formed on dense levels as in _right_quotient."""
-    starts = _code_table(H.d, N)[0].tolist()
-    if B.codes.size * F.codes.size < starts[-1]:
-        return max_coeff_diff(series_mul(B, F, N), H, N)
-    R, Bd = _code_stack(H, N), _code_stack(B, N)
-    levels = _stored_levels(F, N)
-    for l in range(N + 1):
-        _subtract_products(R[starts[l]:starts[l + 1]], l, Bd, levels, starts)
-    return float(np.abs(R).max(initial=0.0))
 
 
 def phase_normalize(f):

@@ -182,6 +182,24 @@ def test_series_invert_rejects_singular_constant():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_scalar_promotion_refuses_non_finite_scalars(bad):
+    f = NcSeries.monomial((1,), 2, 3)
+    for op in (lambda: f + bad, lambda: f - bad, lambda: bad - f):
+        with pytest.raises(ValueError, match="is not finite"):
+            op()
+
+
+def test_a_square_series_minus_a_scalar_subtracts_it_times_the_identity():
+    f = NcSeries(2, 2, 2, 3, {(): [[1.0, 2.0], [3.0, 4.0]], (1,): np.eye(2)})
+    assert np.array_equal((f - 0.5j).coeff(()),
+                          [[1.0 - 0.5j, 2.0], [3.0, 4.0 - 0.5j]])
+    assert np.array_equal((0.5j - f).coeff(()),
+                          [[0.5j - 1.0, -2.0], [-3.0, 0.5j - 4.0]])
+    with pytest.raises(ShapeMismatchError):
+        NcSeries(2, 2, 1, 3, {(): [[1.0], [2.0]]}) - 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
 def test_non_finite_coefficients_are_refused(bad):
     # pruned or factored, a NaN word would vanish without a trace
     with pytest.raises(ValueError, match="non-finite"):

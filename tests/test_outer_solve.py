@@ -149,8 +149,10 @@ def test_a_stuck_solve_raises_before_dependent_columns(monkeypatch):
     tree = factorization._tree_elimination
 
     def dependent(t, d, k, shifts):
-        # the outer defect's shift 0 fails at the vacuum; the rest pass
+        # the outer defect's shift 0 fails at the vacuum, which leaves
+        # its factor NaN; the rest pass
         fail, C = tree(t, d, k, shifts)
+        C[0] = np.nan
         return [0] + fail[1:], C
 
     H = NcSeries(2, 1, 1, 4, {(): 1.0, (1,): -0.5, (1, 2): 0.25})

@@ -5,12 +5,12 @@ stack of word-code levels when `_quotient_fills` says the sparse
 recursion would form at least as many terms as there are words, and by
 `series_mul(H, series_invert(F, N), N)` otherwise; both branches must
 match that sparse reference to 1e-13 of the quotient's largest entry.
-`_product_deviation` forms B F on the same dense levels when |B| |F|
-reaches the number of words, and by `series_mul` otherwise; both must
-match `max_coeff_diff` of the sparse product.  The tests pin which
-inputs go where, that both branches give the same factorization, that
-`inner_outer` makes one call of each, that sparse inputs allocate no
-dense stack, and that the choice stays inside ncseries.
+`inner_outer` checks B F against H with `series_mul`, which shares no
+kernel with the dense quotient, so a fault there shows in the
+reconstruction error.  The tests pin which inputs go where, that both
+branches give the same factorization, that `inner_outer` divides once and
+multiplies once, that sparse inputs allocate no dense stack, and that the
+choice stays inside ncseries.
 """
 
 import ast
@@ -29,8 +29,6 @@ from nchardy.errors import NotInvertibleError
 from nchardy.fockspace import FockBasis
 from nchardy.ncseries import (
     NcSeries,
-    _code_table,
-    _product_deviation,
     _quotient_fills,
     _right_quotient,
     commutator_inner,
@@ -96,18 +94,6 @@ def test_right_quotient_matches_the_sparse_inverse_and_product(case):
         assert not (got.C == 0).all(axis=(1, 2)).any()
         assert max_coeff_diff(got, want) <= \
             1e-13 * max(biggest(want), 1e-300)
-
-
-@settings(max_examples=100, deadline=None)
-@given(quotients())
-def test_product_deviation_matches_the_sparse_product(case):
-    H, F, n = case
-    B = _right_quotient(H, F, n)
-    for target in (H, B):
-        want = max_coeff_diff(series_mul(B, F, n), target, n)
-        got = _product_deviation(B, F, target, n)
-        scale = max(biggest(target), biggest(series_mul(B, F, n)), 1.0)
-        assert abs(got - want) <= 1e-13 * scale
 
 
 def test_right_quotient_refuses_a_singular_constant_term():
@@ -177,29 +163,9 @@ ONE_OF_EACH = pytest.mark.parametrize("make, dense", [
 
 
 @ONE_OF_EACH
-def test_product_deviation_takes_the_side_of_its_size_rule(monkeypatch,
-                                                           make, dense):
-    H = make()
-    N, F = H.max_degree, outer_of(H)
-    B = _right_quotient(H, F, N)
-    words = int(_code_table(H.d, N)[0][-1])
-    assert (B.codes.size * F.codes.size >= words) is dense
-    want = max_coeff_diff(series_mul(B, F, N), H, N)
-    calls = []
-    counted(monkeypatch, ncseries, "series_mul", calls)
-    got = _product_deviation(B, F, H, N)
-    if dense:
-        assert calls == []
-        assert abs(got - want) <= 1e-13
-    else:
-        assert calls == ["series_mul"]
-        assert got == want
-
-
-@ONE_OF_EACH
 def test_inner_outer_divides_once_and_checks_once(monkeypatch, make, dense):
     calls, fills = [], []
-    for name in ("_right_quotient", "_product_deviation"):
+    for name in ("_right_quotient", "series_mul"):
         counted(monkeypatch, factorization, name, calls)
     rule = ncseries._quotient_fills
 
@@ -210,8 +176,23 @@ def test_inner_outer_divides_once_and_checks_once(monkeypatch, make, dense):
     monkeypatch.setattr(ncseries, "_quotient_fills", recording)
     res = factorization.inner_outer(make())
     assert res.defects["reconstruction_error"] <= 1e-13
-    assert calls == ["_right_quotient", "_product_deviation"]
+    assert calls == ["_right_quotient", "series_mul"]
     assert fills == [dense]
+
+
+def test_a_faulty_quotient_kernel_shows_in_the_reconstruction_error(
+        monkeypatch):
+    # the check multiplies by series_mul, so a quotient whose level kernel
+    # skips F's longest stored length cannot pass its own check
+    H = generic_h()
+    assert _quotient_fills(H, outer_of(H), H.max_degree)
+    real = ncseries._subtract_products
+
+    def skipping(out, l, Q, levels, starts):
+        real(out, l, Q, levels[:-1], starts)
+
+    monkeypatch.setattr(ncseries, "_subtract_products", skipping)
+    assert factorization.inner_outer(H).defects["reconstruction_error"] > 1e-3
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nchardy"
@@ -222,8 +203,8 @@ QUOTIENT_HELPERS = {"_quotient_fills", "_stored_levels", "_subtract_products"}
     "path", sorted(p for p in SRC.glob("*.py") if p.name != "ncseries.py"),
     ids=lambda p: p.name)
 def test_only_ncseries_names_the_quotient_helpers(path):
-    # the dense-or-sparse choice of a right quotient and of its check
-    # lives behind _right_quotient and _product_deviation
+    # the dense-or-sparse choice of a right quotient lives behind
+    # _right_quotient
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom):

@@ -6,7 +6,8 @@ toeplitz_min_eig, toeplitz_max_bound and toeplitz_vacuum_schur share one
 check: the window k is an int >= 0, d >= 1, and the data t are a
 (D, q, q) stack whose D is a Fock dimension 1 + d + ... + d^m.
 word_triples refuses a non-integer, bool or negative m and d < 1, also
-after a cached call with an equal int; random_points refuses sizes < 1.
+after a cached call with an equal int; random_points takes d and every
+size as ints >= 1.
 """
 
 import numpy as np
@@ -80,3 +81,17 @@ def test_word_triples_of_a_numpy_int_are_the_int_triples():
 def test_random_points_refuse_sizes_below_one(sizes):
     with pytest.raises(ValueError, match="sizes must be >= 1"):
         random_points(np.random.default_rng(0), 2, sizes, 0.5)
+
+
+@pytest.mark.parametrize("d, sizes, match", [
+    (2, [2.5, True], "point size 2.5 is not an integer"),
+    (2, [2, True], "point size True is not an integer"),
+    (2, np.array([1.0, 2.0]), "point size .*1.0.* is not an integer"),
+    (0, [1], "d must be >= 1"),
+    (2.5, [1], "d 2.5 is not an integer"),
+    (True, [1], "d True is not an integer"),
+], ids=["float_and_bool_sizes", "bool_size", "float_array", "d_zero",
+        "d_float", "d_bool"])
+def test_random_points_take_int_arguments(d, sizes, match):
+    with pytest.raises(ValueError, match=match):
+        random_points(np.random.default_rng(0), d, sizes, 0.5)

@@ -70,6 +70,7 @@ from .kernels import (
 )
 from .ncseries import (
     NcSeries,
+    _constant_inverse,
     _degree_arg,
     _int_size,
     _pow2_normalized,
@@ -375,7 +376,7 @@ def inner_outer(H, N=None):
 
     if m == 0:
         # a constant is outer exactly when it is invertible
-        series_invert(Hp, 0)
+        _constant_inverse(Hp)
         inner = NcSeries.constant(np.eye(H.rows), H.d, N)
         defects = {"inner_defect": 0.0, "outer_defect": 0.0,
                    "reconstruction_error": 0.0}

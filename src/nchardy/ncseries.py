@@ -632,64 +632,30 @@ def series_inner(f, g):
 def series_invert(f, max_degree=None):
     """Multiplicative inverse of f up to degree max_degree (default N_f).
 
-    Requires a square constant term with sigma_min above INVERT_REL
-    sigma_max, a floor that does not depend on f's scale.  The inverse g
-    follows the degree recursion g_w = -f_0^{-1} sum_{uv=w, u != empty}
-    f_u g_v.  Each level of g, once found, is paired in one batched
-    product with every nonconstant word u of f that keeps |uv| within the
-    bound; a degree gathers its pairs, sums the terms of each word w = uv
-    in f's word order and applies -f_0^{-1} to the level at once.  Only
-    stored (nonzero) words of g are paired, so sparse inputs stay sparse.
+    The right quotient I f^{-1} (_right_quotient).  f_0 must be square
+    with sigma_min above INVERT_REL sigma_max, a floor that does not
+    depend on f's scale, and a finite inverse.
     """
     if f.rows != f.cols:
         raise ShapeMismatchError("only square series can be inverted")
     n = _degree_arg("max_degree", max_degree, f.d, f.max_degree)
-    f0inv, p = _constant_inverse(f), f.rows
-    starts, pows = _code_table(f.d, n)
-    # f's words of each length lu in 1..n: rows a:b of cu and fu
-    at = f.codes.searchsorted(starts).tolist()
-    cu, fu = f.codes[at[1]:at[-1], None], f.C[at[1]:at[-1], None]
-    rows = [(lu, at[lu] - at[1], at[lu + 1] - at[1])
-            for lu in range(1, n + 1) if at[lu + 1] > at[lu]]
-    codes, blocks, pairs = [np.zeros(1, dtype=np.int64)], [f0inv[None]], []
-    for deg in range(1, n + 1):
-        # the level just found, with the u of length <= n - (deg - 1)
-        k = at[n - deg + 2] - at[1]
-        pairs.append((_cat_codes(pows, deg - 1, cu[:k], codes[-1]),
-                      fu[:k] @ blocks[-1]))
-        cs, terms = [codes[0][:0]], [blocks[0][:0]]
-        for lu, a, b in rows:
-            if lu > deg:
-                break
-            c, t = pairs[deg - lu]
-            if c.size:
-                cs.append(c[a:b].reshape(-1))
-                terms.append(t[a:b].reshape(-1, p, p))
-        # no pairs leave the level empty, and pairs with one length of u
-        # give distinct words w; only several lengths can meet
-        level, acc = (cs[-1], terms[-1]) if len(cs) <= 2 else _sum_by_code(
-            np.concatenate(cs), np.concatenate(terms))
-        gw = -(f0inv @ acc)
-        keep = gw.any(axis=(1, 2))
-        codes.append(level[keep])
-        blocks.append(gw[keep])
-    return NcSeries._of(f.d, p, p, n, np.concatenate(codes),
-                        np.concatenate(blocks))
+    return _right_quotient(NcSeries.identity(f.rows, f.d, n), f, n)
 
 
 def _constant_inverse(f):
     """f_0^{-1} for a square f whose constant term has sigma_min above
-    INVERT_REL sigma_max; a zero or singular f_0 raises."""
+    INVERT_REL sigma_max and a finite inverse; any other f_0 raises."""
     f0 = f._block(())
     if f0 is None:
         raise NotInvertibleError("constant term is zero", smallest_sigma=0.0)
     svals = np.linalg.svd(f0, compute_uv=False)
     smin, smax = float(svals[-1]), float(svals[0])
-    if smin <= INVERT_REL * smax:
+    f0inv = np.linalg.inv(f0) if smin > INVERT_REL * smax else None
+    if f0inv is None or not np.isfinite(f0inv).all():
         raise NotInvertibleError(
             f"constant term numerically singular (sigma_min={smin:.3e})",
             smallest_sigma=smin)
-    return np.linalg.inv(f0)
+    return f0inv
 
 
 def _code_stack(f, n):
@@ -746,19 +712,50 @@ def _quotient_fills(H, F, N):
     return sum(c) >= int(_code_table(H.d, N)[0][-1])
 
 
+def _sparse_quotient(H, F, N, f0inv):
+    """_right_quotient on stored words: each level of Q, once found, is
+    paired in one batched product with every word v != empty of F that
+    keeps |uv| <= N, and length l sums H_l and its products -Q_u F_v, by
+    |v| from 1 up, in one _sum_by_code."""
+    p, q = H.rows, F.cols
+    starts, pows = _code_table(H.d, N)
+    hat, at = H.codes.searchsorted(starts), F.codes.searchsorted(starts)
+    # F's words of each length k in 1..N: columns a:b of cv, lv and fv
+    cv, fv = F.codes[at[1]:at[-1]], -F.C[at[1]:at[-1]]
+    lv, at, hat = _lengths(cv, starts), at.tolist(), hat.tolist()
+    cols = [(k, at[k] - at[1], at[k + 1] - at[1])
+            for k in range(1, N + 1) if at[k + 1] > at[k]]
+    found, pairs = [], []
+    for l in range(N + 1):
+        cs, terms = [H.codes[hat[l]:hat[l + 1]]], [H.C[hat[l]:hat[l + 1]]]
+        for k, a, b in cols:
+            if k > l:
+                break
+            c, t = pairs[l - k]
+            cs.append(c[:, a:b].ravel())
+            terms.append(t[:, a:b].reshape(-1, p, q))
+        # one length of v alone gives distinct words in order
+        level, acc = (cs[1], terms[1]) if len(cs) == 2 and not cs[0].size \
+            else _sum_by_code(np.concatenate(cs), np.concatenate(terms))
+        level, Ql = _nonzero(level, acc @ f0inv)
+        found.append((level, Ql))
+        m = at[N - l + 1] - at[1]
+        pairs.append((_cat_codes(pows, lv[:m], level[:, None], cv[:m]),
+                      Ql[:, None] @ fv[:m]))
+    return NcSeries._of(H.d, p, q, N, *map(np.concatenate, zip(*found)))
+
+
 def _right_quotient(H, F, N):
-    """H F^{-1} through degree N, the package's one right division (F_0
-    must pass series_invert's check).  Where _quotient_fills finds fewer
-    sparse terms than words, it is series_mul(H, series_invert(F, N), N),
-    which fills no stack of D_N blocks.  Otherwise it is the quotient
-    recursion Q_w = (H_w - sum_{uv=w, v != empty} Q_u F_v) F_0^{-1}
-    (Knuth, TAOCP vol. 2, 4.7) on one zero-filled (D_N, p, q) stack of H
-    by code: length l subtracts one broadcast product per stored length
-    k >= 1 of F (_subtract_products) and is multiplied by F_0^{-1}."""
-    if not _quotient_fills(H, F, N):
-        return series_mul(H, series_invert(F, N), N)
+    """H F^{-1} through degree N, the package's one right division: the
+    forward substitution Q_w = (H_w - sum_{uv=w, v != empty} Q_u F_v)
+    F_0^{-1} (Knuth, TAOCP vol. 2, 4.7).  It runs on stored words
+    (_sparse_quotient) where _quotient_fills finds fewer sparse terms than
+    words, else on one zero-filled (D_N, p, q) stack of H by code, with
+    one broadcast product per stored length of F (_subtract_products)."""
     H._check_compatible(F)
     f0inv = _constant_inverse(F)
+    if not _quotient_fills(H, F, N):
+        return _sparse_quotient(H, F, N, f0inv)
     starts = _code_table(H.d, N)[0].tolist()
     Q = _code_stack(H, N)
     # F_0 is stored, so it leads the levels

@@ -1,16 +1,18 @@
 """The package's one right division H F^-1 and its check.
 
-`ncseries._right_quotient` divides by forward substitution on one dense
-stack of word-code levels when `_quotient_fills` says the sparse
-recursion would form at least as many terms as there are words, and by
-`series_mul(H, series_invert(F, N), N)` otherwise; both branches must
-match that sparse reference to 1e-13 of the quotient's largest entry.
-`inner_outer` checks B F against H with `series_mul`, which shares no
-kernel with the dense quotient, so a fault there shows in the
-reconstruction error.  The tests pin which inputs go where, that both
-branches give the same factorization, that `inner_outer` divides once and
-multiplies once, that sparse inputs allocate no dense stack, and that the
-choice stays inside ncseries.
+`ncseries._right_quotient` is the package's one forward substitution,
+Q_w = (H_w - sum Q_u F_v) F_0^-1, in two storage forms: one dense stack
+of word-code levels when `_quotient_fills` says the sparse terms would be
+at least as many as the words, and the stored words alone
+(`_sparse_quotient`) otherwise.  `series_invert` is the quotient of the
+identity.  Both forms must match the left degree recursion that inverted
+a series before (frozen in left_invert.py) to 1e-13 of the largest entry,
+and neither calls `series_mul` or `series_invert`.  `inner_outer` checks
+B F against H with `series_mul`, which shares no kernel with either form,
+so a fault in the quotient shows in the reconstruction error.  The tests
+pin which inputs go where, that both forms give the same factorization,
+that `inner_outer` divides once and multiplies once, that sparse inputs
+allocate no dense stack, and that the choice stays inside ncseries.
 """
 
 import ast
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import left_invert
 import nchardy.factorization as factorization
 import nchardy.ncseries as ncseries
 from nchardy.errors import NotInvertibleError
@@ -73,10 +76,19 @@ def biggest(f):
 
 def quotient_on(fills, H, F, n):
     """_right_quotient(H, F, n) with _quotient_fills forced to fills: True
-    takes the dense levels, False the sparse inverse and product."""
+    takes the dense levels, False the stored words."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ncseries, "_quotient_fills", lambda *args: fills)
         return _right_quotient(H, F, n)
+
+
+def near(got, want):
+    """got has want's sizes, stores no zero block, and lies within 1e-13
+    of want's largest entry."""
+    assert (got.d, got.rows, got.cols, got.max_degree) == \
+        (want.d, want.rows, want.cols, want.max_degree)
+    assert not (got.C == 0).all(axis=(1, 2)).any()
+    assert max_coeff_diff(got, want) <= 1e-13 * max(biggest(want), 1e-300)
 
 
 @settings(max_examples=150, deadline=None)
@@ -85,15 +97,19 @@ def test_right_quotient_matches_the_sparse_inverse_and_product(case):
     H, F, n = case
     want = series_mul(H, series_invert(F, n), n)
     for dense in (True, False):
-        got = quotient_on(dense, H, F, n)
-        if not dense:
-            assert got.codes.tobytes() == want.codes.tobytes()
-            assert got.C.tobytes() == want.C.tobytes()
-        assert (got.d, got.rows, got.cols, got.max_degree) == \
-            (want.d, want.rows, want.cols, want.max_degree)
-        assert not (got.C == 0).all(axis=(1, 2)).any()
-        assert max_coeff_diff(got, want) <= \
-            1e-13 * max(biggest(want), 1e-300)
+        near(quotient_on(dense, H, F, n), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotients())
+def test_both_forms_match_the_frozen_left_recursion(case):
+    H, F, n = case
+    inverse = left_invert.series_invert(F, n)
+    near(series_invert(F, n), inverse)
+    one = NcSeries.identity(F.rows, F.d, n)
+    for dense in (True, False):
+        near(quotient_on(dense, one, F, n), inverse)
+        near(quotient_on(dense, H, F, n), series_mul(H, inverse, n))
 
 
 def test_right_quotient_refuses_a_singular_constant_term():
@@ -106,6 +122,17 @@ def test_right_quotient_refuses_a_singular_constant_term():
             quotient_on(fills, H, NcSeries(2, 1, 1, 3, {(2,): 1.0}), 3)
         with pytest.raises(NotInvertibleError, match="numerically singular"):
             quotient_on(fills, H2, F2, 3)
+
+
+def test_a_constant_term_whose_inverse_overflows_is_refused():
+    # sigma_min / sigma_max = 1 passes the floor, but 1 / 1e-315 is inf
+    F = NcSeries(2, 1, 1, 3, {(): 1e-315, (2,): 2 + 2j})
+    for fills in (True, False):
+        with pytest.raises(NotInvertibleError, match="numerically singular"):
+            quotient_on(fills, NcSeries.identity(1, 2, 3), F, 3)
+    with pytest.raises(NotInvertibleError) as err:
+        series_invert(F)
+    assert err.value.smallest_sigma == 1e-315
 
 
 def generic_h():
@@ -182,21 +209,29 @@ def test_inner_outer_divides_once_and_checks_once(monkeypatch, make, dense):
 
 def test_a_faulty_quotient_kernel_shows_in_the_reconstruction_error(
         monkeypatch):
-    # the check multiplies by series_mul, so a quotient whose level kernel
-    # skips F's longest stored length cannot pass its own check
-    H = generic_h()
+    # the check multiplies by series_mul, so a quotient that skips F's
+    # longest stored length in either form cannot pass its own check
+    H, W = generic_h(), worked_example(10)
     assert _quotient_fills(H, outer_of(H), H.max_degree)
-    real = ncseries._subtract_products
+    assert not _quotient_fills(W, outer_of(W), W.max_degree)
+    subtract, sparse = ncseries._subtract_products, ncseries._sparse_quotient
 
     def skipping(out, l, Q, levels, starts):
-        real(out, l, Q, levels[:-1], starts)
+        subtract(out, l, Q, levels[:-1], starts)
+
+    def pairing_short(H, F, N, f0inv):
+        return sparse(H, F.truncate(F.degree() - 1), N, f0inv)
 
     monkeypatch.setattr(ncseries, "_subtract_products", skipping)
-    assert factorization.inner_outer(H).defects["reconstruction_error"] > 1e-3
+    monkeypatch.setattr(ncseries, "_sparse_quotient", pairing_short)
+    for h in (H, W):
+        assert factorization.inner_outer(h).defects[
+            "reconstruction_error"] > 1e-3
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nchardy"
-QUOTIENT_HELPERS = {"_quotient_fills", "_stored_levels", "_subtract_products"}
+QUOTIENT_HELPERS = {"_quotient_fills", "_sparse_quotient", "_stored_levels",
+                    "_subtract_products"}
 
 
 @pytest.mark.parametrize(
@@ -245,18 +280,21 @@ def test_both_paths_give_the_same_factorization(monkeypatch, make):
         assert r.defects["reconstruction_error"] <= 1e-13
 
 
-def test_a_dense_path_input_calls_no_series_invert(monkeypatch):
-    calls = []
-    invert = ncseries.series_invert
+@ONE_OF_EACH
+def test_the_right_quotient_calls_no_series_mul_or_series_invert(
+        monkeypatch, make, dense):
+    H = make()
+    F = outer_of(H)
+    assert _quotient_fills(H, F, H.max_degree) is dense
 
-    def counting(*args):
-        calls.append(1)
-        return invert(*args)
+    def refused(*args):
+        raise AssertionError("the quotient called a series kernel")
 
-    monkeypatch.setattr(ncseries, "series_invert", counting)
-    res = factorization.inner_outer(generic_h())
-    assert res.defects["reconstruction_error"] <= 1e-13
-    assert calls == []
+    want = _right_quotient(H, F, H.max_degree)
+    for name in ("series_mul", "series_invert"):
+        monkeypatch.setattr(ncseries, name, refused)
+    got = _right_quotient(H, F, H.max_degree)
+    assert got.C.tobytes() == want.C.tobytes()
 
 
 @pytest.mark.parametrize("H, words", [
